@@ -8,13 +8,20 @@ Exit codes: 0 when the queried property holds (or the command succeeded),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence, TextIO
 
 from .core import Caps, FiniteAlgebra, Signature, UalgError
-from .birkhoff import eqcl_to_var_check, var_to_eqcl_check, verify_invariance, ProductWitness
+from .birkhoff import (
+    ProductWitness,
+    _env_string,
+    eqcl_to_var_check,
+    var_to_eqcl_check,
+    verify_invariance,
+)
 from .closure import trivial_certificate
-from .eqlogic import class_satisfies, satisfies, theory_upto
+from .eqlogic import class_satisfies, satisfies, theory_partition, theory_upto
 from .entail import (
     ProofCheckError,
     SearchLimits,
@@ -55,7 +62,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once: argparse parsers are reference cycles, so a fresh parser
+    # per call would leave a quarter megabyte of garbage for the collector.
     parser = _Parser(prog="ualg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -157,10 +167,6 @@ def _parse_map(text: str, src: FiniteAlgebra, dst: FiniteAlgebra, flag: str) -> 
         raise UsageError(f"{flag}: {e}") from None
 
 
-def _witness_env(assoc: dict[str, int]) -> str:
-    return " ".join(f"{k}={v}" for k, v in assoc.items())
-
-
 def _gen_vars(count: int) -> list[str]:
     return [f"v{i}" for i in range(count)]
 
@@ -212,7 +218,7 @@ def _cmd_sat(args, caps: Caps, out: TextIO) -> int:
     if result.holds:
         print(f"RESULT holds {equation_to_text(eq)}", file=out)
         return 0
-    print(f"WITNESS {_witness_env(result.counterexample.assoc)}", file=out)
+    print(f"WITNESS {_env_string(result.counterexample.assoc)}", file=out)
     return 1
 
 
@@ -225,7 +231,7 @@ def _cmd_class_sat(args, caps: Caps, out: TextIO) -> int:
         return 0
     failing = named[result.failing_index][0]
     print(
-        f"WITNESS algebra={failing} {_witness_env(result.counterexample.assoc)}",
+        f"WITNESS algebra={failing} {_env_string(result.counterexample.assoc)}",
         file=out,
     )
     return 1
@@ -233,14 +239,14 @@ def _cmd_class_sat(args, caps: Caps, out: TextIO) -> int:
 
 def _cmd_theory(args, caps: Caps, out: TextIO) -> int:
     named = _load_class(args.files)
-    equations = theory_upto(
+    theory = theory_partition(
         [alg for _, alg in named],
         _gen_vars(args.vars),
         args.depth,
         term_cap=caps.cells,
         env_cap=caps.cells,
     )
-    for eq in equations:
+    for eq in theory.equations():
         print(equation_to_text(eq), file=out)
     return 0
 

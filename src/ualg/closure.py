@@ -76,10 +76,10 @@ def product(
     for name, arity in sig.ops:
         table = []
         for args in itertools.product(range(n), repeat=arity):
-            value = tuple(
+            value = [
                 apply_op(f, name, [coords[a][i] for a in args])
                 for i, f in enumerate(factors)
-            )
+            ]
             table.append(_encode_mixed(sizes, value))
         tables.append(tuple(table))
     return ProductAlgebra(FiniteAlgebra(sig, n, tuple(tables)), sizes)

@@ -270,7 +270,8 @@ def search_proof(
             failed.clear()
             proof = prove(goal, depth)
             if proof is not None:
-                assert check_proof(sig, axioms, proof) == goal
+                if check_proof(sig, axioms, proof) != goal:
+                    raise UalgError(f"search_proof built a proof that does not conclude {goal}")
                 return SearchOutcome("found", proof)
     except _BudgetExhausted:
         return SearchOutcome("budget")

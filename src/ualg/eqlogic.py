@@ -10,18 +10,29 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import CapExceededError, FiniteAlgebra, same_signature
 from .terms import (
     Environment,
     Equation,
+    Term,
     enumerate_terms,
+    environment_columns,
     equation_vars,
     evaluate,
+    fingerprints,
+    term_columns,
 )
 
 DEFAULT_ENV_CAP = 1_000_000
+
+
+def _check_env_space(alg: FiniteAlgebra, variables: Sequence[str], cap: int) -> None:
+    if alg.size ** len(variables) > cap:
+        raise CapExceededError(
+            f"environment space {alg.size}^{len(variables)} exceeds cap {cap}"
+        )
 
 
 @dataclass(frozen=True)
@@ -35,10 +46,7 @@ def satisfies(
 ) -> SatResult:
     """Decide alg |= eq by checking every environment over its variables."""
     names = equation_vars(eq)
-    if alg.size ** len(names) > cap:
-        raise CapExceededError(
-            f"environment space {alg.size}^{len(names)} exceeds cap {cap}"
-        )
+    _check_env_space(alg, names, cap)
     for values in itertools.product(range(alg.size), repeat=len(names)):
         rho = dict(zip(names, values))
         if evaluate(alg, eq.lhs, rho) != evaluate(alg, eq.rhs, rho):
@@ -64,22 +72,86 @@ def class_satisfies(
     return ClassSatResult(True)
 
 
-@dataclass(frozen=True)
-class ModCheckResult:
-    holds: bool
-    failing_index: int | None = None
-    counterexample: Environment | None = None
-
-
 def mod_check(
     alg: FiniteAlgebra, E: Sequence[Equation], cap: int = DEFAULT_ENV_CAP
-) -> ModCheckResult:
-    """Membership of alg in the model class of the finite equation list E."""
+) -> ClassSatResult:
+    """Membership of alg in the model class of the finite equation list E;
+    failing_index names the first equation of E that alg fails."""
     for i, eq in enumerate(E):
         res = satisfies(alg, eq, cap=cap)
         if not res.holds:
-            return ModCheckResult(False, i, res.counterexample)
-    return ModCheckResult(True)
+            return ClassSatResult(False, i, res.counterexample)
+    return ClassSatResult(True)
+
+
+@dataclass(frozen=True)
+class TheoryPartition:
+    """The enumerated terms, partitioned by the kernel of the natural map
+    onto the free algebra: two terms share a class exactly when every
+    member of the class K gives them the same value column (their
+    fingerprints, the columns joined across K, are equal), which is when K
+    satisfies their identity.  Each class lists term indices ascending;
+    classes are ordered by their least member."""
+
+    variables: tuple[str, ...]
+    terms: list[Term]
+    classes: list[list[int]]
+
+    @property
+    def pair_count(self) -> int:
+        """Number of equations in the theory: the sum of |class|^2."""
+        return sum(len(c) ** 2 for c in self.classes)
+
+    def equations(self) -> Iterator[Equation]:
+        """Every pair (p, q) within a class, by p ascending and then q
+        ascending: the lexicographic order of the term indices."""
+        class_of = {i: cls for cls in self.classes for i in cls}
+        terms = self.terms
+        for p, t in enumerate(terms):
+            for q in class_of[p]:
+                yield Equation(t, terms[q])
+
+    def first_failure(
+        self, alg: FiniteAlgebra, env_cap: int = DEFAULT_ENV_CAP
+    ) -> Equation | None:
+        """The first equation, in equations() order, that alg fails, if any.
+
+        That is the first class alg's value columns do not keep constant,
+        with its least member p and the first member whose column differs
+        from p's: every p' below p lies in a class alg keeps constant.
+        """
+        _check_env_space(alg, self.variables, env_cap)
+        columns = term_columns(
+            alg, self.terms, environment_columns(self.variables, alg.size)
+        )
+        for cls in self.classes:
+            p = columns[cls[0]]
+            for q in cls[1:]:
+                if columns[q] != p:
+                    return Equation(self.terms[cls[0]], self.terms[q])
+        return None
+
+
+def theory_partition(
+    K: Sequence[FiniteAlgebra],
+    variables: Sequence[str],
+    max_depth: int,
+    term_cap: int = 1_000_000,
+    env_cap: int = DEFAULT_ENV_CAP,
+) -> TheoryPartition:
+    """Group the terms of depth <= max_depth over the variables by their
+    fingerprint in K.  Raises CapExceededError before any work when some
+    member A of K has more than env_cap environments |A|^|variables|."""
+    if not K:
+        raise ValueError("theory_upto needs a nonempty class to fix the signature")
+    sig = same_signature(*K)
+    for alg in K:
+        _check_env_space(alg, variables, env_cap)
+    terms = enumerate_terms(sig, variables, max_depth, cap=term_cap)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, key in enumerate(fingerprints(K, terms, variables)):
+        groups.setdefault(key, []).append(i)
+    return TheoryPartition(tuple(variables), terms, list(groups.values()))
 
 
 def theory_upto(
@@ -93,15 +165,8 @@ def theory_upto(
 
     All ordered pairs (p, q) of enumerated terms that every member of K
     satisfies, in lexicographic (p index, q index) order; the diagonal is
-    always included.
+    always included.  See theory_partition for the caps.
     """
-    if not K:
-        raise ValueError("theory_upto needs a nonempty class to fix the signature")
-    sig = same_signature(*K)
-    terms = enumerate_terms(sig, variables, max_depth, cap=term_cap)
-    out = []
-    for p, q in itertools.product(terms, repeat=2):
-        eq = Equation(p, q)
-        if class_satisfies(K, eq, cap=env_cap).holds:
-            out.append(eq)
-    return out
+    return list(
+        theory_partition(K, variables, max_depth, term_cap, env_cap).equations()
+    )

@@ -18,12 +18,13 @@ from .core import (
     Caps,
     FiniteAlgebra,
     Signature,
+    UalgError,
     apply_op,
     same_signature,
 )
 from .closure import EmptyCarrierError
 from .homs import CarrierMap, hom_violation
-from .terms import App, Term, Var, evaluate
+from .terms import App, Term, Var, fingerprints, term_columns
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,11 @@ def build_free(
         gens[name] = label[tup] if tup in label else add(tup, Var(name))
 
     def pointwise(name: str, arg_labels: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
+        # tuple([...]), not tuple(generator): see terms.fingerprints.
+        return tuple([
             apply_op(K[ki], name, [elements[a][j] for a in arg_labels])
             for j, (ki, _) in enumerate(index)
-        )
+        ])
 
     while True:
         base = len(elements)
@@ -111,16 +113,16 @@ def build_free(
             for args in itertools.product(range(base), repeat=arity):
                 tup = pointwise(name, args)
                 if tup not in label:
-                    add(tup, App(name, tuple(reprs[a] for a in args)))
+                    add(tup, App(name, tuple([reprs[a] for a in args])))
         if len(elements) == base:
             break
 
     tables = []
     for name, arity in sig.ops:
-        table = tuple(
+        table = tuple([
             label[pointwise(name, args)]
             for args in itertools.product(range(len(elements)), repeat=arity)
-        )
+        ])
         tables.append(table)
     free = FreeAlgebra(
         alg=FiniteAlgebra(sig, len(elements), tuple(tables)),
@@ -131,31 +133,30 @@ def build_free(
         reprs=tuple(reprs),
         gens=gens,
     )
-    _assert_invariants(free)
+    _check_invariants(free)
     return free
 
 
-def _assert_invariants(free: FreeAlgebra) -> None:
-    # distinct tuples: the embedding into the product is injective
-    assert len(set(free.tuples)) == len(free.tuples)
-    # every representative evaluates to its element's tuple, coordinatewise
-    for tup, term in zip(free.tuples, free.reprs):
-        for j, (ki, env) in enumerate(free.index):
-            rho = dict(zip(free.variables, env))
-            assert evaluate(free.k_algebras[ki], term, rho) == tup[j]
-    # generators carry the projection tuples
+def _check_invariants(free: FreeAlgebra) -> None:
+    """Soundness re-check of a built free algebra; raises UalgError."""
+    if len(set(free.tuples)) != len(free.tuples):
+        raise UalgError("free algebra: element tuples are not pairwise distinct")
+    computed = fingerprints(free.k_algebras, free.reprs, free.variables)
+    for e, tup in enumerate(free.tuples):
+        if computed[e] != tup:
+            raise UalgError(
+                f"free algebra: representative {free.reprs[e]} of element {e} "
+                "does not evaluate to its tuple"
+            )
     for pos, name in enumerate(free.variables):
         expected = tuple(env[pos] for _, env in free.index)
-        assert free.tuples[free.gens[name]] == expected
+        if free.tuples[free.gens[name]] != expected:
+            raise UalgError(f"free algebra: generator {name} is not its projection tuple")
 
 
 def nat_epi(free: FreeAlgebra, t: Term) -> int:
     """Image of a term under the natural map onto the free algebra."""
-    tup = tuple(
-        evaluate(free.k_algebras[ki], t, dict(zip(free.variables, env)))
-        for ki, env in free.index
-    )
-    return free.lookup(tup)
+    return free.lookup(fingerprints(free.k_algebras, [t], free.variables)[0])
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,8 @@ def universal_map(
     for name in free.variables:
         if name not in assign:
             raise ValueError(f"assignment misses variable {name}")
-    image = tuple(evaluate(B, term, assign) for term in free.reprs)
+    single = {name: [value] for name, value in assign.items()}
+    image = tuple([col[0] for col in term_columns(B, free.reprs, single)])
     candidate = CarrierMap(free.alg, B, image)
     witness = hom_violation(candidate)
     if witness is not None:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .core import (
     CapExceededError,
     FiniteAlgebra,
     UalgError,
     apply_op,
+    row_major_index,
     same_signature,
 )
 
@@ -177,11 +178,11 @@ def iter_homs(
             for args in itertools.product(
                 [a for a in range(n) if image[a] >= 0], repeat=arity
             ):
-                res = src_table[_row_index(n, args)]
+                res = src_table[row_major_index(n, args)]
                 if image[res] < 0:
                     continue
                 if v in args or res == v:
-                    mapped = _row_index(m, [image[a] for a in args])
+                    mapped = row_major_index(m, [image[a] for a in args])
                     if dst_table[mapped] != image[res]:
                         return False
         return True
@@ -212,13 +213,6 @@ def iter_homs(
             image[a] = -1
 
     return extend(0)
-
-
-def _row_index(size: int, args: Sequence[int]) -> int:
-    idx = 0
-    for a in args:
-        idx = idx * size + a
-    return idx
 
 
 def _flags_ok(

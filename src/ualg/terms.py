@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, NoReturn, Sequence, Union
 
 from .core import (
     ArityMismatchError,
@@ -19,6 +19,7 @@ from .core import (
     UalgError,
     UnknownSymbolError,
     apply_op,
+    row_major_index,
 )
 
 
@@ -104,13 +105,19 @@ class Substitution:
     assoc: Mapping[str, Term]
 
     def lookup(self, name: str) -> Term:
-        return self.assoc.get(name, Var(name))
+        image = self.assoc.get(name)
+        return Var(name) if image is None else image
 
 
 def substitute(sigma: Substitution, t: Term) -> Term:
+    return _substitute(sigma.assoc, t)
+
+
+def _substitute(assoc: Mapping[str, Term], t: Term) -> Term:
     if type(t) is Var:
-        return sigma.lookup(t.name)
-    return App(t.symbol, tuple(substitute(sigma, c) for c in t.children))
+        image = assoc.get(t.name)
+        return t if image is None else image
+    return App(t.symbol, tuple([_substitute(assoc, c) for c in t.children]))
 
 
 @dataclass
@@ -132,31 +139,125 @@ def _binding_map(rho: Environment | Mapping[str, int]) -> Mapping[str, int]:
 
 def evaluate(alg: FiniteAlgebra, t: Term, rho: Environment | Mapping[str, int]) -> int:
     """Interpret t in alg under the variable bindings of rho."""
-    bindings = _binding_map(rho)
-    ops = alg._ops
-    n = alg.size
+    try:
+        return _walk(t, _binding_map(rho), alg._ops, alg.size)
+    except KeyError as e:  # only binding lookups raise it
+        raise UnboundVariableError(f"unbound variable ?{e.args[0]}") from None
 
-    def go(node: Term) -> int:
-        if type(node) is Var:
-            try:
-                return bindings[node.name]
-            except KeyError:
-                raise UnboundVariableError(f"unbound variable ?{node.name}") from None
-        entry = ops.get(node.symbol)
-        if entry is None:
-            raise UnknownSymbolError(f"unknown operation symbol {node.symbol!r}")
-        arity, table = entry
-        children = node.children
-        if len(children) != arity:
-            raise ArityMismatchError(
-                f"op {node.symbol} expects {arity} arguments, got {len(children)}"
-            )
-        idx = 0
-        for c in children:
-            idx = idx * n + go(c)
-        return table[idx]
 
-    return go(t)
+def _walk(node: Term, bindings: Mapping[str, int], ops: dict, n: int) -> int:
+    # Module-level rather than a closure per call: a recursive closure is a
+    # reference cycle, so each call would also leave garbage for the collector.
+    # Binary nodes read variable children in place, which halves the calls.
+    if type(node) is Var:
+        return bindings[node.name]
+    children = node.children
+    entry = ops.get(node.symbol)
+    if entry is None or len(children) != entry[0]:
+        _bad_application(ops, node)
+    arity, table = entry
+    if arity == 2:
+        a, b = children
+        x = bindings[a.name] if type(a) is Var else _walk(a, bindings, ops, n)
+        y = bindings[b.name] if type(b) is Var else _walk(b, bindings, ops, n)
+        return table[x * n + y]
+    idx = 0
+    for c in children:
+        idx = idx * n + _walk(c, bindings, ops, n)
+    return table[idx]
+
+
+def _bad_application(ops: dict, node: App) -> NoReturn:
+    entry = ops.get(node.symbol)
+    if entry is None:
+        raise UnknownSymbolError(f"unknown operation symbol {node.symbol!r}")
+    raise ArityMismatchError(
+        f"op {node.symbol} expects {entry[0]} arguments, got {len(node.children)}"
+    )
+
+
+def environment_columns(variables: Sequence[str], size: int) -> dict[str, list[int]]:
+    """Each variable's value over all_environments(variables, size), in order."""
+    envs = list(itertools.product(range(size), repeat=len(variables)))
+    return {name: [env[pos] for env in envs] for pos, name in enumerate(variables)}
+
+
+def term_columns(
+    alg: FiniteAlgebra, terms: Sequence[Term], columns: Mapping[str, Sequence[int]]
+) -> list[Sequence[int]]:
+    """Each term's value column: its values in alg under a list of
+    environments, given as one column of values per variable (see
+    environment_columns); with no variables there is one environment.
+
+    Works bottom-up and computes each distinct subterm object once, so the
+    children that enumerate_terms and build_free's representatives share
+    cost one comprehension over their columns, not one tree walk per
+    environment.  Raises what evaluate raises, for the first term on which
+    evaluate would raise.  Columns are shared (a variable's is the one
+    passed in, a repeated subterm's is computed once): treat them as
+    read-only.
+    """
+    # keyed by id: every node stays reachable from terms during the call
+    done: dict[int, Sequence[int]] = {}
+    width = len(next(iter(columns.values()), (0,)))
+    return [_column(t, done, columns, alg._ops, alg.size, width) for t in terms]
+
+
+def _column(
+    node: Term,
+    done: dict[int, Sequence[int]],
+    columns: Mapping[str, Sequence[int]],
+    ops: dict,
+    n: int,
+    width: int,
+) -> Sequence[int]:
+    if type(node) is Var:
+        try:
+            return columns[node.name]
+        except KeyError:
+            raise UnboundVariableError(f"unbound variable ?{node.name}") from None
+    col = done.get(id(node))
+    if col is not None:
+        return col
+    entry = ops.get(node.symbol)
+    if entry is None or len(node.children) != entry[0]:
+        _bad_application(ops, node)
+    arity, table = entry
+    args = [_column(c, done, columns, ops, n, width) for c in node.children]
+    if arity == 2:
+        col = [table[a * n + b] for a, b in zip(*args)]
+    elif arity == 1:
+        col = [table[a] for a in args[0]]
+    elif arity == 0:
+        col = [table[0]] * width
+    else:
+        col = [table[row_major_index(n, row)] for row in zip(*args)]
+    done[id(node)] = col
+    return col
+
+
+def fingerprints(
+    K: Sequence[FiniteAlgebra], terms: Sequence[Term], variables: Sequence[str]
+) -> list[tuple[int, ...]]:
+    """Each term's value columns in the members of K over all environments
+    of the variables, joined in class order: its evaluation tuple at the
+    (member, environment) coordinates of the free algebra of V(K)."""
+    per_alg = [
+        term_columns(alg, terms, environment_columns(variables, alg.size)) for alg in K
+    ]
+    if not per_alg:
+        return [() for _ in terms]
+    out = []
+    for columns in zip(*per_alg):
+        joined: list[int] = []
+        for col in columns:
+            joined += col
+        # Built from a list, so the tuple is allocated at its final size.
+        # A tuple built from a generator is resized as it grows; once freed
+        # it goes to a free list that such builds never draw from, and only
+        # a full garbage collection empties it.
+        out.append(tuple(joined))
+    return out
 
 
 def free_lift(
@@ -262,7 +363,7 @@ def enumerate_terms(
             for combo in itertools.product(range(base), repeat=arity):
                 if max(depths[i] for i in combo) != d - 1:
                     continue
-                terms.append(App(name, tuple(terms[i] for i in combo)))
+                terms.append(App(name, tuple([terms[i] for i in combo])))
                 depths.append(d)
                 if len(terms) > cap:
                     raise CapExceededError(f"term enumeration exceeded cap {cap}")

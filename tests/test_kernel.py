@@ -1,0 +1,286 @@
+"""The term-column kernel and the paths built on it, each against the
+pointwise or pair-by-pair oracle it replaced (see oracles.py)."""
+
+import io
+import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ualg.birkhoff
+import ualg.cli
+from ualg import (
+    App,
+    Equation,
+    Var,
+    algebra,
+    build_free,
+    enumerate_terms,
+    evaluate,
+    mod_check,
+    nat_epi,
+    signature,
+    theory_upto,
+    universal_map,
+)
+from ualg.core import ArityMismatchError, CapExceededError, UnknownSymbolError
+from ualg.eqlogic import ClassSatResult, theory_partition
+from ualg.fileio import equation_to_text, parse_algebra_file
+from ualg.terms import (
+    UnboundVariableError,
+    all_environments,
+    environment_columns,
+    term_columns,
+)
+
+from oracles import (
+    models_theory_pairwise,
+    nat_epi_pointwise,
+    theory_upto_pairwise,
+    universal_map_pointwise,
+)
+from samples import SIG_F, SIG_FE, semilattice2, z2_xor, z3_add, z4_add
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_DATA = sorted((ROOT / "demos" / "data").glob("*.alg"))
+X, Y = Var("x"), Var("y")
+
+SIG_MIXED = signature(("c", 0), ("g", 1), ("f", 2), ("t", 3))
+SIG_FG = signature(("f", 2), ("g", 1))
+
+
+def random_algebra(rng, sig, size):
+    return algebra(
+        sig, size, {name: [rng.randrange(size) for _ in range(size**arity)] for name, arity in sig.ops}
+    )
+
+
+def assert_columns_match_evaluate(alg, terms, variables):
+    columns = term_columns(alg, terms, environment_columns(variables, alg.size))
+    envs = list(all_environments(variables, alg.size))
+    assert len(columns) == len(terms)
+    for t, col in zip(terms, columns):
+        assert list(col) == [evaluate(alg, t, rho) for rho in envs]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_columns_match_evaluate_over_arities_0_to_3(size):
+    rng = random.Random(size)
+    terms = enumerate_terms(SIG_MIXED, ["x"], 2)
+    assert len(terms) > 4000
+    for _ in range(2):
+        assert_columns_match_evaluate(random_algebra(rng, SIG_MIXED, size), terms, ["x"])
+
+
+def test_columns_match_evaluate_at_depth_3():
+    rng = random.Random(7)
+    terms = enumerate_terms(SIG_FG, ["x", "y"], 3)
+    for size in (2, 3):
+        assert_columns_match_evaluate(random_algebra(rng, SIG_FG, size), terms, ["x", "y"])
+    # variables the terms do not use only widen the columns
+    shallow = enumerate_terms(SIG_FG, ["x", "y"], 1)
+    assert_columns_match_evaluate(random_algebra(rng, SIG_FG, 2), shallow, ["x", "y", "z"])
+
+
+def test_columns_without_variables_have_one_environment():
+    mul3 = algebra(SIG_FE, 3, {"f": [(a * b) % 3 for a in range(3) for b in range(3)], "e": [2]})
+    terms = enumerate_terms(SIG_FE, [], 2)
+    assert term_columns(mul3, terms, {}) == [[evaluate(mul3, t, {})] for t in terms]
+
+
+def test_columns_under_one_given_environment():
+    alg = z3_add()
+    terms = enumerate_terms(SIG_F, ["x", "y"], 2)
+    rho = {"x": 2, "y": 1}
+    columns = term_columns(alg, terms, {name: [value] for name, value in rho.items()})
+    assert [col[0] for col in columns] == [evaluate(alg, t, rho) for t in terms]
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (App("h", (X,)), UnknownSymbolError),
+        (App("f", (X,)), ArityMismatchError),
+        (App("f", (X, Var("z"))), UnboundVariableError),
+        # the first fault of a pre-order walk wins
+        (App("f", (Var("z"), App("h", ()))), UnboundVariableError),
+        (App("f", (App("f", (X,)), Var("z"))), ArityMismatchError),
+    ],
+)
+def test_columns_raise_what_evaluate_raises(bad, error):
+    alg = z2_xor()
+    with pytest.raises(error) as from_evaluate:
+        evaluate(alg, bad, {"x": 0, "y": 0})
+    good = App("f", (X, Y))
+    with pytest.raises(error) as from_kernel:
+        term_columns(alg, [good, bad, App("g", ())], environment_columns(["x", "y"], 2))
+    assert str(from_kernel.value) == str(from_evaluate.value)
+
+
+THEORY_CASES = [
+    ("Z2", [z2_xor()], ["x", "y"], 2),
+    ("SL", [semilattice2(SIG_F)], ["x", "y"], 2),
+    ("Z2+Z3 mixed sizes", [z2_xor(), z3_add()], ["x", "y"], 1),
+    ("SL+Z4 mixed sizes", [semilattice2(SIG_F), z4_add()], ["x"], 3),
+    ("one variable", [z3_add()], ["x"], 2),
+    ("three variables", [z2_xor(), semilattice2(SIG_F)], ["x", "y", "z"], 1),
+    (
+        "constant",
+        [algebra(SIG_FE, 3, {"f": [(a * b) % 3 for a in range(3) for b in range(3)], "e": [1]})],
+        ["x"],
+        2,
+    ),
+    (
+        "constant, mixed sizes",
+        [
+            algebra(SIG_FE, 2, {"f": [0, 1, 1, 0], "e": [0]}),
+            algebra(SIG_FE, 3, {"f": [max(a, b) for a in range(3) for b in range(3)], "e": [2]}),
+        ],
+        ["x", "y"],
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("label, K, variables, depth", THEORY_CASES, ids=[c[0] for c in THEORY_CASES])
+def test_theory_upto_matches_pairwise_oracle(label, K, variables, depth):
+    expected = theory_upto_pairwise(K, variables, depth)
+    assert theory_upto(K, variables, depth) == expected
+    partition = theory_partition(K, variables, depth)
+    assert partition.pair_count == len(expected)
+    # classes partition the term indices, each ascending, by least member
+    members = [i for cls in partition.classes for i in cls]
+    assert sorted(members) == list(range(len(partition.terms)))
+    assert all(cls == sorted(cls) for cls in partition.classes)
+    assert [cls[0] for cls in partition.classes] == sorted(cls[0] for cls in partition.classes)
+
+
+def test_theory_env_cap_is_checked_before_any_work():
+    # depth 0 over three variables: no pair uses all three, so the old
+    # pair-by-pair check never tripped; the cap now bounds |A|^|variables|
+    with pytest.raises(CapExceededError, match=r"environment space 2\^3 exceeds cap 7"):
+        theory_upto([z2_xor()], ["x", "y", "z"], 0, env_cap=7)
+    # every member counts, not only those a failing pair happens to reach
+    with pytest.raises(CapExceededError, match=r"environment space 4\^2"):
+        theory_upto([semilattice2(SIG_F), z4_add()], ["x", "y"], 1, env_cap=10)
+    # before term enumeration, whose own cap would also trip here
+    with pytest.raises(CapExceededError, match="environment space"):
+        theory_upto([z2_xor()], ["x", "y"], 3, term_cap=5, env_cap=3)
+    assert theory_upto([z2_xor()], ["x", "y"], 1, env_cap=4) == theory_upto_pairwise(
+        [z2_xor()], ["x", "y"], 1
+    )
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_models_theory_witness_matches_pairwise_oracle(depth):
+    K, B = [semilattice2(SIG_F)], z2_xor()
+    stage = ualg.birkhoff._models_theory(K, B, depth)
+    assert not stage.passed
+    assert stage == models_theory_pairwise(K, B, depth)
+    for K, B in (([z2_xor()], z2_xor()), ([z2_xor(), semilattice2(SIG_F)], semilattice2(SIG_F))):
+        assert ualg.birkhoff._models_theory(K, B, depth) == models_theory_pairwise(K, B, depth)
+
+
+def test_free_maps_match_pointwise_oracles():
+    for K, variables in (
+        ([semilattice2(SIG_F)], ["v0", "v1"]),
+        ([z2_xor(), semilattice2(SIG_F)], ["v0", "v1"]),
+        ([z3_add()], ["v0"]),
+    ):
+        free = build_free(K, variables)
+        for t in enumerate_terms(SIG_F, variables, 2):
+            assert nat_epi(free, t) == nat_epi_pointwise(free, t)
+        for B in (z2_xor(), semilattice2(SIG_F), z3_add()):
+            for values in itertools.product(range(B.size), repeat=len(variables)):
+                assign = dict(zip(variables, values))
+                assert universal_map(free, B, assign) == universal_map_pointwise(free, B, assign)
+
+
+def test_mod_check_reports_a_class_sat_result():
+    idem = Equation(App("f", (X, X)), X)
+    res = mod_check(z2_xor(), [Equation(X, X), idem])
+    assert res == ClassSatResult(False, 1, res.counterexample)
+    assert res.counterexample.assoc == {"x": 1}
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = ualg.cli.run_cli(argv, stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("path", DEMO_DATA, ids=[p.name for p in DEMO_DATA])
+def test_cli_theory_matches_pairwise_oracle(path):
+    _, named = parse_algebra_file(path.read_text(), file=str(path))
+    K = [alg for _, alg in named]
+    for depth, nvars in ((1, 1), (1, 3), (2, 2)):
+        code, out, err = _cli(["theory", "--depth", str(depth), "--vars", str(nvars), str(path)])
+        variables = [f"v{i}" for i in range(nvars)]
+        expected = "".join(
+            equation_to_text(eq) + "\n" for eq in theory_upto_pairwise(K, variables, depth)
+        )
+        assert (code, out, err) == (0, expected, "")
+
+
+# birkhoff-demo on pool.alg builds a free algebra on four generators over
+# Z2, Z3, Z4 and SL, which runs for minutes on either path.
+@pytest.mark.parametrize("name", ["semilattice2.alg", "z2_xor.alg"])
+def test_cli_birkhoff_demo_matches_old_path(name, monkeypatch):
+    argv = ["birkhoff-demo", "--vars", "2", str(ROOT / "demos" / "data" / name)]
+    new = _cli(argv)
+    monkeypatch.setattr(ualg.cli, "theory_upto", theory_upto_pairwise)
+    monkeypatch.setattr(ualg.birkhoff, "_models_theory", models_theory_pairwise)
+    monkeypatch.setattr(ualg.birkhoff, "universal_map", universal_map_pointwise)
+    old = _cli(argv)
+    assert new == old
+    assert new[1].endswith("RESULT pass\n")
+
+
+CORRUPTED_FREE = """
+import dataclasses
+from ualg import Equation, SearchLimits, UalgError, Var, build_free, search_proof, signature
+import ualg.entail
+import ualg.free
+from ualg.core import algebra
+
+assert False, "this interpreter keeps asserts"  # stripped under -O
+sl = algebra(signature(("m", 2)), 2, {"m": [0, 0, 0, 1]})
+free = build_free([sl], ["x", "y"])
+broken = {
+    "duplicate tuple": dataclasses.replace(free, tuples=(free.tuples[0],) * len(free.tuples)),
+    "swapped representatives": dataclasses.replace(free, reprs=free.reprs[::-1]),
+    "wrong generator": dataclasses.replace(free, gens={"x": free.gens["y"], "y": free.gens["y"]}),
+}
+for label, bad in broken.items():
+    try:
+        ualg.free._check_invariants(bad)
+    except UalgError:
+        print("raised", label)
+ualg.entail.check_proof = lambda sig, axioms, proof: Equation(Var("x"), Var("x"))
+goal = Equation(Var("y"), Var("y"))
+try:
+    search_proof(signature(("m", 2)), [], goal, SearchLimits(max_depth=1))
+except UalgError:
+    print("raised search_proof")
+"""
+
+
+def test_soundness_checks_survive_python_O():
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPTED_FREE],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "raised duplicate tuple",
+        "raised swapped representatives",
+        "raised wrong generator",
+        "raised search_proof",
+    ]
