@@ -111,16 +111,14 @@ class TheoryPartition:
             for q in class_of[p]:
                 yield Equation(t, terms[q])
 
-    def first_failure(
-        self, alg: FiniteAlgebra, env_cap: int = DEFAULT_ENV_CAP
-    ) -> Equation | None:
+    def first_failure(self, alg: FiniteAlgebra) -> Equation | None:
         """The first equation, in equations() order, that alg fails, if any.
 
         That is the first class alg's value columns do not keep constant,
         with its least member p and the first member whose column differs
         from p's: every p' below p lies in a class alg keeps constant.
         """
-        _check_env_space(alg, self.variables, env_cap)
+        _check_env_space(alg, self.variables, DEFAULT_ENV_CAP)
         columns = term_columns(
             alg, self.terms, environment_columns(self.variables, alg.size)
         )

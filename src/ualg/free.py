@@ -24,7 +24,7 @@ from .core import (
 )
 from .closure import EmptyCarrierError
 from .homs import CarrierMap, hom_violation
-from .terms import App, Term, Var, fingerprints, term_columns
+from .terms import App, Term, Var, all_environments, fingerprints, term_columns
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,13 @@ def build_free(
             "no variables and no constants: empty carrier not representable"
         )
 
-    index: list[tuple[int, tuple[int, ...]]] = []
-    for ki, alg in enumerate(K):
-        for env in itertools.product(range(alg.size), repeat=len(variables)):
-            index.append((ki, env))
+    # The coordinate order is the kernel's (terms.all_environments per member,
+    # members in class order); the generator tuples below come from it too.
+    index = [
+        (ki, tuple(env.values()))
+        for ki, alg in enumerate(K)
+        for env in all_environments(variables, alg.size)
+    ]
     width = len(index)
     if width * max(1, len(variables)) > caps.cells:
         raise CapExceededError(
@@ -96,8 +99,8 @@ def build_free(
         reprs.append(term)
         return label[tup]
 
-    for pos, name in enumerate(variables):
-        tup = tuple(env[pos] for _, env in index)
+    projections = fingerprints(K, [Var(name) for name in variables], variables)
+    for name, tup in zip(variables, projections):
         gens[name] = label[tup] if tup in label else add(tup, Var(name))
 
     def pointwise(name: str, arg_labels: tuple[int, ...]) -> tuple[int, ...]:

@@ -148,23 +148,15 @@ def evaluate(alg: FiniteAlgebra, t: Term, rho: Environment | Mapping[str, int]) 
 def _walk(node: Term, bindings: Mapping[str, int], ops: dict, n: int) -> int:
     # Module-level rather than a closure per call: a recursive closure is a
     # reference cycle, so each call would also leave garbage for the collector.
-    # Binary nodes read variable children in place, which halves the calls.
     if type(node) is Var:
         return bindings[node.name]
-    children = node.children
     entry = ops.get(node.symbol)
-    if entry is None or len(children) != entry[0]:
+    if entry is None or len(node.children) != entry[0]:
         _bad_application(ops, node)
-    arity, table = entry
-    if arity == 2:
-        a, b = children
-        x = bindings[a.name] if type(a) is Var else _walk(a, bindings, ops, n)
-        y = bindings[b.name] if type(b) is Var else _walk(b, bindings, ops, n)
-        return table[x * n + y]
     idx = 0
-    for c in children:
+    for c in node.children:
         idx = idx * n + _walk(c, bindings, ops, n)
-    return table[idx]
+    return entry[1][idx]
 
 
 def _bad_application(ops: dict, node: App) -> NoReturn:
@@ -222,15 +214,11 @@ def _column(
     entry = ops.get(node.symbol)
     if entry is None or len(node.children) != entry[0]:
         _bad_application(ops, node)
-    arity, table = entry
-    args = [_column(c, done, columns, ops, n, width) for c in node.children]
-    if arity == 2:
-        col = [table[a * n + b] for a, b in zip(*args)]
-    elif arity == 1:
-        col = [table[a] for a in args[0]]
-    elif arity == 0:
+    table = entry[1]
+    if not node.children:
         col = [table[0]] * width
     else:
+        args = [_column(c, done, columns, ops, n, width) for c in node.children]
         col = [table[row_major_index(n, row)] for row in zip(*args)]
     done[id(node)] = col
     return col
