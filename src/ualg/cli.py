@@ -50,7 +50,7 @@ from .homs import (
     find_homs,
     hom_factor,
 )
-from .terms import collect_arities
+from .terms import infer_signature
 
 
 class UsageError(UalgError):
@@ -327,10 +327,7 @@ def _cmd_free(args, caps: Caps, out: TextIO) -> int:
 
 
 def _infer_proof_signature(axioms, goal, proofs=()) -> Signature:
-    arities: dict[str, int] = {}
-    for eq in [*axioms, goal]:
-        collect_arities(eq.lhs, arities)
-        collect_arities(eq.rhs, arities)
+    arities = dict(infer_signature([*axioms, goal]).ops)
     for p in proofs:
         collect_proof_arities(p, arities)
     return Signature(tuple(sorted(arities.items())))

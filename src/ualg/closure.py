@@ -1,22 +1,27 @@
 """The H, S, P constructions on finite algebras.
 
 Products are carried by mixed-radix flat indices (factor 0 most
-significant), generated subalgebras by a deterministic worklist closure,
-and homomorphic images by restricting the target to the image set.  An
-HSP certificate packages one concrete product -> subalgebra -> image
-pipeline witnessing membership in V of a finite class.
+significant).  Generated subalgebras, homomorphic images and free algebras
+all come from one deterministic pass closure, `close`, which also yields
+the operation tables.  An HSP certificate packages one concrete
+product -> subalgebra -> image pipeline witnessing membership in V of a
+finite class.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .core import (
     CapExceededError,
     FiniteAlgebra,
+    Signature,
     UalgError,
+    _decode_mixed,
+    _encode_mixed,
     apply_op,
     same_signature,
 )
@@ -85,39 +90,50 @@ def product(
     return ProductAlgebra(FiniteAlgebra(sig, n, tuple(tables)), sizes)
 
 
-def _encode_mixed(sizes: Sequence[int], tup: Sequence[int]) -> int:
-    idx = 0
-    for value, size in zip(tup, sizes):
-        idx = idx * size + value
-    return idx
+def close(
+    sig: Signature,
+    seeds: Iterable[Hashable],
+    apply: Callable[[str, tuple], Hashable],
+    admit: Callable[[int], None] | None = None,
+) -> tuple[list, list, tuple[tuple[int, ...], ...]]:
+    """Least set containing the seeds and closed under apply(symbol, args).
 
-
-def _decode_mixed(sizes: Sequence[int], index: int) -> tuple[int, ...]:
-    out = [0] * len(sizes)
-    for pos in range(len(sizes) - 1, -1, -1):
-        index, out[pos] = divmod(index, sizes[pos])
-    return tuple(out)
-
-
-def closure_list(alg: FiniteAlgebra, seeds: Sequence[int]) -> list[int]:
-    """Least subset containing the seeds and closed under all operations.
-
-    Discovery order: the seeds in the given order, then repeated passes
-    applying the symbols in signature order to already-discovered elements
-    in label order.  Nullary operations enter on the first pass.
+    Returns the elements in discovery order (the seeds, then passes applying
+    the symbols in signature order to the elements found before the pass,
+    in label order), their origins (None for a seed, else the first
+    (symbol, argument labels) producing it) and the operation tables: the
+    last pass finds nothing and visits every label tuple in row-major order.
+    admit(n) runs before the n-th element is added and may raise.
     """
-    elements = list(dict.fromkeys(seeds))
-    index = set(elements)
+    elements: list = []
+    origins: list = []
+    label: dict = {}
+
+    def add(value: Hashable, origin) -> int:
+        if admit is not None:
+            admit(len(elements) + 1)
+        label[value] = len(elements)
+        elements.append(value)
+        origins.append(origin)
+        return label[value]
+
+    for value in seeds:
+        if value not in label:
+            add(value, None)
     while True:
         base = len(elements)
-        for name, arity in alg.sig.ops:
+        tables = []
+        for name, arity in sig.ops:
+            row = []
             for args in itertools.product(elements[:base], repeat=arity):
-                value = apply_op(alg, name, args)
-                if value not in index:
-                    index.add(value)
-                    elements.append(value)
+                value = apply(name, args)
+                at = label.get(value)
+                if at is None:
+                    at = add(value, (name, tuple([label[v] for v in args])))
+                row.append(at)
+            tables.append(row)
         if len(elements) == base:
-            return elements
+            return elements, origins, tuple([tuple(row) for row in tables])
 
 
 def subalgebra_generate(
@@ -133,16 +149,8 @@ def subalgebra_generate(
         raise EmptyCarrierError(
             "empty generating set and no constants: empty carrier not representable"
         )
-    elements = closure_list(alg, seeds)
-    label = {orig: i for i, orig in enumerate(elements)}
-    tables = []
-    for name, arity in alg.sig.ops:
-        table = tuple(
-            label[apply_op(alg, name, [elements[a] for a in args])]
-            for args in itertools.product(range(len(elements)), repeat=arity)
-        )
-        tables.append(table)
-    sub = FiniteAlgebra(alg.sig, len(elements), tuple(tables))
+    elements, _, tables = close(alg.sig, seeds, partial(apply_op, alg))
+    sub = FiniteAlgebra(alg.sig, len(elements), tables)
     return sub, CarrierMap(sub, alg, tuple(elements))
 
 
@@ -156,16 +164,10 @@ def hom_image(
     witness = hom_violation(m)
     if witness is not None:
         raise NotAHomError(witness)
-    values = sorted(set(m.image))
+    # The image of a hom is closed: close() discovers nothing and tabulates.
+    values, _, tables = close(m.dst.sig, sorted(set(m.image)), partial(apply_op, m.dst))
+    img = FiniteAlgebra(m.dst.sig, len(values), tables)
     label = {v: i for i, v in enumerate(values)}
-    tables = []
-    for name, arity in m.dst.sig.ops:
-        table = tuple(
-            label[apply_op(m.dst, name, [values[a] for a in args])]
-            for args in itertools.product(range(len(values)), repeat=arity)
-        )
-        tables.append(table)
-    img = FiniteAlgebra(m.dst.sig, len(values), tuple(tables))
     onto = CarrierMap(alg, img, tuple(label[b] for b in m.image))
     return img, onto
 

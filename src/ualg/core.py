@@ -175,11 +175,19 @@ def row_major_index(size: int, args: Sequence[int]) -> int:
     return idx
 
 
-def decode_args(size: int, arity: int, index: int) -> tuple[int, ...]:
-    """Inverse of row_major_index for a fixed arity."""
-    out = [0] * arity
-    for pos in range(arity - 1, -1, -1):
-        index, out[pos] = divmod(index, size)
+def _encode_mixed(sizes: Sequence[int], tup: Sequence[int]) -> int:
+    """Mixed-radix row_major_index: coordinate 0 is most significant."""
+    idx = 0
+    for value, size in zip(tup, sizes):
+        idx = idx * size + value
+    return idx
+
+
+def _decode_mixed(sizes: Sequence[int], index: int) -> tuple[int, ...]:
+    """Inverse of _encode_mixed."""
+    out = [0] * len(sizes)
+    for pos in range(len(sizes) - 1, -1, -1):
+        index, out[pos] = divmod(index, sizes[pos])
     return tuple(out)
 
 

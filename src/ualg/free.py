@@ -9,7 +9,6 @@ land on the same element exactly when the class satisfies their identity.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -22,7 +21,7 @@ from .core import (
     apply_op,
     same_signature,
 )
-from .closure import EmptyCarrierError
+from .closure import EmptyCarrierError, close
 from .homs import CarrierMap, hom_violation
 from .terms import App, Term, Var, all_environments, fingerprints, term_columns
 
@@ -80,55 +79,34 @@ def build_free(
             f"tuple cells: index width {width} exceeds cap {caps.cells}"
         )
 
-    elements: list[tuple[int, ...]] = []
-    reprs: list[Term] = []
-    label: dict[tuple[int, ...], int] = {}
-    gens: dict[str, int] = {}
-
-    def add(tup: tuple[int, ...], term: Term) -> int:
-        if len(elements) + 1 > caps.carrier:
+    def admit(count: int) -> None:
+        if count > caps.carrier:
             raise CapExceededError(
                 f"free carrier would exceed cap {caps.carrier} elements"
             )
-        if (len(elements) + 1) * width > caps.cells:
+        if count * width > caps.cells:
             raise CapExceededError(
                 f"tuple cells would exceed cap {caps.cells}"
             )
-        label[tup] = len(elements)
-        elements.append(tup)
-        reprs.append(term)
-        return label[tup]
 
-    projections = fingerprints(K, [Var(name) for name in variables], variables)
-    for name, tup in zip(variables, projections):
-        gens[name] = label[tup] if tup in label else add(tup, Var(name))
-
-    def pointwise(name: str, arg_labels: tuple[int, ...]) -> tuple[int, ...]:
+    def pointwise(name: str, args: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         # tuple([...]), not tuple(generator): see terms.fingerprints.
         return tuple([
-            apply_op(K[ki], name, [elements[a][j] for a in arg_labels])
+            apply_op(K[ki], name, [tup[j] for tup in args])
             for j, (ki, _) in enumerate(index)
         ])
 
-    while True:
-        base = len(elements)
-        for name, arity in sig.ops:
-            for args in itertools.product(range(base), repeat=arity):
-                tup = pointwise(name, args)
-                if tup not in label:
-                    add(tup, App(name, tuple([reprs[a] for a in args])))
-        if len(elements) == base:
-            break
-
-    tables = []
-    for name, arity in sig.ops:
-        table = tuple([
-            label[pointwise(name, args)]
-            for args in itertools.product(range(len(elements)), repeat=arity)
-        ])
-        tables.append(table)
+    projections = fingerprints(K, [Var(name) for name in variables], variables)
+    elements, origins, tables = close(sig, projections, pointwise, admit)
+    gens = {name: elements.index(tup) for name, tup in zip(variables, projections)}
+    reprs: list[Term] = []
+    for e, origin in enumerate(origins):
+        if origin is None:  # a seed: the first variable projecting onto it
+            reprs.append(Var(variables[projections.index(elements[e])]))
+        else:
+            reprs.append(App(origin[0], tuple([reprs[a] for a in origin[1]])))
     free = FreeAlgebra(
-        alg=FiniteAlgebra(sig, len(elements), tuple(tables)),
+        alg=FiniteAlgebra(sig, len(elements), tables),
         k_algebras=tuple(K),
         variables=tuple(variables),
         index=tuple(index),

@@ -162,66 +162,53 @@ def iter_homs(
         raise SearchCapError(
             f"search space {dst.size}^{free} exceeds cap {cap}"
         )
-
-    n, m = src.size, dst.size
     ops = list(zip(src.sig.ops, src.tables, dst.tables))
-    image = [-1] * n
+    return _extend(src, dst, ops, [-1] * src.size, 0, fixed, surjective, injective)
 
-    def compatible(v: int) -> bool:
-        # check every op tuple that involves v and is otherwise decided
-        for (name, arity), src_table, dst_table in ops:
-            if arity == 0:
-                res = src_table[0]
-                if image[res] >= 0 and dst_table[0] != image[res]:
-                    return False
+
+def _extend(src, dst, ops, image, a, fixed, surjective, injective) -> Iterator[CarrierMap]:
+    """Homs agreeing with image[:a], in lexicographic image order; every
+    complete image is re-checked by classify."""
+    n, m = src.size, dst.size
+    if a == n:
+        cm = CarrierMap(src, dst, tuple(image))
+        cls = classify(cm)
+        wanted = surjective in (None, cls.surjective) and injective in (None, cls.injective)
+        if cls.is_hom and wanted:
+            yield cm
+        return
+    if a in fixed:
+        candidates = [fixed[a]]
+    elif injective:
+        candidates = [b for b in range(m) if b not in image]
+    else:
+        candidates = range(m)
+    for b in candidates:
+        image[a] = b
+        if _compatible(ops, n, m, image, b):
+            if not (surjective and m - len(set(image) - {-1}) > n - a - 1):
+                yield from _extend(src, dst, ops, image, a + 1, fixed, surjective, injective)
+        image[a] = -1
+
+
+def _compatible(ops, n: int, m: int, image: list[int], v: int) -> bool:
+    # check every op tuple that involves v and is otherwise decided
+    for (name, arity), src_table, dst_table in ops:
+        if arity == 0:
+            res = src_table[0]
+            if image[res] >= 0 and dst_table[0] != image[res]:
+                return False
+            continue
+        for args in itertools.product(
+            [a for a in range(n) if image[a] >= 0], repeat=arity
+        ):
+            res = src_table[row_major_index(n, args)]
+            if image[res] < 0:
                 continue
-            for args in itertools.product(
-                [a for a in range(n) if image[a] >= 0], repeat=arity
-            ):
-                res = src_table[row_major_index(n, args)]
-                if image[res] < 0:
-                    continue
-                if v in args or res == v:
-                    mapped = row_major_index(m, [image[a] for a in args])
-                    if dst_table[mapped] != image[res]:
-                        return False
-        return True
-
-    def missing_values() -> int:
-        used = {b for b in image if b >= 0}
-        return m - len(used)
-
-    def extend(a: int) -> Iterator[CarrierMap]:
-        if a == n:
-            cm = CarrierMap(src, dst, tuple(image))
-            cls = classify(cm)
-            if cls.is_hom and _flags_ok(cls, surjective, injective):
-                yield cm
-            return
-        if a in fixed:
-            candidates = [fixed[a]]
-        elif injective:
-            used = {b for b in image if b >= 0}
-            candidates = [b for b in range(m) if b not in used]
-        else:
-            candidates = list(range(m))
-        for b in candidates:
-            image[a] = b
-            if compatible(b):
-                if not (surjective and missing_values() > n - a - 1):
-                    yield from extend(a + 1)
-            image[a] = -1
-
-    return extend(0)
-
-
-def _flags_ok(
-    cls: HomClassification, surjective: bool | None, injective: bool | None
-) -> bool:
-    if surjective is not None and cls.surjective != surjective:
-        return False
-    if injective is not None and cls.injective != injective:
-        return False
+            if v in args or res == v:
+                mapped = row_major_index(m, [image[a] for a in args])
+                if dst_table[mapped] != image[res]:
+                    return False
     return True
 
 

@@ -1,18 +1,33 @@
 """Brute-force reference paths kept as differential oracles.
 
-Each is the pair-by-pair or point-by-point form that a faster path in
-ualg replaced: every equation of a bounded theory decided by its own
-class_satisfies call, every coordinate of an evaluation tuple by its own
-evaluate call.
+Each is the pair-by-pair, point-by-point or pass-by-pass form that a
+faster or shared path in ualg replaced: every equation of a bounded theory
+decided by its own class_satisfies call, every coordinate of an
+evaluation tuple by its own evaluate call, and every closure with its own
+pass loop followed by a separate pass that tabulates the operations.
 """
 
 import itertools
 
-from ualg import CarrierMap, Equation, class_satisfies, enumerate_terms, evaluate, satisfies
+from ualg import (
+    App,
+    CapExceededError,
+    Caps,
+    CarrierMap,
+    Equation,
+    FiniteAlgebra,
+    Var,
+    apply_op,
+    class_satisfies,
+    enumerate_terms,
+    evaluate,
+    satisfies,
+)
 from ualg.birkhoff import Stage, _env_string
 from ualg.core import same_signature
-from ualg.free import UniversalMapFailure
+from ualg.free import FreeAlgebra, UniversalMapFailure
 from ualg.homs import hom_violation
+from ualg.terms import all_environments
 
 
 def theory_upto_pairwise(K, variables, max_depth, term_cap=1_000_000, env_cap=1_000_000):
@@ -66,3 +81,114 @@ def universal_map_pointwise(free, B, assign):
         if b not in set(image):
             return UniversalMapFailure("surjectivity", image, unreached=b)
     return candidate
+
+
+def closure_list(alg, seeds):
+    """Seeds in order, then passes applying the symbols in signature order
+    to the already-discovered elements in label order."""
+    elements = list(dict.fromkeys(seeds))
+    index = set(elements)
+    while True:
+        base = len(elements)
+        for name, arity in alg.sig.ops:
+            for args in itertools.product(elements[:base], repeat=arity):
+                value = apply_op(alg, name, args)
+                if value not in index:
+                    index.add(value)
+                    elements.append(value)
+        if len(elements) == base:
+            return elements
+
+
+def _tabulate(alg, elements):
+    """One more pass over every label tuple: the relabelled tables."""
+    label = {orig: i for i, orig in enumerate(elements)}
+    return tuple(
+        tuple(
+            label[apply_op(alg, name, [elements[a] for a in args])]
+            for args in itertools.product(range(len(elements)), repeat=arity)
+        )
+        for name, arity in alg.sig.ops
+    )
+
+
+def subalgebra_generate_passes(alg, gens):
+    """Generated subalgebra and its inclusion map (no error checks)."""
+    elements = closure_list(alg, sorted(set(gens)))
+    sub = FiniteAlgebra(alg.sig, len(elements), _tabulate(alg, elements))
+    return sub, CarrierMap(sub, alg, tuple(elements))
+
+
+def hom_image_passes(alg, m):
+    """Image of a hom on the ascending image values, and the map onto it."""
+    values = sorted(set(m.image))
+    img = FiniteAlgebra(m.dst.sig, len(values), _tabulate(m.dst, values))
+    label = {v: i for i, v in enumerate(values)}
+    return img, CarrierMap(alg, img, tuple(label[b] for b in m.image))
+
+
+def build_free_passes(K, variables, caps=Caps(), sig=None):
+    """The free algebra with its own pass loop and table pass, representatives
+    built as elements are found (no empty-carrier or invariant checks)."""
+    if K:
+        sig = same_signature(*K)
+    variables = list(variables)
+    index = [
+        (ki, tuple(env.values()))
+        for ki, alg in enumerate(K)
+        for env in all_environments(variables, alg.size)
+    ]
+    width = len(index)
+    if width * max(1, len(variables)) > caps.cells:
+        raise CapExceededError(
+            f"tuple cells: index width {width} exceeds cap {caps.cells}"
+        )
+    elements, reprs, label, gens = [], [], {}, {}
+
+    def add(tup, term):
+        if len(elements) + 1 > caps.carrier:
+            raise CapExceededError(
+                f"free carrier would exceed cap {caps.carrier} elements"
+            )
+        if (len(elements) + 1) * width > caps.cells:
+            raise CapExceededError(f"tuple cells would exceed cap {caps.cells}")
+        label[tup] = len(elements)
+        elements.append(tup)
+        reprs.append(term)
+        return label[tup]
+
+    for pos, name in enumerate(variables):
+        tup = tuple(env[pos] for _, env in index)
+        gens[name] = label[tup] if tup in label else add(tup, Var(name))
+
+    def pointwise(name, arg_labels):
+        return tuple(
+            apply_op(K[ki], name, [elements[a][j] for a in arg_labels])
+            for j, (ki, _) in enumerate(index)
+        )
+
+    while True:
+        base = len(elements)
+        for name, arity in sig.ops:
+            for args in itertools.product(range(base), repeat=arity):
+                tup = pointwise(name, args)
+                if tup not in label:
+                    add(tup, App(name, tuple(reprs[a] for a in args)))
+        if len(elements) == base:
+            break
+    tables = tuple(
+        tuple(
+            label[pointwise(name, args)]
+            for args in itertools.product(range(len(elements)), repeat=arity)
+        )
+        for name, arity in sig.ops
+    )
+    return FreeAlgebra(
+        alg=FiniteAlgebra(sig, len(elements), tables),
+        k_algebras=tuple(K),
+        variables=tuple(variables),
+        index=tuple(index),
+        tuples=tuple(elements),
+        reprs=tuple(reprs),
+        gens=gens,
+    )

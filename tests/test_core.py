@@ -10,7 +10,8 @@ from ualg.core import (
     OutOfRangeError,
     UalgError,
     UnknownSymbolError,
-    decode_args,
+    _decode_mixed,
+    _encode_mixed,
     row_major_index,
 )
 
@@ -77,8 +78,11 @@ def test_row_major_index_is_a_bijection():
                 for args in itertools.product(range(size), repeat=arity)
             ]
             assert seen == list(range(size**arity))
+            sizes = (size,) * arity
             for args in itertools.product(range(size), repeat=arity):
-                assert decode_args(size, arity, row_major_index(size, args)) == args
+                index = row_major_index(size, args)
+                assert _encode_mixed(sizes, args) == index
+                assert _decode_mixed(sizes, index) == args
 
 
 def test_signature_invariants():
