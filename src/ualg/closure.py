@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .core import (
     CapExceededError,
     FiniteAlgebra,
+    OutOfRangeError,
     Signature,
     UalgError,
     _decode_mixed,
     _encode_mixed,
-    apply_op,
     same_signature,
 )
 from .homs import (
@@ -78,14 +77,17 @@ def product(
 
     coords = [_decode_mixed(sizes, a) for a in range(n)]
     tables = []
-    for name, arity in sig.ops:
+    for pos, (_, arity) in enumerate(sig.ops):
+        cells = [(f.tables[pos], f.size) for f in factors]
         table = []
-        for args in itertools.product(range(n), repeat=arity):
-            value = [
-                apply_op(f, name, [coords[a][i] for a in args])
-                for i, f in enumerate(factors)
-            ]
-            table.append(_encode_mixed(sizes, value))
+        for args in itertools.product(coords, repeat=arity):
+            value = 0
+            for i, (factor_table, size) in enumerate(cells):
+                at = 0
+                for c in args:
+                    at = at * size + c[i]
+                value = value * size + factor_table[at]
+            table.append(value)
         tables.append(tuple(table))
     return ProductAlgebra(FiniteAlgebra(sig, n, tuple(tables)), sizes)
 
@@ -101,8 +103,11 @@ def close(
     Returns the elements in discovery order (the seeds, then passes applying
     the symbols in signature order to the elements found before the pass,
     in label order), their origins (None for a seed, else the first
-    (symbol, argument labels) producing it) and the operation tables: the
-    last pass finds nothing and visits every label tuple in row-major order.
+    (symbol, argument labels) producing it) and the operation tables.  The
+    passes are semi-naive: each applies, in row-major order, only the label
+    tuples with an argument found by the previous pass (constants only in the
+    first).  No other tuple can find anything, so the discovery order is the
+    naive one and every tuple is applied once, filling the tables.
     admit(n) runs before the n-th element is added and may raise.
     """
     elements: list = []
@@ -120,20 +125,31 @@ def close(
     for value in seeds:
         if value not in label:
             add(value, None)
+    # per symbol: head (argument labels but the last) -> its row, in row-major order
+    rows: list[dict] = [{} for _ in sig.ops]
     while True:
         base = len(elements)
-        tables = []
-        for name, arity in sig.ops:
-            row = []
-            for args in itertools.product(elements[:base], repeat=arity):
-                value = apply(name, args)
-                at = label.get(value)
-                if at is None:
-                    at = add(value, (name, tuple([label[v] for v in args])))
-                row.append(at)
-            tables.append(row)
+        for pos, (name, arity) in enumerate(sig.ops):
+            if arity == 0:  # a constant: first pass only
+                if not rows[pos]:
+                    value = apply(name, ())
+                    rows[pos] = {(): [label[value] if value in label else add(value, (name, ()))]}
+                continue
+            old_rows, rows[pos] = rows[pos], {}
+            heads = itertools.product(range(base), repeat=arity - 1)
+            for head, prefix in zip(heads, itertools.product(elements[:base], repeat=arity - 1)):
+                # a row from an earlier pass holds all lasts found before it
+                row = rows[pos][head] = old_rows.get(head) or []
+                for last in elements[len(row):base]:
+                    value = apply(name, (*prefix, last))
+                    at = label.get(value)
+                    if at is None:
+                        at = add(value, (name, (*head, label[last])))
+                    row.append(at)
         if len(elements) == base:
-            return elements, origins, tuple([tuple(row) for row in tables])
+            return elements, origins, tuple([
+                tuple(itertools.chain.from_iterable(op_rows.values())) for op_rows in rows
+            ])
 
 
 def subalgebra_generate(
@@ -149,8 +165,22 @@ def subalgebra_generate(
         raise EmptyCarrierError(
             "empty generating set and no constants: empty carrier not representable"
         )
-    elements, _, tables = close(alg.sig, seeds, partial(apply_op, alg))
-    sub = FiniteAlgebra(alg.sig, len(elements), tables)
+    n = alg.size
+    tables = {name: table for (name, _), table in zip(alg.sig.ops, alg.tables)}
+
+    def lookup(name: str, args: tuple[int, ...]) -> int:  # raw row-major
+        at = 0
+        for a in args:
+            at = at * n + a
+        return tables[name][at]
+
+    try:  # an entry outside the carrier is among the elements found, or indexes past a table
+        elements, _, op_tables = close(alg.sig, seeds, lookup)
+    except IndexError:
+        elements = None
+    if elements is None or min(elements) < 0 or max(elements) >= n:
+        raise OutOfRangeError(f"an operation table has an entry outside the carrier 0..{n - 1}")
+    sub = FiniteAlgebra(alg.sig, len(elements), op_tables)
     return sub, CarrierMap(sub, alg, tuple(elements))
 
 
@@ -164,12 +194,10 @@ def hom_image(
     witness = hom_violation(m)
     if witness is not None:
         raise NotAHomError(witness)
-    # The image of a hom is closed: close() discovers nothing and tabulates.
-    values, _, tables = close(m.dst.sig, sorted(set(m.image)), partial(apply_op, m.dst))
-    img = FiniteAlgebra(m.dst.sig, len(values), tables)
-    label = {v: i for i, v in enumerate(values)}
-    onto = CarrierMap(alg, img, tuple(label[b] for b in m.image))
-    return img, onto
+    # The image of a hom is closed: it generates itself, in ascending order.
+    img, inclusion = subalgebra_generate(m.dst, m.image)
+    label = {v: i for i, v in enumerate(inclusion.image)}
+    return img, CarrierMap(alg, img, tuple(label[b] for b in m.image))
 
 
 def check_leq(
@@ -247,12 +275,10 @@ def hsp_certificate_check(
         )
     if any(not 0 <= b < B.size for b in cert.image):
         return CertCheckResult(False, "image", "image values outside target carrier")
-    m = CarrierMap(sub, B, cert.image)
-    witness = hom_violation(m)
-    if witness is not None:
-        return CertCheckResult(False, "image", f"not a hom at {witness[0]}{witness[1]}")
-
-    img, _ = hom_image(sub, m)
+    try:
+        img, _ = hom_image(sub, CarrierMap(sub, B, cert.image))
+    except NotAHomError as e:
+        return CertCheckResult(False, "image", f"not a hom at {e.witness[0]}{e.witness[1]}")
     if find_isomorphism(img, B, cap=search_cap) is None:
         return CertCheckResult(
             False, "isomorphism", f"image (size {img.size}) is not isomorphic to target"

@@ -16,9 +16,9 @@ from .core import (
     CapExceededError,
     Caps,
     FiniteAlgebra,
+    OutOfRangeError,
     Signature,
     UalgError,
-    apply_op,
     same_signature,
 )
 from .closure import EmptyCarrierError, close
@@ -61,6 +61,9 @@ def build_free(
     elif sig is None:
         raise ValueError("empty class: pass the signature explicitly")
     variables = list(variables)
+    for pos, name in enumerate(variables):
+        if name in variables[:pos]:
+            raise ValueError(f"variable {name!r} is repeated")
     if not variables and not sig.constants():
         raise EmptyCarrierError(
             "no variables and no constants: empty carrier not representable"
@@ -89,12 +92,23 @@ def build_free(
                 f"tuple cells would exceed cap {caps.cells}"
             )
 
+    # Raw row-major lookups in per-coordinate (table, size) pairs: range-check the tables once.
+    for ki, alg in enumerate(K):
+        if any(not 0 <= v < alg.size for table in alg.tables for v in table):
+            raise OutOfRangeError(f"class member {ki} has a table entry outside 0..{alg.size - 1}")
+    columns = {name: [(K[ki].tables[pos], K[ki].size) for ki, _ in index]
+               for pos, (name, _) in enumerate(sig.ops)}
+
     def pointwise(name: str, args: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+        cells = columns[name]
+        if not args:
+            return tuple([table[0] for table, _ in cells])
+        *heads, lasts = args
+        at = heads[0] if heads else [0] * width
+        for tup in heads[1:]:
+            at = [i * n + a for i, (_, n), a in zip(at, cells, tup)]
         # tuple([...]), not tuple(generator): see terms.fingerprints.
-        return tuple([
-            apply_op(K[ki], name, [tup[j] for tup in args])
-            for j, (ki, _) in enumerate(index)
-        ])
+        return tuple([table[i * n + a] for (table, n), i, a in zip(cells, at, lasts)])
 
     projections = fingerprints(K, [Var(name) for name in variables], variables)
     elements, origins, tables = close(sig, projections, pointwise, admit)

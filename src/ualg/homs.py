@@ -185,7 +185,7 @@ def _extend(src, dst, ops, image, a, fixed, surjective, injective) -> Iterator[C
         candidates = range(m)
     for b in candidates:
         image[a] = b
-        if _compatible(ops, n, m, image, b):
+        if _compatible(ops, n, m, image, a):
             if not (surjective and m - len(set(image) - {-1}) > n - a - 1):
                 yield from _extend(src, dst, ops, image, a + 1, fixed, surjective, injective)
         image[a] = -1

@@ -3,8 +3,9 @@
 Each is the pair-by-pair, point-by-point or pass-by-pass form that a
 faster or shared path in ualg replaced: every equation of a bounded theory
 decided by its own class_satisfies call, every coordinate of an
-evaluation tuple by its own evaluate call, and every closure with its own
-pass loop followed by a separate pass that tabulates the operations.
+evaluation tuple by its own evaluate call, every closure with its own
+naive pass loop followed by a separate pass that tabulates the operations,
+and every product cell by one checked apply_op call per factor.
 """
 
 import itertools
@@ -24,7 +25,8 @@ from ualg import (
     satisfies,
 )
 from ualg.birkhoff import Stage, _env_string
-from ualg.core import same_signature
+from ualg.closure import ProductAlgebra
+from ualg.core import _decode_mixed, _encode_mixed, same_signature
 from ualg.free import FreeAlgebra, UniversalMapFailure
 from ualg.homs import hom_violation
 from ualg.terms import all_environments
@@ -81,6 +83,35 @@ def universal_map_pointwise(free, B, assign):
         if b not in set(image):
             return UniversalMapFailure("surjectivity", image, unreached=b)
     return candidate
+
+
+def product_cellwise(factors, size_cap=4096, cells_cap=1_000_000):
+    """The product with one apply_op call per factor per cell."""
+    if not factors:
+        raise ValueError("product requires at least one factor")
+    sig = same_signature(*factors)
+    sizes = tuple(a.size for a in factors)
+    n = 1
+    for s in sizes:
+        n *= s
+    if n > size_cap:
+        raise CapExceededError(f"product size {n} exceeds cap {size_cap}")
+    cells = sum(n**arity for _, arity in sig.ops)
+    if cells > cells_cap:
+        raise CapExceededError(f"product tables need {cells} cells, cap {cells_cap}")
+
+    coords = [_decode_mixed(sizes, a) for a in range(n)]
+    tables = []
+    for name, arity in sig.ops:
+        table = []
+        for args in itertools.product(range(n), repeat=arity):
+            value = [
+                apply_op(f, name, [coords[a][i] for a in args])
+                for i, f in enumerate(factors)
+            ]
+            table.append(_encode_mixed(sizes, value))
+        tables.append(tuple(table))
+    return ProductAlgebra(FiniteAlgebra(sig, n, tuple(tables)), sizes)
 
 
 def closure_list(alg, seeds):

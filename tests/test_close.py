@@ -1,5 +1,6 @@
 """The one closure routine, close, and the constructions built on it, each
-against the pass loop plus table pass it replaced (see oracles.py)."""
+against the naive pass loop plus table pass it replaced, and product
+against its cell-by-cell form (see oracles.py)."""
 
 import gc
 import itertools
@@ -9,6 +10,7 @@ import pytest
 from ualg import (
     Caps,
     algebra,
+    signature,
     apply_op,
     build_free,
     find_homs,
@@ -17,12 +19,13 @@ from ualg import (
     subalgebra_generate,
 )
 from ualg.closure import EmptyCarrierError, close
-from ualg.core import CapExceededError
+from ualg.core import CapExceededError, OutOfRangeError
 
 from oracles import (
     build_free_passes,
     closure_list,
     hom_image_passes,
+    product_cellwise,
     subalgebra_generate_passes,
 )
 from samples import SIG_F, SIG_FE, semilattice2, z2_xor, z3_add, z4_add
@@ -38,6 +41,49 @@ def mul3_with_unit():
     return algebra(
         SIG_FE, 3, {"f": [(a * b) % 3 for a in range(3) for b in range(3)], "e": [1]}
     )
+
+
+# Signatures beyond one binary symbol: close keeps a unary symbol's table as
+# one row, a ternary one's as rows under two-label heads, and applies a
+# constant in the first pass only.
+SIG_G = signature(("g", 1))
+SIG_T = signature(("t", 3))
+SIG_CONST = signature(("c", 0), ("d", 0))
+SIG_MIXED = signature(("g", 1), ("e", 0), ("t", 3))
+
+
+def z5_successor():
+    return algebra(SIG_G, 5, {"g": [(a + 1) % 5 for a in range(5)]})
+
+
+def z3_malcev():
+    return algebra(SIG_T, 3, {"t": [(x - y + z) % 3 for x, y, z in itertools.product(range(3), repeat=3)]})
+
+
+def chain3_median():
+    return algebra(SIG_T, 3, {"t": [sorted(args)[1] for args in itertools.product(range(3), repeat=3)]})
+
+
+def constants_only():
+    return algebra(SIG_CONST, 3, {"c": [2], "d": [0]})
+
+
+def mixed_arities():
+    """The 4-chain with its order-reversing involution, bottom and median."""
+    return algebra(SIG_MIXED, 4, {
+        "g": [3 - a for a in range(4)],
+        "e": [0],
+        "t": [sorted(args)[1] for args in itertools.product(range(4), repeat=3)],
+    })
+
+
+ARITY_ALGEBRAS = {
+    "unary": z5_successor,
+    "ternary-malcev": z3_malcev,
+    "ternary-median": chain3_median,
+    "constants-only": constants_only,
+    "mixed-arities": mixed_arities,
+}
 
 
 def assert_same_free(got, want):
@@ -58,6 +104,11 @@ FREE_CASES = [
     ("constants-no-variables", [mul3_with_unit()], ""),
     ("constants-and-variables", [mul3_with_unit()], "x"),
     ("one-element", [algebra(SIG_F, 1, {"f": [0]})], "xyz"),
+    *[(f"unary-{k}", [z5_successor()], "xyz"[:k]) for k in range(1, 4)],
+    *[(f"ternary-malcev-{k}", [z3_malcev()], "xyz"[:k]) for k in range(1, 4)],
+    *[(f"ternary-median-{k}", [chain3_median()], "xyz"[:k]) for k in range(1, 4)],
+    *[(f"constants-only-{k}", [constants_only()], "xyz"[:k]) for k in range(4)],
+    *[(f"mixed-arities-{k}", [mixed_arities()], "x"[:k]) for k in range(2)],
 ]
 
 
@@ -167,6 +218,134 @@ def test_close_admit_sees_every_count_and_can_stop():
 
     with pytest.raises(CapExceededError, match="stop"):
         close(alg.sig, [1], lambda name, args: apply_op(alg, name, args), stop)
+
+
+def semilattice2_with_top():
+    return algebra(SIG_FE, 2, {"f": [0, 0, 0, 1], "e": [1]})
+
+
+PRODUCT_POOLS = [SAMPLES, [mul3_with_unit(), semilattice2_with_top()]]
+
+
+@pytest.mark.parametrize("pool", PRODUCT_POOLS, ids=["f", "f-e"])
+@pytest.mark.parametrize("count", [2, 3])
+def test_product_matches_the_cellwise_oracle(pool, count):
+    for factors in itertools.product(pool, repeat=count):
+        got, want = product(list(factors)), product_cellwise(list(factors))
+        assert got.alg == want.alg
+        assert got.sizes == want.sizes
+
+
+@pytest.mark.parametrize("factors", [[z4_add(), z3_add()], [mul3_with_unit()] * 3])
+def test_product_caps_trip_where_the_oracle_trips(factors):
+    n = product(factors).alg.size
+    cells = sum(n**arity for _, arity in factors[0].sig.ops)
+    for size_cap, cells_cap in itertools.product((n - 1, n), (cells - 1, cells)):
+        got = _error(lambda: product(factors, size_cap=size_cap, cells_cap=cells_cap))
+        want = _error(lambda: product_cellwise(factors, size_cap=size_cap, cells_cap=cells_cap))
+        assert got == want
+        assert (got is None) == (size_cap == n and cells_cap == cells)
+
+
+@pytest.mark.parametrize("make", ARITY_ALGEBRAS.values(), ids=ARITY_ALGEBRAS.keys())
+def test_subalgebra_generate_beyond_binary_matches_the_pass_oracle(make):
+    factor = make()
+    square = product([factor, factor]).alg
+    every_subset = itertools.chain.from_iterable(
+        itertools.combinations(range(factor.size), r) for r in range(1, factor.size + 1)
+    )
+    for alg, gen_sets in [(factor, every_subset), (square, itertools.combinations(range(square.size), 2))]:
+        for gens in gen_sets:
+            sub, inc = subalgebra_generate(alg, gens)
+            want_sub, want_inc = subalgebra_generate_passes(alg, gens)
+            assert sub == want_sub
+            assert inc.image == want_inc.image
+
+
+def _naive_last_pass(sig, elements, apply):
+    label = {value: i for i, value in enumerate(elements)}
+    return tuple(
+        tuple(
+            label[apply(name, tuple([elements[a] for a in args]))]
+            for args in itertools.product(range(len(elements)), repeat=arity)
+        )
+        for name, arity in sig.ops
+    )
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_close_tables_equal_the_naive_last_pass_on_free_semilattices(k):
+    free = build_free([semilattice2(SIG_F)], list("abcde"[:k]))
+    sl = semilattice2(SIG_F)
+
+    def pointwise(name, args):
+        return tuple(apply_op(sl, name, column) for column in zip(*args))
+
+    seeds = [free.tuples[free.gens[v]] for v in free.variables]
+    elements, _, tables = close(SIG_F, seeds, pointwise)
+    assert elements == list(free.tuples)
+    assert tables == _naive_last_pass(SIG_F, elements, pointwise) == free.alg.tables
+
+
+@pytest.mark.parametrize("alg", [z2_times_z3(), mixed_arities()], ids=["Z2xZ3", "mixed-arities"])
+def test_close_tables_equal_the_naive_last_pass_on_every_subset(alg):
+    def lookup(name, args):
+        return apply_op(alg, name, args)
+
+    for r in range(alg.size + 1):
+        for gens in itertools.combinations(range(alg.size), r):
+            elements, _, tables = close(alg.sig, gens, lookup)
+            assert elements == closure_list(alg, gens)
+            assert tables == _naive_last_pass(alg.sig, elements, lookup)
+
+
+@pytest.mark.parametrize("alg, gens", [
+    (with_constant(), (4,)),
+    (z2_times_z3(), (1,)),
+    (mixed_arities(), (1,)),
+    (product([mixed_arities(), mixed_arities()]).alg, (2, 7)),
+])
+def test_close_applies_each_tuple_once(alg, gens):
+    calls = []
+
+    def lookup(name, args):
+        calls.append((name, args))
+        return apply_op(alg, name, args)
+
+    elements, _, _ = close(alg.sig, gens, lookup)
+    assert sorted(calls) == sorted(
+        (name, args)
+        for name, arity in alg.sig.ops
+        for args in itertools.product(elements, repeat=arity)
+    )
+
+
+def _corrupt(make, entry):
+    """make()'s algebra with the first entry of its first table replaced."""
+    alg = make()
+    first, *rest = alg.tables
+    return algebra(alg.sig, alg.size, dict(zip(alg.sig.symbols, [(entry, *first[1:]), *rest])))
+
+
+CORRUPT_CASES = {
+    "binary": z3_add,
+    "unary": z5_successor,
+    "ternary": z3_malcev,
+    "constant": mul3_with_unit,
+    "constants-only": constants_only,
+}
+
+
+@pytest.mark.parametrize("make", CORRUPT_CASES.values(), ids=CORRUPT_CASES.keys())
+@pytest.mark.parametrize("bad", ["size", "negative"])
+def test_out_of_range_entries_raise(make, bad):
+    alg = make()
+    entry = alg.size if bad == "size" else -1
+    corrupt = _corrupt(make, entry)
+    with pytest.raises(OutOfRangeError):
+        build_free([corrupt], ["x"])
+    with pytest.raises(OutOfRangeError):
+        subalgebra_generate(corrupt, range(alg.size))
 
 
 def _cyclic_garbage(fn):

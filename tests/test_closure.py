@@ -17,7 +17,8 @@ from ualg import (
     subalgebra_generate,
     trivial_certificate,
 )
-from ualg.closure import EmptyCarrierError, HspCertificate
+from ualg import closure
+from ualg.closure import CertCheckResult, EmptyCarrierError, HspCertificate
 from ualg.core import CapExceededError, SignatureMismatchError
 from ualg.homs import NotAHomError
 from ualg.terms import all_environments
@@ -197,3 +198,18 @@ def test_certificate_stage_failures():
     wrong_size = HspCertificate(factors=((0, 1),), gens=(0,), image=(0,))
     result = hsp_certificate_check([m], m, wrong_size)
     assert result.stage == "isomorphism"
+
+
+def test_certificate_check_scans_the_image_map_once(monkeypatch):
+    calls = []
+    real = closure.hom_violation
+    monkeypatch.setattr(closure, "hom_violation", lambda m: calls.append(m) or real(m))
+    m, xor = semilattice2(), z2_xor()
+    square = HspCertificate(factors=((0, 2),), gens=(1, 2), image=(0, 1, 0))
+    assert hsp_certificate_check([m], m, square).ok
+    assert len(calls) == 1
+    # constant-1 on the xor algebra: f(0,0)=0 is sent to 1, but f(1,1)=0
+    not_hom = HspCertificate(factors=((0, 1),), gens=(0, 1), image=(1, 1))
+    result = hsp_certificate_check([xor], xor, not_hom)
+    assert result == CertCheckResult(False, "image", "not a hom at f(0, 0)")
+    assert len(calls) == 2

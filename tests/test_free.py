@@ -166,6 +166,12 @@ def test_build_free_caps():
         build_free([z2_xor()], ["a", "b", "c"], caps=Caps(cells=10))
 
 
+def test_build_free_rejects_repeated_variables():
+    # checked before any work: the tiny cells cap would trip otherwise
+    with pytest.raises(ValueError, match="variable 'x' is repeated"):
+        build_free([semilattice2(SIG_F)], ["x", "y", "x"], caps=Caps(cells=1))
+
+
 def test_build_free_empty_class():
     free = build_free([], ["x", "y"], sig=SIG_F)
     assert free.alg.size == 1

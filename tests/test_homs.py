@@ -15,7 +15,9 @@ from ualg import (
     identity_map,
     is_isomorphic,
     kernel_pairs,
+    product,
 )
+from ualg import homs
 from ualg.core import SignatureMismatchError, UalgError
 from ualg.homs import (
     KernelInclusionError,
@@ -182,6 +184,20 @@ def test_find_homs_matches_brute_force_oracle():
         for surjective, injective in flag_combos:
             got = [m.image for m in find_homs(src, dst, surjective, injective)]
             assert got == brute_force_homs(src, dst, surjective, injective)
+
+
+@pytest.mark.parametrize("factor, found, leaves", [
+    (semilattice2(SIG_F), 9, 9),
+    (z2_xor(), 8, 8),
+])
+def test_find_homs_prunes_on_the_element_just_assigned(monkeypatch, factor, found, leaves):
+    # Every complete image reaches the leaf re-check; pruning on the source
+    # element just assigned leaves only the homs themselves for these cubes.
+    calls = []
+    real = homs.classify
+    monkeypatch.setattr(homs, "classify", lambda m: calls.append(m) or real(m))
+    assert len(find_homs(product([factor] * 3).alg, factor)) == found
+    assert len(calls) <= leaves
 
 
 def test_find_homs_fixed_assignment():
