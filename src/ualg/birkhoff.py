@@ -8,6 +8,7 @@ pass, so a failure is a bug in the artifact, never in the theorem.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -21,10 +22,10 @@ from .closure import (
     product,
     subalgebra_generate,
 )
-from .eqlogic import mod_check, satisfies, theory_partition
+from .eqlogic import DEFAULT_ENV_CAP, _check_env_space, mod_check, satisfies, theory_partition
 from .free import UniversalMapFailure, build_free, universal_map
 from .homs import CarrierMap, classify, find_homs, hom_violation
-from .terms import Equation, infer_signature
+from .terms import Equation, environment_columns, equation_vars, infer_signature, term_columns
 
 
 class MalformedWitnessError(UalgError):
@@ -156,11 +157,7 @@ def enumerate_algebras(
 ) -> list[FiniteAlgebra]:
     """All algebras of the given size, or a deterministic sample when the
     table space is larger than sample_cap."""
-    counts = [size ** (size**arity) for _, arity in sig.ops]
-    total = 1
-    for c in counts:
-        total *= c
-    if total <= sample_cap:
+    if _table_space(sig, size) <= sample_cap:
         spaces = [
             itertools.product(range(size), repeat=size**arity)
             for _, arity in sig.ops
@@ -180,6 +177,11 @@ def enumerate_algebras(
     return out
 
 
+def _table_space(sig: Signature, size: int) -> int:
+    """Number of algebras of the signature on a carrier of the given size."""
+    return math.prod(size ** (size**arity) for _, arity in sig.ops)
+
+
 def eqcl_to_var_check(
     E: Sequence[Equation],
     pool_size_bound: int,
@@ -188,30 +190,27 @@ def eqcl_to_var_check(
 ) -> PipelineReport:
     """The easy direction: the model class of E is closed under H, S, P.
 
-    Enumerates (or samples) the algebras up to the size bound, keeps the
-    models of E, and replays products, generated subalgebras, and hom
-    images, requiring each derived algebra to model E.
+    Enumerates (or samples, saying so) the algebras up to the size bound,
+    keeps the models of E, and replays products, generated subalgebras, and
+    hom images, requiring each derived algebra to model E.
     """
     sig = infer_signature(E)
     pool: list[FiniteAlgebra] = []
+    sampled = []
     for size in range(1, pool_size_bound + 1):
-        pool.extend(enumerate_algebras(sig, size))
+        algs = enumerate_algebras(sig, size)
+        if len(algs) < _table_space(sig, size):
+            sampled.append(f"size {size}: sampled {len(algs)} of {_table_space(sig, size)}")
+        pool.extend(algs)
     models = [alg for alg in pool if mod_check(alg, E).holds]
-    stages = [Stage("enumerate-models", True, f"{len(models)} models of {len(E)} equations")]
-
-    def check(derived: FiniteAlgebra, how: str) -> Stage | None:
-        res = mod_check(derived, E)
-        if res.holds:
-            return None
-        ce = _env_string(res.counterexample.assoc)
-        return Stage(
-            "closure", False, f"{how} breaks equation {res.failing_index} at {ce}"
-        )
+    note = f" ({'; '.join(sampled)})" if sampled else ""
+    stages = [Stage("enumerate-models", True, f"{len(models)} models of {len(E)} equations{note}")]
+    envs: dict = {}  # (equation index, size) -> environment columns
 
     for a, b in itertools.product(models, repeat=2):
         if a.size * b.size > product_size_cap:
             continue
-        bad = check(product([a, b]).alg, "product")
+        bad = _closure_failure(product([a, b]).alg, E, "product", envs)
         if bad is not None:
             return PipelineReport((*stages, bad))
     stages.append(Stage("products-closed", True))
@@ -220,7 +219,7 @@ def eqcl_to_var_check(
         for r in range(1, alg.size + 1):
             for gens in itertools.combinations(range(alg.size), r):
                 sub, _ = subalgebra_generate(alg, gens)
-                bad = check(sub, f"subalgebra from {gens}")
+                bad = _closure_failure(sub, E, f"subalgebra from {gens}", envs)
                 if bad is not None:
                     return PipelineReport((*stages, bad))
     stages.append(Stage("subalgebras-closed", True))
@@ -228,11 +227,30 @@ def eqcl_to_var_check(
     for src, dst in itertools.product(models, repeat=2):
         for m in find_homs(src, dst, cap=search_cap):
             img, _ = hom_image(src, m)
-            bad = check(img, f"hom image {m.image}")
+            bad = _closure_failure(img, E, f"hom image {m.image}", envs)
             if bad is not None:
                 return PipelineReport((*stages, bad))
     stages.append(Stage("hom-images-closed", True))
     return PipelineReport(tuple(stages))
+
+
+def _closure_failure(
+    derived: FiniteAlgebra, E: Sequence[Equation], how: str, envs: dict
+) -> Stage | None:
+    """None when derived models E: each equation's sides have equal value
+    columns over the environment columns cached in envs.  A failure replays
+    mod_check for the first failing equation and its witness."""
+    for i, eq in enumerate(E):
+        names = equation_vars(eq)
+        _check_env_space(derived, names, DEFAULT_ENV_CAP)
+        if (i, derived.size) not in envs:
+            envs[i, derived.size] = environment_columns(names, derived.size)
+        lhs, rhs = term_columns(derived, (eq.lhs, eq.rhs), envs[i, derived.size])
+        if lhs != rhs:
+            res = mod_check(derived, E)
+            ce = _env_string(res.counterexample.assoc)
+            return Stage("closure", False, f"{how} breaks equation {res.failing_index} at {ce}")
+    return None
 
 
 def var_to_eqcl_check(

@@ -20,6 +20,7 @@ from .core import (
     OutOfRangeError,
     Signature,
     UalgError,
+    _check_entries,
     _decode_mixed,
     _encode_mixed,
     same_signature,
@@ -74,6 +75,8 @@ def product(
     cells = sum(n**arity for _, arity in sig.ops)
     if cells > cells_cap:
         raise CapExceededError(f"product tables need {cells} cells, cap {cells_cap}")
+    for i, f in enumerate(factors):  # the cells below index the factor tables raw
+        _check_entries(f, f"factor {i}")
 
     coords = [_decode_mixed(sizes, a) for a in range(n)]
     tables = []

@@ -168,6 +168,13 @@ def validate(alg: FiniteAlgebra) -> list[Violation]:
     return out
 
 
+def _check_entries(alg: FiniteAlgebra, what: str) -> None:
+    """Raise OutOfRangeError unless each table entry lies in alg's carrier."""
+    for table in alg.tables:
+        if table and (min(table) < 0 or max(table) >= alg.size):
+            raise OutOfRangeError(f"{what} has a table entry outside 0..{alg.size - 1}")
+
+
 def row_major_index(size: int, args: Sequence[int]) -> int:
     idx = 0
     for a in args:

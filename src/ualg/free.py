@@ -16,9 +16,9 @@ from .core import (
     CapExceededError,
     Caps,
     FiniteAlgebra,
-    OutOfRangeError,
     Signature,
     UalgError,
+    _check_entries,
     same_signature,
 )
 from .closure import EmptyCarrierError, close
@@ -94,8 +94,7 @@ def build_free(
 
     # Raw row-major lookups in per-coordinate (table, size) pairs: range-check the tables once.
     for ki, alg in enumerate(K):
-        if any(not 0 <= v < alg.size for table in alg.tables for v in table):
-            raise OutOfRangeError(f"class member {ki} has a table entry outside 0..{alg.size - 1}")
+        _check_entries(alg, f"class member {ki}")
     columns = {name: [(K[ki].tables[pos], K[ki].size) for ki, _ in index]
                for pos, (name, _) in enumerate(sig.ops)}
 

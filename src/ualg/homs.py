@@ -16,6 +16,7 @@ from .core import (
     CapExceededError,
     FiniteAlgebra,
     UalgError,
+    _check_entries,
     apply_op,
     row_major_index,
     same_signature,
@@ -80,6 +81,7 @@ class HomClassification:
 def hom_violation(m: CarrierMap) -> tuple[str, tuple[int, ...]] | None:
     """First (symbol, args) where the map fails to commute, else None."""
     same_signature(m.src, m.dst)
+    _check_entries(m.src, "the source")  # its entries index image
     image = m.image
     for name, arity in m.src.sig.ops:
         for args in itertools.product(range(m.src.size), repeat=arity):

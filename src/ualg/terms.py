@@ -19,7 +19,6 @@ from .core import (
     UalgError,
     UnknownSymbolError,
     apply_op,
-    row_major_index,
 )
 
 
@@ -218,8 +217,12 @@ def _column(
     if not node.children:
         col = [table[0]] * width
     else:
+        # row-major indices a column at a time: no call per cell
         args = [_column(c, done, columns, ops, n, width) for c in node.children]
-        col = [table[row_major_index(n, row)] for row in zip(*args)]
+        idx = args[0]
+        for c in args[1:]:
+            idx = [i * n + v for i, v in zip(idx, c)]
+        col = [table[i] for i in idx]
     done[id(node)] = col
     return col
 

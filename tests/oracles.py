@@ -5,11 +5,13 @@ faster or shared path in ualg replaced: every equation of a bounded theory
 decided by its own class_satisfies call, every coordinate of an
 evaluation tuple by its own evaluate call, every closure with its own
 naive pass loop followed by a separate pass that tabulates the operations,
-and every product cell by one checked apply_op call per factor.
+every product cell by one checked apply_op call per factor, and every
+algebra the easy direction derives by its own mod_check call.
 """
 
 import itertools
 
+import ualg.birkhoff as birkhoff
 from ualg import (
     App,
     CapExceededError,
@@ -22,9 +24,14 @@ from ualg import (
     class_satisfies,
     enumerate_terms,
     evaluate,
+    find_homs,
+    hom_image,
+    infer_signature,
+    mod_check,
     satisfies,
+    subalgebra_generate,
 )
-from ualg.birkhoff import Stage, _env_string
+from ualg.birkhoff import PipelineReport, Stage, _env_string, enumerate_algebras
 from ualg.closure import ProductAlgebra
 from ualg.core import _decode_mixed, _encode_mixed, same_signature
 from ualg.free import FreeAlgebra, UniversalMapFailure
@@ -223,3 +230,48 @@ def build_free_passes(K, variables, caps=Caps(), sig=None):
         reprs=tuple(reprs),
         gens=gens,
     )
+
+
+def eqcl_to_var_check_permodel(E, pool_size_bound, product_size_cap=4096, search_cap=1_000_000):
+    """The easy direction with one mod_check call per derived algebra (no
+    sampling note in the enumerate-models witness).  Products come from
+    birkhoff.product, so a test can patch them on both paths at once."""
+    sig = infer_signature(E)
+    pool = []
+    for size in range(1, pool_size_bound + 1):
+        pool.extend(enumerate_algebras(sig, size))
+    models = [alg for alg in pool if mod_check(alg, E).holds]
+    stages = [Stage("enumerate-models", True, f"{len(models)} models of {len(E)} equations")]
+
+    def check(derived, how):
+        res = mod_check(derived, E)
+        if res.holds:
+            return None
+        ce = _env_string(res.counterexample.assoc)
+        return Stage("closure", False, f"{how} breaks equation {res.failing_index} at {ce}")
+
+    for a, b in itertools.product(models, repeat=2):
+        if a.size * b.size > product_size_cap:
+            continue
+        bad = check(birkhoff.product([a, b]).alg, "product")
+        if bad is not None:
+            return PipelineReport((*stages, bad))
+    stages.append(Stage("products-closed", True))
+
+    for alg in models:
+        for r in range(1, alg.size + 1):
+            for gens in itertools.combinations(range(alg.size), r):
+                sub, _ = subalgebra_generate(alg, gens)
+                bad = check(sub, f"subalgebra from {gens}")
+                if bad is not None:
+                    return PipelineReport((*stages, bad))
+    stages.append(Stage("subalgebras-closed", True))
+
+    for src, dst in itertools.product(models, repeat=2):
+        for m in find_homs(src, dst, cap=search_cap):
+            img, _ = hom_image(src, m)
+            bad = check(img, f"hom image {m.image}")
+            if bad is not None:
+                return PipelineReport((*stages, bad))
+    stages.append(Stage("hom-images-closed", True))
+    return PipelineReport(tuple(stages))

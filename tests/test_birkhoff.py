@@ -94,8 +94,16 @@ def test_eqcl_to_var_easy_direction():
         "subalgebras-closed",
         "hom-images-closed",
     ]
-    # exactly the trivial algebra plus min and max on two elements
-    assert "3 models" in report.stages[0].witness
+    # exactly the trivial algebra plus min and max on two elements; pool 2
+    # is exhaustive, so the witness has no sampling note
+    assert report.stages[0].witness == "3 models of 2 equations"
+
+
+def test_eqcl_to_var_says_when_it_sampled():
+    left_quasigroup = Equation(App("f", (X, App("f", (X, Y)))), Y)
+    report = eqcl_to_var_check([left_quasigroup], pool_size_bound=3)
+    assert report.overall
+    assert report.stages[0].witness == "24 models of 1 equations (size 3: sampled 4096 of 19683)"
 
 
 def test_eqcl_to_var_empty_axioms():

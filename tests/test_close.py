@@ -9,10 +9,12 @@ import pytest
 
 from ualg import (
     Caps,
+    CarrierMap,
     algebra,
     signature,
     apply_op,
     build_free,
+    classify,
     find_homs,
     hom_image,
     product,
@@ -20,6 +22,7 @@ from ualg import (
 )
 from ualg.closure import EmptyCarrierError, close
 from ualg.core import CapExceededError, OutOfRangeError
+from ualg.homs import hom_violation
 
 from oracles import (
     build_free_passes,
@@ -346,6 +349,16 @@ def test_out_of_range_entries_raise(make, bad):
         build_free([corrupt], ["x"])
     with pytest.raises(OutOfRangeError):
         subalgebra_generate(corrupt, range(alg.size))
+    for factors in ([corrupt, alg], [alg, corrupt]):
+        with pytest.raises(OutOfRangeError):
+            product(factors)
+        # the caps still trip first, at the same points
+        with pytest.raises(CapExceededError, match="product size"):
+            product(factors, size_cap=alg.size**2 - 1)
+    with pytest.raises(OutOfRangeError):
+        hom_violation(CarrierMap(corrupt, alg, tuple(range(alg.size))))
+    with pytest.raises(OutOfRangeError):
+        classify(CarrierMap(corrupt, alg, tuple(range(alg.size))))
 
 
 def _cyclic_garbage(fn):

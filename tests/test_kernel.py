@@ -1,6 +1,7 @@
 """The term-column kernel and the paths built on it, each against the
 pointwise or pair-by-pair oracle it replaced (see oracles.py)."""
 
+import dataclasses
 import io
 import itertools
 import os
@@ -20,6 +21,7 @@ from ualg import (
     algebra,
     build_free,
     enumerate_terms,
+    eqcl_to_var_check,
     evaluate,
     mod_check,
     nat_epi,
@@ -38,6 +40,7 @@ from ualg.terms import (
 )
 
 from oracles import (
+    eqcl_to_var_check_permodel,
     models_theory_pairwise,
     nat_epi_pointwise,
     theory_upto_pairwise,
@@ -47,7 +50,7 @@ from samples import SIG_F, SIG_FE, semilattice2, z2_xor, z3_add, z4_add
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_DATA = sorted((ROOT / "demos" / "data").glob("*.alg"))
-X, Y = Var("x"), Var("y")
+X, Y, Z = Var("x"), Var("y"), Var("z")
 
 SIG_MIXED = signature(("c", 0), ("g", 1), ("f", 2), ("t", 3))
 SIG_FG = signature(("f", 2), ("g", 1))
@@ -119,6 +122,36 @@ def test_columns_raise_what_evaluate_raises(bad, error):
     with pytest.raises(error) as from_kernel:
         term_columns(alg, [good, bad, App("g", ())], environment_columns(["x", "y"], 2))
     assert str(from_kernel.value) == str(from_evaluate.value)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as e:  # compared by type: the two paths word index faults alike
+        return type(e)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("bad", ["size", "negative"])
+def test_columns_match_evaluate_over_out_of_range_entries(arity, size, bad):
+    """An entry of size, or of -1, in a table: the kernel gives what the
+    walk gives, value for value, or raises the same exception type."""
+    sig = signature(("t", arity))
+    variables = ["x", "y"] if arity < 3 else ["x"]
+    terms = enumerate_terms(sig, variables, 2)
+    envs = list(all_environments(variables, size))
+    rng = random.Random(arity * 10 + size)
+    for at in rng.sample(range(size**arity), min(4, size**arity)):
+        table = [rng.randrange(size) for _ in range(size**arity)]
+        table[at] = size if bad == "size" else -1
+        alg = algebra(sig, size, {"t": table})
+        for t in terms:
+            want = _outcome(lambda: [evaluate(alg, t, rho) for rho in envs])
+            got = _outcome(
+                lambda: list(term_columns(alg, [t], environment_columns(variables, size))[0])
+            )
+            assert got == want, (table, str(t))
 
 
 THEORY_CASES = [
@@ -238,6 +271,73 @@ def test_cli_birkhoff_demo_matches_old_path(name, monkeypatch):
     old = _cli(argv)
     assert new == old
     assert new[1].endswith("RESULT pass\n")
+
+
+# The law sets of the easy-direction benchmark, over one binary symbol f.
+EASY_LAWS = {
+    "assoc": (((X, Y), Z), (X, (Y, Z))),
+    "comm": ((X, Y), (Y, X)),
+    "idem": ((X, X), X),
+    "leftproj": ((X, Y), X),
+    "rightproj": ((X, Y), Y),
+    "lq": ((X, (X, Y)), Y),
+    "rq": (((X, Y), Y), X),
+    "rectband": (((X, Y), Z), (X, Z)),
+}
+EASY_LAW_SETS = [
+    ("assoc",),
+    ("comm", "assoc"),
+    ("leftproj",),
+    ("lq",),
+    ("rq",),
+    ("idem", "rectband"),
+    ("idem", "comm", "assoc"),
+    ("rightproj",),
+    ("comm", "idem"),
+]
+
+
+def _f_term(shape):
+    return App("f", tuple(map(_f_term, shape))) if isinstance(shape, tuple) else shape
+
+
+def _laws(names):
+    return [Equation(*map(_f_term, EASY_LAWS[name])) for name in names]
+
+
+def _unsampled(lines):
+    """The report lines without the enumerate-models sampling note."""
+    return [line.split(" (size ")[0] for line in lines]
+
+
+@pytest.mark.parametrize("laws, pool", [(laws, 2) for laws in EASY_LAW_SETS] + [(("assoc",), 3), (("lq",), 3)])
+def test_easy_direction_matches_the_permodel_oracle(laws, pool):
+    E = _laws(laws)
+    got = eqcl_to_var_check(E, pool).lines()
+    assert _unsampled(got) == eqcl_to_var_check_permodel(E, pool).lines()
+    assert (" (size 3: sampled 4096 of 19683)" in got[0]) == (pool == 3)
+
+
+@pytest.mark.parametrize("laws", [("comm",), ("idem", "comm"), ("assoc",), ("leftproj",)])
+def test_easy_direction_failure_witness_matches_the_permodel_oracle(laws, monkeypatch):
+    """A product with one corrupted cell: the first failing product, its
+    failing equation and its counterexample are the per-model path's."""
+    real = ualg.birkhoff.product
+
+    def corrupted(factors):
+        prod = real(factors)
+        alg = prod.alg
+        if alg.size < 2:
+            return prod
+        table = list(alg.tables[0])
+        table[1] = (table[1] + 1) % alg.size
+        return dataclasses.replace(prod, alg=dataclasses.replace(alg, tables=(tuple(table),)))
+
+    monkeypatch.setattr(ualg.birkhoff, "product", corrupted)
+    E = _laws(laws)
+    got = eqcl_to_var_check(E, 2).lines()
+    assert got == eqcl_to_var_check_permodel(E, 2).lines()
+    assert got[-1].startswith("STAGE closure FAIL product breaks equation ")
 
 
 CORRUPTED_FREE = """
