@@ -3,7 +3,8 @@
 Easy direction: the models of a finite equation list are closed under
 products, subalgebras, and homomorphic images.  Hard direction: a
 certificate places B in V(K), and then B is exhibited as a homomorphic
-image of the free algebra on |B| generators.
+image of the free algebra on one variable per generator of B that the
+certificate names.
 """
 
 from ualg import (
@@ -36,9 +37,19 @@ for line in report.lines():
     print("  ", line)
 
 # Hard direction at desk scale: certify sl into V{sl}, build the free
-# algebra on |sl| generators, and map it onto sl.
+# algebra on sl's least generating set {0, 1}, and map it onto sl.
 report = var_to_eqcl_check([sl], sl, trivial_certificate(0, sl))
 print("hard direction (certified member is an image of the free algebra):")
+for line in report.lines():
+    print("  ", line)
+print("overall:", report.overall)
+
+# Z2 under + is generated by {1} alone, so its free algebra is built on a
+# single variable: 2 elements, not the 4 of the free algebra on |Z2| = 2.
+z2 = algebra(sig, 2, {"m": [0, 1, 1, 0]})
+cert = trivial_certificate(0, z2)
+print("least generating set of Z2:", cert.gens)
+report = var_to_eqcl_check([z2], z2, cert)
 for line in report.lines():
     print("  ", line)
 print("overall:", report.overall)

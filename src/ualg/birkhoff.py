@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .core import FiniteAlgebra, Signature, UalgError
+from .core import Caps, FiniteAlgebra, Signature, UalgError
 from .closure import (
     CertCheckResult,
     HspCertificate,
@@ -258,9 +258,13 @@ def var_to_eqcl_check(
     B: FiniteAlgebra,
     cert: HspCertificate,
     theory_depth: int = 2,
+    caps: Caps = Caps(),
 ) -> PipelineReport:
     """The hard direction at desk scale: a certified member of V(K) is a
-    homomorphic image of the free algebra on |B| generators."""
+    homomorphic image of the free algebra on one variable per distinct
+    image of the certificate's generators.  Those images generate B: the
+    checked image is a subalgebra of B isomorphic to B, so it is all of B.
+    caps bounds the free algebra."""
     stages = []
     cert_res: CertCheckResult = hsp_certificate_check(K, B, cert)
     if not cert_res.ok:
@@ -270,13 +274,15 @@ def var_to_eqcl_check(
         return PipelineReport(tuple(stages))
     stages.append(Stage("certificate", True))
 
-    variables = [f"v{i}" for i in range(B.size)]
-    free = build_free(K, variables)
+    # close labels the subalgebra's seeds, sorted(set(cert.gens)), 0..k-1
+    images = list(dict.fromkeys(cert.image[: len(set(cert.gens))]))
+    variables = [f"v{i}" for i in range(len(images))]
+    free = build_free(K, variables, caps)
     stages.append(
         Stage("free-build", True, f"{free.alg.size} elements over {len(free.index)} coordinates")
     )
 
-    result = universal_map(free, B, {v: i for i, v in enumerate(variables)})
+    result = universal_map(free, B, dict(zip(variables, images)))
     if isinstance(result, UniversalMapFailure):
         if result.kind == "hom":
             detail = f"hom check failed at {result.symbol}{result.args}"

@@ -392,7 +392,7 @@ def _cmd_birkhoff_demo(args, caps: Caps, out: TextIO) -> int:
 
     for i, (name, alg) in enumerate(named):
         cert = trivial_certificate(i, alg)
-        report = var_to_eqcl_check(K, alg, cert)
+        report = var_to_eqcl_check(K, alg, cert, caps=caps)
         for line in report.lines():
             print(line.replace("STAGE ", f"STAGE hard-direction.{name}."), file=out)
         all_ok = all_ok and report.overall

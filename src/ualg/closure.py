@@ -225,12 +225,14 @@ class HspCertificate:
 
 
 def trivial_certificate(k_index: int, alg: FiniteAlgebra) -> HspCertificate:
-    """A ∈ V{..A..}: unary product, full generating set, identity image."""
-    return HspCertificate(
-        factors=((k_index, 1),),
-        gens=tuple(range(alg.size)),
-        image=tuple(range(alg.size)),
-    )
+    """A ∈ V{..A..}: unary product, identity image, and the first least-size
+    generating set (combinations in order, from size 0 when the signature has
+    constants).  The whole carrier generates itself, so the search returns."""
+    for r in range(0 if alg.sig.constants() else 1, alg.size + 1):
+        for gens in itertools.combinations(range(alg.size), r):
+            sub, inclusion = subalgebra_generate(alg, gens)
+            if sub.size == alg.size:
+                return HspCertificate(((k_index, 1),), gens, inclusion.image)
 
 
 @dataclass(frozen=True)

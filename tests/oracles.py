@@ -5,8 +5,10 @@ faster or shared path in ualg replaced: every equation of a bounded theory
 decided by its own class_satisfies call, every coordinate of an
 evaluation tuple by its own evaluate call, every closure with its own
 naive pass loop followed by a separate pass that tabulates the operations,
-every product cell by one checked apply_op call per factor, and every
-algebra the easy direction derives by its own mod_check call.
+every product cell by one checked apply_op call per factor, every hom
+check cell by two checked apply_op calls, every
+algebra the easy direction derives by its own mod_check call, and the hard
+direction's free algebra built on one variable per element of B.
 """
 
 import itertools
@@ -24,17 +26,19 @@ from ualg import (
     class_satisfies,
     enumerate_terms,
     evaluate,
+    build_free,
     find_homs,
     hom_image,
+    hsp_certificate_check,
     infer_signature,
     mod_check,
     satisfies,
     subalgebra_generate,
 )
-from ualg.birkhoff import PipelineReport, Stage, _env_string, enumerate_algebras
+from ualg.birkhoff import PipelineReport, Stage, _env_string, _models_theory, enumerate_algebras
 from ualg.closure import ProductAlgebra
 from ualg.core import _decode_mixed, _encode_mixed, same_signature
-from ualg.free import FreeAlgebra, UniversalMapFailure
+from ualg.free import FreeAlgebra, UniversalMapFailure, universal_map
 from ualg.homs import hom_violation
 from ualg.terms import all_environments
 
@@ -90,6 +94,18 @@ def universal_map_pointwise(free, B, assign):
         if b not in set(image):
             return UniversalMapFailure("surjectivity", image, unreached=b)
     return candidate
+
+
+def hom_violation_apply_op(m):
+    """First (symbol, args) where m fails to commute, one checked apply_op
+    call on each side per cell (no table range checks)."""
+    same_signature(m.src, m.dst)
+    for name, arity in m.src.sig.ops:
+        for args in itertools.product(range(m.src.size), repeat=arity):
+            mapped = [m.image[a] for a in args]
+            if m.image[apply_op(m.src, name, args)] != apply_op(m.dst, name, mapped):
+                return (name, args)
+    return None
 
 
 def product_cellwise(factors, size_cap=4096, cells_cap=1_000_000):
@@ -274,4 +290,36 @@ def eqcl_to_var_check_permodel(E, pool_size_bound, product_size_cap=4096, search
             if bad is not None:
                 return PipelineReport((*stages, bad))
     stages.append(Stage("hom-images-closed", True))
+    return PipelineReport(tuple(stages))
+
+
+def var_to_eqcl_check_allvars(K, B, cert, theory_depth=2):
+    """The hard direction with the free algebra on |B| generators, the
+    universal map sending generator i to element i."""
+    stages = []
+    cert_res = hsp_certificate_check(K, B, cert)
+    if not cert_res.ok:
+        stages.append(
+            Stage("certificate", False, f"{cert_res.stage}: {cert_res.detail}")
+        )
+        return PipelineReport(tuple(stages))
+    stages.append(Stage("certificate", True))
+
+    variables = [f"v{i}" for i in range(B.size)]
+    free = build_free(K, variables)
+    stages.append(
+        Stage("free-build", True, f"{free.alg.size} elements over {len(free.index)} coordinates")
+    )
+
+    result = universal_map(free, B, {v: i for i, v in enumerate(variables)})
+    if isinstance(result, UniversalMapFailure):
+        if result.kind == "hom":
+            detail = f"hom check failed at {result.symbol}{result.args}"
+        else:
+            detail = f"surjectivity failed: {result.unreached} unreached"
+        stages.append(Stage("universal-map", False, detail))
+        return PipelineReport(tuple(stages))
+    stages.append(Stage("universal-map", True, f"image {result.image}"))
+
+    stages.append(_models_theory(K, B, theory_depth))
     return PipelineReport(tuple(stages))

@@ -4,7 +4,19 @@ All carry a single binary symbol f unless noted, so that cross-algebra
 operations (homs, products, class satisfaction) type-check.
 """
 
-from ualg import FiniteAlgebra, Signature, algebra, signature
+import itertools
+
+from ualg import (
+    FiniteAlgebra,
+    Signature,
+    algebra,
+    find_homs,
+    hom_image,
+    product,
+    signature,
+    subalgebra_generate,
+)
+from ualg.closure import HspCertificate
 
 SIG_F = signature(("f", 2))
 SIG_M = signature(("m", 2))
@@ -41,4 +53,26 @@ def all_binary_size2(sig: Signature = SIG_F) -> list[FiniteAlgebra]:
     for code in range(16):
         table = [(code >> i) & 1 for i in (3, 2, 1, 0)]
         out.append(algebra(sig, 2, {name: table}))
+    return out
+
+
+def certified_square_images(base) -> list[tuple]:
+    """All distinct (B, certificate) pairs realizable as hom images of
+    generated subalgebras of base x base."""
+    square = product([base, base]).alg
+    out = []
+    seen = set()
+    for r in range(1, square.size + 1):
+        for gens in itertools.combinations(range(square.size), r):
+            sub, _ = subalgebra_generate(square, gens)
+            for m in find_homs(sub, sub):
+                image_alg, onto = hom_image(sub, m)
+                key = (image_alg.size, image_alg.tables)
+                if key in seen:
+                    continue
+                seen.add(key)
+                cert = HspCertificate(
+                    factors=((0, 2),), gens=gens, image=onto.image
+                )
+                out.append((image_alg, cert))
     return out

@@ -41,7 +41,6 @@ from ualg import (
     theory_upto,
     var_to_eqcl_check,
 )
-from ualg.closure import HspCertificate
 from ualg.fileio import emit_algebra_file, parse_algebra_file
 from ualg.terms import all_environments
 
@@ -50,6 +49,7 @@ from samples import (
     SIG_FE,
     SIG_M,
     all_binary_size2,
+    certified_square_images,
     semilattice2,
     z2_xor,
     z3_add,
@@ -281,32 +281,10 @@ def test_criterion_7_hsp_preservation():
                     assert satisfies(img, eq).holds
 
 
-def _certified_images_of_square_subalgebras(base) -> list[tuple]:
-    """All distinct (B, certificate) pairs realizable as hom images of
-    generated subalgebras of base x base."""
-    square = product([base, base]).alg
-    out = []
-    seen = set()
-    for r in range(1, square.size + 1):
-        for gens in itertools.combinations(range(square.size), r):
-            sub, _ = subalgebra_generate(square, gens)
-            for m in find_homs(sub, sub):
-                image_alg, onto = hom_image(sub, m)
-                key = (image_alg.size, image_alg.tables)
-                if key in seen:
-                    continue
-                seen.add(key)
-                cert = HspCertificate(
-                    factors=((0, 2),), gens=gens, image=onto.image
-                )
-                out.append((image_alg, cert))
-    return out
-
-
 def test_criterion_8_birkhoff_hard_direction():
     with criterion(8, "hard direction via certified members", budget_seconds=10.0):
         for base in (semilattice2(), z2_xor()):
-            candidates = _certified_images_of_square_subalgebras(base)
+            candidates = certified_square_images(base)
             assert len(candidates) >= 5
             passed = 0
             for image_alg, cert in candidates:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ualg import (
@@ -8,6 +10,8 @@ from ualg import (
     algebra,
     eqcl_to_var_check,
     find_isomorphism,
+    hom_image,
+    product,
     subalgebra_generate,
     trivial_certificate,
     var_to_eqcl_check,
@@ -23,7 +27,8 @@ from ualg.birkhoff import (
 )
 from ualg.closure import HspCertificate
 
-from samples import SIG_F, semilattice2, z2_xor, z3_add
+from oracles import var_to_eqcl_check_allvars
+from samples import SIG_F, SIG_FE, certified_square_images, semilattice2, z2_xor, z3_add
 
 X, Y = Var("x"), Var("y")
 COMM = Equation(App("f", (X, Y)), App("f", (Y, X)))
@@ -146,3 +151,137 @@ def test_pipeline_report_lines_format():
     for line in report.lines():
         assert line.startswith("STAGE ")
         assert " PASS" in line or " FAIL" in line
+
+
+def chain3():
+    return algebra(SIG_F, 3, {"f": [min(a, b) for a in range(3) for b in range(3)]})
+
+
+def left_zero3():
+    return algebra(SIG_F, 3, {"f": [a for a in range(3) for _ in range(3)]})
+
+
+def rotated(alg):
+    """The copy of a one-binary-symbol algebra whose element a is a + 1 mod size."""
+    n, (table,) = alg.size, alg.tables
+    out = [0] * (n * n)
+    for a, b in itertools.product(range(n), repeat=2):
+        out[(a + 1) % n * n + (b + 1) % n] = (table[a * n + b] + 1) % n
+    return algebra(alg.sig, n, {"f": out})
+
+
+def projection_members():
+    """(K, B, certificate) with B the image of a subalgebra of a product of
+    C3, Z3, L3 or a pair of them, generated by one or two elements, under a
+    coordinate projection, canonically labelled or rotated (the benchmark's
+    certified members).  One per B and distinct generator images."""
+    kinds = [chain3(), z3_add(), left_zero3()]
+    classes = [([a], ((0, 2),)) for a in kinds]
+    classes += [(list(pair), ((0, 1), (1, 1))) for pair in itertools.combinations(kinds, 2)]
+    out = []
+    for K, factors in classes:
+        expanded = [K[k] for k, power in factors for _ in range(power)]
+        prod = product(expanded)
+        seen = set()
+        for r in (1, 2):
+            for gens in itertools.combinations(range(prod.alg.size), r):
+                sub, inclusion = subalgebra_generate(prod.alg, gens)
+                for coord, factor in enumerate(expanded):
+                    values = tuple(prod.decode(e)[coord] for e in inclusion.image)
+                    B, onto = hom_image(sub, CarrierMap(sub, factor, values))
+                    for relabel in (False, True):
+                        image = onto.image
+                        if relabel:
+                            B, image = rotated(B), tuple((b + 1) % B.size for b in image)
+                        key = (B.tables, tuple(dict.fromkeys(image[:r])))
+                        if key not in seen:
+                            seen.add(key)
+                            out.append((K, B, HspCertificate(factors, gens, image)))
+    return out
+
+
+def square_members():
+    """Criterion 8's certified members of V(SL) and V(Z2)."""
+    return [
+        ([base], B, cert)
+        for base in (semilattice2(), z2_xor())
+        for B, cert in certified_square_images(base)
+    ]
+
+
+def assert_same_verdict(K, B, cert):
+    """The generator-minimal pipeline against the |B|-variable one: same
+    verdict, stage names, certificate and models-theory witnesses, and a
+    free algebra no larger."""
+    new, old = var_to_eqcl_check(K, B, cert), var_to_eqcl_check_allvars(K, B, cert)
+    assert new.overall == old.overall
+    assert [s.name for s in new.stages] == [s.name for s in old.stages]
+    assert [s.passed for s in new.stages] == [s.passed for s in old.stages]
+    assert new.stages[0] == old.stages[0]
+    assert new.stages[-1].witness == old.stages[-1].witness
+    if len(new.stages) > 1:
+        assert int(new.stages[1].witness.split()[0]) <= int(old.stages[1].witness.split()[0])
+    return new
+
+
+def test_var_to_eqcl_matches_allvars_oracle():
+    members = square_members() + projection_members()
+    assert len(members) > 60
+    for K, B, cert in members:
+        assert assert_same_verdict(K, B, cert).overall
+
+
+def test_var_to_eqcl_generator_images():
+    # Z2 is generated by {1}: a free algebra on one variable, v0 -> 1
+    report = var_to_eqcl_check([z2_xor()], z2_xor(), trivial_certificate(0, z2_xor()))
+    assert report.stages[1].witness == "2 elements over 2 coordinates"
+    assert report.stages[2].witness == "image (1, 0)"
+    # repeated gens: one seed each
+    m = semilattice2()
+    repeated = HspCertificate(factors=((0, 2),), gens=(2, 1, 2, 1), image=(0, 1, 0))
+    report = assert_same_verdict([m], m, repeated)
+    assert report.overall and report.stages[1].witness == "3 elements over 4 coordinates"
+    # two generators with one image: (0,1) and (1,0) of Z2^2 both go to 1 under xor
+    xor = z2_xor()
+    square = product([xor, xor])
+    sub, inclusion = subalgebra_generate(square.alg, (1, 2))
+    image = tuple(a ^ b for a, b in map(square.decode, inclusion.image))
+    assert image[:2] == (1, 1)
+    report = assert_same_verdict([xor], xor, HspCertificate(((0, 2),), (1, 2), image))
+    assert report.overall and report.stages[1].witness == "2 elements over 2 coordinates"
+
+
+def test_var_to_eqcl_no_generators_over_a_constant():
+    # Z3 with the constant 1 is generated by the empty set: F has no variables
+    z3e = algebra(SIG_FE, 3, {"f": z3_add().tables[0], "e": [1]})
+    cert = trivial_certificate(0, z3e)
+    assert cert.gens == ()
+    report = assert_same_verdict([z3e], z3e, cert)
+    assert report.overall
+    assert report.stages[1].witness == "3 elements over 1 coordinates"
+
+
+@pytest.mark.parametrize("cert", [
+    HspCertificate(factors=((5, 1),), gens=(0,), image=(0, 1)),
+    HspCertificate(factors=((0, 1),), gens=(9,), image=(0, 1)),
+    HspCertificate(factors=((0, 1),), gens=(0, 1), image=(1, 1)),
+    HspCertificate(factors=((0, 1),), gens=(0,), image=(0,)),
+    HspCertificate(factors=((0, 2),), gens=(1, 2), image=(0, 1)),
+], ids=["product", "subalgebra", "image", "isomorphism", "length"])
+def test_var_to_eqcl_failing_certificate_matches_oracle(cert):
+    for alg in (semilattice2(SIG_F), z2_xor()):
+        new = var_to_eqcl_check([alg], alg, cert)
+        assert not new.overall
+        assert new == var_to_eqcl_check_allvars([alg], alg, cert)
+
+
+def test_trivial_certificate_takes_the_first_least_generating_set():
+    cases = [
+        (z2_xor(), (1,), (1, 0)),
+        (semilattice2(), (0, 1), (0, 1)),
+        (z3_add(), (1,), (1, 2, 0)),
+        (chain3(), (0, 1, 2), (0, 1, 2)),
+        (left_zero3(), (0, 1, 2), (0, 1, 2)),
+    ]
+    for alg, gens, image in cases:
+        assert trivial_certificate(2, alg) == HspCertificate(((2, 1),), gens, image)

@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,8 @@ from ualg.cli import run_cli
 from ualg.fileio import emit_algebra_file, parse_algebra_file, parse_proof
 
 from samples import SIG_F, semilattice2, z2_xor, z3_add, z4_add
+
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 def run(*argv, env=None, monkeypatch=None):
@@ -217,6 +220,59 @@ def test_birkhoff_demo(tmp_path):
     assert any(line.startswith("STAGE hard-direction.SL.certificate PASS") for line in lines)
     assert lines[-1] == "RESULT pass"
     assert not any(" FAIL" in line for line in lines)
+
+
+# The hard direction builds each member's free algebra on a least
+# generating set: one variable for Z2, Z3 and Z4, two for SL.
+POOL_DEMO_STDOUT = (
+    "# theory of the class up to depth 1: 8 equations\n"
+    "STAGE invariance.Z2.witness-wellformed PASS product\n"
+    "STAGE invariance.Z2.base-satisfies PASS\n"
+    "STAGE invariance.Z2.derived-satisfies PASS\n"
+    "STAGE invariance.Z3.witness-wellformed PASS product\n"
+    "STAGE invariance.Z3.base-satisfies PASS\n"
+    "STAGE invariance.Z3.derived-satisfies PASS\n"
+    "STAGE easy-direction.enumerate-models PASS 9 models of 2 equations\n"
+    "STAGE easy-direction.products-closed PASS\n"
+    "STAGE easy-direction.subalgebras-closed PASS\n"
+    "STAGE easy-direction.hom-images-closed PASS\n"
+    "STAGE hard-direction.Z2.certificate PASS\n"
+    "STAGE hard-direction.Z2.free-build PASS 12 elements over 11 coordinates\n"
+    "STAGE hard-direction.Z2.universal-map PASS image (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0)\n"
+    "STAGE hard-direction.Z2.models-theory PASS 158 equations\n"
+    "STAGE hard-direction.Z3.certificate PASS\n"
+    "STAGE hard-direction.Z3.free-build PASS 12 elements over 11 coordinates\n"
+    "STAGE hard-direction.Z3.universal-map PASS image (1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0)\n"
+    "STAGE hard-direction.Z3.models-theory PASS 158 equations\n"
+    "STAGE hard-direction.Z4.certificate PASS\n"
+    "STAGE hard-direction.Z4.free-build PASS 12 elements over 11 coordinates\n"
+    "STAGE hard-direction.Z4.universal-map PASS image (1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0)\n"
+    "STAGE hard-direction.Z4.models-theory PASS 158 equations\n"
+    "STAGE hard-direction.SL.certificate PASS\n"
+    "STAGE hard-direction.SL.free-build PASS 168 elements over 33 coordinates\n"
+    "STAGE hard-direction.SL.universal-map PASS image (0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, "
+    "0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, "
+    "0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, "
+    "0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, "
+    "0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, "
+    "0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, "
+    "0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)\n"
+    "STAGE hard-direction.SL.models-theory PASS 158 equations\n"
+    "RESULT pass\n"
+)
+
+
+def test_birkhoff_demo_pool_stdout():
+    code, out, err = run("birkhoff-demo", "--vars", "2", str(DEMO_DATA / "pool.alg"))
+    assert (code, out, err) == (0, POOL_DEMO_STDOUT, "")
+
+
+def test_birkhoff_demo_honours_caps(monkeypatch):
+    monkeypatch.setenv("UALG_CAPS", "carrier=2")
+    code, out, err = run("birkhoff-demo", "--vars", "2", str(DEMO_DATA / "semilattice2.alg"))
+    assert code == 2
+    assert err == "error: free carrier would exceed cap 2 elements\n"
+    assert "hard-direction" not in out
 
 
 def test_usage_errors():

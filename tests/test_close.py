@@ -14,8 +14,10 @@ from ualg import (
     signature,
     apply_op,
     build_free,
+    check_leq,
     classify,
     find_homs,
+    find_isomorphism,
     hom_image,
     product,
     subalgebra_generate,
@@ -28,6 +30,7 @@ from oracles import (
     build_free_passes,
     closure_list,
     hom_image_passes,
+    hom_violation_apply_op,
     product_cellwise,
     subalgebra_generate_passes,
 )
@@ -323,6 +326,29 @@ def test_close_applies_each_tuple_once(alg, gens):
     )
 
 
+HOM_PAIRS = {
+    "binary": (z3_add(), product([z3_add(), z2_xor()]).alg),
+    "unary": (z5_successor(), algebra(SIG_G, 2, {"g": [0, 1]})),
+    "ternary": (z3_malcev(), chain3_median()),
+    "constant": (mul3_with_unit(), algebra(SIG_FE, 2, {"f": [0, 0, 0, 1], "e": [1]})),
+    "constants-only": (constants_only(), algebra(SIG_CONST, 2, {"c": [1], "d": [1]})),
+    "mixed": (mixed_arities(), mixed_arities()),
+}
+
+
+@pytest.mark.parametrize("pair", HOM_PAIRS.values(), ids=HOM_PAIRS.keys())
+def test_hom_violation_matches_the_apply_op_oracle(pair):
+    homs = 0
+    for src, dst in itertools.permutations(pair):
+        maps = itertools.product(range(dst.size), repeat=src.size)
+        for image in itertools.islice(maps, 2000):
+            m = CarrierMap(src, dst, image)
+            witness = hom_violation(m)
+            assert witness == hom_violation_apply_op(m)
+            homs += witness is None
+    assert homs > 0
+
+
 def _corrupt(make, entry):
     """make()'s algebra with the first entry of its first table replaced."""
     alg = make()
@@ -359,6 +385,26 @@ def test_out_of_range_entries_raise(make, bad):
         hom_violation(CarrierMap(corrupt, alg, tuple(range(alg.size))))
     with pytest.raises(OutOfRangeError):
         classify(CarrierMap(corrupt, alg, tuple(range(alg.size))))
+
+
+@pytest.mark.parametrize("make", CORRUPT_CASES.values(), ids=CORRUPT_CASES.keys())
+@pytest.mark.parametrize("bad", ["size", "negative"])
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_hom_search_range_checks_both_tables(make, bad, side):
+    alg = make()
+    corrupt = _corrupt(make, alg.size if bad == "size" else -1)
+    src, dst = (corrupt, alg) if side == "source" else (alg, corrupt)
+    identity = CarrierMap(src, dst, tuple(range(alg.size)))
+    for call in (
+        lambda: find_homs(src, dst),
+        lambda: find_homs(src, dst, injective=True, fixed={0: 0}),
+        lambda: classify(identity),
+        lambda: hom_violation(identity),
+        lambda: find_isomorphism(src, dst),
+        lambda: check_leq(src, dst),
+    ):
+        with pytest.raises(OutOfRangeError, match=f"the {side} has a table entry outside"):
+            call()
 
 
 def _cyclic_garbage(fn):

@@ -259,9 +259,7 @@ def test_cli_theory_matches_pairwise_oracle(path):
         assert (code, out, err) == (0, expected, "")
 
 
-# birkhoff-demo on pool.alg builds a free algebra on four generators over
-# Z2, Z3, Z4 and SL, which runs for minutes on either path.
-@pytest.mark.parametrize("name", ["semilattice2.alg", "z2_xor.alg"])
+@pytest.mark.parametrize("name", ["semilattice2.alg", "z2_xor.alg", "pool.alg"])
 def test_cli_birkhoff_demo_matches_old_path(name, monkeypatch):
     argv = ["birkhoff-demo", "--vars", "2", str(ROOT / "demos" / "data" / name)]
     new = _cli(argv)
