@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .core import Caps, FiniteAlgebra, Signature, UalgError
+from .core import DEFAULT_CAPS, Caps, FiniteAlgebra, Signature, UalgError
 from .closure import (
     CertCheckResult,
     HspCertificate,
@@ -22,7 +22,7 @@ from .closure import (
     product,
     subalgebra_generate,
 )
-from .eqlogic import DEFAULT_ENV_CAP, _check_env_space, mod_check, satisfies, theory_partition
+from .eqlogic import _check_env_space, mod_check, satisfies, theory_partition
 from .free import UniversalMapFailure, build_free, universal_map
 from .homs import CarrierMap, classify, find_homs, hom_violation
 from .terms import Equation, environment_columns, equation_vars, infer_signature, term_columns
@@ -80,7 +80,7 @@ class ProductWitness:
 InvarianceWitness = Union[IsoWitness, HomImageWitness, SubalgebraWitness, ProductWitness]
 
 
-def _derived_algebra(A: FiniteAlgebra, witness: InvarianceWitness) -> FiniteAlgebra:
+def _derived_algebra(A: FiniteAlgebra, witness: InvarianceWitness, caps: Caps) -> FiniteAlgebra:
     """Validate the witness and build the algebra it derives from A."""
     if isinstance(witness, IsoWitness):
         f, g = witness.forward, witness.backward
@@ -122,24 +122,24 @@ def _derived_algebra(A: FiniteAlgebra, witness: InvarianceWitness) -> FiniteAlge
             raise MalformedWitnessError(
                 "product witness must list copies of A so each factor satisfies the equation"
             )
-        return product(witness.factors).alg
+        return product(witness.factors, caps).alg
     raise MalformedWitnessError(f"unrecognized witness {witness!r}")
 
 
 def verify_invariance(
-    A: FiniteAlgebra, eq: Equation, witness: InvarianceWitness
+    A: FiniteAlgebra, eq: Equation, witness: InvarianceWitness, caps: Caps = DEFAULT_CAPS
 ) -> PipelineReport:
     """Confirm that satisfaction of eq transfers from A along the witness."""
-    derived = _derived_algebra(A, witness)
+    derived = _derived_algebra(A, witness, caps)
     kind = type(witness).__name__.removesuffix("Witness").lower()
     stages = [Stage("witness-wellformed", True, kind)]
-    base = satisfies(A, eq)
+    base = satisfies(A, eq, caps)
     if not base.holds:
         ce = _env_string(base.counterexample.assoc)
         stages.append(Stage("base-satisfies", True, f"vacuous: A fails at {ce}"))
         return PipelineReport(tuple(stages))
     stages.append(Stage("base-satisfies", True))
-    derived_sat = satisfies(derived, eq)
+    derived_sat = satisfies(derived, eq, caps)
     if derived_sat.holds:
         stages.append(Stage("derived-satisfies", True))
     else:
@@ -152,12 +152,14 @@ def _env_string(assoc: dict[str, int]) -> str:
     return " ".join(f"{k}={v}" for k, v in assoc.items())
 
 
-def enumerate_algebras(
-    sig: Signature, size: int, sample_cap: int = 4096, seed: int = 0
-) -> list[FiniteAlgebra]:
-    """All algebras of the given size, or a deterministic sample when the
-    table space is larger than sample_cap."""
-    if _table_space(sig, size) <= sample_cap:
+SAMPLE_SIZE = 4096
+SAMPLE_SEED = 0
+
+
+def enumerate_algebras(sig: Signature, size: int) -> list[FiniteAlgebra]:
+    """All algebras of the given size, or SAMPLE_SIZE of them drawn by
+    random.Random(SAMPLE_SEED) when the table space is larger."""
+    if _table_space(sig, size) <= SAMPLE_SIZE:
         spaces = [
             itertools.product(range(size), repeat=size**arity)
             for _, arity in sig.ops
@@ -166,9 +168,9 @@ def enumerate_algebras(
             FiniteAlgebra(sig, size, tuple(tuple(t) for t in tables))
             for tables in itertools.product(*spaces)
         ]
-    rng = random.Random(seed)
+    rng = random.Random(SAMPLE_SEED)
     out = []
-    for _ in range(sample_cap):
+    for _ in range(SAMPLE_SIZE):
         tables = tuple(
             tuple(rng.randrange(size) for _ in range(size**arity))
             for _, arity in sig.ops
@@ -185,14 +187,14 @@ def _table_space(sig: Signature, size: int) -> int:
 def eqcl_to_var_check(
     E: Sequence[Equation],
     pool_size_bound: int,
-    product_size_cap: int = 4096,
-    search_cap: int = 1_000_000,
+    caps: Caps = DEFAULT_CAPS,
 ) -> PipelineReport:
     """The easy direction: the model class of E is closed under H, S, P.
 
     Enumerates (or samples, saying so) the algebras up to the size bound,
     keeps the models of E, and replays products, generated subalgebras, and
-    hom images, requiring each derived algebra to model E.
+    hom images, requiring each derived algebra to model E.  A product or hom
+    search past caps raises CapExceededError; no pair is skipped.
     """
     sig = infer_signature(E)
     pool: list[FiniteAlgebra] = []
@@ -202,15 +204,13 @@ def eqcl_to_var_check(
         if len(algs) < _table_space(sig, size):
             sampled.append(f"size {size}: sampled {len(algs)} of {_table_space(sig, size)}")
         pool.extend(algs)
-    models = [alg for alg in pool if mod_check(alg, E).holds]
+    models = [alg for alg in pool if mod_check(alg, E, caps).holds]
     note = f" ({'; '.join(sampled)})" if sampled else ""
     stages = [Stage("enumerate-models", True, f"{len(models)} models of {len(E)} equations{note}")]
     envs: dict = {}  # (equation index, size) -> environment columns
 
     for a, b in itertools.product(models, repeat=2):
-        if a.size * b.size > product_size_cap:
-            continue
-        bad = _closure_failure(product([a, b]).alg, E, "product", envs)
+        bad = _closure_failure(product([a, b], caps).alg, E, "product", envs, caps)
         if bad is not None:
             return PipelineReport((*stages, bad))
     stages.append(Stage("products-closed", True))
@@ -219,15 +219,15 @@ def eqcl_to_var_check(
         for r in range(1, alg.size + 1):
             for gens in itertools.combinations(range(alg.size), r):
                 sub, _ = subalgebra_generate(alg, gens)
-                bad = _closure_failure(sub, E, f"subalgebra from {gens}", envs)
+                bad = _closure_failure(sub, E, f"subalgebra from {gens}", envs, caps)
                 if bad is not None:
                     return PipelineReport((*stages, bad))
     stages.append(Stage("subalgebras-closed", True))
 
     for src, dst in itertools.product(models, repeat=2):
-        for m in find_homs(src, dst, cap=search_cap):
+        for m in find_homs(src, dst, caps=caps):
             img, _ = hom_image(src, m)
-            bad = _closure_failure(img, E, f"hom image {m.image}", envs)
+            bad = _closure_failure(img, E, f"hom image {m.image}", envs, caps)
             if bad is not None:
                 return PipelineReport((*stages, bad))
     stages.append(Stage("hom-images-closed", True))
@@ -235,19 +235,19 @@ def eqcl_to_var_check(
 
 
 def _closure_failure(
-    derived: FiniteAlgebra, E: Sequence[Equation], how: str, envs: dict
+    derived: FiniteAlgebra, E: Sequence[Equation], how: str, envs: dict, caps: Caps
 ) -> Stage | None:
     """None when derived models E: each equation's sides have equal value
     columns over the environment columns cached in envs.  A failure replays
     mod_check for the first failing equation and its witness."""
     for i, eq in enumerate(E):
         names = equation_vars(eq)
-        _check_env_space(derived, names, DEFAULT_ENV_CAP)
+        _check_env_space(derived, names, caps)
         if (i, derived.size) not in envs:
             envs[i, derived.size] = environment_columns(names, derived.size)
         lhs, rhs = term_columns(derived, (eq.lhs, eq.rhs), envs[i, derived.size])
         if lhs != rhs:
-            res = mod_check(derived, E)
+            res = mod_check(derived, E, caps)
             ce = _env_string(res.counterexample.assoc)
             return Stage("closure", False, f"{how} breaks equation {res.failing_index} at {ce}")
     return None
@@ -258,15 +258,15 @@ def var_to_eqcl_check(
     B: FiniteAlgebra,
     cert: HspCertificate,
     theory_depth: int = 2,
-    caps: Caps = Caps(),
+    caps: Caps = DEFAULT_CAPS,
 ) -> PipelineReport:
     """The hard direction at desk scale: a certified member of V(K) is a
     homomorphic image of the free algebra on one variable per distinct
     image of the certificate's generators.  Those images generate B: the
     checked image is a subalgebra of B isomorphic to B, so it is all of B.
-    caps bounds the free algebra."""
+    caps bounds every stage."""
     stages = []
-    cert_res: CertCheckResult = hsp_certificate_check(K, B, cert)
+    cert_res: CertCheckResult = hsp_certificate_check(K, B, cert, caps)
     if not cert_res.ok:
         stages.append(
             Stage("certificate", False, f"{cert_res.stage}: {cert_res.detail}")
@@ -292,17 +292,17 @@ def var_to_eqcl_check(
         return PipelineReport(tuple(stages))
     stages.append(Stage("universal-map", True, f"image {result.image}"))
 
-    stages.append(_models_theory(K, B, theory_depth))
+    stages.append(_models_theory(K, B, theory_depth, caps))
     return PipelineReport(tuple(stages))
 
 
-def _models_theory(K: Sequence[FiniteAlgebra], B: FiniteAlgebra, depth: int) -> Stage:
+def _models_theory(K: Sequence[FiniteAlgebra], B: FiniteAlgebra, depth: int, caps: Caps) -> Stage:
     """B satisfies the two-variable theory of K up to depth: each class of
     the partition is constant on B's value columns.  A failure replays the
     first failing equation of the theory through satisfies, for its witness."""
-    theory = theory_partition(K, ["x", "y"], depth)
-    eq = theory.first_failure(B)
+    theory = theory_partition(K, ["x", "y"], depth, caps)
+    eq = theory.first_failure(B, caps)
     if eq is None:
         return Stage("models-theory", True, f"{theory.pair_count} equations")
-    ce = _env_string(satisfies(B, eq).counterexample.assoc)
+    ce = _env_string(satisfies(B, eq, caps).counterexample.assoc)
     return Stage("models-theory", False, f"{eq} fails at {ce}")

@@ -214,7 +214,7 @@ def _cmd_validate(args, caps: Caps, out: TextIO) -> int:
 def _cmd_sat(args, caps: Caps, out: TextIO) -> int:
     name, alg = _load_one(args.algebra)
     eq = parse_equation(args.equation)
-    result = satisfies(alg, eq, cap=caps.cells)
+    result = satisfies(alg, eq, caps)
     if result.holds:
         print(f"RESULT holds {equation_to_text(eq)}", file=out)
         return 0
@@ -225,7 +225,7 @@ def _cmd_sat(args, caps: Caps, out: TextIO) -> int:
 def _cmd_class_sat(args, caps: Caps, out: TextIO) -> int:
     named = _load_class(args.files)
     eq = parse_equation(args.equation)
-    result = class_satisfies([alg for _, alg in named], eq, cap=caps.cells)
+    result = class_satisfies([alg for _, alg in named], eq, caps)
     if result.holds:
         print(f"RESULT holds in {len(named)} algebra(s)", file=out)
         return 0
@@ -239,13 +239,7 @@ def _cmd_class_sat(args, caps: Caps, out: TextIO) -> int:
 
 def _cmd_theory(args, caps: Caps, out: TextIO) -> int:
     named = _load_class(args.files)
-    theory = theory_partition(
-        [alg for _, alg in named],
-        _gen_vars(args.vars),
-        args.depth,
-        term_cap=caps.cells,
-        env_cap=caps.cells,
-    )
+    theory = theory_partition([alg for _, alg in named], _gen_vars(args.vars), args.depth, caps)
     for eq in theory.equations():
         print(equation_to_text(eq), file=out)
     return 0
@@ -277,7 +271,7 @@ def _cmd_hom_find(args, caps: Caps, out: TextIO) -> int:
         dst,
         surjective=True if args.surjective else None,
         injective=True if args.injective else None,
-        cap=caps.search,
+        caps=caps,
     )
     for m in homs:
         print("MAP " + " ".join(map(str, m.image)), file=out)
@@ -308,7 +302,7 @@ def _cmd_factor(args, caps: Caps, out: TextIO) -> int:
 
 def _cmd_free(args, caps: Caps, out: TextIO) -> int:
     named = _load_class(args.files)
-    free = build_free([alg for _, alg in named], _gen_vars(args.vars), caps=caps)
+    free = build_free([alg for _, alg in named], _gen_vars(args.vars), caps)
     text = emit_algebra_file(free.alg.sig, [("F", free.alg)])
     sidecar = emit_free_sidecar(free)
     if args.out:
@@ -373,19 +367,22 @@ def _cmd_birkhoff_demo(args, caps: Caps, out: TextIO) -> int:
     variables = _gen_vars(max(2, args.vars))[:2]
     all_ok = True
 
-    theory = theory_upto(K, variables, 1, term_cap=caps.cells, env_cap=caps.cells)
+    theory = theory_upto(K, variables, 1, caps)
     nontrivial = [eq for eq in theory if eq.lhs != eq.rhs]
     print(f"# theory of the class up to depth 1: {len(theory)} equations", file=out)
 
-    for (name, alg), eq in zip(named, nontrivial or theory):
-        report = verify_invariance(alg, eq, ProductWitness((alg, alg)))
+    # every member gets an equation; the theory always holds x = x
+    equations = nontrivial or theory
+    for i, (name, alg) in enumerate(named):
+        eq = equations[i % len(equations)]
+        report = verify_invariance(alg, eq, ProductWitness((alg, alg)), caps)
         for line in report.lines():
             print(line.replace("STAGE ", f"STAGE invariance.{name}."), file=out)
         all_ok = all_ok and report.overall
 
     if nontrivial:
         sample = nontrivial[: min(4, len(nontrivial))]
-        report = eqcl_to_var_check(sample, pool_size_bound=2)
+        report = eqcl_to_var_check(sample, 2, caps)
         for line in report.lines():
             print(line.replace("STAGE ", "STAGE easy-direction."), file=out)
         all_ok = all_ok and report.overall

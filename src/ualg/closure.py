@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .core import (
+    DEFAULT_CAPS,
     CapExceededError,
+    Caps,
     FiniteAlgebra,
     OutOfRangeError,
     Signature,
@@ -57,11 +59,7 @@ class ProductAlgebra:
         return _decode_mixed(self.sizes, index)
 
 
-def product(
-    factors: Sequence[FiniteAlgebra],
-    size_cap: int = 4096,
-    cells_cap: int = 1_000_000,
-) -> ProductAlgebra:
+def product(factors: Sequence[FiniteAlgebra], caps: Caps = DEFAULT_CAPS) -> ProductAlgebra:
     """Componentwise product of a nonempty list of same-signature algebras."""
     if not factors:
         raise ValueError("product requires at least one factor")
@@ -70,11 +68,11 @@ def product(
     n = 1
     for s in sizes:
         n *= s
-    if n > size_cap:
-        raise CapExceededError(f"product size {n} exceeds cap {size_cap}")
+    if n > caps.carrier:
+        raise CapExceededError(f"product size {n} exceeds cap {caps.carrier}")
     cells = sum(n**arity for _, arity in sig.ops)
-    if cells > cells_cap:
-        raise CapExceededError(f"product tables need {cells} cells, cap {cells_cap}")
+    if cells > caps.cells:
+        raise CapExceededError(f"product tables need {cells} cells, cap {caps.cells}")
     for i, f in enumerate(factors):  # the cells below index the factor tables raw
         _check_entries(f, f"factor {i}")
 
@@ -203,11 +201,9 @@ def hom_image(
     return img, CarrierMap(alg, img, tuple(label[b] for b in m.image))
 
 
-def check_leq(
-    a: FiniteAlgebra, b: FiniteAlgebra, cap: int = 1_000_000
-) -> CarrierMap | None:
+def check_leq(a: FiniteAlgebra, b: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> CarrierMap | None:
     """First injective hom a -> b in canonical order, or None."""
-    return next(iter_homs(a, b, injective=True, cap=cap), None)
+    return next(iter_homs(a, b, injective=True, caps=caps), None)
 
 
 @dataclass(frozen=True)
@@ -246,8 +242,7 @@ def hsp_certificate_check(
     K: Sequence[FiniteAlgebra],
     B: FiniteAlgebra,
     cert: HspCertificate,
-    size_cap: int = 4096,
-    search_cap: int = 1_000_000,
+    caps: Caps = DEFAULT_CAPS,
 ) -> CertCheckResult:
     """Replay product -> generated subalgebra -> image and test the result
     is isomorphic to B; report the first failing stage otherwise."""
@@ -262,7 +257,7 @@ def hsp_certificate_check(
         return CertCheckResult(False, "product", "no factors")
     try:
         same_signature(*factor_list, B)
-        prod = product(factor_list, size_cap=size_cap)
+        prod = product(factor_list, caps)
     except UalgError as e:
         return CertCheckResult(False, "product", str(e))
 
@@ -284,7 +279,7 @@ def hsp_certificate_check(
         img, _ = hom_image(sub, CarrierMap(sub, B, cert.image))
     except NotAHomError as e:
         return CertCheckResult(False, "image", f"not a hom at {e.witness[0]}{e.witness[1]}")
-    if find_isomorphism(img, B, cap=search_cap) is None:
+    if find_isomorphism(img, B, caps) is None:
         return CertCheckResult(
             False, "isomorphism", f"image (size {img.size}) is not isomorphic to target"
         )

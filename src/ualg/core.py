@@ -39,10 +39,13 @@ class CapExceededError(UalgError):
 
 @dataclass(frozen=True)
 class Caps:
-    """Resource limits for the search- and closure-heavy operations.
+    """The resource limits: every capped function takes one Caps.
 
-    carrier bounds product/free-algebra carrier sizes, cells bounds table
-    cells and enumeration counts, search bounds homomorphism-search spaces.
+    carrier bounds product and free-algebra carrier sizes; cells bounds
+    table cells, environment spaces and term counts; search bounds
+    homomorphism-search spaces.  Every CLI command reads its caps from
+    UALG_CAPS and passes them to every stage, both Birkhoff pipelines
+    included.
     """
 
     carrier: int = 4096

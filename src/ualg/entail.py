@@ -174,6 +174,19 @@ class _BudgetExhausted(Exception):
     pass
 
 
+@dataclass(slots=True)
+class _Search:
+    """The state of one search_proof call.  Its helpers take it as an
+    argument: recursive closures would be reference cycles, left to the
+    cyclic collector after every call."""
+
+    axioms: Sequence[Equation]
+    swapped: list[Equation]
+    max_term_size: int
+    budget: int
+    failed: dict[Equation, int]
+
+
 def search_proof(
     sig: Signature,
     axioms: Sequence[Equation],
@@ -189,86 +202,11 @@ def search_proof(
     if limits.max_depth < 1 or limits.node_budget < 1:
         raise ValueError("limits must be positive")
     swapped = [Equation(a.rhs, a.lhs) for a in axioms]
-    budget = limits.node_budget
-
-    def middles(p: Term, q: Term) -> list[Term]:
-        # candidate bridging terms: subterms of both sides and of the
-        # axioms, plus single root rewrites of either side
-        out: list[Term] = []
-        seen: set[Term] = set()
-        pool: list[Term] = []
-        pool.extend(subterms(p))
-        pool.extend(subterms(q))
-        for a in axioms:
-            pool.extend((a.lhs, a.rhs))
-        for side in (p, q):
-            for a in itertools.chain(axioms, swapped):
-                binding: dict[str, Term] = {}
-                if match_term(a.lhs, side, binding) and all(
-                    v in binding for v in _pattern_vars(a.rhs)
-                ):
-                    pool.append(substitute(Substitution(binding), a.rhs))
-        for t in pool:
-            if t not in seen and t != p and t != q:
-                if term_size(t) <= limits.max_term_size:
-                    seen.add(t)
-                    out.append(t)
-        return out
-
-    failed: dict[Equation, int] = {}
-
-    def prove(g: Equation, depth: int) -> Proof | None:
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise _BudgetExhausted
-        if failed.get(g, 0) >= depth:
-            return None
-        if g.lhs == g.rhs:
-            return Refl(g.lhs)
-        for i, a in enumerate(axioms):
-            if a == g:
-                return Hyp(i)
-            if Equation(a.rhs, a.lhs) == g:
-                return Sym(Hyp(i))
-            sigma = match_equation(a, g)
-            if sigma is not None:
-                return Sub(Hyp(i), sigma)
-            sigma = match_equation(Equation(a.rhs, a.lhs), g)
-            if sigma is not None:
-                return Sub(Sym(Hyp(i)), sigma)
-        if depth > 1:
-            if (
-                type(g.lhs) is TApp
-                and type(g.rhs) is TApp
-                and g.lhs.symbol == g.rhs.symbol
-                and len(g.lhs.children) == len(g.rhs.children)
-            ):
-                parts = []
-                for lc, rc in zip(g.lhs.children, g.rhs.children):
-                    part = prove(Equation(lc, rc), depth - 1)
-                    if part is None:
-                        break
-                    parts.append(part)
-                else:
-                    return App(g.lhs.symbol, tuple(parts))
-            flipped = prove(Equation(g.rhs, g.lhs), depth - 1)
-            if flipped is not None:
-                return Sym(flipped)
-            for r in middles(g.lhs, g.rhs):
-                left = prove(Equation(g.lhs, r), depth - 1)
-                if left is None:
-                    continue
-                right = prove(Equation(r, g.rhs), depth - 1)
-                if right is not None:
-                    return Trans(left, right)
-        failed[g] = max(failed.get(g, 0), depth)
-        return None
-
+    search = _Search(axioms, swapped, limits.max_term_size, limits.node_budget, {})
     try:
         for depth in range(1, limits.max_depth + 1):
-            failed.clear()
-            proof = prove(goal, depth)
+            search.failed.clear()
+            proof = _prove(search, goal, depth)
             if proof is not None:
                 if check_proof(sig, axioms, proof) != goal:
                     raise UalgError(f"search_proof built a proof that does not conclude {goal}")
@@ -276,6 +214,80 @@ def search_proof(
     except _BudgetExhausted:
         return SearchOutcome("budget")
     return SearchOutcome("refuted")
+
+
+def _prove(search: _Search, g: Equation, depth: int) -> Proof | None:
+    search.budget -= 1
+    if search.budget < 0:
+        raise _BudgetExhausted
+    failed = search.failed
+    if failed.get(g, 0) >= depth:
+        return None
+    if g.lhs == g.rhs:
+        return Refl(g.lhs)
+    for i, a in enumerate(search.axioms):
+        if a == g:
+            return Hyp(i)
+        if Equation(a.rhs, a.lhs) == g:
+            return Sym(Hyp(i))
+        sigma = match_equation(a, g)
+        if sigma is not None:
+            return Sub(Hyp(i), sigma)
+        sigma = match_equation(Equation(a.rhs, a.lhs), g)
+        if sigma is not None:
+            return Sub(Sym(Hyp(i)), sigma)
+    if depth > 1:
+        if (
+            type(g.lhs) is TApp
+            and type(g.rhs) is TApp
+            and g.lhs.symbol == g.rhs.symbol
+            and len(g.lhs.children) == len(g.rhs.children)
+        ):
+            parts = []
+            for lc, rc in zip(g.lhs.children, g.rhs.children):
+                part = _prove(search, Equation(lc, rc), depth - 1)
+                if part is None:
+                    break
+                parts.append(part)
+            else:
+                return App(g.lhs.symbol, tuple(parts))
+        flipped = _prove(search, Equation(g.rhs, g.lhs), depth - 1)
+        if flipped is not None:
+            return Sym(flipped)
+        for r in _middles(search, g.lhs, g.rhs):
+            left = _prove(search, Equation(g.lhs, r), depth - 1)
+            if left is None:
+                continue
+            right = _prove(search, Equation(r, g.rhs), depth - 1)
+            if right is not None:
+                return Trans(left, right)
+    failed[g] = max(failed.get(g, 0), depth)
+    return None
+
+
+def _middles(search: _Search, p: Term, q: Term) -> list[Term]:
+    """Candidate bridging terms: subterms of both sides and of the axioms,
+    plus single root rewrites of either side."""
+    out: list[Term] = []
+    seen: set[Term] = set()
+    pool: list[Term] = []
+    pool.extend(subterms(p))
+    pool.extend(subterms(q))
+    for a in search.axioms:
+        pool.extend((a.lhs, a.rhs))
+    for side in (p, q):
+        for a in itertools.chain(search.axioms, search.swapped):
+            binding: dict[str, Term] = {}
+            if match_term(a.lhs, side, binding) and all(
+                v in binding for v in _pattern_vars(a.rhs)
+            ):
+                pool.append(substitute(Substitution(binding), a.rhs))
+    for t in pool:
+        if t not in seen and t != p and t != q:
+            if term_size(t) <= search.max_term_size:
+                seen.add(t)
+                out.append(t)
+    return out
 
 
 def _pattern_vars(t: Term) -> Iterable[str]:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import CapExceededError, FiniteAlgebra, same_signature
+from .core import DEFAULT_CAPS, CapExceededError, Caps, FiniteAlgebra, same_signature
 from .terms import (
     Environment,
     Equation,
@@ -25,13 +25,10 @@ from .terms import (
     term_columns,
 )
 
-DEFAULT_ENV_CAP = 1_000_000
-
-
-def _check_env_space(alg: FiniteAlgebra, variables: Sequence[str], cap: int) -> None:
-    if alg.size ** len(variables) > cap:
+def _check_env_space(alg: FiniteAlgebra, variables: Sequence[str], caps: Caps) -> None:
+    if alg.size ** len(variables) > caps.cells:
         raise CapExceededError(
-            f"environment space {alg.size}^{len(variables)} exceeds cap {cap}"
+            f"environment space {alg.size}^{len(variables)} exceeds cap {caps.cells}"
         )
 
 
@@ -41,12 +38,10 @@ class SatResult:
     counterexample: Environment | None = None
 
 
-def satisfies(
-    alg: FiniteAlgebra, eq: Equation, cap: int = DEFAULT_ENV_CAP
-) -> SatResult:
+def satisfies(alg: FiniteAlgebra, eq: Equation, caps: Caps = DEFAULT_CAPS) -> SatResult:
     """Decide alg |= eq by checking every environment over its variables."""
     names = equation_vars(eq)
-    _check_env_space(alg, names, cap)
+    _check_env_space(alg, names, caps)
     for values in itertools.product(range(alg.size), repeat=len(names)):
         rho = dict(zip(names, values))
         if evaluate(alg, eq.lhs, rho) != evaluate(alg, eq.rhs, rho):
@@ -62,23 +57,23 @@ class ClassSatResult:
 
 
 def class_satisfies(
-    K: Sequence[FiniteAlgebra], eq: Equation, cap: int = DEFAULT_ENV_CAP
+    K: Sequence[FiniteAlgebra], eq: Equation, caps: Caps = DEFAULT_CAPS
 ) -> ClassSatResult:
     """Conjunction of satisfies over K; empty classes hold vacuously."""
     for i, alg in enumerate(K):
-        res = satisfies(alg, eq, cap=cap)
+        res = satisfies(alg, eq, caps)
         if not res.holds:
             return ClassSatResult(False, i, res.counterexample)
     return ClassSatResult(True)
 
 
 def mod_check(
-    alg: FiniteAlgebra, E: Sequence[Equation], cap: int = DEFAULT_ENV_CAP
+    alg: FiniteAlgebra, E: Sequence[Equation], caps: Caps = DEFAULT_CAPS
 ) -> ClassSatResult:
     """Membership of alg in the model class of the finite equation list E;
     failing_index names the first equation of E that alg fails."""
     for i, eq in enumerate(E):
-        res = satisfies(alg, eq, cap=cap)
+        res = satisfies(alg, eq, caps)
         if not res.holds:
             return ClassSatResult(False, i, res.counterexample)
     return ClassSatResult(True)
@@ -111,14 +106,14 @@ class TheoryPartition:
             for q in class_of[p]:
                 yield Equation(t, terms[q])
 
-    def first_failure(self, alg: FiniteAlgebra) -> Equation | None:
+    def first_failure(self, alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> Equation | None:
         """The first equation, in equations() order, that alg fails, if any.
 
         That is the first class alg's value columns do not keep constant,
         with its least member p and the first member whose column differs
         from p's: every p' below p lies in a class alg keeps constant.
         """
-        _check_env_space(alg, self.variables, DEFAULT_ENV_CAP)
+        _check_env_space(alg, self.variables, caps)
         columns = term_columns(
             alg, self.terms, environment_columns(self.variables, alg.size)
         )
@@ -134,18 +129,18 @@ def theory_partition(
     K: Sequence[FiniteAlgebra],
     variables: Sequence[str],
     max_depth: int,
-    term_cap: int = 1_000_000,
-    env_cap: int = DEFAULT_ENV_CAP,
+    caps: Caps = DEFAULT_CAPS,
 ) -> TheoryPartition:
     """Group the terms of depth <= max_depth over the variables by their
     fingerprint in K.  Raises CapExceededError before any work when some
-    member A of K has more than env_cap environments |A|^|variables|."""
+    member A of K has more than caps.cells environments |A|^|variables|,
+    and when there are more than caps.cells terms."""
     if not K:
         raise ValueError("theory_upto needs a nonempty class to fix the signature")
     sig = same_signature(*K)
     for alg in K:
-        _check_env_space(alg, variables, env_cap)
-    terms = enumerate_terms(sig, variables, max_depth, cap=term_cap)
+        _check_env_space(alg, variables, caps)
+    terms = enumerate_terms(sig, variables, max_depth, caps)
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, key in enumerate(fingerprints(K, terms, variables)):
         groups.setdefault(key, []).append(i)
@@ -156,8 +151,7 @@ def theory_upto(
     K: Sequence[FiniteAlgebra],
     variables: Sequence[str],
     max_depth: int,
-    term_cap: int = 1_000_000,
-    env_cap: int = DEFAULT_ENV_CAP,
+    caps: Caps = DEFAULT_CAPS,
 ) -> list[Equation]:
     """The depth- and variable-bounded equational theory of K.
 
@@ -165,6 +159,4 @@ def theory_upto(
     satisfies, in lexicographic (p index, q index) order; the diagonal is
     always included.  See theory_partition for the caps.
     """
-    return list(
-        theory_partition(K, variables, max_depth, term_cap, env_cap).equations()
-    )
+    return list(theory_partition(K, variables, max_depth, caps).equations())

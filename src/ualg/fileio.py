@@ -228,17 +228,6 @@ def parse_proof(text: str, file: str = "<proof>") -> entail.Proof:
     return p
 
 
-def parse_term_equation_proof(text: str, kind: str, file: str = "<string>"):
-    """Dispatch on kind in {"term", "equation", "proof"}."""
-    if kind == "term":
-        return parse_term(text, file)
-    if kind == "equation":
-        return parse_equation(text, file)
-    if kind == "proof":
-        return parse_proof(text, file)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def term_to_text(t: Term) -> str:
     """Canonical surface form: no spaces, nullary symbols written bare."""
     if type(t) is Var:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import (
+    DEFAULT_CAPS,
     CapExceededError,
     Caps,
     FiniteAlgebra,
@@ -50,7 +51,7 @@ class FreeAlgebra:
 def build_free(
     K: Sequence[FiniteAlgebra],
     variables: Sequence[str],
-    caps: Caps = Caps(),
+    caps: Caps = DEFAULT_CAPS,
     sig: Signature | None = None,
 ) -> FreeAlgebra:
     """Close the variable-projection tuples of the indexed product under

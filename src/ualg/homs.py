@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .core import (
+    DEFAULT_CAPS,
     CapExceededError,
+    Caps,
     FiniteAlgebra,
     UalgError,
     _check_entries,
@@ -154,7 +156,7 @@ def iter_homs(
     surjective: bool | None = None,
     injective: bool | None = None,
     fixed: Mapping[int, int] | None = None,
-    cap: int = 1_000_000,
+    caps: Caps = DEFAULT_CAPS,
 ) -> Iterator[CarrierMap]:
     """Yield every hom src -> dst meeting the constraints, in lexicographic
     image order.  fixed pins chosen source elements to target values."""
@@ -166,10 +168,8 @@ def iter_homs(
         if not 0 <= a < src.size or not 0 <= b < dst.size:
             raise ValueError(f"fixed assignment {a}->{b} out of range")
     free = src.size - len(fixed)
-    if dst.size**free > cap:
-        raise SearchCapError(
-            f"search space {dst.size}^{free} exceeds cap {cap}"
-        )
+    if dst.size**free > caps.search:
+        raise SearchCapError(f"search space {dst.size}^{free} exceeds cap {caps.search}")
     ops = list(zip(src.sig.ops, src.tables, dst.tables))
     return _extend(src, dst, ops, [-1] * src.size, 0, fixed, surjective, injective)
 
@@ -226,18 +226,18 @@ def find_homs(
     surjective: bool | None = None,
     injective: bool | None = None,
     fixed: Mapping[int, int] | None = None,
-    cap: int = 1_000_000,
+    caps: Caps = DEFAULT_CAPS,
 ) -> list[CarrierMap]:
-    return list(iter_homs(src, dst, surjective, injective, fixed, cap))
+    return list(iter_homs(src, dst, surjective, injective, fixed, caps))
 
 
 def find_isomorphism(
-    a: FiniteAlgebra, b: FiniteAlgebra, cap: int = 1_000_000
+    a: FiniteAlgebra, b: FiniteAlgebra, caps: Caps = DEFAULT_CAPS
 ) -> tuple[CarrierMap, CarrierMap] | None:
     """A mutually inverse pair of homs a -> b and b -> a, if any."""
     if a.size != b.size:
         return None
-    for f in iter_homs(a, b, surjective=True, injective=True, cap=cap):
+    for f in iter_homs(a, b, surjective=True, injective=True, caps=caps):
         inverse = [0] * b.size
         for x, y in enumerate(f.image):
             inverse[y] = x
@@ -247,5 +247,5 @@ def find_isomorphism(
     return None
 
 
-def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra, cap: int = 1_000_000) -> bool:
-    return find_isomorphism(a, b, cap) is not None
+def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> bool:
+    return find_isomorphism(a, b, caps) is not None

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, NoReturn, Sequence, Union
 
 from .core import (
+    DEFAULT_CAPS,
     ArityMismatchError,
     CapExceededError,
+    Caps,
     FiniteAlgebra,
     Signature,
     UalgError,
@@ -321,14 +323,8 @@ def infer_signature(equations: Sequence[Equation]) -> Signature:
     return Signature(tuple(sorted(arities.items())))
 
 
-DEFAULT_TERM_CAP = 1_000_000
-
-
 def enumerate_terms(
-    sig: Signature,
-    variables: Sequence[str],
-    max_depth: int,
-    cap: int = DEFAULT_TERM_CAP,
+    sig: Signature, variables: Sequence[str], max_depth: int, caps: Caps = DEFAULT_CAPS
 ) -> list[Term]:
     """All distinct terms of depth <= max_depth, deterministically ordered.
 
@@ -336,6 +332,7 @@ def enumerate_terms(
     signature order); layer d applies each symbol of arity >= 1, in
     signature order, to child tuples drawn lexicographically by index from
     the layers below, keeping tuples whose deepest child has depth d-1.
+    More than caps.cells terms raise CapExceededError.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
@@ -344,6 +341,7 @@ def enumerate_terms(
     terms: list[Term] = [Var(v) for v in variables]
     terms.extend(App(c) for c in sig.constants())
     depths = [0] * len(terms)
+    cap = caps.cells
     if len(terms) > cap:
         raise CapExceededError(f"term enumeration exceeded cap {cap}")
     for d in range(1, max_depth + 1):

@@ -37,7 +37,7 @@ from ualg import (
 )
 from ualg.birkhoff import PipelineReport, Stage, _env_string, _models_theory, enumerate_algebras
 from ualg.closure import ProductAlgebra
-from ualg.core import _decode_mixed, _encode_mixed, same_signature
+from ualg.core import Caps, _decode_mixed, _encode_mixed, same_signature
 from ualg.free import FreeAlgebra, UniversalMapFailure, universal_map
 from ualg.homs import hom_violation
 from ualg.terms import all_environments
@@ -48,11 +48,11 @@ def theory_upto_pairwise(K, variables, max_depth, term_cap=1_000_000, env_cap=1_
     class_satisfies call per pair, in (p index, q index) order."""
     if not K:
         raise ValueError("theory_upto needs a nonempty class to fix the signature")
-    terms = enumerate_terms(same_signature(*K), variables, max_depth, cap=term_cap)
+    terms = enumerate_terms(same_signature(*K), variables, max_depth, Caps(cells=term_cap))
     return [
         Equation(p, q)
         for p, q in itertools.product(terms, repeat=2)
-        if class_satisfies(K, Equation(p, q), cap=env_cap).holds
+        if class_satisfies(K, Equation(p, q), Caps(cells=env_cap)).holds
     ]
 
 
@@ -284,7 +284,7 @@ def eqcl_to_var_check_permodel(E, pool_size_bound, product_size_cap=4096, search
     stages.append(Stage("subalgebras-closed", True))
 
     for src, dst in itertools.product(models, repeat=2):
-        for m in find_homs(src, dst, cap=search_cap):
+        for m in find_homs(src, dst, caps=Caps(search=search_cap)):
             img, _ = hom_image(src, m)
             bad = check(img, f"hom image {m.image}")
             if bad is not None:
@@ -321,5 +321,5 @@ def var_to_eqcl_check_allvars(K, B, cert, theory_depth=2):
         return PipelineReport(tuple(stages))
     stages.append(Stage("universal-map", True, f"image {result.image}"))
 
-    stages.append(_models_theory(K, B, theory_depth))
+    stages.append(_models_theory(K, B, theory_depth, Caps()))
     return PipelineReport(tuple(stages))

@@ -4,6 +4,8 @@ import pytest
 
 from ualg import (
     App,
+    CapExceededError,
+    Caps,
     CarrierMap,
     Equation,
     Var,
@@ -21,6 +23,7 @@ from ualg.birkhoff import (
     HomImageWitness,
     IsoWitness,
     MalformedWitnessError,
+    SAMPLE_SIZE,
     ProductWitness,
     SubalgebraWitness,
     enumerate_algebras,
@@ -84,9 +87,15 @@ def test_enumerate_algebras_exhaustive_and_sampled():
     exhaustive = enumerate_algebras(SIG_F, 2)
     assert len(exhaustive) == 16
     assert len({a.tables for a in exhaustive}) == 16
-    sampled = enumerate_algebras(SIG_F, 3, sample_cap=50)
-    assert len(sampled) == 50
-    assert sampled == enumerate_algebras(SIG_F, 3, sample_cap=50)
+    sampled = enumerate_algebras(SIG_F, 3)
+    assert len(sampled) == SAMPLE_SIZE < 3**9
+    assert sampled == enumerate_algebras(SIG_F, 3)
+
+
+def test_eqcl_to_var_products_never_skip_past_the_cap():
+    # the 2 x 2 products exceed carrier 3: an error, not a PASS over the rest
+    with pytest.raises(CapExceededError, match="product size 4 exceeds cap 3"):
+        eqcl_to_var_check([COMM], 2, caps=Caps(carrier=3))
 
 
 def test_eqcl_to_var_easy_direction():

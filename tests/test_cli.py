@@ -232,6 +232,12 @@ POOL_DEMO_STDOUT = (
     "STAGE invariance.Z3.witness-wellformed PASS product\n"
     "STAGE invariance.Z3.base-satisfies PASS\n"
     "STAGE invariance.Z3.derived-satisfies PASS\n"
+    "STAGE invariance.Z4.witness-wellformed PASS product\n"
+    "STAGE invariance.Z4.base-satisfies PASS\n"
+    "STAGE invariance.Z4.derived-satisfies PASS\n"
+    "STAGE invariance.SL.witness-wellformed PASS product\n"
+    "STAGE invariance.SL.base-satisfies PASS\n"
+    "STAGE invariance.SL.derived-satisfies PASS\n"
     "STAGE easy-direction.enumerate-models PASS 9 models of 2 equations\n"
     "STAGE easy-direction.products-closed PASS\n"
     "STAGE easy-direction.subalgebras-closed PASS\n"
@@ -271,8 +277,24 @@ def test_birkhoff_demo_honours_caps(monkeypatch):
     monkeypatch.setenv("UALG_CAPS", "carrier=2")
     code, out, err = run("birkhoff-demo", "--vars", "2", str(DEMO_DATA / "semilattice2.alg"))
     assert code == 2
-    assert err == "error: free carrier would exceed cap 2 elements\n"
+    # the invariance stage's product A x A is the first to reach the cap
+    assert err == "error: product size 4 exceeds cap 2\n"
     assert "hard-direction" not in out
+    code, out, err = run("free", "--vars", "2", str(DEMO_DATA / "semilattice2.alg"))
+    assert (code, out, err) == (2, "", "error: free carrier would exceed cap 2 elements\n")
+
+
+@pytest.mark.parametrize(
+    "caps, message",
+    [("carrier=3", "product size 4 exceeds cap 3"), ("search=3", "search space 2^2 exceeds cap 3")],
+)
+def test_birkhoff_demo_caps_reach_every_stage(caps, message, monkeypatch):
+    # carrier bounds the invariance and easy-direction products; search the
+    # easy direction's hom searches.  No stage reports PASS past a cap.
+    monkeypatch.setenv("UALG_CAPS", caps)
+    code, out, err = run("birkhoff-demo", "--vars", "2", str(DEMO_DATA / "z2_xor.alg"))
+    assert (code, err) == (2, f"error: {message}\n")
+    assert "RESULT" not in out
 
 
 def test_usage_errors():

@@ -8,8 +8,12 @@ import itertools
 import pytest
 
 from ualg import (
+    App,
     Caps,
     CarrierMap,
+    Equation,
+    SearchLimits,
+    Var,
     algebra,
     signature,
     apply_op,
@@ -20,6 +24,7 @@ from ualg import (
     find_isomorphism,
     hom_image,
     product,
+    search_proof,
     subalgebra_generate,
 )
 from ualg.closure import EmptyCarrierError, close
@@ -247,7 +252,7 @@ def test_product_caps_trip_where_the_oracle_trips(factors):
     n = product(factors).alg.size
     cells = sum(n**arity for _, arity in factors[0].sig.ops)
     for size_cap, cells_cap in itertools.product((n - 1, n), (cells - 1, cells)):
-        got = _error(lambda: product(factors, size_cap=size_cap, cells_cap=cells_cap))
+        got = _error(lambda: product(factors, Caps(carrier=size_cap, cells=cells_cap)))
         want = _error(lambda: product_cellwise(factors, size_cap=size_cap, cells_cap=cells_cap))
         assert got == want
         assert (got is None) == (size_cap == n and cells_cap == cells)
@@ -380,7 +385,7 @@ def test_out_of_range_entries_raise(make, bad):
             product(factors)
         # the caps still trip first, at the same points
         with pytest.raises(CapExceededError, match="product size"):
-            product(factors, size_cap=alg.size**2 - 1)
+            product(factors, Caps(carrier=alg.size**2 - 1))
     with pytest.raises(OutOfRangeError):
         hom_violation(CarrierMap(corrupt, alg, tuple(range(alg.size))))
     with pytest.raises(OutOfRangeError):
@@ -418,12 +423,22 @@ def _cyclic_garbage(fn):
         gc.enable()
 
 
+X, Y = Var("x"), Var("y")
+
+
+def f(a, b):
+    return App("f", (a, b))
+
+
+COMM = Equation(f(X, Y), f(Y, X))
 GC_CASES = {
     "find_homs": lambda: find_homs(z2_xor(), z2_xor()),
     "find_homs-surjective": lambda: find_homs(z4_add(), z2_xor(), surjective=True),
     "build_free": lambda: build_free([semilattice2(SIG_F), z2_xor()], ["x", "y"]),
     "subalgebra_generate": lambda: subalgebra_generate(z2_times_z3(), [1]),
     "hom_image": lambda: hom_image(z4_add(), find_homs(z4_add(), z2_xor())[1]),
+    "search_proof-found": lambda: search_proof(SIG_F, [COMM], Equation(f(f(X, Y), X), f(X, f(Y, X)))),
+    "search_proof-refuted": lambda: search_proof(SIG_F, [COMM], Equation(f(X, Y), X), SearchLimits(max_depth=3)),
 }
 
 

@@ -19,7 +19,7 @@ from ualg import (
 )
 from ualg import closure
 from ualg.closure import CertCheckResult, EmptyCarrierError, HspCertificate
-from ualg.core import CapExceededError, SignatureMismatchError
+from ualg.core import CapExceededError, Caps, SignatureMismatchError
 from ualg.homs import NotAHomError
 from ualg.terms import all_environments
 
@@ -54,7 +54,7 @@ def test_unary_product_is_the_factor():
 
 def test_product_caps_and_mismatch():
     with pytest.raises(CapExceededError):
-        product([z4_add(), z4_add()], size_cap=10)
+        product([z4_add(), z4_add()], Caps(carrier=10))
     with pytest.raises(SignatureMismatchError):
         product([z2_xor(), semilattice2()])
 

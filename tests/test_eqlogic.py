@@ -18,7 +18,7 @@ from ualg import (
     subalgebra_generate,
     theory_upto,
 )
-from ualg.core import CapExceededError
+from ualg.core import CapExceededError, Caps
 
 from samples import SIG_F, semilattice2, z2_xor, z3_add
 
@@ -47,7 +47,7 @@ def test_satisfies_reflexive_equations():
 
 def test_satisfies_cap():
     with pytest.raises(CapExceededError):
-        satisfies(z3_add(), COMM, cap=8)
+        satisfies(z3_add(), COMM, Caps(cells=8))
 
 
 def test_class_satisfies():

@@ -17,7 +17,6 @@ from ualg.fileio import (
     parse_equation_file,
     parse_proof,
     parse_term,
-    parse_term_equation_proof,
     proof_to_text,
     term_to_text,
 )
@@ -145,14 +144,6 @@ def test_parse_proof_errors():
         parse_proof("(hyp x)")
     with pytest.raises(ParseError):
         parse_proof("(sub (hyp 0) ((x ?y) (x ?y)))")
-
-
-def test_parse_dispatcher():
-    assert parse_term_equation_proof("?x", "term") == X
-    assert parse_term_equation_proof("?x = ?x", "equation") == Equation(X, X)
-    assert parse_term_equation_proof("(refl ?x)", "proof") == Refl(X)
-    with pytest.raises(ValueError):
-        parse_term_equation_proof("?x", "formula")
 
 
 def test_term_and_equation_text_are_canonical():

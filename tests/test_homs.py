@@ -18,7 +18,7 @@ from ualg import (
     product,
 )
 from ualg import homs
-from ualg.core import SignatureMismatchError, UalgError
+from ualg.core import Caps, SignatureMismatchError, UalgError
 from ualg.homs import (
     KernelInclusionError,
     NotSurjectiveError,
@@ -231,7 +231,7 @@ def test_find_homs_deterministic_and_ordered():
 
 def test_search_cap():
     with pytest.raises(SearchCapError):
-        find_homs(z4_add(), z4_add(), cap=100)
+        find_homs(z4_add(), z4_add(), caps=Caps(search=100))
 
 
 def test_isomorphism_is_an_equivalence():

@@ -29,7 +29,7 @@ from ualg import (
     theory_upto,
     universal_map,
 )
-from ualg.core import ArityMismatchError, CapExceededError, UnknownSymbolError
+from ualg.core import ArityMismatchError, CapExceededError, Caps, UnknownSymbolError
 from ualg.eqlogic import ClassSatResult, theory_partition
 from ualg.fileio import equation_to_text, parse_algebra_file
 from ualg.terms import (
@@ -196,26 +196,27 @@ def test_theory_env_cap_is_checked_before_any_work():
     # depth 0 over three variables: no pair uses all three, so the old
     # pair-by-pair check never tripped; the cap now bounds |A|^|variables|
     with pytest.raises(CapExceededError, match=r"environment space 2\^3 exceeds cap 7"):
-        theory_upto([z2_xor()], ["x", "y", "z"], 0, env_cap=7)
+        theory_upto([z2_xor()], ["x", "y", "z"], 0, Caps(cells=7))
     # every member counts, not only those a failing pair happens to reach
     with pytest.raises(CapExceededError, match=r"environment space 4\^2"):
-        theory_upto([semilattice2(SIG_F), z4_add()], ["x", "y"], 1, env_cap=10)
+        theory_upto([semilattice2(SIG_F), z4_add()], ["x", "y"], 1, Caps(cells=10))
     # before term enumeration, whose own cap would also trip here
     with pytest.raises(CapExceededError, match="environment space"):
-        theory_upto([z2_xor()], ["x", "y"], 3, term_cap=5, env_cap=3)
-    assert theory_upto([z2_xor()], ["x", "y"], 1, env_cap=4) == theory_upto_pairwise(
-        [z2_xor()], ["x", "y"], 1
+        theory_upto([z2_xor()], ["x", "y"], 3, Caps(cells=3))
+    # inclusive: 2 terms and 2^2 environments fit a cap of 4
+    assert theory_upto([z2_xor()], ["x", "y"], 0, Caps(cells=4)) == theory_upto_pairwise(
+        [z2_xor()], ["x", "y"], 0
     )
 
 
 @pytest.mark.parametrize("depth", [1, 2])
 def test_models_theory_witness_matches_pairwise_oracle(depth):
     K, B = [semilattice2(SIG_F)], z2_xor()
-    stage = ualg.birkhoff._models_theory(K, B, depth)
+    stage = ualg.birkhoff._models_theory(K, B, depth, Caps())
     assert not stage.passed
     assert stage == models_theory_pairwise(K, B, depth)
     for K, B in (([z2_xor()], z2_xor()), ([z2_xor(), semilattice2(SIG_F)], semilattice2(SIG_F))):
-        assert ualg.birkhoff._models_theory(K, B, depth) == models_theory_pairwise(K, B, depth)
+        assert ualg.birkhoff._models_theory(K, B, depth, Caps()) == models_theory_pairwise(K, B, depth)
 
 
 def test_free_maps_match_pointwise_oracles():
@@ -263,8 +264,10 @@ def test_cli_theory_matches_pairwise_oracle(path):
 def test_cli_birkhoff_demo_matches_old_path(name, monkeypatch):
     argv = ["birkhoff-demo", "--vars", "2", str(ROOT / "demos" / "data" / name)]
     new = _cli(argv)
-    monkeypatch.setattr(ualg.cli, "theory_upto", theory_upto_pairwise)
-    monkeypatch.setattr(ualg.birkhoff, "_models_theory", models_theory_pairwise)
+    monkeypatch.setattr(
+        ualg.cli, "theory_upto", lambda K, v, depth, caps: theory_upto_pairwise(K, v, depth, caps.cells, caps.cells)
+    )
+    monkeypatch.setattr(ualg.birkhoff, "_models_theory", lambda K, B, depth, caps: models_theory_pairwise(K, B, depth))
     monkeypatch.setattr(ualg.birkhoff, "universal_map", universal_map_pointwise)
     old = _cli(argv)
     assert new == old
@@ -322,8 +325,8 @@ def test_easy_direction_failure_witness_matches_the_permodel_oracle(laws, monkey
     failing equation and its counterexample are the per-model path's."""
     real = ualg.birkhoff.product
 
-    def corrupted(factors):
-        prod = real(factors)
+    def corrupted(factors, *caps):
+        prod = real(factors, *caps)
         alg = prod.alg
         if alg.size < 2:
             return prod

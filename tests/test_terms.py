@@ -14,7 +14,7 @@ from ualg import (
     free_lift,
     substitute,
 )
-from ualg.core import ArityMismatchError, CapExceededError
+from ualg.core import ArityMismatchError, CapExceededError, Caps
 from ualg.terms import (
     UnboundVariableError,
     all_environments,
@@ -105,7 +105,7 @@ def test_enumerate_terms_no_duplicates_and_downward_closed():
 
 def test_enumerate_terms_cap():
     with pytest.raises(CapExceededError):
-        enumerate_terms(SIG_F, ["x", "y"], 4, cap=100)
+        enumerate_terms(SIG_F, ["x", "y"], 4, Caps(cells=100))
 
 
 def test_substitution_lemma_exhaustive_small():
