@@ -16,7 +16,6 @@ from .core import (
     algebra,
     apply_op,
     signature,
-    validate,
 )
 from .terms import (
     App,

@@ -3,6 +3,9 @@
 An algebra is a carrier {0..n-1} together with one flat operation table per
 symbol of its signature.  Tables are row-major: the tuple (a1, .., ak) of a
 k-ary operation on a size-n carrier lives at index a1*n^(k-1) + .. + ak.
+Every FiniteAlgebra is well formed: each k-ary table holds n^k entries, all
+in 0..n-1.  The constructor enforces this, raising InvalidTablesError with
+every violation, so the rest of the package indexes tables raw.
 Everything is immutable and safe to share.
 """
 
@@ -106,10 +109,46 @@ def signature(*ops: tuple[str, int]) -> Signature:
 
 
 @dataclass(frozen=True)
+class Violation:
+    """One invariant failure, naming the offending symbol and table index."""
+
+    symbol: str
+    index: int | None
+    message: str
+
+    def __str__(self) -> str:
+        where = f" index {self.index}" if self.index is not None else ""
+        return f"op {self.symbol}{where}: {self.message}"
+
+
+class InvalidTablesError(OutOfRangeError):
+    """The tables given for an algebra are ill formed; violations lists all."""
+
+    def __init__(self, violations: list[Violation]):
+        self.violations = violations
+        super().__init__("invalid tables: " + "; ".join(map(str, violations)))
+
+
+def _violations(sig: Signature, size: int, tables: Sequence[Sequence[int]]) -> list[Violation]:
+    """Every wrong table length and out-of-range entry, in signature order."""
+    out = []
+    for (name, arity), table in zip(sig.ops, tables):
+        expected = size**arity
+        if len(table) != expected:
+            out.append(Violation(name, None, f"expected {expected} entries, got {len(table)}"))
+            continue
+        for i, entry in enumerate(table):
+            if not 0 <= entry < size:
+                out.append(Violation(name, i, f"entry {entry} ≥ size {size}"))
+    return out
+
+
+@dataclass(frozen=True)
 class FiniteAlgebra:
     """A finite algebra: carrier {0..size-1} plus one table per symbol.
 
-    tables[i] belongs to sig.ops[i] and holds size**arity row-major entries.
+    tables[i] belongs to sig.ops[i] and holds size**arity row-major entries,
+    each in 0..size-1; construction raises InvalidTablesError otherwise.
     """
 
     sig: Signature
@@ -124,10 +163,11 @@ class FiniteAlgebra:
             raise ValueError(
                 f"expected {len(self.sig.ops)} tables, got {len(self.tables)}"
             )
-        index = {
-            name: (arity, self.tables[i])
-            for i, (name, arity) in enumerate(self.sig.ops)
-        }
+        index = {}
+        for (name, arity), table in zip(self.sig.ops, self.tables):
+            if len(table) != self.size**arity or min(table) < 0 or max(table) >= self.size:
+                raise InvalidTablesError(_violations(self.sig, self.size, self.tables))
+            index[name] = (arity, table)
         object.__setattr__(self, "_ops", index)
 
 
@@ -140,42 +180,6 @@ def algebra(sig: Signature, size: int, tables: Mapping[str, Sequence[int]]) -> F
     if extra:
         raise UnknownSymbolError(f"tables for symbols not in signature: {extra}")
     return FiniteAlgebra(sig, size, tuple(tuple(tables[n]) for n, _ in sig.ops))
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One invariant failure, naming the offending symbol and table index."""
-
-    symbol: str
-    index: int | None
-    message: str
-
-    def __str__(self) -> str:
-        where = f" index {self.index}" if self.index is not None else ""
-        return f"op {self.symbol}{where}: {self.message}"
-
-
-def validate(alg: FiniteAlgebra) -> list[Violation]:
-    """Check all table invariants; empty result means the algebra is valid."""
-    out = []
-    for (name, arity), table in zip(alg.sig.ops, alg.tables):
-        expected = alg.size**arity
-        if len(table) != expected:
-            out.append(
-                Violation(name, None, f"expected {expected} entries, got {len(table)}")
-            )
-            continue
-        for i, entry in enumerate(table):
-            if not 0 <= entry < alg.size:
-                out.append(Violation(name, i, f"entry {entry} ≥ size {alg.size}"))
-    return out
-
-
-def _check_entries(alg: FiniteAlgebra, what: str) -> None:
-    """Raise OutOfRangeError unless each table entry lies in alg's carrier."""
-    for table in alg.tables:
-        if table and (min(table) < 0 or max(table) >= alg.size):
-            raise OutOfRangeError(f"{what} has a table entry outside 0..{alg.size - 1}")
 
 
 def row_major_index(size: int, args: Sequence[int]) -> int:

@@ -17,10 +17,10 @@ from .terms import (
     Environment,
     Equation,
     Term,
+    _walk,
     enumerate_terms,
     environment_columns,
     equation_vars,
-    evaluate,
     fingerprints,
     term_columns,
 )
@@ -42,9 +42,12 @@ def satisfies(alg: FiniteAlgebra, eq: Equation, caps: Caps = DEFAULT_CAPS) -> Sa
     """Decide alg |= eq by checking every environment over its variables."""
     names = equation_vars(eq)
     _check_env_space(alg, names, caps)
-    for values in itertools.product(range(alg.size), repeat=len(names)):
+    ops, n = alg._ops, alg.size
+    # every environment binds the equation's variables to carrier elements,
+    # so the tree walk needs none of evaluate's binding checks
+    for values in itertools.product(range(n), repeat=len(names)):
         rho = dict(zip(names, values))
-        if evaluate(alg, eq.lhs, rho) != evaluate(alg, eq.rhs, rho):
+        if _walk(eq.lhs, rho, ops, n) != _walk(eq.rhs, rho, ops, n):
             return SatResult(False, Environment(alg, rho))
     return SatResult(True)
 

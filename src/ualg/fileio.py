@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import FiniteAlgebra, Signature, UalgError, Violation, validate
+from .core import FiniteAlgebra, InvalidTablesError, Signature, UalgError, Violation
 from .closure import HspCertificate
 from .terms import App, Equation, Substitution, Term, Var
 from . import entail
@@ -411,10 +411,11 @@ def parse_algebra_file(
         missing = [s for s in sig.symbols if s not in tables]
         if missing:
             raise ParseError(f"algebra {name} misses tables for {missing}", span(lineno))
-        alg = FiniteAlgebra(sig, size, tuple(tables[s] for s in sig.symbols))
-        for violation in validate(alg):
-            failures.append((name, violation))
-        algebras.append((name, alg))
+        try:
+            alg = FiniteAlgebra(sig, size, tuple(tables[s] for s in sig.symbols))
+            algebras.append((name, alg))
+        except InvalidTablesError as e:
+            failures.extend((name, violation) for violation in e.violations)
     if failures:
         raise AlgebraValidationError(failures)
     return sig, algebras

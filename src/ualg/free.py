@@ -19,7 +19,6 @@ from .core import (
     FiniteAlgebra,
     Signature,
     UalgError,
-    _check_entries,
     same_signature,
 )
 from .closure import EmptyCarrierError, close
@@ -93,9 +92,7 @@ def build_free(
                 f"tuple cells would exceed cap {caps.cells}"
             )
 
-    # Raw row-major lookups in per-coordinate (table, size) pairs: range-check the tables once.
-    for ki, alg in enumerate(K):
-        _check_entries(alg, f"class member {ki}")
+    # Raw row-major lookups in per-coordinate (table, size) pairs.
     columns = {name: [(K[ki].tables[pos], K[ki].size) for ki, _ in index]
                for pos, (name, _) in enumerate(sig.ops)}
 

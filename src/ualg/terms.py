@@ -17,6 +17,7 @@ from .core import (
     CapExceededError,
     Caps,
     FiniteAlgebra,
+    OutOfRangeError,
     Signature,
     UalgError,
     UnknownSymbolError,
@@ -140,8 +141,12 @@ def _binding_map(rho: Environment | Mapping[str, int]) -> Mapping[str, int]:
 
 def evaluate(alg: FiniteAlgebra, t: Term, rho: Environment | Mapping[str, int]) -> int:
     """Interpret t in alg under the variable bindings of rho."""
+    bindings, n = _binding_map(rho), alg.size
+    for name, value in bindings.items():
+        if not 0 <= value < n:
+            raise OutOfRangeError(f"binding {name}={value} outside carrier 0..{n - 1}")
     try:
-        return _walk(t, _binding_map(rho), alg._ops, alg.size)
+        return _walk(t, bindings, alg._ops, n)
     except KeyError as e:  # only binding lookups raise it
         raise UnboundVariableError(f"unbound variable ?{e.args[0]}") from None
 
@@ -155,8 +160,8 @@ def _walk(node: Term, bindings: Mapping[str, int], ops: dict, n: int) -> int:
     if entry is None or len(node.children) != entry[0]:
         _bad_application(ops, node)
     idx = 0
-    for c in node.children:
-        idx = idx * n + _walk(c, bindings, ops, n)
+    for c in node.children:  # a variable child is read here, not by a call
+        idx = idx * n + (bindings[c.name] if type(c) is Var else _walk(c, bindings, ops, n))
     return entry[1][idx]
 
 

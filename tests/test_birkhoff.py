@@ -28,7 +28,8 @@ from ualg.birkhoff import (
     SubalgebraWitness,
     enumerate_algebras,
 )
-from ualg.closure import HspCertificate
+from ualg.closure import HspCertificate, hsp_certificate_check
+from ualg.homs import SearchCapError
 
 from oracles import var_to_eqcl_check_allvars
 from samples import SIG_F, SIG_FE, certified_square_images, semilattice2, z2_xor, z3_add
@@ -152,6 +153,24 @@ def test_var_to_eqcl_rejects_bad_certificate():
     report = var_to_eqcl_check([m], m, bad)
     assert not report.overall
     assert report.stages[0].name == "certificate" and not report.stages[0].passed
+
+
+def test_certificate_caps_raise_and_are_no_verdict():
+    # a tripped cap is a resource limit, not a FAIL stage: the product's
+    # cap raises just as the isomorphism search's does
+    z2 = z2_xor()
+    cert = trivial_certificate(0, z2)
+    with pytest.raises(CapExceededError, match="product size 2 exceeds cap 1"):
+        var_to_eqcl_check([z2], z2, cert, caps=Caps(carrier=1))
+    with pytest.raises(SearchCapError, match="search space 2\\^2 exceeds cap 1"):
+        var_to_eqcl_check([z2], z2, cert, caps=Caps(search=1))
+
+
+def test_certificate_signature_mismatch_fails_product():
+    z2 = z2_xor()
+    result = hsp_certificate_check([z2], semilattice2(), trivial_certificate(0, z2))
+    assert (result.ok, result.stage) == (False, "product")
+    assert "signatures differ" in result.detail
 
 
 def test_pipeline_report_lines_format():

@@ -3,15 +3,17 @@ import random
 
 import pytest
 
-from ualg import Signature, FiniteAlgebra, algebra, apply_op, signature, validate
+from ualg import Signature, FiniteAlgebra, algebra, apply_op, signature
 from ualg.core import (
     ArityMismatchError,
     Caps,
+    InvalidTablesError,
     OutOfRangeError,
     UalgError,
     UnknownSymbolError,
     _decode_mixed,
     _encode_mixed,
+    _violations,
     row_major_index,
 )
 
@@ -19,12 +21,15 @@ from samples import SIG_F, SIG_M, semilattice2, z2_xor
 
 
 def test_validate_accepts_z2_xor():
-    assert validate(z2_xor()) == []
+    alg = z2_xor()
+    assert _violations(alg.sig, alg.size, alg.tables) == []
+    assert FiniteAlgebra(alg.sig, alg.size, alg.tables) == alg
 
 
 def test_validate_flags_out_of_range_entry():
-    bad = FiniteAlgebra(SIG_F, 2, ((0, 1, 2, 0),))
-    violations = validate(bad)
+    with pytest.raises(OutOfRangeError) as info:
+        FiniteAlgebra(SIG_F, 2, ((0, 1, 2, 0),))
+    violations = info.value.violations
     assert len(violations) == 1
     v = violations[0]
     assert (v.symbol, v.index) == ("f", 2)
@@ -32,11 +37,39 @@ def test_validate_flags_out_of_range_entry():
 
 
 def test_validate_flags_wrong_table_length():
-    bad = FiniteAlgebra(SIG_F, 2, ((0, 1, 1),))
-    violations = validate(bad)
+    with pytest.raises(OutOfRangeError) as info:
+        FiniteAlgebra(SIG_F, 2, ((0, 1, 1),))
+    violations = info.value.violations
     assert len(violations) == 1
     assert violations[0].symbol == "f"
     assert "expected 4 entries" in violations[0].message
+
+
+def test_construction_raises_exactly_on_violations():
+    # differential: the constructor's fast min/max/length test against the
+    # entry-by-entry violation list, over tables with entries in -1..size
+    # and lengths off by one
+    rng = random.Random(11)
+    sig = signature(("c", 0), ("u", 1), ("b", 2))
+    raised = 0
+    for _ in range(2000):
+        size = rng.randrange(1, 4)
+        tables = []
+        for _, arity in sig.ops:
+            length = size**arity + rng.choice([0] * 8 + [-1, 1])
+            tables.append(tuple(
+                rng.randrange(size) if rng.random() < 0.9 else rng.choice([-1, size])
+                for _ in range(length)
+            ))
+        expected = _violations(sig, size, tables)
+        try:
+            FiniteAlgebra(sig, size, tuple(tables))
+        except InvalidTablesError as e:
+            raised += 1
+            assert e.violations == expected
+        else:
+            assert expected == []
+    assert 0 < raised < 2000
 
 
 def test_apply_op_examples():

@@ -14,7 +14,7 @@ from ualg import (
     free_lift,
     substitute,
 )
-from ualg.core import ArityMismatchError, CapExceededError, Caps
+from ualg.core import ArityMismatchError, CapExceededError, Caps, OutOfRangeError
 from ualg.terms import (
     UnboundVariableError,
     all_environments,
@@ -70,6 +70,17 @@ def test_evaluate_accepts_environment_objects():
 def test_environment_rejects_out_of_range():
     with pytest.raises(ValueError):
         Environment(z2_xor(), {"x": 2})
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_evaluate_and_free_lift_refuse_out_of_range_bindings(bad):
+    # on Z2 a binding of -1 would wrap round to the last row and one of 2
+    # would index past the table: both paths refuse either, as Environment does
+    for rho in ({"x": bad, "y": 0}, {"x": 0, "y": bad}):
+        with pytest.raises(OutOfRangeError):
+            evaluate(z2_xor(), f(X, Y), rho)
+        with pytest.raises(OutOfRangeError):
+            free_lift(z2_xor(), rho, f(X, Y))
 
 
 def test_free_lift_examples():
