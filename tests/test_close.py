@@ -18,7 +18,10 @@ from ualg import (
     signature,
     apply_op,
     build_free,
+    check_leq,
+    classify,
     find_homs,
+    find_isomorphism,
     hom_image,
     product,
     search_proof,
@@ -386,6 +389,42 @@ def test_out_of_range_entries_raise(make, bad):
     # the caps trip first, at the same point
     with pytest.raises(CapExceededError, match="product size"):
         product([alg, alg], Caps(carrier=alg.size**2 - 1))
+
+
+def _hom_searches(src, dst):
+    identity = CarrierMap(src, dst, tuple(range(src.size)))
+    return (
+        find_homs(src, dst),
+        find_homs(src, dst, injective=True, fixed={0: 0}),
+        classify(identity),
+        hom_violation(identity),
+        find_isomorphism(src, dst),
+        check_leq(src, dst),
+    )
+
+
+# The hom search reads both tables raw: the source's entries index the
+# image, the target's are compared with its values.  A corrupt table on
+# either side stops the search where that side is built.
+@pytest.mark.parametrize("make", CORRUPT_CASES.values(), ids=CORRUPT_CASES.keys())
+@pytest.mark.parametrize("bad", ["size", "negative"])
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_hom_search_range_checks_both_tables(make, bad, side):
+    alg = make()
+    first, *rest = alg.tables
+    good = dict(zip(alg.sig.symbols, alg.tables))
+    corrupt = dict(zip(alg.sig.symbols, [_corrupt_table(first, bad, alg.size), *rest]))
+    src_tables, dst_tables = (corrupt, good) if side == "source" else (good, corrupt)
+    with pytest.raises(OutOfRangeError) as info:
+        _hom_searches(algebra(alg.sig, alg.size, src_tables), algebra(alg.sig, alg.size, dst_tables))
+    (violation,) = info.value.violations
+    assert (violation.symbol, violation.index) == (alg.sig.symbols[0], 0)
+    # the well-formed pair reaches every search, and the identity passes it
+    homs, pinned, identity, witness, iso, leq = _hom_searches(alg, alg)
+    assert tuple(range(alg.size)) in {h.image for h in homs}
+    assert tuple(range(alg.size)) in {h.image for h in pinned}
+    assert identity.is_hom and witness is None
+    assert iso is not None and leq is not None
 
 
 def _cyclic_garbage(fn):
