@@ -45,10 +45,10 @@ class Caps:
     """The resource limits: every capped function takes one Caps.
 
     carrier bounds product and free-algebra carrier sizes; cells bounds
-    table cells, environment spaces and term counts; search bounds
-    homomorphism-search spaces.  Every CLI command reads its caps from
-    UALG_CAPS and passes them to every stage, both Birkhoff pipelines
-    included.
+    table cells, environment spaces and term counts; search bounds a hom
+    search's space, |target| ** (number of source generators it branches
+    on).  Every CLI command reads its caps from UALG_CAPS and passes them
+    to every stage, both Birkhoff pipelines included.
     """
 
     carrier: int = 4096
@@ -182,15 +182,8 @@ def algebra(sig: Signature, size: int, tables: Mapping[str, Sequence[int]]) -> F
     return FiniteAlgebra(sig, size, tuple(tuple(tables[n]) for n, _ in sig.ops))
 
 
-def row_major_index(size: int, args: Sequence[int]) -> int:
-    idx = 0
-    for a in args:
-        idx = idx * size + a
-    return idx
-
-
 def _encode_mixed(sizes: Sequence[int], tup: Sequence[int]) -> int:
-    """Mixed-radix row_major_index: coordinate 0 is most significant."""
+    """Mixed-radix row-major index: coordinate 0 is most significant."""
     idx = 0
     for value, size in zip(tup, sizes):
         idx = idx * size + value

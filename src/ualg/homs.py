@@ -2,8 +2,9 @@
 
 A carrier map is just the image list of a function between carriers; the
 classifier decides whether it commutes with every basic operation and
-whether it is injective/surjective.  find_homs enumerates all maps passing
-the classifier by backtracking with compatibility pruning.
+whether it is injective/surjective.  find_homs enumerates the homs by
+backtracking over the images of a generating set only: propagation along
+the operation tables forces every other value or finds a conflict.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .core import (
     Caps,
     FiniteAlgebra,
     UalgError,
-    row_major_index,
     same_signature,
 )
 
@@ -154,63 +154,84 @@ def iter_homs(
     caps: Caps = DEFAULT_CAPS,
 ) -> Iterator[CarrierMap]:
     """Yield every hom src -> dst meeting the constraints, in lexicographic
-    image order.  fixed pins chosen source elements to target values."""
+    image order.  fixed pins chosen source elements to target values.
+
+    Homs agreeing on a generating set agree everywhere, so the search only
+    branches on each least element outside the subalgebra generated by the
+    constants, the fixed elements and the earlier branch points.  caps.search
+    bounds dst.size ** (number of branch points), the maps it can try.
+    """
     same_signature(src, dst)
     fixed = dict(fixed or {})
     for a, b in fixed.items():
         if not 0 <= a < src.size or not 0 <= b < dst.size:
             raise ValueError(f"fixed assignment {a}->{b} out of range")
-    free = src.size - len(fixed)
-    if dst.size**free > caps.search:
-        raise SearchCapError(f"search space {dst.size}^{free} exceeds cap {caps.search}")
-    ops = list(zip(src.sig.ops, src.tables, dst.tables))
-    return _extend(src, dst, ops, [-1] * src.size, 0, fixed, surjective, injective)
+    seeds = [(s[0], d[0]) for (_, k), s, d in zip(src.sig.ops, src.tables, dst.tables) if not k]
+    seeds += fixed.items()
+    # The branch points do not depend on the values tried, so the identity,
+    # which never conflicts, finds them: each element undecided when reached.
+    probe = _Search(src, src)
+    probe.assign([(a, a) for a, _ in seeds])
+    points = [a for a in range(src.size) if probe.image[a] < 0 and probe.assign([(a, a)])]
+    if dst.size ** len(points) > caps.search:
+        raise SearchCapError(f"search space {dst.size}^{len(points)} exceeds cap {caps.search}")
+    search = _Search(src, dst, surjective, injective)
+    return search.homs() if search.assign(seeds) else iter(())
 
 
-def _extend(src, dst, ops, image, a, fixed, surjective, injective) -> Iterator[CarrierMap]:
-    """Homs agreeing with image[:a], in lexicographic image order; every
-    complete image is re-checked by classify."""
-    n, m = src.size, dst.size
-    if a == n:
-        cm = CarrierMap(src, dst, tuple(image))
-        cls = classify(cm)
-        wanted = surjective in (None, cls.surjective) and injective in (None, cls.injective)
-        if cls.is_hom and wanted:
-            yield cm
-        return
-    if a in fixed:
-        candidates = [fixed[a]]
-    elif injective:
-        candidates = [b for b in range(m) if b not in image]
-    else:
-        candidates = range(m)
-    for b in candidates:
-        image[a] = b
-        if _compatible(ops, n, m, image, a):
-            if not (surjective and m - len(set(image) - {-1}) > n - a - 1):
-                yield from _extend(src, dst, ops, image, a + 1, fixed, surjective, injective)
-        image[a] = -1
+class _Search:
+    """A partial image src -> dst, -1 marking the undecided elements."""
 
+    def __init__(self, src, dst, surjective: bool | None = None, injective: bool | None = None):
+        self.src, self.dst, self.surjective, self.injective = src, dst, surjective, injective
+        self.ops = [(k, s, d) for (_, k), s, d in zip(src.sig.ops, src.tables, dst.tables) if k]
+        self.image = [-1] * src.size
 
-def _compatible(ops, n: int, m: int, image: list[int], v: int) -> bool:
-    # check every op tuple that involves v and is otherwise decided
-    for (name, arity), src_table, dst_table in ops:
-        if arity == 0:
-            res = src_table[0]
-            if image[res] >= 0 and dst_table[0] != image[res]:
-                return False
-            continue
-        for args in itertools.product(
-            [a for a in range(n) if image[a] >= 0], repeat=arity
-        ):
-            res = src_table[row_major_index(n, args)]
-            if image[res] < 0:
+    def assign(self, todo: list[tuple[int, int]]) -> bool:
+        """Send a to b for each (a, b) in todo, checking each newly decided x
+        against the operation tuples over decided elements that contain x and
+        forcing undecided results.  False on a conflict: an element sent to
+        two values, or under injective two elements sent to one."""
+        image, n, m = self.image, self.src.size, self.dst.size
+        decided = [a for a in range(n) if image[a] >= 0]
+        while todo:
+            x, b = todo.pop()
+            if image[x] == b:
                 continue
-            if v in args or res == v:
-                mapped = row_major_index(m, [image[a] for a in args])
-                if dst_table[mapped] != image[res]:
-                    return False
-    return True
+            if image[x] >= 0 or (self.injective and b in image):
+                return False
+            image[x] = b
+            decided.append(x)
+            for arity, src_table, dst_table in self.ops:
+                for head in itertools.product(decided, repeat=arity - 1):
+                    s = d = 0
+                    for a in head:
+                        s, d = (s + a) * n, (d + image[a]) * m
+                    for y in decided if x in head else (x,):
+                        res, val = src_table[s + y], dst_table[d + image[y]]
+                        if image[res] != val:
+                            if image[res] >= 0:
+                                return False
+                            todo.append((res, val))
+        return True
+
+    def homs(self) -> Iterator[CarrierMap]:
+        """The homs extending the image, each re-checked by classify: branch on
+        the least undecided element, target values ascending."""
+        image = self.image
+        if self.surjective and self.dst.size - len(set(image) - {-1}) > image.count(-1):
+            return  # more values unused than elements undecided
+        if -1 not in image:
+            cls = classify(m := CarrierMap(self.src, self.dst, tuple(image)))
+            sur, inj = self.surjective, self.injective
+            if cls.is_hom and sur in (None, cls.surjective) and inj in (None, cls.injective):
+                yield m
+            return
+        a, saved = image.index(-1), image[:]
+        for b in range(self.dst.size):
+            if self.assign([(a, b)]):
+                yield from self.homs()
+            image[:] = saved
 
 
 def find_homs(

@@ -267,6 +267,9 @@ def free_lift(
     so the agreement is a meaningful test rather than shared code.
     """
     h = _binding_map(h)
+    for name, value in h.items():
+        if not 0 <= value < alg.size:
+            raise OutOfRangeError(f"binding {name}={value} outside carrier 0..{alg.size - 1}")
     out: dict[int, int] = {}
     stack: list[tuple[Term, bool]] = [(t, False)]
     while stack:

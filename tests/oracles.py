@@ -6,7 +6,8 @@ decided by its own class_satisfies call, every coordinate of an
 evaluation tuple by its own evaluate call, every closure with its own
 naive pass loop followed by a separate pass that tabulates the operations,
 every product cell by one checked apply_op call per factor, every hom
-check cell by two checked apply_op calls, every
+check cell by two checked apply_op calls, the hom search branching on every
+source element in place of the generators, every
 algebra the easy direction derives by its own mod_check call, and the hard
 direction's free algebra built on one variable per element of B.
 """
@@ -27,6 +28,7 @@ from ualg import (
     enumerate_terms,
     evaluate,
     build_free,
+    classify,
     find_homs,
     hom_image,
     hsp_certificate_check,
@@ -106,6 +108,58 @@ def hom_violation_apply_op(m):
             if m.image[apply_op(m.src, name, args)] != apply_op(m.dst, name, mapped):
                 return (name, args)
     return None
+
+
+def iter_homs_elementwise(src, dst, surjective=None, injective=None, fixed=None):
+    """The hom search that branches on every source element in index order,
+    checking at each node every operation tuple over the decided elements
+    that involves the element just assigned; every complete image is
+    re-checked by classify.  Homs in lexicographic image order."""
+    same_signature(src, dst)
+    ops = list(zip(src.sig.ops, src.tables, dst.tables))
+    return _extend(src, dst, ops, [-1] * src.size, 0, dict(fixed or {}), surjective, injective)
+
+
+def _extend(src, dst, ops, image, a, fixed, surjective, injective):
+    n, m = src.size, dst.size
+    if a == n:
+        cm = CarrierMap(src, dst, tuple(image))
+        cls = classify(cm)
+        wanted = surjective in (None, cls.surjective) and injective in (None, cls.injective)
+        if cls.is_hom and wanted:
+            yield cm
+        return
+    if a in fixed:
+        candidates = [fixed[a]]
+    elif injective:
+        candidates = [b for b in range(m) if b not in image]
+    else:
+        candidates = range(m)
+    for b in candidates:
+        image[a] = b
+        if _compatible(ops, n, m, image, a):
+            if not (surjective and m - len(set(image) - {-1}) > n - a - 1):
+                yield from _extend(src, dst, ops, image, a + 1, fixed, surjective, injective)
+        image[a] = -1
+
+
+def _compatible(ops, n, m, image, v):
+    for (name, arity), src_table, dst_table in ops:
+        if arity == 0:
+            res = src_table[0]
+            if image[res] >= 0 and dst_table[0] != image[res]:
+                return False
+            continue
+        decided = [a for a in range(n) if image[a] >= 0]
+        for args in itertools.product(decided, repeat=arity):
+            res = src_table[_encode_mixed((n,) * arity, args)]
+            if image[res] < 0:
+                continue
+            if v in args or res == v:
+                mapped = _encode_mixed((m,) * arity, [image[a] for a in args])
+                if dst_table[mapped] != image[res]:
+                    return False
+    return True
 
 
 def product_cellwise(factors, size_cap=4096, cells_cap=1_000_000):

@@ -42,6 +42,48 @@ def z4_add() -> FiniteAlgebra:
     return algebra(SIG_F, 4, {"f": table})
 
 
+def mul3_with_unit():
+    return algebra(
+        SIG_FE, 3, {"f": [(a * b) % 3 for a in range(3) for b in range(3)], "e": [1]}
+    )
+
+
+# Signatures beyond one binary symbol.
+SIG_G = signature(("g", 1))
+SIG_T = signature(("t", 3))
+SIG_CONST = signature(("c", 0), ("d", 0))
+SIG_MIXED = signature(("g", 1), ("e", 0), ("t", 3))
+
+
+def z5_successor():
+    return algebra(SIG_G, 5, {"g": [(a + 1) % 5 for a in range(5)]})
+
+
+def z3_malcev():
+    return algebra(SIG_T, 3, {"t": [(x - y + z) % 3 for x, y, z in itertools.product(range(3), repeat=3)]})
+
+
+def chain3_median():
+    return algebra(SIG_T, 3, {"t": [sorted(args)[1] for args in itertools.product(range(3), repeat=3)]})
+
+
+def constants_only():
+    return algebra(SIG_CONST, 3, {"c": [2], "d": [0]})
+
+
+def mixed_arities():
+    """The 4-chain with its order-reversing involution, bottom and median."""
+    return algebra(SIG_MIXED, 4, {
+        "g": [3 - a for a in range(4)],
+        "e": [0],
+        "t": [sorted(args)[1] for args in itertools.product(range(4), repeat=3)],
+    })
+
+
+def semilattice2_with_top() -> FiniteAlgebra:
+    return algebra(SIG_FE, 2, {"f": [0, 0, 0, 1], "e": [1]})
+
+
 def mod2_map_image() -> tuple[int, ...]:
     return (0, 1, 0, 1)
 

@@ -15,7 +15,6 @@ from ualg import (
     SearchLimits,
     Var,
     algebra,
-    signature,
     apply_op,
     build_free,
     check_leq,
@@ -39,7 +38,23 @@ from oracles import (
     product_cellwise,
     subalgebra_generate_passes,
 )
-from samples import SIG_F, SIG_FE, semilattice2, z2_xor, z3_add, z4_add
+from samples import (
+    SIG_CONST,
+    SIG_F,
+    SIG_FE,
+    SIG_G,
+    chain3_median,
+    constants_only,
+    mixed_arities,
+    mul3_with_unit,
+    semilattice2,
+    semilattice2_with_top,
+    z2_xor,
+    z3_add,
+    z3_malcev,
+    z4_add,
+    z5_successor,
+)
 
 SAMPLES = [z2_xor(), semilattice2(SIG_F), z3_add(), z4_add()]
 
@@ -48,46 +63,9 @@ def left_zero(size):
     return algebra(SIG_F, size, {"f": [a for a in range(size) for _ in range(size)]})
 
 
-def mul3_with_unit():
-    return algebra(
-        SIG_FE, 3, {"f": [(a * b) % 3 for a in range(3) for b in range(3)], "e": [1]}
-    )
-
-
 # Signatures beyond one binary symbol: close keeps a unary symbol's table as
 # one row, a ternary one's as rows under two-label heads, and applies a
 # constant in the first pass only.
-SIG_G = signature(("g", 1))
-SIG_T = signature(("t", 3))
-SIG_CONST = signature(("c", 0), ("d", 0))
-SIG_MIXED = signature(("g", 1), ("e", 0), ("t", 3))
-
-
-def z5_successor():
-    return algebra(SIG_G, 5, {"g": [(a + 1) % 5 for a in range(5)]})
-
-
-def z3_malcev():
-    return algebra(SIG_T, 3, {"t": [(x - y + z) % 3 for x, y, z in itertools.product(range(3), repeat=3)]})
-
-
-def chain3_median():
-    return algebra(SIG_T, 3, {"t": [sorted(args)[1] for args in itertools.product(range(3), repeat=3)]})
-
-
-def constants_only():
-    return algebra(SIG_CONST, 3, {"c": [2], "d": [0]})
-
-
-def mixed_arities():
-    """The 4-chain with its order-reversing involution, bottom and median."""
-    return algebra(SIG_MIXED, 4, {
-        "g": [3 - a for a in range(4)],
-        "e": [0],
-        "t": [sorted(args)[1] for args in itertools.product(range(4), repeat=3)],
-    })
-
-
 ARITY_ALGEBRAS = {
     "unary": z5_successor,
     "ternary-malcev": z3_malcev,
@@ -229,10 +207,6 @@ def test_close_admit_sees_every_count_and_can_stop():
 
     with pytest.raises(CapExceededError, match="stop"):
         close(alg.sig, [1], lambda name, args: apply_op(alg, name, args), stop)
-
-
-def semilattice2_with_top():
-    return algebra(SIG_FE, 2, {"f": [0, 0, 0, 1], "e": [1]})
 
 
 PRODUCT_POOLS = [SAMPLES, [mul3_with_unit(), semilattice2_with_top()]]

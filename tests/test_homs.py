@@ -18,7 +18,7 @@ from ualg import (
     product,
 )
 from ualg import homs
-from ualg.core import Caps, SignatureMismatchError, UalgError
+from ualg.core import Caps, SignatureMismatchError, UalgError, _encode_mixed
 from ualg.homs import (
     KernelInclusionError,
     NotSurjectiveError,
@@ -26,7 +26,25 @@ from ualg.homs import (
     iter_homs,
 )
 
-from samples import SIG_F, semilattice2, z2_xor, z3_add, z4_add
+from oracles import iter_homs_elementwise
+from samples import (
+    SIG_CONST,
+    SIG_F,
+    SIG_G,
+    SIG_MIXED,
+    SIG_T,
+    chain3_median,
+    constants_only,
+    mixed_arities,
+    mul3_with_unit,
+    semilattice2,
+    semilattice2_with_top,
+    z2_xor,
+    z3_add,
+    z3_malcev,
+    z4_add,
+    z5_successor,
+)
 
 
 def brute_force_homs(src, dst, surjective=None, injective=None, fixed=None):
@@ -230,8 +248,110 @@ def test_find_homs_deterministic_and_ordered():
 
 
 def test_search_cap():
-    with pytest.raises(SearchCapError):
-        find_homs(z4_add(), z4_add(), caps=Caps(search=100))
+    # Z4 is generated by 1 over the subalgebra {0}: branch points 0 and 1
+    with pytest.raises(SearchCapError, match=r"^search space 4\^2 exceeds cap 15$"):
+        find_homs(z4_add(), z4_add(), caps=Caps(search=15))
+    assert len(find_homs(z4_add(), z4_add(), caps=Caps(search=16))) == 4
+
+
+def test_search_cap_counts_branch_points_past_fixed_elements_and_constants():
+    # {1} generates Z4, so pinning 1 leaves nothing to branch on; {0} is a
+    # subalgebra, so pinning 0 leaves one branch point
+    assert [m.image for m in find_homs(z4_add(), z4_add(), fixed={1: 3}, caps=Caps(search=1))] == [
+        (0, 3, 2, 1)
+    ]
+    with pytest.raises(SearchCapError, match=r"^search space 4\^1 exceeds cap 3$"):
+        find_homs(z4_add(), z4_add(), fixed={0: 0}, caps=Caps(search=3))
+    # the unit 1 of mul3 is a constant; 0 and then 2 are branch points
+    with pytest.raises(SearchCapError, match=r"^search space 3\^2 exceeds cap 8$"):
+        find_homs(mul3_with_unit(), mul3_with_unit(), caps=Caps(search=8))
+    # constants_only names 2 and 0, so 1 is its one branch point
+    with pytest.raises(SearchCapError, match=r"^search space 3\^1 exceeds cap 2$"):
+        find_homs(constants_only(), constants_only(), caps=Caps(search=2))
+
+
+def relabel(alg, perm):
+    """alg with each element a renamed perm[a]."""
+    tables = {}
+    for (name, arity), table in zip(alg.sig.ops, alg.tables):
+        renamed = [0] * len(table)
+        for at, args in enumerate(itertools.product(range(alg.size), repeat=arity)):
+            renamed[_encode_mixed((alg.size,) * arity, [perm[a] for a in args])] = perm[table[at]]
+        tables[name] = renamed
+    return algebra(alg.sig, alg.size, tables)
+
+
+def relabelled_product(factors, seed=0):
+    alg = product(factors).alg
+    perm = list(range(alg.size))
+    random.Random(seed).shuffle(perm)
+    return relabel(alg, perm)
+
+
+MAJORITY_TABLE = [sorted(args)[1] for args in itertools.product(range(2), repeat=3)]
+SWAP = algebra(SIG_G, 2, {"g": [1, 0]})
+MAJORITY = algebra(SIG_T, 2, {"t": MAJORITY_TABLE})
+MIXED2 = algebra(SIG_MIXED, 2, {"g": [1, 0], "e": [0], "t": MAJORITY_TABLE})
+DIFFERENTIAL_POOLS = {
+    "binary": [
+        z2_xor(), semilattice2(SIG_F), z3_add(), z4_add(),
+        relabelled_product([z2_xor(), z2_xor()]),
+        relabelled_product([z2_xor(), z3_add()]),
+        relabelled_product([semilattice2(SIG_F), semilattice2(SIG_F)]),
+    ],
+    "unary": [
+        z5_successor(), SWAP, algebra(SIG_G, 3, {"g": [1, 2, 2]}),
+        relabelled_product([SWAP, algebra(SIG_G, 3, {"g": [1, 2, 0]})]),
+    ],
+    "ternary": [z3_malcev(), chain3_median(), MAJORITY, relabelled_product([MAJORITY, MAJORITY])],
+    "constant": [
+        mul3_with_unit(), semilattice2_with_top(),
+        relabelled_product([semilattice2_with_top(), semilattice2_with_top()]),
+        relabelled_product([mul3_with_unit(), semilattice2_with_top()]),
+    ],
+    "constants-only": [
+        constants_only(), algebra(SIG_CONST, 2, {"c": [1], "d": [1]}),
+        algebra(SIG_CONST, 2, {"c": [0], "d": [1]}),
+    ],
+    "mixed": [mixed_arities(), MIXED2, relabelled_product([MIXED2, MIXED2])],
+}
+
+
+@pytest.mark.parametrize("pool", DIFFERENTIAL_POOLS.values(), ids=DIFFERENTIAL_POOLS.keys())
+def test_iter_homs_matches_the_elementwise_oracle(pool):
+    # same images in the same order, for every flag combination and for
+    # maps pinning one or two elements
+    found = 0
+    for src, dst in itertools.product(pool, repeat=2):
+        for surjective, injective in itertools.product((None, True, False), repeat=2):
+            got = [m.image for m in iter_homs(src, dst, surjective, injective)]
+            assert got == [m.image for m in iter_homs_elementwise(src, dst, surjective, injective)]
+            found += len(got)
+        pins = [{a: b} for a in range(src.size) for b in range(dst.size)]
+        pins += [{0: b, src.size - 1: dst.size - 1 - b} for b in range(dst.size)]
+        for fixed in pins:
+            for flags in ((None, None), (True, True)):
+                got = [m.image for m in iter_homs(src, dst, *flags, fixed=fixed)]
+                assert got == [m.image for m in iter_homs_elementwise(src, dst, *flags, fixed=fixed)]
+    assert found > 0
+
+
+def test_z3_squared_endomorphisms_need_one_leaf_each(monkeypatch):
+    # Z3^2 is generated by two elements: 9^2 candidate maps, not 9^9
+    calls = []
+    real = homs.classify
+    monkeypatch.setattr(homs, "classify", lambda m: calls.append(m) or real(m))
+    z3_squared = product([z3_add(), z3_add()]).alg
+    assert len(find_homs(z3_squared, z3_squared)) == 81
+    assert len(calls) == 81
+
+
+def test_relabelled_z2_cube_isomorphism_under_default_caps():
+    cube = product([z2_xor()] * 3).alg
+    twisted = relabelled_product([z2_xor()] * 3, seed=5)
+    f, g = find_isomorphism(cube, twisted)
+    assert classify(f).is_hom and classify(f).injective and classify(g).is_hom
+    assert compose(f, g).image == identity_map(cube).image
 
 
 def test_isomorphism_is_an_equivalence():

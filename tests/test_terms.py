@@ -81,6 +81,11 @@ def test_evaluate_and_free_lift_refuse_out_of_range_bindings(bad):
             evaluate(z2_xor(), f(X, Y), rho)
         with pytest.raises(OutOfRangeError):
             free_lift(z2_xor(), rho, f(X, Y))
+        # a bare variable is read, not applied: both paths still refuse it
+        with pytest.raises(OutOfRangeError):
+            evaluate(z2_xor(), X, rho)
+        with pytest.raises(OutOfRangeError):
+            free_lift(z2_xor(), rho, X)
 
 
 def test_free_lift_examples():
