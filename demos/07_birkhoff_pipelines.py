@@ -29,8 +29,8 @@ print("invariance under squaring:")
 for line in report.lines():
     print("  ", line)
 
-# Easy direction: enumerate every algebra of size <= 2 over the signature,
-# keep the models of {idem, comm}, and replay all three closures.
+# Easy direction: find every model of {idem, comm} of size <= 2, one per
+# isomorphism class, and replay all three closures over those.
 report = eqcl_to_var_check([idem, comm], pool_size_bound=2)
 print("easy direction (equational class is a variety):")
 for line in report.lines():

@@ -55,6 +55,7 @@ from .closure import (
 from .eqlogic import (
     SatResult,
     class_satisfies,
+    find_models,
     mod_check,
     satisfies,
     theory_upto,

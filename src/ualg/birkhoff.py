@@ -8,12 +8,10 @@ pass, so a failure is a bug in the artifact, never in the theorem.
 from __future__ import annotations
 
 import itertools
-import math
-import random
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .core import DEFAULT_CAPS, Caps, FiniteAlgebra, Signature, UalgError
+from .core import DEFAULT_CAPS, Caps, FiniteAlgebra, UalgError
 from .closure import (
     CertCheckResult,
     HspCertificate,
@@ -22,7 +20,7 @@ from .closure import (
     product,
     subalgebra_generate,
 )
-from .eqlogic import _check_env_space, mod_check, satisfies, theory_partition
+from .eqlogic import _check_env_space, find_models, mod_check, satisfies, theory_partition
 from .free import UniversalMapFailure, build_free, universal_map
 from .homs import CarrierMap, classify, find_homs, hom_violation
 from .terms import Equation, environment_columns, equation_vars, infer_signature, term_columns
@@ -152,38 +150,6 @@ def _env_string(assoc: dict[str, int]) -> str:
     return " ".join(f"{k}={v}" for k, v in assoc.items())
 
 
-SAMPLE_SIZE = 4096
-SAMPLE_SEED = 0
-
-
-def enumerate_algebras(sig: Signature, size: int) -> list[FiniteAlgebra]:
-    """All algebras of the given size, or SAMPLE_SIZE of them drawn by
-    random.Random(SAMPLE_SEED) when the table space is larger."""
-    if _table_space(sig, size) <= SAMPLE_SIZE:
-        spaces = [
-            itertools.product(range(size), repeat=size**arity)
-            for _, arity in sig.ops
-        ]
-        return [
-            FiniteAlgebra(sig, size, tuple(tuple(t) for t in tables))
-            for tables in itertools.product(*spaces)
-        ]
-    rng = random.Random(SAMPLE_SEED)
-    out = []
-    for _ in range(SAMPLE_SIZE):
-        tables = tuple(
-            tuple(rng.randrange(size) for _ in range(size**arity))
-            for _, arity in sig.ops
-        )
-        out.append(FiniteAlgebra(sig, size, tables))
-    return out
-
-
-def _table_space(sig: Signature, size: int) -> int:
-    """Number of algebras of the signature on a carrier of the given size."""
-    return math.prod(size ** (size**arity) for _, arity in sig.ops)
-
-
 def eqcl_to_var_check(
     E: Sequence[Equation],
     pool_size_bound: int,
@@ -191,25 +157,27 @@ def eqcl_to_var_check(
 ) -> PipelineReport:
     """The easy direction: the model class of E is closed under H, S, P.
 
-    Enumerates (or samples, saying so) the algebras up to the size bound,
-    keeps the models of E, and replays products, generated subalgebras, and
-    hom images, requiring each derived algebra to model E.  A product or hom
-    search past caps raises CapExceededError; no pair is skipped.
+    find_models gives every model of E up to the size bound, one
+    representative per isomorphism class; the witness counts all models.
+    The stages replay products of unordered pairs of representatives,
+    generated subalgebras of each, and hom images between ordered pairs,
+    requiring each derived algebra to model E.  This covers every model:
+    satisfaction is preserved by isomorphism, A x B is isomorphic to B x A
+    and to A' x B' for A' ~ A and B' ~ B, and the subalgebras and hom
+    images of isomorphic algebras correspond.  A model search, product or
+    hom search past caps raises CapExceededError; no pair is skipped.
     """
     sig = infer_signature(E)
-    pool: list[FiniteAlgebra] = []
-    sampled = []
+    models: list[FiniteAlgebra] = []
+    count = 0
     for size in range(1, pool_size_bound + 1):
-        algs = enumerate_algebras(sig, size)
-        if len(algs) < _table_space(sig, size):
-            sampled.append(f"size {size}: sampled {len(algs)} of {_table_space(sig, size)}")
-        pool.extend(algs)
-    models = [alg for alg in pool if mod_check(alg, E, caps).holds]
-    note = f" ({'; '.join(sampled)})" if sampled else ""
-    stages = [Stage("enumerate-models", True, f"{len(models)} models of {len(E)} equations{note}")]
+        reps, n = find_models(sig, E, size, caps)
+        models.extend(reps)
+        count += n
+    stages = [Stage("enumerate-models", True, f"{count} models of {len(E)} equations")]
     envs: dict = {}  # (equation index, size) -> environment columns
 
-    for a, b in itertools.product(models, repeat=2):
+    for a, b in itertools.combinations_with_replacement(models, 2):
         bad = _closure_failure(product([a, b], caps).alg, E, "product", envs, caps)
         if bad is not None:
             return PipelineReport((*stages, bad))
@@ -238,14 +206,16 @@ def _closure_failure(
     derived: FiniteAlgebra, E: Sequence[Equation], how: str, envs: dict, caps: Caps
 ) -> Stage | None:
     """None when derived models E: each equation's sides have equal value
-    columns over the environment columns cached in envs.  A failure replays
-    mod_check for the first failing equation and its witness."""
+    columns over the environment columns cached in envs, each checked
+    against caps when first built.  A failure replays mod_check for the
+    first failing equation and its witness."""
     for i, eq in enumerate(E):
-        names = equation_vars(eq)
-        _check_env_space(derived, names, caps)
-        if (i, derived.size) not in envs:
-            envs[i, derived.size] = environment_columns(names, derived.size)
-        lhs, rhs = term_columns(derived, (eq.lhs, eq.rhs), envs[i, derived.size])
+        columns = envs.get((i, derived.size))
+        if columns is None:
+            names = equation_vars(eq)
+            _check_env_space(derived.size, names, caps)
+            columns = envs[i, derived.size] = environment_columns(names, derived.size)
+        lhs, rhs = term_columns(derived, (eq.lhs, eq.rhs), columns)
         if lhs != rhs:
             res = mod_check(derived, E, caps)
             ce = _env_string(res.counterexample.assoc)

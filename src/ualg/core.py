@@ -45,7 +45,8 @@ class Caps:
     """The resource limits: every capped function takes one Caps.
 
     carrier bounds product and free-algebra carrier sizes; cells bounds
-    table cells, environment spaces and term counts; search bounds a hom
+    table cells, environment spaces, term counts and a model search's
+    work (cells assigned plus relabellings tried); search bounds a hom
     search's space, |target| ** (number of source generators it branches
     on).  Every CLI command reads its caps from UALG_CAPS and passes them
     to every stage, both Birkhoff pipelines included.

@@ -9,15 +9,26 @@ counterexample is reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
 
-from .core import DEFAULT_CAPS, CapExceededError, Caps, FiniteAlgebra, same_signature
+from .core import (
+    DEFAULT_CAPS,
+    CapExceededError,
+    Caps,
+    FiniteAlgebra,
+    Signature,
+    UalgError,
+    same_signature,
+)
 from .terms import (
     Environment,
     Equation,
     Term,
+    Var,
     _walk,
+    check_term,
     enumerate_terms,
     environment_columns,
     equation_vars,
@@ -25,10 +36,10 @@ from .terms import (
     term_columns,
 )
 
-def _check_env_space(alg: FiniteAlgebra, variables: Sequence[str], caps: Caps) -> None:
-    if alg.size ** len(variables) > caps.cells:
+def _check_env_space(size: int, variables: Sequence[str], caps: Caps) -> None:
+    if size ** len(variables) > caps.cells:
         raise CapExceededError(
-            f"environment space {alg.size}^{len(variables)} exceeds cap {caps.cells}"
+            f"environment space {size}^{len(variables)} exceeds cap {caps.cells}"
         )
 
 
@@ -41,7 +52,7 @@ class SatResult:
 def satisfies(alg: FiniteAlgebra, eq: Equation, caps: Caps = DEFAULT_CAPS) -> SatResult:
     """Decide alg |= eq by checking every environment over its variables."""
     names = equation_vars(eq)
-    _check_env_space(alg, names, caps)
+    _check_env_space(alg.size, names, caps)
     ops, n = alg._ops, alg.size
     # every environment binds the equation's variables to carrier elements,
     # so the tree walk needs none of evaluate's binding checks
@@ -82,6 +93,173 @@ def mod_check(
     return ClassSatResult(True)
 
 
+def find_models(
+    sig: Signature, E: Sequence[Equation], size: int, caps: Caps = DEFAULT_CAPS
+) -> tuple[tuple[FiniteAlgebra, ...], int]:
+    """The models of E on the carrier {0..size-1}, up to isomorphism: the
+    least table of each class, in ascending table order, and the number of
+    all models, the sum of size!/|Aut| over the classes.
+
+    The table cells are filled op by op, row-major, values ascending, so
+    the leaves come in ascending table order.  An equation instance (one
+    equation under one environment) waits on the first undecided cell it
+    reads and is re-evaluated only when that cell is assigned; a branch
+    stops at the first instance whose sides disagree.  A leaf is kept when
+    no relabelling of the carrier gives a smaller table: the least table of
+    its class.  Every kept table is re-checked by mod_check.  Raises
+    CapExceededError when the tables have more than caps.cells cells, when
+    an equation has more than caps.cells environments, and when cells
+    assigned plus relabellings tried pass caps.cells.
+    """
+    if size < 1:
+        raise ValueError("carrier must be nonempty")
+    offsets, widths = {}, []
+    for name, arity in sig.ops:
+        offsets[name] = sum(widths)
+        widths.append(size**arity)
+    n_cells = sum(widths)
+    if n_cells > caps.cells:  # checked before the per-cell lists are built
+        raise CapExceededError(
+            f"model search at size {size}: {n_cells} table cells exceed cap {caps.cells}"
+        )
+    instances = []
+    for eq in E:
+        names = equation_vars(eq)
+        _check_env_space(size, names, caps)
+        pos = {name: i for i, name in enumerate(names)}
+        sides = []
+        for side in (eq.lhs, eq.rhs):
+            check_term(sig, side)
+            sides.append(_compile(side, pos, offsets))
+        instances.extend(
+            (*sides, env) for env in itertools.product(range(size), repeat=len(names))
+        )
+
+    cells = [-1] * n_cells  # -1: undecided
+    waiting: list[list] = [[] for _ in range(n_cells)]
+    if _propagate(instances, cells, size, waiting) is None:
+        return (), 0
+    args_of = {
+        arity: list(itertools.product(range(size), repeat=arity)) for _, arity in sig.ops
+    }
+    spans = [(offsets[name], args_of[arity]) for name, arity in sig.ops]
+    reps, count, work, cap = [], 0, 0, caps.cells
+    tried = [0] * n_cells  # next value to try at each cell
+    added: list = [None] * n_cells  # cells whose waiting lists each cell appended to
+    d = 0
+    while d >= 0:
+        if d == n_cells:  # every cell decided and every instance holds
+            aut = 1
+            for perm in itertools.islice(itertools.permutations(range(size)), 1, None):
+                work += 1
+                if work > cap:
+                    _model_cap(size, cap)
+                order = _relabel_order(cells, spans, perm, size)
+                if order < 0:
+                    break
+                aut += order == 0
+            else:
+                rep = _model(sig, widths, cells, size)
+                res = mod_check(rep, E, caps)
+                if not res.holds:
+                    raise UalgError(
+                        f"model search: {rep.tables} fails equation {res.failing_index}"
+                    )
+                reps.append(rep)
+                count += math.factorial(size) // aut
+            d -= 1
+            continue
+        for c in added[d] or ():
+            waiting[c].pop()
+        value = tried[d]
+        if value == size:
+            cells[d], tried[d], added[d] = -1, 0, None
+            d -= 1
+            continue
+        work += 1
+        if work > cap:
+            _model_cap(size, cap)
+        cells[d], tried[d] = value, value + 1
+        added[d] = _propagate(waiting[d], cells, size, waiting)
+        if added[d] is not None:
+            d += 1
+    return tuple(reps), count
+
+
+def _model_cap(size: int, cap: int) -> NoReturn:
+    raise CapExceededError(
+        f"model search at size {size}: cells assigned plus relabellings tried exceed cap {cap}"
+    )
+
+
+def _compile(t: Term, pos: dict[str, int], offsets: dict[str, int]):
+    """A variable as its environment position; an application as its
+    op's first cell and its compiled children."""
+    if type(t) is Var:
+        return pos[t.name]
+    return (offsets[t.symbol], tuple([_compile(c, pos, offsets) for c in t.children]))
+
+
+def _partial_value(node, env: tuple[int, ...], cells: list[int], n: int) -> int:
+    """The node's value, or -1 - c for the first undecided cell c it reads."""
+    if type(node) is int:
+        return env[node]
+    offset, children = node
+    idx = 0
+    for c in children:
+        v = env[c] if type(c) is int else _partial_value(c, env, cells, n)
+        if v < 0:
+            return v
+        idx = idx * n + v
+    v = cells[offset + idx]
+    return v if v >= 0 else -1 - offset - idx
+
+
+def _propagate(instances, cells: list[int], n: int, waiting: list[list]) -> list[int] | None:
+    """Evaluate the instances: None at the first whose sides disagree, else
+    the cells whose waiting lists got the instances still pending."""
+    added = []
+    for inst in instances:
+        lhs = _partial_value(inst[0], inst[2], cells, n)
+        if lhs >= 0:
+            rhs = _partial_value(inst[1], inst[2], cells, n)
+            if rhs >= 0:
+                if lhs != rhs:
+                    for c in reversed(added):
+                        waiting[c].pop()
+                    return None
+                continue
+            lhs = rhs
+        waiting[-1 - lhs].append(inst)
+        added.append(-1 - lhs)
+    return added
+
+
+def _relabel_order(cells: list[int], spans, perm: tuple[int, ...], n: int) -> int:
+    """-1, 0 or 1 as the tables relabelled by perm are less than, equal to
+    or greater than the tables themselves, cell by cell."""
+    inv = [0] * n
+    for a, b in enumerate(perm):
+        inv[b] = a
+    for offset, args in spans:
+        for j, tup in enumerate(args):
+            i = 0
+            for b in tup:
+                i = i * n + inv[b]
+            v, w = perm[cells[offset + i]], cells[offset + j]
+            if v != w:
+                return -1 if v < w else 1
+    return 0
+
+
+def _model(sig: Signature, widths: list[int], cells: list[int], n: int) -> FiniteAlgebra:
+    tables, start = [], 0
+    for width in widths:
+        tables.append(tuple(cells[start : start + width]))
+        start += width
+    return FiniteAlgebra(sig, n, tuple(tables))
+
+
 @dataclass(frozen=True)
 class TheoryPartition:
     """The enumerated terms, partitioned by the kernel of the natural map
@@ -116,7 +294,7 @@ class TheoryPartition:
         with its least member p and the first member whose column differs
         from p's: every p' below p lies in a class alg keeps constant.
         """
-        _check_env_space(alg, self.variables, caps)
+        _check_env_space(alg.size, self.variables, caps)
         columns = term_columns(
             alg, self.terms, environment_columns(self.variables, alg.size)
         )
@@ -142,7 +320,7 @@ def theory_partition(
         raise ValueError("theory_upto needs a nonempty class to fix the signature")
     sig = same_signature(*K)
     for alg in K:
-        _check_env_space(alg, variables, caps)
+        _check_env_space(alg.size, variables, caps)
     terms = enumerate_terms(sig, variables, max_depth, caps)
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, key in enumerate(fingerprints(K, terms, variables)):

@@ -10,6 +10,7 @@ land on the same element exactly when the class satisfies their identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .core import (
@@ -40,11 +41,13 @@ class FreeAlgebra:
     reprs: tuple[Term, ...]
     gens: Mapping[str, int]
 
+    @cached_property
+    def _labels(self) -> dict[tuple[int, ...], int]:
+        # built on the first lookup, so build_free never pays for it
+        return {tup: e for e, tup in enumerate(self.tuples)}
+
     def lookup(self, tup: tuple[int, ...]) -> int:
-        try:
-            return self.tuples.index(tup)
-        except ValueError:
-            raise KeyError(tup) from None
+        return self._labels[tup]
 
 
 def build_free(

@@ -7,11 +7,13 @@ evaluation tuple by its own evaluate call, every closure with its own
 naive pass loop followed by a separate pass that tabulates the operations,
 every product cell by one checked apply_op call per factor, every hom
 check cell by two checked apply_op calls, the hom search branching on every
-source element in place of the generators, every
+source element in place of the generators, the models of E found by
+filtering every table and deduplicated by trying every relabelling, every
 algebra the easy direction derives by its own mod_check call, and the hard
 direction's free algebra built on one variable per element of B.
 """
 
+import functools
 import itertools
 
 import ualg.birkhoff as birkhoff
@@ -37,7 +39,7 @@ from ualg import (
     satisfies,
     subalgebra_generate,
 )
-from ualg.birkhoff import PipelineReport, Stage, _env_string, _models_theory, enumerate_algebras
+from ualg.birkhoff import PipelineReport, Stage, _env_string, _models_theory
 from ualg.closure import ProductAlgebra
 from ualg.core import Caps, _decode_mixed, _encode_mixed, same_signature
 from ualg.free import FreeAlgebra, UniversalMapFailure, universal_map
@@ -302,16 +304,46 @@ def build_free_passes(K, variables, caps=Caps(), sig=None):
     )
 
 
+@functools.cache
+def models_bruteforce(sig, E, size):
+    """(representatives, count) for the equation tuple E: every table of
+    the size, in itertools.product order, filtered by mod_check; a model is
+    a representative unless an earlier model is one of its relabellings."""
+    spaces = [itertools.product(range(size), repeat=size**arity) for _, arity in sig.ops]
+    seen, reps, count = set(), [], 0
+    for tables in itertools.product(*spaces):
+        alg = FiniteAlgebra(sig, size, tables)
+        if not mod_check(alg, E).holds:
+            continue
+        count += 1
+        if tables not in seen:
+            reps.append(alg)
+            seen.update(_relabellings(sig, size, tables))
+    return tuple(reps), count
+
+
+def _relabellings(sig, size, tables):
+    for perm in itertools.permutations(range(size)):
+        out = []
+        for (_, arity), table in zip(sig.ops, tables):
+            new = [0] * len(table)
+            for i, args in enumerate(itertools.product(range(size), repeat=arity)):
+                new[_encode_mixed([size] * arity, [perm[a] for a in args])] = perm[table[i]]
+            out.append(tuple(new))
+        yield tuple(out)
+
+
 def eqcl_to_var_check_permodel(E, pool_size_bound, product_size_cap=4096, search_cap=1_000_000):
-    """The easy direction with one mod_check call per derived algebra (no
-    sampling note in the enumerate-models witness).  Products come from
-    birkhoff.product, so a test can patch them on both paths at once."""
+    """The easy direction over brute-force models, one mod_check call per
+    derived algebra.  Products come from birkhoff.product, so a test can
+    patch them on both paths at once."""
     sig = infer_signature(E)
-    pool = []
+    models, count = [], 0
     for size in range(1, pool_size_bound + 1):
-        pool.extend(enumerate_algebras(sig, size))
-    models = [alg for alg in pool if mod_check(alg, E).holds]
-    stages = [Stage("enumerate-models", True, f"{len(models)} models of {len(E)} equations")]
+        reps, n = models_bruteforce(sig, tuple(E), size)
+        models.extend(reps)
+        count += n
+    stages = [Stage("enumerate-models", True, f"{count} models of {len(E)} equations")]
 
     def check(derived, how):
         res = mod_check(derived, E)
@@ -320,7 +352,7 @@ def eqcl_to_var_check_permodel(E, pool_size_bound, product_size_cap=4096, search
         ce = _env_string(res.counterexample.assoc)
         return Stage("closure", False, f"{how} breaks equation {res.failing_index} at {ce}")
 
-    for a, b in itertools.product(models, repeat=2):
+    for a, b in itertools.combinations_with_replacement(models, 2):
         if a.size * b.size > product_size_cap:
             continue
         bad = check(birkhoff.product([a, b]).alg, "product")

@@ -1,4 +1,4 @@
-"""Standard small algebras shared across the test suite.
+"""Standard small algebras and law sets shared across the test suite.
 
 All carry a single binary symbol f unless noted, so that cross-algebra
 operations (homs, products, class satisfaction) type-check.
@@ -7,8 +7,11 @@ operations (homs, products, class satisfaction) type-check.
 import itertools
 
 from ualg import (
+    App,
+    Equation,
     FiniteAlgebra,
     Signature,
+    Var,
     algebra,
     find_homs,
     hom_image,
@@ -78,6 +81,39 @@ def mixed_arities():
         "e": [0],
         "t": [sorted(args)[1] for args in itertools.product(range(4), repeat=3)],
     })
+
+
+# The law sets of the easy-direction benchmark, over one binary symbol f.
+_X, _Y, _Z = Var("x"), Var("y"), Var("z")
+EASY_LAWS = {
+    "assoc": (((_X, _Y), _Z), (_X, (_Y, _Z))),
+    "comm": ((_X, _Y), (_Y, _X)),
+    "idem": ((_X, _X), _X),
+    "leftproj": ((_X, _Y), _X),
+    "rightproj": ((_X, _Y), _Y),
+    "lq": ((_X, (_X, _Y)), _Y),
+    "rq": (((_X, _Y), _Y), _X),
+    "rectband": (((_X, _Y), _Z), (_X, _Z)),
+}
+EASY_LAW_SETS = [
+    ("assoc",),
+    ("comm", "assoc"),
+    ("leftproj",),
+    ("lq",),
+    ("rq",),
+    ("idem", "rectband"),
+    ("idem", "comm", "assoc"),
+    ("rightproj",),
+    ("comm", "idem"),
+]
+
+
+def _f_term(shape):
+    return App("f", tuple(map(_f_term, shape))) if isinstance(shape, tuple) else shape
+
+
+def easy_laws(names) -> list[Equation]:
+    return [Equation(*map(_f_term, EASY_LAWS[name])) for name in names]
 
 
 def semilattice2_with_top() -> FiniteAlgebra:

@@ -23,16 +23,14 @@ from ualg.birkhoff import (
     HomImageWitness,
     IsoWitness,
     MalformedWitnessError,
-    SAMPLE_SIZE,
     ProductWitness,
     SubalgebraWitness,
-    enumerate_algebras,
 )
 from ualg.closure import HspCertificate, hsp_certificate_check
 from ualg.homs import SearchCapError
 
 from oracles import var_to_eqcl_check_allvars
-from samples import SIG_F, SIG_FE, certified_square_images, semilattice2, z2_xor, z3_add
+from samples import SIG_F, SIG_FE, certified_square_images, easy_laws, semilattice2, z2_xor, z3_add
 
 X, Y = Var("x"), Var("y")
 COMM = Equation(App("f", (X, Y)), App("f", (Y, X)))
@@ -84,15 +82,6 @@ def test_invariance_rejects_malformed_witnesses():
         verify_invariance(z2_xor(), COMM, SubalgebraWitness(not_injective))
 
 
-def test_enumerate_algebras_exhaustive_and_sampled():
-    exhaustive = enumerate_algebras(SIG_F, 2)
-    assert len(exhaustive) == 16
-    assert len({a.tables for a in exhaustive}) == 16
-    sampled = enumerate_algebras(SIG_F, 3)
-    assert len(sampled) == SAMPLE_SIZE < 3**9
-    assert sampled == enumerate_algebras(SIG_F, 3)
-
-
 def test_eqcl_to_var_products_never_skip_past_the_cap():
     # the 2 x 2 products exceed carrier 3: an error, not a PASS over the rest
     with pytest.raises(CapExceededError, match="product size 4 exceeds cap 3"):
@@ -109,16 +98,25 @@ def test_eqcl_to_var_easy_direction():
         "subalgebras-closed",
         "hom-images-closed",
     ]
-    # exactly the trivial algebra plus min and max on two elements; pool 2
-    # is exhaustive, so the witness has no sampling note
+    # exactly the trivial algebra plus min and max on two elements
     assert report.stages[0].witness == "3 models of 2 equations"
 
 
-def test_eqcl_to_var_says_when_it_sampled():
-    left_quasigroup = Equation(App("f", (X, App("f", (X, Y)))), Y)
-    report = eqcl_to_var_check([left_quasigroup], pool_size_bound=3)
+def test_eqcl_to_var_is_exhaustive_at_pool_3():
+    # every model counts, not one per class: 1 + 4 + 64 left quasigroups
+    # (by brute force over all 3^9 tables), and the one left-projection
+    # algebra of each size, which a sample of the size-3 tables missed
+    report = eqcl_to_var_check(easy_laws(["lq"]), pool_size_bound=3)
     assert report.overall
-    assert report.stages[0].witness == "24 models of 1 equations (size 3: sampled 4096 of 19683)"
+    assert report.stages[0].witness == "69 models of 1 equations"
+    report = eqcl_to_var_check(easy_laws(["leftproj"]), pool_size_bound=3)
+    assert report.lines()[0] == "STAGE enumerate-models PASS 3 models of 1 equations"
+
+
+def test_eqcl_to_var_model_search_is_capped():
+    with pytest.raises(CapExceededError, match="model search at size 3: .* exceed cap 100$"):
+        eqcl_to_var_check(easy_laws(["assoc"]), 3, caps=Caps(cells=100))
+    assert eqcl_to_var_check(easy_laws(["assoc"]), 3, caps=Caps(cells=5000)).overall
 
 
 def test_eqcl_to_var_empty_axioms():

@@ -10,6 +10,7 @@ from ualg import (
     class_satisfies,
     evaluate,
     find_homs,
+    find_models,
     find_isomorphism,
     hom_image,
     mod_check,
@@ -19,8 +20,21 @@ from ualg import (
     theory_upto,
 )
 from ualg.core import CapExceededError, Caps
+from ualg.fileio import parse_equation
 
-from samples import SIG_F, semilattice2, z2_xor, z3_add
+from oracles import models_bruteforce
+from samples import (
+    EASY_LAW_SETS,
+    SIG_CONST,
+    SIG_F,
+    SIG_G,
+    SIG_MIXED,
+    SIG_T,
+    easy_laws,
+    semilattice2,
+    z2_xor,
+    z3_add,
+)
 
 X, Y = Var("x"), Var("y")
 COMM = Equation(App("f", (X, Y)), App("f", (Y, X)))
@@ -133,3 +147,53 @@ def test_counterexample_order_is_lexicographic():
     left_proj = algebra(SIG_F, 2, {"f": [0, 0, 1, 1]})
     res = satisfies(left_proj, COMM)
     assert res.counterexample.assoc == {"x": 0, "y": 1}
+
+
+OTHER_SIGNATURE_LAWS = [
+    (SIG_G, []),
+    (SIG_G, ["g(g(?x)) = ?x"]),
+    (SIG_G, ["g(g(?x)) = g(?x)"]),
+    (SIG_G, ["?x = ?y"]),
+    (SIG_T, []),
+    (SIG_T, ["t(?x,?x,?y) = ?y", "t(?x,?y,?y) = ?x"]),
+    (SIG_T, ["t(?x,?y,?z) = t(?y,?x,?z)"]),
+    (SIG_CONST, []),
+    (SIG_CONST, ["c = d"]),
+    (SIG_MIXED, []),
+    (SIG_MIXED, ["g(g(?x)) = ?x", "t(?x,?x,?y) = ?y"]),
+    (SIG_MIXED, ["g(e) = e", "t(e,?x,?y) = g(?x)"]),
+]
+
+
+def _assert_models_match_brute_force(sig, E, size):
+    reps, count = find_models(sig, E, size)
+    brute_reps, brute_count = models_bruteforce(sig, tuple(E), size)
+    assert [a.tables for a in reps] == [a.tables for a in brute_reps]
+    assert count == brute_count
+
+
+@pytest.mark.parametrize("laws", EASY_LAW_SETS)
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_find_models_matches_brute_force_on_the_easy_law_sets(laws, size):
+    _assert_models_match_brute_force(SIG_F, easy_laws(laws), size)
+
+
+@pytest.mark.parametrize("case", range(len(OTHER_SIGNATURE_LAWS)))
+@pytest.mark.parametrize("size", [1, 2])
+def test_find_models_matches_brute_force_on_other_signatures(case, size):
+    sig, texts = OTHER_SIGNATURE_LAWS[case]
+    _assert_models_match_brute_force(sig, [parse_equation(t) for t in texts], size)
+
+
+def test_find_models_counts_work_against_the_cells_cap():
+    E = easy_laws(["assoc"])
+    with pytest.raises(
+        CapExceededError,
+        match="model search at size 3: cells assigned plus relabellings tried exceed cap 100",
+    ):
+        find_models(SIG_F, E, 3, Caps(cells=100))
+    assert len(find_models(SIG_F, E, 3, Caps(cells=5000))[0]) == 24
+    with pytest.raises(CapExceededError, match="environment space 3\\^3 exceeds cap 20"):
+        find_models(SIG_F, E, 3, Caps(cells=20))
+    with pytest.raises(CapExceededError, match="model search at size 5: 125 table cells exceed cap 100"):
+        find_models(SIG_T, [], 5, Caps(cells=100))
