@@ -46,9 +46,11 @@ from .closure import (
     HspCertificate,
     ProductAlgebra,
     check_leq,
+    congruences,
     hom_image,
     hsp_certificate_check,
     product,
+    quotient,
     subalgebra_generate,
     trivial_certificate,
 )

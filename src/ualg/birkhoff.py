@@ -15,14 +15,17 @@ from .core import DEFAULT_CAPS, Caps, FiniteAlgebra, UalgError
 from .closure import (
     CertCheckResult,
     HspCertificate,
+    _blocks_text,
+    congruences,
     hom_image,
     hsp_certificate_check,
     product,
+    quotient,
     subalgebra_generate,
 )
 from .eqlogic import _check_env_space, find_models, mod_check, satisfies, theory_partition
 from .free import UniversalMapFailure, build_free, universal_map
-from .homs import CarrierMap, classify, find_homs, hom_violation
+from .homs import CarrierMap, classify, hom_violation
 from .terms import Equation, environment_columns, equation_vars, infer_signature, term_columns
 
 
@@ -160,12 +163,16 @@ def eqcl_to_var_check(
     find_models gives every model of E up to the size bound, one
     representative per isomorphism class; the witness counts all models.
     The stages replay products of unordered pairs of representatives,
-    generated subalgebras of each, and hom images between ordered pairs,
-    requiring each derived algebra to model E.  This covers every model:
-    satisfaction is preserved by isomorphism, A x B is isomorphic to B x A
-    and to A' x B' for A' ~ A and B' ~ B, and the subalgebras and hom
-    images of isomorphic algebras correspond.  A model search, product or
-    hom search past caps raises CapExceededError; no pair is skipped.
+    generated subalgebras of each, and quotients A/theta of each by every
+    congruence but 0_A and 1_A, requiring each derived algebra to model E.
+    This covers every model: satisfaction is preserved by isomorphism,
+    A x B is isomorphic to B x A and to A' x B' for A' ~ A and B' ~ B, and
+    the subalgebras and quotients of isomorphic algebras correspond.  It
+    covers every hom image too: an image in a model B is a subuniverse of
+    B, so the subalgebra stage checks it; every hom image of A is
+    isomorphic to A/ker; and A/0_A is A, A/1_A the trivial model, both
+    already checked.  A model search, product or congruence lattice past
+    caps raises CapExceededError; nothing is skipped.
     """
     sig = infer_signature(E)
     models: list[FiniteAlgebra] = []
@@ -192,12 +199,13 @@ def eqcl_to_var_check(
                     return PipelineReport((*stages, bad))
     stages.append(Stage("subalgebras-closed", True))
 
-    for src, dst in itertools.product(models, repeat=2):
-        for m in find_homs(src, dst, caps=caps):
-            img, _ = hom_image(src, m)
-            bad = _closure_failure(img, E, f"hom image {m.image}", envs, caps)
-            if bad is not None:
-                return PipelineReport((*stages, bad))
+    for alg in models:
+        for theta in congruences(alg, caps):
+            if 1 < len(set(theta)) < alg.size:
+                quo, _ = quotient(alg, theta)
+                bad = _closure_failure(quo, E, f"quotient by {_blocks_text(theta)}", envs, caps)
+                if bad is not None:
+                    return PipelineReport((*stages, bad))
     stages.append(Stage("hom-images-closed", True))
     return PipelineReport(tuple(stages))
 

@@ -3,9 +3,10 @@
 Products are carried by mixed-radix flat indices (factor 0 most
 significant).  Generated subalgebras, homomorphic images and free algebras
 all come from one deterministic pass closure, `close`, which also yields
-the operation tables.  An HSP certificate packages one concrete
-product -> subalgebra -> image pipeline witnessing membership in V of a
-finite class.
+the operation tables.  Quotients come from congruences, each computed as
+a union-find closed under translations.  An HSP certificate packages one
+concrete product -> subalgebra -> image pipeline witnessing membership in
+V of a finite class.
 """
 
 from __future__ import annotations
@@ -189,6 +190,112 @@ def hom_image(
     img, inclusion = subalgebra_generate(m.dst, m.image)
     label = {v: i for i, v in enumerate(inclusion.image)}
     return img, CarrierMap(alg, img, tuple(label[b] for b in m.image))
+
+
+def _join(start: Sequence[int], pairs: Iterable[tuple[int, int]], translations) -> tuple[int, ...]:
+    """The least equivalence above start holding pairs and closed under the
+    translations, each partition given as its labelling (every element
+    mapped to the least element of its block).  A union-find whose roots are
+    least elements; each merge queues the translations of the merged pair."""
+    parent = list(start)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    queue = list(pairs)
+    while queue:
+        a, b = queue.pop()
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            queue.extend((t[a], t[b]) for t in translations)
+    return tuple(map(find, range(len(parent))))
+
+
+def congruences(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
+    """Con(alg), each congruence as its labelling (every element mapped to
+    the least element of its block), in ascending order: 1_A first, 0_A last.
+
+    Each principal congruence Cg(a, b) closes a union-find under the
+    non-constant unary translations x -> f(c1, .., x, .., ck) of the basic
+    operations; Con(alg) is 0_A plus the closure of the principal
+    congruences under joins.  Raises CapExceededError once more than
+    caps.cells congruences are found (there are at most Bell(size)).
+    """
+    n = alg.size
+    translations = set()
+    for (_, arity), table in zip(alg.sig.ops, alg.tables):
+        for pos in range(arity):
+            stride = n ** (arity - 1 - pos)
+            for rest in itertools.product(range(n), repeat=arity - 1):
+                at = 0
+                for a in (*rest[:pos], 0, *rest[pos:]):
+                    at = at * n + a
+                t = table[at : at + n * stride : stride]
+                if min(t) != max(t):
+                    translations.add(t)
+    zero = tuple(range(n))
+    principals = {_join(zero, [pair], translations) for pair in itertools.combinations(zero, 2)}
+    found = {zero} | principals
+    frontier = list(principals)
+    while len(found) <= caps.cells and frontier:
+        theta = frontier.pop()
+        for psi in principals:
+            joined = _join(theta, zip(zero, psi), ())
+            if joined not in found:
+                found.add(joined)
+                frontier.append(joined)
+    if len(found) > caps.cells:
+        raise CapExceededError(
+            f"congruences of a size-{n} algebra: {len(found)} found exceed cap {caps.cells}"
+        )
+    return sorted(found)
+
+
+def _blocks_text(theta: Sequence[int]) -> str:
+    """A labelling's blocks in ascending order of least element, e.g. {0,2}|{1}."""
+    blocks: dict[int, list[str]] = {}
+    for x, r in enumerate(theta):
+        blocks.setdefault(r, []).append(str(x))
+    return "|".join("{" + ",".join(b) + "}" for _, b in sorted(blocks.items()))
+
+
+def quotient(alg: FiniteAlgebra, theta: Sequence[int]) -> tuple[FiniteAlgebra, CarrierMap]:
+    """alg/theta, theta given as congruences gives it (every element mapped
+    to the least element of its block), plus the natural map onto it.  Each
+    block is labelled by its rank among the least elements.  Before building
+    the tables, every operation tuple is checked against theta; a labelling
+    that is ill formed or not a congruence raises UalgError."""
+    n = alg.size
+    theta = tuple(theta)
+    if len(theta) != n or any(not 0 <= r <= x or theta[r] != r for x, r in enumerate(theta)):
+        raise UalgError(f"{theta} does not map each element to the least of its block")
+    reps = [x for x in range(n) if theta[x] == x]
+    label = {r: i for i, r in enumerate(reps)}
+    nat = tuple(label[r] for r in theta)
+    tables = []
+    for (name, arity), table in zip(alg.sig.ops, alg.tables):
+        for args, value in zip(itertools.product(range(n), repeat=arity), table):
+            at = 0
+            for a in args:
+                at = at * n + theta[a]
+            if theta[value] != theta[table[at]]:
+                reps_args = tuple(theta[a] for a in args)
+                raise UalgError(
+                    f"{_blocks_text(theta)} is not a congruence: {name}{args} = {value} and "
+                    f"{name}{reps_args} = {table[at]} lie in different blocks"
+                )
+        cells = []
+        for args in itertools.product(reps, repeat=arity):
+            at = 0
+            for a in args:
+                at = at * n + a
+            cells.append(nat[table[at]])
+        tables.append(tuple(cells))
+    quo = FiniteAlgebra(alg.sig, len(reps), tuple(tables))
+    return quo, CarrierMap(alg, quo, nat)
 
 
 def check_leq(a: FiniteAlgebra, b: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> CarrierMap | None:

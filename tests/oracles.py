@@ -8,7 +8,8 @@ naive pass loop followed by a separate pass that tabulates the operations,
 every product cell by one checked apply_op call per factor, every hom
 check cell by two checked apply_op calls, the hom search branching on every
 source element in place of the generators, the models of E found by
-filtering every table and deduplicated by trying every relabelling, every
+filtering every table and deduplicated by trying every relabelling, the
+congruences of an algebra found by trying every set partition, every
 algebra the easy direction derives by its own mod_check call, and the hard
 direction's free algebra built on one variable per element of B.
 """
@@ -331,6 +332,37 @@ def _relabellings(sig, size, tables):
                 new[_encode_mixed([size] * arity, [perm[a] for a in args])] = perm[table[i]]
             out.append(tuple(new))
         yield tuple(out)
+
+
+def congruences_bruteforce(alg):
+    """Every set partition of the carrier compatible with every operation:
+    a_i ~ b_i for all i implies f(a) ~ f(b), tried for every argument tuple
+    a and every b drawn from the blocks of a's entries.  Each as its
+    labelling (every element mapped to the least element of its block), in
+    ascending order."""
+    n = alg.size
+    out = []
+    for theta in _set_partitions(n):
+        block = {r: [x for x in range(n) if theta[x] == r] for r in theta}
+        if all(
+            theta[table[_encode_mixed([n] * arity, a)]] == theta[table[_encode_mixed([n] * arity, b)]]
+            for (_, arity), table in zip(alg.sig.ops, alg.tables)
+            for a in itertools.product(range(n), repeat=arity)
+            for b in itertools.product(*(block[theta[x]] for x in a))
+        ):
+            out.append(theta)
+    return sorted(out)
+
+
+def _set_partitions(n):
+    """Each partition of range(n) once, as its least-element labelling:
+    every element joins the block of a smaller one or starts its own."""
+    labellings = [()]
+    for x in range(n):
+        labellings = [
+            (*theta, r) for theta in labellings for r in sorted({*theta, x})
+        ]
+    return labellings
 
 
 def eqcl_to_var_check_permodel(E, pool_size_bound, product_size_cap=4096, search_cap=1_000_000):

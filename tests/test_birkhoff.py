@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 
 import pytest
+
+import ualg.birkhoff
 
 from ualg import (
     App,
@@ -117,6 +120,25 @@ def test_eqcl_to_var_model_search_is_capped():
     with pytest.raises(CapExceededError, match="model search at size 3: .* exceed cap 100$"):
         eqcl_to_var_check(easy_laws(["assoc"]), 3, caps=Caps(cells=100))
     assert eqcl_to_var_check(easy_laws(["assoc"]), 3, caps=Caps(cells=5000)).overall
+
+
+def test_eqcl_to_var_quotient_failure_names_the_blocks(monkeypatch):
+    """A quotient with one corrupted cell fails the H stage; the witness
+    names the congruence's blocks and replays mod_check."""
+    real = ualg.birkhoff.quotient
+
+    def corrupted(alg, theta):
+        quo, nat = real(alg, theta)
+        table = list(quo.tables[0])
+        table[1] = (table[1] + 1) % quo.size
+        return dataclasses.replace(quo, tables=(tuple(table),)), nat
+
+    monkeypatch.setattr(ualg.birkhoff, "quotient", corrupted)
+    lines = eqcl_to_var_check(easy_laws(["comm", "idem"]), 3).lines()
+    assert lines[-2:] == [
+        "STAGE subalgebras-closed PASS",
+        "STAGE closure FAIL quotient by {0,1}|{2} breaks equation 0 at x=0 y=1",
+    ]
 
 
 def test_eqcl_to_var_empty_axioms():

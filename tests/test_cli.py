@@ -285,16 +285,33 @@ def test_birkhoff_demo_honours_caps(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "caps, message",
-    [("carrier=3", "product size 4 exceeds cap 3"), ("search=3", "search space 2^2 exceeds cap 3")],
+    "caps, message, easy_direction_ran",
+    [
+        ("carrier=3", "product size 4 exceeds cap 3", False),
+        ("cells=10", "product tables need 16 cells, cap 10", False),
+        ("search=3", "search space 2^2 exceeds cap 3", True),
+    ],
 )
-def test_birkhoff_demo_caps_reach_every_stage(caps, message, monkeypatch):
-    # carrier bounds the invariance and easy-direction products; search the
-    # easy direction's hom searches.  No stage reports PASS past a cap.
+def test_birkhoff_demo_caps_reach_every_stage(caps, message, easy_direction_ran, monkeypatch):
+    # carrier and cells trip on the invariance stage's product Z2 x Z2.  The
+    # easy direction runs no hom search, so search trips later, in the hard
+    # direction's certificate isomorphism search, after the easy-direction
+    # stages have printed.  No stage reports PASS past a cap.
     monkeypatch.setenv("UALG_CAPS", caps)
     code, out, err = run("birkhoff-demo", "--vars", "2", str(DEMO_DATA / "z2_xor.alg"))
     assert (code, err) == (2, f"error: {message}\n")
     assert "RESULT" not in out
+    easy = [line for line in out.splitlines() if line.startswith("STAGE easy-direction.")]
+    if easy_direction_ran:
+        assert easy == [
+            "STAGE easy-direction.enumerate-models PASS 5 models of 4 equations",
+            "STAGE easy-direction.products-closed PASS",
+            "STAGE easy-direction.subalgebras-closed PASS",
+            "STAGE easy-direction.hom-images-closed PASS",
+        ]
+        assert "hard-direction" not in out
+    else:
+        assert easy == []
 
 
 def test_usage_errors():

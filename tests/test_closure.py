@@ -9,21 +9,40 @@ from ualg import (
     apply_op,
     check_leq,
     classify,
+    congruences,
     enumerate_terms,
     evaluate,
+    find_models,
     hom_image,
     hsp_certificate_check,
     product,
+    quotient,
     subalgebra_generate,
     trivial_certificate,
 )
 from ualg import closure
 from ualg.closure import CertCheckResult, EmptyCarrierError, HspCertificate
-from ualg.core import CapExceededError, Caps, SignatureMismatchError
+from ualg.core import CapExceededError, Caps, SignatureMismatchError, UalgError
 from ualg.homs import NotAHomError
 from ualg.terms import all_environments
 
-from samples import SIG_F, SIG_FE, semilattice2, z2_xor, z3_add, z4_add
+from oracles import congruences_bruteforce
+from samples import (
+    SIG_F,
+    SIG_FE,
+    all_binary_size2,
+    chain3_median,
+    constants_only,
+    easy_laws,
+    mixed_arities,
+    mul3_with_unit,
+    semilattice2,
+    z2_xor,
+    z3_add,
+    z3_malcev,
+    z4_add,
+    z5_successor,
+)
 
 X, Y = Var("x"), Var("y")
 
@@ -143,6 +162,59 @@ def test_hom_image_rejects_non_homs():
     with pytest.raises(NotAHomError) as exc:
         hom_image(z2_xor(), CarrierMap(z2_xor(), z2_xor(), (1, 1)))
     assert exc.value.witness == ("f", (0, 0))
+
+
+CON_SAMPLES = [*all_binary_size2(), z5_successor(), z3_malcev(), chain3_median(),
+               constants_only(), mixed_arities(), mul3_with_unit()]
+
+
+@pytest.mark.parametrize("alg", CON_SAMPLES)
+def test_congruences_match_the_set_partition_oracle(alg):
+    assert congruences(alg) == congruences_bruteforce(alg)
+
+
+@pytest.mark.parametrize("laws", [("assoc",), ("comm", "idem")])
+def test_congruences_of_the_model_representatives_match_the_oracle(laws):
+    for size in range(1, 5):
+        for alg in find_models(SIG_F, easy_laws(laws), size)[0]:
+            assert congruences(alg) == congruences_bruteforce(alg)
+
+
+def test_congruences_examples():
+    assert congruences(z3_add()) == [(0, 0, 0), (0, 1, 2)]  # simple
+    assert congruences(z4_add()) == [(0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 2, 3)]
+    # no translations: every partition of the 3 constants' carrier
+    assert len(congruences(constants_only())) == 5
+
+
+def test_congruences_are_capped():
+    with pytest.raises(CapExceededError, match=r"^congruences of a size-3 algebra: 5 found exceed cap 4$"):
+        congruences(constants_only(), Caps(cells=4))
+    assert len(congruences(constants_only(), Caps(cells=5))) == 5
+
+
+def test_quotient_by_a_congruence():
+    quo, nat = quotient(z4_add(), (0, 1, 0, 1))
+    assert quo == z2_xor()
+    assert nat.image == (0, 1, 0, 1)
+    cls = classify(nat)
+    assert cls.is_hom and cls.surjective
+    # blocks are labelled in ascending order of their least elements
+    quo, nat = quotient(chain3_median(), (0, 0, 2))
+    assert nat.image == (0, 0, 1) and quo.size == 2
+    assert quotient(z3_add(), (0, 1, 2))[0] == z3_add()
+    assert quotient(z3_add(), (0, 0, 0))[0].size == 1
+
+
+def test_quotient_rejects_partitions_that_are_not_congruences():
+    with pytest.raises(UalgError) as exc:
+        quotient(z3_add(), (0, 1, 0))
+    assert str(exc.value) == (
+        "{0,2}|{1} is not a congruence: f(1, 2) = 0 and f(1, 0) = 1 lie in different blocks"
+    )
+    for bad in [(1, 1, 2), (0, 1), (0, 0, 1), (0, 1, 3)]:
+        with pytest.raises(UalgError, match="least of its block"):
+            quotient(z3_add(), bad)
 
 
 def test_check_leq():
