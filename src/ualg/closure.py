@@ -263,38 +263,34 @@ def _blocks_text(theta: Sequence[int]) -> str:
 
 
 def quotient(alg: FiniteAlgebra, theta: Sequence[int]) -> tuple[FiniteAlgebra, CarrierMap]:
-    """alg/theta, theta given as congruences gives it (every element mapped
-    to the least element of its block), plus the natural map onto it.  Each
-    block is labelled by its rank among the least elements.  Before building
-    the tables, every operation tuple is checked against theta; a labelling
-    that is ill formed or not a congruence raises UalgError."""
+    """alg/theta, plus the natural map onto it.  theta is a labelling as
+    congruences returns it (every element mapped to the least element of
+    its block); each block is labelled by its rank among the least elements.
+    Every operation tuple is checked against theta before the quotient is
+    built: a labelling that is ill formed or not a congruence raises
+    UalgError."""
     n = alg.size
     theta = tuple(theta)
     if len(theta) != n or any(not 0 <= r <= x or theta[r] != r for x, r in enumerate(theta)):
         raise UalgError(f"{theta} does not map each element to the least of its block")
-    reps = [x for x in range(n) if theta[x] == x]
-    label = {r: i for i, r in enumerate(reps)}
+    label = {r: i for i, r in enumerate(sorted(set(theta)))}
     nat = tuple(label[r] for r in theta)
     tables = []
     for (name, arity), table in zip(alg.sig.ops, alg.tables):
-        for args, value in zip(itertools.product(range(n), repeat=arity), table):
+        cells = []
+        for i, args in enumerate(itertools.product(range(n), repeat=arity)):
             at = 0
             for a in args:
                 at = at * n + theta[a]
-            if theta[value] != theta[table[at]]:
-                reps_args = tuple(theta[a] for a in args)
+            if theta[table[i]] != theta[table[at]]:
                 raise UalgError(
-                    f"{_blocks_text(theta)} is not a congruence: {name}{args} = {value} and "
-                    f"{name}{reps_args} = {table[at]} lie in different blocks"
+                    f"{_blocks_text(theta)} is not a congruence: {name}{args} = {table[i]} and "
+                    f"{name}{tuple(theta[a] for a in args)} = {table[at]} lie in different blocks"
                 )
-        cells = []
-        for args in itertools.product(reps, repeat=arity):
-            at = 0
-            for a in args:
-                at = at * n + a
-            cells.append(nat[table[at]])
+            if at == i:  # every argument is a least element: a cell of the quotient
+                cells.append(nat[table[i]])
         tables.append(tuple(cells))
-    quo = FiniteAlgebra(alg.sig, len(reps), tuple(tables))
+    quo = FiniteAlgebra(alg.sig, len(label), tuple(tables))
     return quo, CarrierMap(alg, quo, nat)
 
 

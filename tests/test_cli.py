@@ -285,14 +285,14 @@ def test_birkhoff_demo_honours_caps(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "caps, message, easy_direction_ran",
+    "caps, message",
     [
-        ("carrier=3", "product size 4 exceeds cap 3", False),
-        ("cells=10", "product tables need 16 cells, cap 10", False),
-        ("search=3", "search space 2^2 exceeds cap 3", True),
+        ("carrier=3", "product size 4 exceeds cap 3"),
+        ("cells=10", "product tables need 16 cells, cap 10"),
+        ("search=3", "search space 2^2 exceeds cap 3"),
     ],
 )
-def test_birkhoff_demo_caps_reach_every_stage(caps, message, easy_direction_ran, monkeypatch):
+def test_birkhoff_demo_caps_reach_every_stage(caps, message, monkeypatch):
     # carrier and cells trip on the invariance stage's product Z2 x Z2.  The
     # easy direction runs no hom search, so search trips later, in the hard
     # direction's certificate isomorphism search, after the easy-direction
@@ -302,7 +302,7 @@ def test_birkhoff_demo_caps_reach_every_stage(caps, message, easy_direction_ran,
     assert (code, err) == (2, f"error: {message}\n")
     assert "RESULT" not in out
     easy = [line for line in out.splitlines() if line.startswith("STAGE easy-direction.")]
-    if easy_direction_ran:
+    if caps == "search=3":
         assert easy == [
             "STAGE easy-direction.enumerate-models PASS 5 models of 4 equations",
             "STAGE easy-direction.products-closed PASS",
