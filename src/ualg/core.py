@@ -48,8 +48,9 @@ class Caps:
     table cells, environment spaces, term counts, a model search's work
     (cells assigned plus relabellings tried) and the congruences found
     for one algebra (at most Bell(size)); search bounds a hom search's
-    space, |target| ** (number of source generators it branches on).  Every CLI command reads its caps from UALG_CAPS and passes them
-    to every stage, both Birkhoff pipelines included.
+    space, |target| ** (number of source generators it branches on).
+    Every CLI command reads its caps from UALG_CAPS and passes them to
+    every stage, both Birkhoff pipelines included.
     """
 
     carrier: int = 4096
