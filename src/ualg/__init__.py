@@ -47,7 +47,6 @@ from .closure import (
     ProductAlgebra,
     check_leq,
     congruences,
-    hom_image,
     hsp_certificate_check,
     product,
     quotient,

@@ -388,7 +388,7 @@ def _cmd_birkhoff_demo(args, caps: Caps, out: TextIO) -> int:
         all_ok = all_ok and report.overall
 
     for i, (name, alg) in enumerate(named):
-        cert = trivial_certificate(i, alg)
+        cert = trivial_certificate(i, alg, caps)
         report = var_to_eqcl_check(K, alg, cert, caps=caps)
         for line in report.lines():
             print(line.replace("STAGE ", f"STAGE hard-direction.{name}."), file=out)

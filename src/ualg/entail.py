@@ -225,15 +225,15 @@ def _prove(search: _Search, g: Equation, depth: int) -> Proof | None:
         return None
     if g.lhs == g.rhs:
         return Refl(g.lhs)
-    for i, a in enumerate(search.axioms):
+    for i, (a, swapped) in enumerate(zip(search.axioms, search.swapped)):
         if a == g:
             return Hyp(i)
-        if Equation(a.rhs, a.lhs) == g:
+        if swapped == g:
             return Sym(Hyp(i))
         sigma = match_equation(a, g)
         if sigma is not None:
             return Sub(Hyp(i), sigma)
-        sigma = match_equation(Equation(a.rhs, a.lhs), g)
+        sigma = match_equation(swapped, g)
         if sigma is not None:
             return Sub(Sym(Hyp(i)), sigma)
     if depth > 1:

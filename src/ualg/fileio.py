@@ -265,66 +265,39 @@ def proof_to_text(p: entail.Proof) -> str:
 def parse_certificate(text: str, file: str = "<certificate>") -> HspCertificate:
     """(cert (factors (i power)*) (gens n*) (image n*))"""
     tz = _Tokenizer(text, file)
-    tz.next("lparen")
-    head = tz.next("name")
-    if head.text != "cert":
-        raise ParseError(f"expected 'cert', found {head.text!r}", head.span)
 
-    def section(name: str) -> list[Token]:
+    def opens(name: str) -> None:
         tz.next("lparen")
         label = tz.next("name")
         if label.text != name:
             raise ParseError(f"expected '{name}', found {label.text!r}", label.span)
-        body = []
-        nesting = 0
-        while True:
-            tok = tz.next()
-            if tok.kind == "lparen":
-                nesting += 1
-            elif tok.kind == "rparen":
-                if nesting == 0:
-                    return body
-                nesting -= 1
-            body.append(tok)
 
-    factor_tokens = section("factors")
-    gens_tokens = section("gens")
-    image_tokens = section("image")
-    tz.next("rparen")
-    tz.expect_end()
-
-    factors = []
-    stack: list[int] = []
-    depth = 0
-    for tok in factor_tokens:
-        if tok.kind == "lparen":
-            depth += 1
-        elif tok.kind == "rparen":
-            depth -= 1
-            if depth != 0 or len(stack) != 2:
-                raise ParseError("factors want (index power) pairs", tok.span)
-            factors.append((stack[0], stack[1]))
-            stack = []
-        elif tok.kind == "int" and depth == 1:
-            stack.append(int(tok.text))
-        else:
-            raise ParseError(f"unexpected {tok.text!r} in factors", tok.span)
-    if depth != 0 or stack:
-        raise ParseError("unbalanced factors section", tz.eof_span)
-
-    def ints(tokens: list[Token], label: str) -> tuple[int, ...]:
+    def ints() -> tuple[int, ...]:
+        """The integers up to the closing paren of the open section."""
         out = []
-        for tok in tokens:
+        while (tok := tz.next()).kind != "rparen":
             if tok.kind != "int":
-                raise ParseError(f"expected integers in {label}", tok.span)
+                raise ParseError(f"expected an integer or ')', found {tok.text!r}", tok.span)
             out.append(int(tok.text))
         return tuple(out)
 
-    return HspCertificate(
-        factors=tuple(factors),
-        gens=ints(gens_tokens, "gens"),
-        image=ints(image_tokens, "image"),
-    )
+    opens("cert")
+    opens("factors")
+    factors = []
+    while (tok := tz.peek()) is not None and tok.kind == "lparen":
+        tz.next()
+        pair = ints()
+        if len(pair) != 2:
+            raise ParseError("factors want (index power) pairs", tok.span)
+        factors.append(pair)
+    tz.next("rparen")
+    opens("gens")
+    gens = ints()
+    opens("image")
+    image = ints()
+    tz.next("rparen")
+    tz.expect_end()
+    return HspCertificate(tuple(factors), gens, image)
 
 
 def certificate_to_text(cert: HspCertificate) -> str:

@@ -72,6 +72,11 @@ def build_free(
             "no variables and no constants: empty carrier not representable"
         )
 
+    width = sum(alg.size ** len(variables) for alg in K)
+    if width * max(1, len(variables)) > caps.cells:
+        raise CapExceededError(
+            f"tuple cells: index width {width} exceeds cap {caps.cells}"
+        )
     # The coordinate order is the kernel's (terms.all_environments per member,
     # members in class order); the generator tuples below come from it too.
     index = [
@@ -79,11 +84,6 @@ def build_free(
         for ki, alg in enumerate(K)
         for env in all_environments(variables, alg.size)
     ]
-    width = len(index)
-    if width * max(1, len(variables)) > caps.cells:
-        raise CapExceededError(
-            f"tuple cells: index width {width} exceeds cap {caps.cells}"
-        )
 
     def admit(count: int) -> None:
         if count > caps.carrier:

@@ -248,17 +248,18 @@ def find_homs(
 def find_isomorphism(
     a: FiniteAlgebra, b: FiniteAlgebra, caps: Caps = DEFAULT_CAPS
 ) -> tuple[CarrierMap, CarrierMap] | None:
-    """A mutually inverse pair of homs a -> b and b -> a, if any."""
+    """The first bijective hom a -> b and its inverse, or None.  The inverse
+    of a bijective hom is a hom; a re-check raises UalgError if not."""
     if a.size != b.size:
         return None
-    for f in iter_homs(a, b, surjective=True, injective=True, caps=caps):
-        inverse = [0] * b.size
-        for x, y in enumerate(f.image):
-            inverse[y] = x
-        g = CarrierMap(b, a, tuple(inverse))
-        if hom_violation(g) is None:
-            return f, g
-    return None
+    f = next(iter_homs(a, b, surjective=True, injective=True, caps=caps), None)
+    if f is None:
+        return None
+    g = CarrierMap(b, a, tuple(sorted(range(b.size), key=f.image.__getitem__)))
+    witness = hom_violation(g)
+    if witness is not None:
+        raise UalgError(f"inverse of {f.image} is not a hom at {witness[0]}{witness[1]}")
+    return f, g
 
 
 def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> bool:

@@ -10,8 +10,10 @@ check cell by two checked apply_op calls, the hom search branching on every
 source element in place of the generators, the models of E found by
 filtering every table and deduplicated by trying every relabelling, the
 congruences of an algebra found by trying every set partition, every
-algebra the easy direction derives by its own mod_check call, and the hard
-direction's free algebra built on one variable per element of B.
+algebra the easy direction derives by its own mod_check call, the hard
+direction's free algebra built on one variable per element of B, a hom's
+image closed as a subalgebra of its target (hom_image), and the HSP
+certificate check comparing that image with B by an isomorphism search.
 """
 
 import functools
@@ -33,18 +35,18 @@ from ualg import (
     build_free,
     classify,
     find_homs,
-    hom_image,
-    hsp_certificate_check,
+    find_isomorphism,
+    product,
     infer_signature,
     mod_check,
     satisfies,
     subalgebra_generate,
 )
 from ualg.birkhoff import PipelineReport, Stage, _env_string, _models_theory
-from ualg.closure import ProductAlgebra
-from ualg.core import Caps, _decode_mixed, _encode_mixed, same_signature
+from ualg.closure import CertCheckResult, ProductAlgebra
+from ualg.core import Caps, UalgError, _decode_mixed, _encode_mixed, same_signature
 from ualg.free import FreeAlgebra, UniversalMapFailure, universal_map
-from ualg.homs import hom_violation
+from ualg.homs import NotAHomError, hom_violation
 from ualg.terms import all_environments
 
 
@@ -230,6 +232,20 @@ def subalgebra_generate_passes(alg, gens):
     return sub, CarrierMap(sub, alg, tuple(elements))
 
 
+def hom_image(alg, m):
+    """Image algebra of a hom, relabeled canonically (ascending target
+    values), plus the corestricted surjection onto it."""
+    if m.src != alg:
+        raise UalgError("hom_image: map source differs from algebra")
+    witness = hom_violation(m)
+    if witness is not None:
+        raise NotAHomError(witness)
+    # The image of a hom is closed: it generates itself, in ascending order.
+    img, inclusion = subalgebra_generate(m.dst, m.image)
+    label = {v: i for i, v in enumerate(inclusion.image)}
+    return img, CarrierMap(alg, img, tuple(label[b] for b in m.image))
+
+
 def hom_image_passes(alg, m):
     """Image of a hom on the ascending image values, and the map onto it."""
     values = sorted(set(m.image))
@@ -411,11 +427,55 @@ def eqcl_to_var_check_permodel(E, pool_size_bound, product_size_cap=4096, search
     return PipelineReport(tuple(stages))
 
 
+def hsp_certificate_check_isosearch(K, B, cert, caps=Caps()):
+    """The certificate check with the image built by hom_image and compared
+    with B by find_isomorphism, in place of a coverage test."""
+    factor_list = []
+    for k_index, power in cert.factors:
+        if not 0 <= k_index < len(K):
+            return CertCheckResult(False, "product", f"factor index {k_index} outside class")
+        if power < 1:
+            return CertCheckResult(False, "product", f"factor power {power} < 1")
+        factor_list.extend([K[k_index]] * power)
+    if not factor_list:
+        return CertCheckResult(False, "product", "no factors")
+    try:
+        same_signature(*factor_list, B)
+        prod = product(factor_list, caps)
+    except CapExceededError:
+        raise
+    except UalgError as e:
+        return CertCheckResult(False, "product", str(e))
+    for g in cert.gens:
+        if not 0 <= g < prod.alg.size:
+            return CertCheckResult(False, "subalgebra", f"generator {g} outside product carrier")
+    try:
+        sub, _ = subalgebra_generate(prod.alg, cert.gens)
+    except UalgError as e:
+        return CertCheckResult(False, "subalgebra", str(e))
+    if len(cert.image) != sub.size:
+        return CertCheckResult(
+            False, "image", f"image length {len(cert.image)} != subalgebra size {sub.size}"
+        )
+    if any(not 0 <= b < B.size for b in cert.image):
+        return CertCheckResult(False, "image", "image values outside target carrier")
+    try:
+        img, _ = hom_image(sub, CarrierMap(sub, B, cert.image))
+    except NotAHomError as e:
+        return CertCheckResult(False, "image", f"not a hom at {e.witness[0]}{e.witness[1]}")
+    if find_isomorphism(img, B, caps) is None:
+        return CertCheckResult(
+            False, "isomorphism", f"image (size {img.size}) is not isomorphic to target"
+        )
+    return CertCheckResult(True)
+
+
 def var_to_eqcl_check_allvars(K, B, cert, theory_depth=2):
     """The hard direction with the free algebra on |B| generators, the
-    universal map sending generator i to element i."""
+    universal map sending generator i to element i, and the certificate
+    checked by hsp_certificate_check_isosearch."""
     stages = []
-    cert_res = hsp_certificate_check(K, B, cert)
+    cert_res = hsp_certificate_check_isosearch(K, B, cert)
     if not cert_res.ok:
         stages.append(
             Stage("certificate", False, f"{cert_res.stage}: {cert_res.detail}")

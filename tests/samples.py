@@ -6,6 +6,7 @@ operations (homs, products, class satisfaction) type-check.
 
 import itertools
 
+from oracles import hom_image
 from ualg import (
     App,
     Equation,
@@ -14,7 +15,6 @@ from ualg import (
     Var,
     algebra,
     find_homs,
-    hom_image,
     product,
     signature,
     subalgebra_generate,

@@ -29,7 +29,6 @@ from ualg import (
     find_homs,
     free_lift,
     hom_factor,
-    hom_image,
     mod_check,
     nat_epi,
     product,
@@ -44,6 +43,7 @@ from ualg import (
 from ualg.fileio import emit_algebra_file, parse_algebra_file
 from ualg.terms import all_environments
 
+from oracles import hom_image
 from samples import (
     SIG_F,
     SIG_FE,

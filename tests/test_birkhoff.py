@@ -15,7 +15,6 @@ from ualg import (
     algebra,
     eqcl_to_var_check,
     find_isomorphism,
-    hom_image,
     product,
     subalgebra_generate,
     trivial_certificate,
@@ -32,7 +31,7 @@ from ualg.birkhoff import (
 from ualg.closure import HspCertificate, hsp_certificate_check
 from ualg.homs import SearchCapError
 
-from oracles import var_to_eqcl_check_allvars
+from oracles import hom_image, hsp_certificate_check_isosearch, var_to_eqcl_check_allvars
 from samples import SIG_F, SIG_FE, certified_square_images, easy_laws, semilattice2, z2_xor, z3_add
 
 X, Y = Var("x"), Var("y")
@@ -176,14 +175,15 @@ def test_var_to_eqcl_rejects_bad_certificate():
 
 
 def test_certificate_caps_raise_and_are_no_verdict():
-    # a tripped cap is a resource limit, not a FAIL stage: the product's
-    # cap raises just as the isomorphism search's does
+    # a tripped cap is a resource limit, not a FAIL stage; the certificate
+    # check runs no hom search, so the search cap cannot trip in it
     z2 = z2_xor()
     cert = trivial_certificate(0, z2)
     with pytest.raises(CapExceededError, match="product size 2 exceeds cap 1"):
         var_to_eqcl_check([z2], z2, cert, caps=Caps(carrier=1))
-    with pytest.raises(SearchCapError, match="search space 2\\^2 exceeds cap 1"):
-        var_to_eqcl_check([z2], z2, cert, caps=Caps(search=1))
+    assert var_to_eqcl_check([z2], z2, cert, caps=Caps(search=1)) == var_to_eqcl_check(
+        [z2], z2, cert
+    )
 
 
 def test_certificate_signature_mismatch_fails_product():
@@ -309,18 +309,56 @@ def test_var_to_eqcl_no_generators_over_a_constant():
     assert report.stages[1].witness == "3 elements over 1 coordinates"
 
 
-@pytest.mark.parametrize("cert", [
-    HspCertificate(factors=((5, 1),), gens=(0,), image=(0, 1)),
-    HspCertificate(factors=((0, 1),), gens=(9,), image=(0, 1)),
-    HspCertificate(factors=((0, 1),), gens=(0, 1), image=(1, 1)),
-    HspCertificate(factors=((0, 1),), gens=(0,), image=(0,)),
-    HspCertificate(factors=((0, 2),), gens=(1, 2), image=(0, 1)),
-], ids=["product", "subalgebra", "image", "isomorphism", "length"])
+FAILING_CERTIFICATES = {
+    "product": HspCertificate(factors=((5, 1),), gens=(0,), image=(0, 1)),
+    "subalgebra": HspCertificate(factors=((0, 1),), gens=(9,), image=(0, 1)),
+    "image": HspCertificate(factors=((0, 1),), gens=(0, 1), image=(1, 1)),
+    "isomorphism": HspCertificate(factors=((0, 1),), gens=(0,), image=(0,)),
+    "length": HspCertificate(factors=((0, 2),), gens=(1, 2), image=(0, 1)),
+}
+
+
+@pytest.mark.parametrize("cert", FAILING_CERTIFICATES.values(), ids=FAILING_CERTIFICATES)
 def test_var_to_eqcl_failing_certificate_matches_oracle(cert):
     for alg in (semilattice2(SIG_F), z2_xor()):
         new = var_to_eqcl_check([alg], alg, cert)
         assert not new.overall
         assert new == var_to_eqcl_check_allvars([alg], alg, cert)
+
+
+def test_certificate_check_matches_the_isomorphism_search_oracle():
+    # the coverage test against hom_image plus find_isomorphism: on the
+    # failing certificates, and on every square image certificate against
+    # every square image of the same base, its own target included
+    cases = [
+        ([alg], alg, cert)
+        for cert in FAILING_CERTIFICATES.values()
+        for alg in (semilattice2(SIG_F), z2_xor())
+    ]
+    for base in (semilattice2(), z2_xor()):
+        members = certified_square_images(base)
+        cases += [([base], B, cert) for B, _ in members for _, cert in members]
+    stages = set()
+    for K, B, cert in cases:
+        got = hsp_certificate_check(K, B, cert)
+        assert got == hsp_certificate_check_isosearch(K, B, cert)
+        stages.add(got.stage)
+    assert stages == {None, "product", "subalgebra", "image", "isomorphism"}
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_var_to_eqcl_passes_the_basis_certificate_of_a_power(k):
+    # Z2^k generated by its unit vectors: the isomorphism search exceeds
+    # the default search cap (16^5 at k = 4), the coverage test runs none
+    z2 = z2_xor()
+    power = product([z2] * k)
+    gens = tuple(1 << i for i in range(k))
+    _, inclusion = subalgebra_generate(power.alg, gens)
+    cert = HspCertificate(((0, k),), gens, inclusion.image)
+    report = var_to_eqcl_check([z2], power.alg, cert)
+    assert report.overall, report.lines()
+    with pytest.raises(SearchCapError):
+        hsp_certificate_check_isosearch([z2], power.alg, cert)
 
 
 def test_trivial_certificate_takes_the_first_least_generating_set():

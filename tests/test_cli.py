@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ualg import algebra
 from ualg.cli import run_cli
 from ualg.fileio import emit_algebra_file, parse_algebra_file, parse_proof
 
@@ -289,29 +290,44 @@ def test_birkhoff_demo_honours_caps(monkeypatch):
     [
         ("carrier=3", "product size 4 exceeds cap 3"),
         ("cells=10", "product tables need 16 cells, cap 10"),
-        ("search=3", "search space 2^2 exceeds cap 3"),
     ],
 )
 def test_birkhoff_demo_caps_reach_every_stage(caps, message, monkeypatch):
-    # carrier and cells trip on the invariance stage's product Z2 x Z2.  The
-    # easy direction runs no hom search, so search trips later, in the hard
-    # direction's certificate isomorphism search, after the easy-direction
-    # stages have printed.  No stage reports PASS past a cap.
+    # carrier and cells trip on the invariance stage's product Z2 x Z2.  No
+    # stage reports PASS past a cap.
     monkeypatch.setenv("UALG_CAPS", caps)
     code, out, err = run("birkhoff-demo", "--vars", "2", str(DEMO_DATA / "z2_xor.alg"))
     assert (code, err) == (2, f"error: {message}\n")
     assert "RESULT" not in out
-    easy = [line for line in out.splitlines() if line.startswith("STAGE easy-direction.")]
-    if caps == "search=3":
-        assert easy == [
-            "STAGE easy-direction.enumerate-models PASS 5 models of 4 equations",
-            "STAGE easy-direction.products-closed PASS",
-            "STAGE easy-direction.subalgebras-closed PASS",
-            "STAGE easy-direction.hom-images-closed PASS",
-        ]
-        assert "hard-direction" not in out
-    else:
-        assert easy == []
+    assert not [line for line in out.splitlines() if line.startswith("STAGE easy-direction.")]
+
+
+def test_birkhoff_demo_search_cap_leaves_stdout_unchanged(monkeypatch):
+    # neither Birkhoff direction runs a hom search, so the least search cap
+    # changes nothing on any demo file
+    for path in sorted(DEMO_DATA.glob("*.alg")):
+        default = run("birkhoff-demo", "--vars", "2", str(path))
+        monkeypatch.setenv("UALG_CAPS", "search=1")
+        assert run("birkhoff-demo", "--vars", "2", str(path)) == default
+        assert default[0] == 0 and default[2] == ""
+        monkeypatch.delenv("UALG_CAPS")
+
+
+def test_birkhoff_demo_refuses_a_large_least_generating_set(tmp_path):
+    # a 16-element left-zero band is generated only by its whole carrier:
+    # the certificate's search stops at size 5, whose free algebra is over
+    # the cells cap, before trying 2^16 subsets
+    n = 16
+    band = algebra(SIG_F, n, {"f": [a for a in range(n) for _ in range(n)]})
+    path = tmp_path / "l16.alg"
+    path.write_text(emit_algebra_file(SIG_F, [("L16", band)]))
+    code, out, err = run("birkhoff-demo", "--vars", "2", str(path))
+    assert code == 2
+    assert err == (
+        "error: generating sets of size 5: a free algebra on 5 variables over a "
+        "size-16 algebra needs 5242880 tuple cells, cap 1000000\n"
+    )
+    assert out.endswith("STAGE easy-direction.hom-images-closed PASS\n")
 
 
 def test_usage_errors():

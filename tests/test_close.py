@@ -21,11 +21,12 @@ from ualg import (
     classify,
     find_homs,
     find_isomorphism,
-    hom_image,
     product,
     search_proof,
     subalgebra_generate,
+    verify_invariance,
 )
+from ualg.birkhoff import HomImageWitness
 from ualg.closure import EmptyCarrierError, close
 from ualg.core import CapExceededError, OutOfRangeError
 from ualg.homs import hom_violation
@@ -33,6 +34,7 @@ from ualg.homs import hom_violation
 from oracles import (
     build_free_passes,
     closure_list,
+    hom_image,
     hom_image_passes,
     hom_violation_apply_op,
     product_cellwise,
@@ -425,7 +427,8 @@ GC_CASES = {
     "find_homs-surjective": lambda: find_homs(z4_add(), z2_xor(), surjective=True),
     "build_free": lambda: build_free([semilattice2(SIG_F), z2_xor()], ["x", "y"]),
     "subalgebra_generate": lambda: subalgebra_generate(z2_times_z3(), [1]),
-    "hom_image": lambda: hom_image(z4_add(), find_homs(z4_add(), z2_xor())[1]),
+    # hom images are built as quotients by the kernel
+    "hom_image": lambda: verify_invariance(z4_add(), COMM, HomImageWitness(find_homs(z4_add(), z2_xor())[1])),
     "search_proof-found": lambda: search_proof(SIG_F, [COMM], Equation(f(f(X, Y), X), f(X, f(Y, X)))),
     "search_proof-refuted": lambda: search_proof(SIG_F, [COMM], Equation(f(X, Y), X), SearchLimits(max_depth=3)),
 }

@@ -13,12 +13,12 @@ from ualg import (
     enumerate_terms,
     evaluate,
     find_models,
-    hom_image,
     hsp_certificate_check,
     product,
     quotient,
     subalgebra_generate,
     trivial_certificate,
+    var_to_eqcl_check,
 )
 from ualg import closure
 from ualg.closure import CertCheckResult, EmptyCarrierError, HspCertificate
@@ -26,7 +26,7 @@ from ualg.core import CapExceededError, Caps, SignatureMismatchError, UalgError
 from ualg.homs import NotAHomError
 from ualg.terms import all_environments
 
-from oracles import congruences_bruteforce
+from oracles import congruences_bruteforce, hom_image
 from samples import (
     SIG_F,
     SIG_FE,
@@ -244,6 +244,30 @@ def test_trivial_certificate_certifies_membership():
     for alg in (z2_xor(), semilattice2(), z3_add()):
         cert = trivial_certificate(0, alg)
         assert hsp_certificate_check([alg], alg, cert).ok
+
+
+def left_zero(n):
+    return algebra(SIG_F, n, {"f": [a for a in range(n) for _ in range(n)]})
+
+
+def test_trivial_certificate_refuses_what_build_free_would():
+    # every subset of a left-zero band is a subalgebra: the least generating
+    # set is the carrier, and 16^5 * 5 tuple cells exceed the default cap
+    with pytest.raises(
+        CapExceededError,
+        match="^generating sets of size 5: a free algebra on 5 variables over a "
+        "size-16 algebra needs 5242880 tuple cells, cap 1000000$",
+    ):
+        trivial_certificate(0, left_zero(16))
+    # L3 needs 3 generators, 3^3 coordinates of 3 cells: refused at 80 cells,
+    # exactly where the hard direction's free algebra is refused too
+    band = left_zero(3)
+    with pytest.raises(CapExceededError, match="needs 81 tuple cells, cap 80$"):
+        trivial_certificate(0, band, Caps(cells=80))
+    cert = trivial_certificate(0, band, Caps(cells=81))
+    assert cert.gens == (0, 1, 2)
+    with pytest.raises(CapExceededError, match="index width 27 exceeds cap 80$"):
+        var_to_eqcl_check([band], band, cert, caps=Caps(cells=80))
 
 
 def test_semilattice_square_certificate():

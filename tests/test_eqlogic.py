@@ -12,7 +12,6 @@ from ualg import (
     find_homs,
     find_models,
     find_isomorphism,
-    hom_image,
     mod_check,
     product,
     satisfies,
@@ -22,7 +21,7 @@ from ualg import (
 from ualg.core import CapExceededError, Caps
 from ualg.fileio import parse_equation
 
-from oracles import models_bruteforce
+from oracles import hom_image, models_bruteforce
 from samples import (
     EASY_LAW_SETS,
     SIG_CONST,

@@ -160,8 +160,20 @@ def test_certificate_round_trip():
     text = certificate_to_text(cert)
     assert text == "(cert (factors (0 2) (1 1)) (gens 1 2) (image 0 1 0))"
     assert parse_certificate(text) == cert
-    with pytest.raises(ParseError):
-        parse_certificate("(cert (factors (0)) (gens) (image))")
+    assert parse_certificate("(cert (factors) (gens) (image))") == HspCertificate((), (), ())
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(cert (factors (0)) (gens) (image))", "1:16-16: factors want (index power) pairs"),
+    ("(cert (factors (0 1)) (gens (1)) (image 0))", "1:29-29: expected an integer or ')', found '('"),
+    ("(cert (factors (0 1)) (gens 1) (image 0)) x", "1:43-43: trailing input 'x'"),
+    ("(cert (factors (0 1)) (gens 1) (image 0)", "1:41-41: unexpected end of input (wanted rparen)"),
+    ("(cert (gens 1) (factors (0 1)) (image 0))", "1:8-11: expected 'factors', found 'gens'"),
+], ids=["short-pair", "nested-gens", "trailing", "missing-paren", "section-order"])
+def test_certificate_parse_errors(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_certificate(text)
+    assert str(info.value) == f"<certificate>:{message}"
 
 
 def test_free_sidecar_format():

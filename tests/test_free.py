@@ -23,7 +23,7 @@ from ualg.closure import EmptyCarrierError
 from ualg.free import UniversalMapFailure
 from ualg.terms import Equation
 
-from samples import SIG_F, SIG_FE, SIG_M, semilattice2, z2_xor
+from samples import SIG_F, SIG_FE, SIG_M, semilattice2, z2_xor, z3_add
 
 X, Y = Var("x"), Var("y")
 
@@ -164,6 +164,18 @@ def test_build_free_caps():
         build_free([z2_xor()], ["a", "b", "c"], caps=Caps(carrier=3))
     with pytest.raises(CapExceededError):
         build_free([z2_xor()], ["a", "b", "c"], caps=Caps(cells=10))
+
+
+def test_build_free_checks_the_index_width_before_listing_it():
+    # 2^64 environments: listing them first would never return
+    variables = [f"v{i}" for i in range(64)]
+    with pytest.raises(CapExceededError, match=f"index width {2**64} exceeds cap 1000000$"):
+        build_free([z2_xor()], variables)
+    # the width sums over the class: 2^3 + 3^3 coordinates, 3 cells each
+    with pytest.raises(CapExceededError, match="index width 35 exceeds cap 104$"):
+        build_free([z2_xor(), z3_add()], ["a", "b", "c"], caps=Caps(cells=104))
+    with pytest.raises(CapExceededError, match="tuple cells would exceed cap 105$"):
+        build_free([z2_xor(), z3_add()], ["a", "b", "c"], caps=Caps(cells=105))
 
 
 def test_build_free_rejects_repeated_variables():

@@ -371,6 +371,16 @@ def test_isomorphism_is_an_equivalence():
     assert compose(f, g).image == identity_map(z2_xor()).image
 
 
+def test_find_isomorphism_rechecks_the_inverse(monkeypatch):
+    # a bijective hom has a hom inverse; a search yielding a bijection that
+    # is not a hom is caught by the re-check, also under python -O
+    swap = CarrierMap(z2_xor(), z2_xor(), (1, 0))
+    assert not classify(swap).is_hom
+    monkeypatch.setattr(homs, "iter_homs", lambda *args, **kwargs: iter([swap]))
+    with pytest.raises(UalgError, match=r"inverse of \(1, 0\) is not a hom at f\(0, 0\)$"):
+        find_isomorphism(z2_xor(), z2_xor())
+
+
 def test_iter_homs_is_lazy():
     gen = iter_homs(z2_xor(), z2_xor())
     assert next(gen).image == (0, 0)
