@@ -362,9 +362,11 @@ def _cmd_entail_search(args, caps: Caps, out: TextIO) -> int:
 
 
 def _cmd_birkhoff_demo(args, caps: Caps, out: TextIO) -> int:
+    if args.vars < 1:
+        raise UsageError(f"--vars must be at least 1, got {args.vars}")
     named = _load_class(args.files)
     K = [alg for _, alg in named]
-    variables = _gen_vars(max(2, args.vars))[:2]
+    variables = _gen_vars(args.vars)
     all_ok = True
 
     theory = theory_upto(K, variables, 1, caps)

@@ -48,7 +48,7 @@ class Caps:
     table cells, environment spaces, term counts, a model search's work
     (cells assigned plus relabellings tried) and the congruences found
     for one algebra (at most Bell(size)); search bounds a hom search's
-    space, |target| ** (number of source generators it branches on).  Only
+    work, the target values it tries at its branch points.  Only
     the hom-search API (find_homs, find_isomorphism, check_leq, the
     hom-find command) searches homs; neither Birkhoff direction does.
     Every CLI command reads its caps from UALG_CAPS and passes them to

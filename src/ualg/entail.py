@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .core import FiniteAlgebra, Signature, UalgError
 from .terms import (
@@ -27,6 +27,7 @@ from .terms import (
     subterms,
     substitute,
     term_size,
+    term_vars,
 )
 from .eqlogic import mod_check, satisfies
 
@@ -279,7 +280,7 @@ def _middles(search: _Search, p: Term, q: Term) -> list[Term]:
         for a in itertools.chain(search.axioms, search.swapped):
             binding: dict[str, Term] = {}
             if match_term(a.lhs, side, binding) and all(
-                v in binding for v in _pattern_vars(a.rhs)
+                v in binding for v in term_vars(a.rhs)
             ):
                 pool.append(substitute(Substitution(binding), a.rhs))
     for t in pool:
@@ -288,10 +289,6 @@ def _middles(search: _Search, p: Term, q: Term) -> list[Term]:
                 seen.add(t)
                 out.append(t)
     return out
-
-
-def _pattern_vars(t: Term) -> Iterable[str]:
-    return (node.name for node in subterms(t) if type(node) is Var)
 
 
 def collect_proof_arities(p: Proof, arities: dict[str, int]) -> None:

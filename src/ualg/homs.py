@@ -159,7 +159,7 @@ def iter_homs(
     Homs agreeing on a generating set agree everywhere, so the search only
     branches on each least element outside the subalgebra generated by the
     constants, the fixed elements and the earlier branch points.  caps.search
-    bounds dst.size ** (number of branch points), the maps it can try.
+    bounds the values tried at them: iterating past it raises SearchCapError.
     """
     same_signature(src, dst)
     fixed = dict(fixed or {})
@@ -168,24 +168,18 @@ def iter_homs(
             raise ValueError(f"fixed assignment {a}->{b} out of range")
     seeds = [(s[0], d[0]) for (_, k), s, d in zip(src.sig.ops, src.tables, dst.tables) if not k]
     seeds += fixed.items()
-    # The branch points do not depend on the values tried, so the identity,
-    # which never conflicts, finds them: each element undecided when reached.
-    probe = _Search(src, src)
-    probe.assign([(a, a) for a, _ in seeds])
-    points = [a for a in range(src.size) if probe.image[a] < 0 and probe.assign([(a, a)])]
-    if dst.size ** len(points) > caps.search:
-        raise SearchCapError(f"search space {dst.size}^{len(points)} exceeds cap {caps.search}")
-    search = _Search(src, dst, surjective, injective)
+    search = _Search(src, dst, surjective, injective, caps.search)
     return search.homs() if search.assign(seeds) else iter(())
 
 
 class _Search:
     """A partial image src -> dst, -1 marking the undecided elements."""
 
-    def __init__(self, src, dst, surjective: bool | None = None, injective: bool | None = None):
+    def __init__(self, src, dst, surjective: bool | None, injective: bool | None, cap: int):
         self.src, self.dst, self.surjective, self.injective = src, dst, surjective, injective
         self.ops = [(k, s, d) for (_, k), s, d in zip(src.sig.ops, src.tables, dst.tables) if k]
         self.image = [-1] * src.size
+        self.cap, self.tried = cap, 0
 
     def assign(self, todo: list[tuple[int, int]]) -> bool:
         """Send a to b for each (a, b) in todo, checking each newly decided x
@@ -229,6 +223,12 @@ class _Search:
             return
         a, saved = image.index(-1), image[:]
         for b in range(self.dst.size):
+            self.tried += 1
+            if self.tried > self.cap:
+                raise SearchCapError(
+                    f"hom search: {self.tried} values tried at branch points exceed cap "
+                    f"{self.cap}; raise it with UALG_CAPS=search=N"
+                )
             if self.assign([(a, b)]):
                 yield from self.homs()
             image[:] = saved

@@ -274,6 +274,25 @@ def test_birkhoff_demo_pool_stdout():
     assert (code, out, err) == (0, POOL_DEMO_STDOUT, "")
 
 
+@pytest.mark.parametrize(
+    "vars_, counts", [(1, (2, 4, 2)), (3, (18, 24, 24))], ids=["K=1", "K=3"]
+)
+def test_birkhoff_demo_theory_uses_k_variables(vars_, counts):
+    # --vars K names v0 .. v(K-1) in the depth-1 theory
+    paths = [DEMO_DATA / f"{name}.alg" for name in ("pool", "semilattice2", "z2_xor")]
+    for path, count in zip(paths, counts):
+        code, out, err = run("birkhoff-demo", "--vars", str(vars_), str(path))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == f"# theory of the class up to depth 1: {count} equations"
+        assert lines[-1] == "RESULT pass"
+
+
+def test_birkhoff_demo_refuses_zero_vars():
+    code, out, err = run("birkhoff-demo", "--vars", "0", str(DEMO_DATA / "z2_xor.alg"))
+    assert (code, out, err) == (2, "", "usage error: --vars must be at least 1, got 0\n")
+
+
 def test_birkhoff_demo_honours_caps(monkeypatch):
     monkeypatch.setenv("UALG_CAPS", "carrier=2")
     code, out, err = run("birkhoff-demo", "--vars", "2", str(DEMO_DATA / "semilattice2.alg"))

@@ -23,6 +23,7 @@ from ualg.homs import (
     KernelInclusionError,
     NotSurjectiveError,
     SearchCapError,
+    hom_violation,
     iter_homs,
 )
 
@@ -248,25 +249,34 @@ def test_find_homs_deterministic_and_ordered():
 
 
 def test_search_cap():
-    # Z4 is generated by 1 over the subalgebra {0}: branch points 0 and 1
-    with pytest.raises(SearchCapError, match=r"^search space 4\^2 exceeds cap 15$"):
-        find_homs(z4_add(), z4_add(), caps=Caps(search=15))
-    assert len(find_homs(z4_add(), z4_add(), caps=Caps(search=16))) == 4
+    # the cap counts target values tried at branch points: four at 0, where
+    # only 0 -> 0 survives propagation, then four at 1
+    with pytest.raises(
+        SearchCapError,
+        match=r"^hom search: 8 values tried at branch points exceed cap 7; "
+        r"raise it with UALG_CAPS=search=N$",
+    ):
+        find_homs(z4_add(), z4_add(), caps=Caps(search=7))
+    assert len(find_homs(z4_add(), z4_add(), caps=Caps(search=8))) == 4
 
 
 def test_search_cap_counts_branch_points_past_fixed_elements_and_constants():
     # {1} generates Z4, so pinning 1 leaves nothing to branch on; {0} is a
-    # subalgebra, so pinning 0 leaves one branch point
-    assert [m.image for m in find_homs(z4_add(), z4_add(), fixed={1: 3}, caps=Caps(search=1))] == [
+    # subalgebra, so pinning 0 leaves one branch point with four values
+    assert [m.image for m in find_homs(z4_add(), z4_add(), fixed={1: 3}, caps=Caps(search=0))] == [
         (0, 3, 2, 1)
     ]
-    with pytest.raises(SearchCapError, match=r"^search space 4\^1 exceeds cap 3$"):
+    assert len(find_homs(z4_add(), z4_add(), fixed={0: 0}, caps=Caps(search=4))) == 4
+    with pytest.raises(SearchCapError, match=r"^hom search: 4 values tried .* cap 3;"):
         find_homs(z4_add(), z4_add(), fixed={0: 0}, caps=Caps(search=3))
-    # the unit 1 of mul3 is a constant; 0 and then 2 are branch points
-    with pytest.raises(SearchCapError, match=r"^search space 3\^2 exceeds cap 8$"):
+    # the unit 1 of mul3 is a constant; 0 takes three values, two of them
+    # idempotent, and then 2 takes three values under each
+    assert len(find_homs(mul3_with_unit(), mul3_with_unit(), caps=Caps(search=9))) == 3
+    with pytest.raises(SearchCapError, match=r"^hom search: 9 values tried .* cap 8;"):
         find_homs(mul3_with_unit(), mul3_with_unit(), caps=Caps(search=8))
     # constants_only names 2 and 0, so 1 is its one branch point
-    with pytest.raises(SearchCapError, match=r"^search space 3\^1 exceeds cap 2$"):
+    assert len(find_homs(constants_only(), constants_only(), caps=Caps(search=3))) == 3
+    with pytest.raises(SearchCapError, match=r"^hom search: 3 values tried .* cap 2;"):
         find_homs(constants_only(), constants_only(), caps=Caps(search=2))
 
 
@@ -352,6 +362,36 @@ def test_relabelled_z2_cube_isomorphism_under_default_caps():
     f, g = find_isomorphism(cube, twisted)
     assert classify(f).is_hom and classify(f).injective and classify(g).is_hom
     assert compose(f, g).image == identity_map(cube).image
+
+
+@pytest.mark.parametrize(
+    "factor, k",
+    [(semilattice2(SIG_F), 4), (z2_xor(), 4), (semilattice2(SIG_F), 5), (z2_xor(), 5)],
+    ids=["C2^4", "Z2^4", "C2^5", "Z2^5"],
+)
+def test_relabelled_powers_are_isomorphic_under_default_caps(factor, k):
+    # their static spaces (16^16, 16^5, 32^32, 32^6) are far over the cap;
+    # the values the search tries are not
+    power = product([factor] * k).alg
+    twisted = relabelled_product([factor] * k)
+    f, g = find_isomorphism(power, twisted)
+    assert hom_violation(f) is None and hom_violation(g) is None
+    assert compose(f, g).image == identity_map(power).image
+    assert compose(g, f).image == identity_map(twisted).image
+
+
+def test_search_cap_bounds_the_values_tried_not_the_space():
+    # C2^4 against a relabelled copy: 4584 values tried find the first
+    # isomorphism, one fewer does not
+    power = product([semilattice2(SIG_F)] * 4).alg
+    twisted = relabelled_product([semilattice2(SIG_F)] * 4)
+    assert find_isomorphism(power, twisted, Caps(search=4584)) is not None
+    with pytest.raises(
+        SearchCapError,
+        match=r"^hom search: 4584 values tried at branch points exceed cap 4583; "
+        r"raise it with UALG_CAPS=search=N$",
+    ):
+        find_isomorphism(power, twisted, Caps(search=4583))
 
 
 def test_isomorphism_is_an_equivalence():
