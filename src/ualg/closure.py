@@ -69,11 +69,11 @@ def product(factors: Sequence[FiniteAlgebra], caps: Caps = DEFAULT_CAPS) -> Prod
     coords = [_decode_mixed(sizes, a) for a in range(n)]
     tables = []
     for pos, (_, arity) in enumerate(sig.ops):
-        cells = [(f.tables[pos], f.size) for f in factors]
+        factor_tables = [(f.tables[pos], f.size) for f in factors]
         table = []
         for args in itertools.product(coords, repeat=arity):
             value = 0
-            for i, (factor_table, size) in enumerate(cells):
+            for i, (factor_table, size) in enumerate(factor_tables):
                 at = 0
                 for c in args:
                     at = at * size + c[i]

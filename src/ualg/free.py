@@ -5,10 +5,24 @@ pair, where the environments range over all assignments of the chosen
 variables into each algebra's carrier.  The algebra is the subalgebra of
 the big product generated by the variable-projection tuples; two terms
 land on the same element exactly when the class satisfies their identity.
+
+While it is closed, an element is a bytes string with one byte lane per
+coordinate, member k's values shifted by |A_0| + .. + |A_k-1| so that the
+members' lane ranges never overlap.  An application then reads every
+member's table through a few C-level byte translates and carry-free big-int
+adds (see `_lane_plan`), not a Python loop over the coordinates.  This fits
+when the members' sizes sum to at most 256 and so do their r-th powers for
+each arity r; otherwise the closure runs on int tuples, one raw table lookup
+per coordinate.  Either way the elements are stored as int tuples, so the
+free algebra does not depend on the path.  The soundness re-check evaluates
+the representatives with `terms.fingerprints`, which shares no code with
+either closure kernel, so it catches a fault in them.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -58,6 +72,12 @@ def build_free(
 ) -> FreeAlgebra:
     """Close the variable-projection tuples of the indexed product under
     pointwise operations; discovery order fixes labels and representatives.
+
+    The closure runs on byte lanes when the class fits (sizes summing to at
+    most 256, and their r-th powers too for each arity r) and on int tuples
+    otherwise; the choice depends only on the sizes and arities, and the
+    result is the same.  `_check_invariants` re-evaluates every
+    representative with `terms.fingerprints`, independently of both.
     """
     if K:
         sig = same_signature(*K)
@@ -95,23 +115,15 @@ def build_free(
                 f"tuple cells would exceed cap {caps.cells}"
             )
 
-    # Raw row-major lookups in per-coordinate (table, size) pairs.
-    columns = {name: [(K[ki].tables[pos], K[ki].size) for ki, _ in index]
-               for pos, (name, _) in enumerate(sig.ops)}
-
-    def pointwise(name: str, args: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-        cells = columns[name]
-        if not args:
-            return tuple([table[0] for table, _ in cells])
-        *heads, lasts = args
-        at = heads[0] if heads else [0] * width
-        for tup in heads[1:]:
-            at = [i * n + a for i, (_, n), a in zip(at, cells, tup)]
-        # tuple([...]), not tuple(generator): see terms.fingerprints.
-        return tuple([table[i * n + a] for (table, n), i, a in zip(cells, at, lasts)])
-
     projections = fingerprints(K, [Var(name) for name in variables], variables)
-    elements, origins, tables = close(sig, projections, pointwise, admit)
+    plan = _lane_plan(K, sig)
+    if plan is None:
+        apply, seeds = _tuple_pointwise(K, sig, index, width), projections
+    else:
+        apply, seeds, unshift = _lane_pointwise(K, plan, index, projections)
+    elements, origins, tables = close(sig, seeds, apply, admit)
+    if plan is not None:
+        elements = [tuple(lanes.translate(unshift)) for lanes in elements]
     gens = {name: elements.index(tup) for name, tup in zip(variables, projections)}
     reprs: list[Term] = []
     for e, origin in enumerate(origins):
@@ -130,6 +142,89 @@ def build_free(
     )
     _check_invariants(free)
     return free
+
+
+def _tuple_pointwise(K, sig, index, width):
+    """The fallback kernel: raw row-major lookups, one per coordinate."""
+    columns = {name: [(K[ki].tables[pos], K[ki].size) for ki, _ in index]
+               for pos, (name, _) in enumerate(sig.ops)}
+
+    def pointwise(name: str, args: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+        cells = columns[name]
+        if not args:
+            return tuple([table[0] for table, _ in cells])
+        *heads, lasts = args
+        at = heads[0] if heads else [0] * width
+        for tup in heads[1:]:
+            at = [i * n + a for i, (_, n), a in zip(at, cells, tup)]
+        # tuple([...]), not tuple(generator): see terms.fingerprints.
+        return tuple([table[i * n + a] for (table, n), i, a in zip(cells, at, lasts)])
+
+    return pointwise
+
+
+def _lane_plan(K, sig) -> dict[str, tuple[list[bytes], bytes]] | None:
+    """Per symbol, the byte-lane kernel's step tables and final table, or
+    None when the class does not fit in byte lanes.
+
+    Member k's lanes hold its values shifted by off_k = |A_0| + .. + |A_k-1|.
+    After j arguments of an r-ary symbol, they hold start(k, j) plus the
+    row-major index of those arguments, where start(k, j) is
+    |A_0|^j + .. + |A_k-1|^j.  Step j maps start(k, j) + p to
+    start(k, j+1) - off_k + p*|A_k|, so adding the next argument's lane
+    gives start(k, j+1) + p*|A_k| + v, below 256 with no carry.  The final
+    table maps start(k, r) + i to off_k plus entry i of member k's table (a
+    constant reads start(k, 0) = k).
+    """
+    sizes = [alg.size for alg in K]
+    if sum(sizes) > 256 or any(sum(n**arity for n in sizes) > 256 for _, arity in sig.ops):
+        return None
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    plan = {}
+    for pos, (name, arity) in enumerate(sig.ops):
+        start = [list(itertools.accumulate([n**j for n in sizes], initial=0)) for j in range(arity + 1)]
+        steps = []
+        for j in range(1, arity):
+            step = bytearray(256)
+            for k, n in enumerate(sizes):
+                for p in range(n**j):
+                    step[start[j][k] + p] = start[j + 1][k] - offsets[k] + p * n
+            steps.append(bytes(step))
+        final = bytearray(256)
+        for k, alg in enumerate(K):
+            for i, value in enumerate(alg.tables[pos]):
+                final[start[arity][k] + i] = offsets[k] + value
+        plan[name] = (steps, bytes(final))
+    return plan
+
+
+def _lane_pointwise(K, plan, index, projections):
+    """The byte-lane kernel: an element is a bytes string, one lane per
+    coordinate; an application is a few translates and carry-free big-int
+    adds, whatever the width.  Returns it, the seeds in lanes and the table
+    that decodes lanes back to values."""
+    width = len(index)
+    offsets = list(itertools.accumulate([alg.size for alg in K], initial=0))
+    members = bytes([ki for ki, _ in index])
+    shift = bytes([offsets[ki] for ki, _ in index])
+    unshift = bytearray(256)
+    for k, alg in enumerate(K):
+        unshift[offsets[k]:offsets[k + 1]] = range(alg.size)
+    from_bytes = int.from_bytes
+
+    def pointwise(name: str, args: tuple[bytes, ...]) -> bytes:
+        steps, final = plan[name]
+        if len(args) == 2:  # the common case, unrolled
+            x, y = args
+            z = from_bytes(x.translate(steps[0]), "little") + from_bytes(y, "little")
+            return z.to_bytes(width, "little").translate(final)
+        z = args[0] if args else members
+        for step, x in zip(steps, args[1:]):
+            z = (from_bytes(z.translate(step), "little") + from_bytes(x, "little")).to_bytes(width, "little")
+        return z.translate(final)
+
+    seeds = [bytes(map(operator.add, tup, shift)) for tup in projections]
+    return pointwise, seeds, bytes(unshift)
 
 
 def _check_invariants(free: FreeAlgebra) -> None:

@@ -40,9 +40,12 @@ def z3_add() -> FiniteAlgebra:
     return algebra(SIG_F, 3, {"f": [0, 1, 2, 1, 2, 0, 2, 0, 1]})
 
 
+def z_add(n: int) -> FiniteAlgebra:
+    return algebra(SIG_F, n, {"f": [(a + b) % n for a in range(n) for b in range(n)]})
+
+
 def z4_add() -> FiniteAlgebra:
-    table = [(a + b) % 4 for a in range(4) for b in range(4)]
-    return algebra(SIG_F, 4, {"f": table})
+    return z_add(4)
 
 
 def mul3_with_unit():
@@ -66,8 +69,12 @@ def z3_malcev():
     return algebra(SIG_T, 3, {"t": [(x - y + z) % 3 for x, y, z in itertools.product(range(3), repeat=3)]})
 
 
+def chain_median(n):
+    return algebra(SIG_T, n, {"t": [sorted(args)[1] for args in itertools.product(range(n), repeat=3)]})
+
+
 def chain3_median():
-    return algebra(SIG_T, 3, {"t": [sorted(args)[1] for args in itertools.product(range(3), repeat=3)]})
+    return chain_median(3)
 
 
 def constants_only():

@@ -7,6 +7,7 @@ import itertools
 
 import pytest
 
+import ualg.free
 from ualg import (
     App,
     Caps,
@@ -46,6 +47,7 @@ from samples import (
     SIG_FE,
     SIG_G,
     chain3_median,
+    chain_median,
     constants_only,
     mixed_arities,
     mul3_with_unit,
@@ -56,6 +58,7 @@ from samples import (
     z3_malcev,
     z4_add,
     z5_successor,
+    z_add,
 )
 
 SAMPLES = [z2_xor(), semilattice2(SIG_F), z3_add(), z4_add()]
@@ -100,12 +103,33 @@ FREE_CASES = [
     *[(f"ternary-median-{k}", [chain3_median()], "xyz"[:k]) for k in range(1, 4)],
     *[(f"constants-only-{k}", [constants_only()], "xyz"[:k]) for k in range(4)],
     *[(f"mixed-arities-{k}", [mixed_arities()], "x"[:k]) for k in range(2)],
+    # Either side of the byte-lane fit rule: the lanes need sum |A| <= 256
+    # and sum |A|^r <= 256 for each arity r; past it the tuple path runs.
+    ("lanes-Z16-1", [z_add(16)], "x"),  # sum n^2 = 256
+    ("lanes-Z11+Z11-1", [z_add(11), z_add(11)], "x"),  # 242
+    ("lanes-median6-2", [chain_median(6)], "xy"),  # sum n^3 = 216
+    ("lanes-median6-3", [chain_median(6)], "xyz"),
+    ("lanes-Z2+Z2-2", [z2_xor(), z2_xor()], "xy"),
+    ("lanes-pool-2", [z2_xor(), z3_add(), z4_add(), semilattice2(SIG_F)], "xy"),
+    ("tuples-Z17-1", [z_add(17)], "x"),  # 289
+    ("tuples-Z12+Z11-1", [z_add(12), z_add(11)], "x"),  # 265
+    ("tuples-median7-2", [chain_median(7)], "xy"),  # 343
 ]
 
 
 @pytest.mark.parametrize("K, variables", [c[1:] for c in FREE_CASES], ids=[c[0] for c in FREE_CASES])
 def test_build_free_matches_the_pass_oracle(K, variables):
     assert_same_free(build_free(K, list(variables)), build_free_passes(K, list(variables)))
+
+
+PATH_CASES = [c for c in FREE_CASES if c[0].startswith(("lanes-", "tuples-"))]
+
+
+@pytest.mark.parametrize(
+    "path, K", [(c[0].split("-")[0], c[1]) for c in PATH_CASES], ids=[c[0] for c in PATH_CASES]
+)
+def test_build_free_takes_the_path_its_case_names(path, K):
+    assert (ualg.free._lane_plan(K, K[0].sig) is not None) == (path == "lanes")
 
 
 def test_build_free_empty_class_matches_the_pass_oracle():

@@ -317,6 +317,22 @@ for label, bad in broken.items():
         ualg.free._check_invariants(bad)
     except UalgError:
         print("raised", label)
+lane_plan = ualg.free._lane_plan
+
+
+def corrupted_plan(K, sig):
+    plan = lane_plan(K, sig)
+    steps, final = plan["m"]  # the one member's m(1, 1) = 1 sits at entry 3
+    plan["m"] = (steps, final[:3] + bytes([0]) + final[4:])
+    return plan
+
+
+ualg.free._lane_plan = corrupted_plan
+try:
+    build_free([sl], ["x", "y"])
+except UalgError as e:
+    if "does not evaluate to its tuple" in str(e):
+        print("raised corrupted lane table")
 ualg.entail.check_proof = lambda sig, axioms, proof: Equation(Var("x"), Var("x"))
 goal = Equation(Var("y"), Var("y"))
 try:
@@ -339,5 +355,6 @@ def test_soundness_checks_survive_python_O():
         "raised duplicate tuple",
         "raised swapped representatives",
         "raised wrong generator",
+        "raised corrupted lane table",
         "raised search_proof",
     ]
