@@ -23,7 +23,8 @@ from .core import (
     Signature,
     UalgError,
     _decode_mixed,
-    _encode_mixed,
+    apply_op,
+    mapped_cells,
     same_signature,
 )
 from .homs import CarrierMap, hom_violation, iter_homs
@@ -43,17 +44,20 @@ class ProductAlgebra:
     def encode(self, tup: Sequence[int]) -> int:
         if len(tup) != len(self.sizes):
             raise ValueError(f"expected {len(self.sizes)} coordinates")
+        index = 0
         for value, size in zip(tup, self.sizes):
             if not 0 <= value < size:
                 raise ValueError(f"coordinate {value} outside factor of size {size}")
-        return _encode_mixed(self.sizes, tup)
+            index = index * size + value
+        return index
 
     def decode(self, index: int) -> tuple[int, ...]:
         return _decode_mixed(self.sizes, index)
 
 
 def product(factors: Sequence[FiniteAlgebra], caps: Caps = DEFAULT_CAPS) -> ProductAlgebra:
-    """Componentwise product of a nonempty list of same-signature algebras."""
+    """Componentwise product of a nonempty list of same-signature algebras:
+    each factor's tables pulled back along its coordinate column."""
     if not factors:
         raise ValueError("product requires at least one factor")
     sig = same_signature(*factors)
@@ -66,21 +70,12 @@ def product(factors: Sequence[FiniteAlgebra], caps: Caps = DEFAULT_CAPS) -> Prod
     cells = sum(n**arity for _, arity in sig.ops)
     if cells > caps.cells:
         raise CapExceededError(f"product tables need {cells} cells, cap {caps.cells}")
-    coords = [_decode_mixed(sizes, a) for a in range(n)]
-    tables = []
-    for pos, (_, arity) in enumerate(sig.ops):
-        factor_tables = [(f.tables[pos], f.size) for f in factors]
-        table = []
-        for args in itertools.product(coords, repeat=arity):
-            value = 0
-            for i, (factor_table, size) in enumerate(factor_tables):
-                at = 0
-                for c in args:
-                    at = at * size + c[i]
-                value = value * size + factor_table[at]
-            table.append(value)
-        tables.append(tuple(table))
-    return ProductAlgebra(FiniteAlgebra(sig, n, tuple(tables)), sizes)
+    tables = [[0] * n**arity for _, arity in sig.ops]
+    for f, column in zip(factors, zip(*(_decode_mixed(sizes, a) for a in range(n)))):
+        for pos, ((_, arity), ft) in enumerate(zip(sig.ops, f.tables)):
+            at = mapped_cells(column, f.size, arity)
+            tables[pos] = [v * f.size + ft[j] for v, j in zip(tables[pos], at)]
+    return ProductAlgebra(FiniteAlgebra(sig, n, tuple(map(tuple, tables))), sizes)
 
 
 def close(
@@ -206,14 +201,13 @@ def congruences(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> list[tuple[int
     translations = set()
     for (_, arity), table in zip(alg.sig.ops, alg.tables):
         for pos in range(arity):
+            # the cells with argument pos at 0 are the runs [base, base + stride)
             stride = n ** (arity - 1 - pos)
-            for rest in itertools.product(range(n), repeat=arity - 1):
-                at = 0
-                for a in (*rest[:pos], 0, *rest[pos:]):
-                    at = at * n + a
-                t = table[at : at + n * stride : stride]
-                if min(t) != max(t):
-                    translations.add(t)
+            for base in range(0, len(table), n * stride):
+                for at in range(base, base + stride):
+                    t = table[at : at + n * stride : stride]
+                    if min(t) != max(t):
+                        translations.add(t)
     zero = tuple(range(n))
     principals = {_join(zero, [pair], translations) for pair in itertools.combinations(zero, 2)}
     found = {zero} | principals
@@ -244,32 +238,29 @@ def quotient(alg: FiniteAlgebra, theta: Sequence[int]) -> tuple[FiniteAlgebra, C
     """alg/theta, plus the natural map onto it.  theta is a labelling as
     congruences returns it (every element mapped to the least element of
     its block); each block is labelled by its rank among the least elements.
-    Every operation tuple is checked against theta before the quotient is
-    built: a labelling that is ill formed or not a congruence raises
-    UalgError."""
+    The quotient reads alg's tables at the least elements; theta is a
+    congruence exactly when the natural map is then a hom, which is checked:
+    a labelling that is ill formed or not a congruence raises UalgError."""
     n = alg.size
     theta = tuple(theta)
     if len(theta) != n or any(not 0 <= r <= x or theta[r] != r for x, r in enumerate(theta)):
         raise UalgError(f"{theta} does not map each element to the least of its block")
-    label = {r: i for i, r in enumerate(sorted(set(theta)))}
-    nat = tuple(label[r] for r in theta)
-    tables = []
-    for (name, arity), table in zip(alg.sig.ops, alg.tables):
-        cells = []
-        for i, args in enumerate(itertools.product(range(n), repeat=arity)):
-            at = 0
-            for a in args:
-                at = at * n + theta[a]
-            if theta[table[i]] != theta[table[at]]:
-                raise UalgError(
-                    f"{_blocks_text(theta)} is not a congruence: {name}{args} = {table[i]} and "
-                    f"{name}{tuple(theta[a] for a in args)} = {table[at]} lie in different blocks"
-                )
-            if at == i:  # every argument is a least element: a cell of the quotient
-                cells.append(nat[table[i]])
-        tables.append(tuple(cells))
-    quo = FiniteAlgebra(alg.sig, len(label), tuple(tables))
-    return quo, CarrierMap(alg, quo, nat)
+    reps = sorted(set(theta))
+    nat = tuple(map(reps.index, theta))
+    quo = FiniteAlgebra(alg.sig, len(reps), tuple(
+        tuple([nat[table[j]] for j in mapped_cells(reps, n, arity)])
+        for (_, arity), table in zip(alg.sig.ops, alg.tables)
+    ))
+    natural = CarrierMap(alg, quo, nat)
+    witness = hom_violation(natural)
+    if witness is not None:
+        name, args = witness
+        least = tuple(theta[a] for a in args)
+        raise UalgError(
+            f"{_blocks_text(theta)} is not a congruence: {name}{args} = {apply_op(alg, name, args)} "
+            f"and {name}{least} = {apply_op(alg, name, least)} lie in different blocks"
+        )
+    return quo, natural
 
 
 def check_leq(a: FiniteAlgebra, b: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> CarrierMap | None:
@@ -291,6 +282,13 @@ class HspCertificate:
     image: tuple[int, ...]
 
 
+def free_width(sizes: Iterable[int], nvars: int) -> tuple[int, int]:
+    """The coordinates of the free algebra on nvars variables over members of
+    these sizes, and its generators' tuple cells, which caps.cells bounds."""
+    width = sum(size**nvars for size in sizes)
+    return width, width * max(1, nvars)
+
+
 def trivial_certificate(
     k_index: int, alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS
 ) -> HspCertificate:
@@ -300,7 +298,7 @@ def trivial_certificate(
     but it raises CapExceededError before trying a size r that build_free
     would refuse on r variables over any class containing alg."""
     for r in range(0 if alg.sig.constants() else 1, alg.size + 1):
-        if (cells := alg.size**r * max(1, r)) > caps.cells:
+        if (cells := free_width([alg.size], r)[1]) > caps.cells:
             raise CapExceededError(
                 f"generating sets of size {r}: a free algebra on {r} variables "
                 f"over a size-{alg.size} algebra needs {cells} tuple cells, cap {caps.cells}"

@@ -186,16 +186,19 @@ def algebra(sig: Signature, size: int, tables: Mapping[str, Sequence[int]]) -> F
     return FiniteAlgebra(sig, size, tuple(tuple(tables[n]) for n, _ in sig.ops))
 
 
-def _encode_mixed(sizes: Sequence[int], tup: Sequence[int]) -> int:
-    """Mixed-radix row-major index: coordinate 0 is most significant."""
-    idx = 0
-    for value, size in zip(tup, sizes):
-        idx = idx * size + value
-    return idx
+def mapped_cells(image: Sequence[int], size: int, arity: int) -> list[int]:
+    """For each cell of an arity-ary table over range(len(image)), in
+    row-major order, the cell of a size-element table reading the same
+    arguments mapped through image: the one whole-table index fold."""
+    cells = [0]
+    for _ in range(arity):
+        cells = [c * size + x for c in cells for x in image]
+    return cells
 
 
 def _decode_mixed(sizes: Sequence[int], index: int) -> tuple[int, ...]:
-    """Inverse of _encode_mixed."""
+    """The coordinates of a mixed-radix row-major index, coordinate 0 most
+    significant."""
     out = [0] * len(sizes)
     for pos in range(len(sizes) - 1, -1, -1):
         index, out[pos] = divmod(index, sizes[pos])

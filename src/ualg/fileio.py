@@ -230,15 +230,11 @@ def parse_proof(text: str, file: str = "<proof>") -> entail.Proof:
 
 def term_to_text(t: Term) -> str:
     """Canonical surface form: no spaces, nullary symbols written bare."""
-    if type(t) is Var:
-        return f"?{t.name}"
-    if not t.children:
-        return t.symbol
-    return f"{t.symbol}({','.join(term_to_text(c) for c in t.children)})"
+    return str(t)
 
 
 def equation_to_text(eq: Equation) -> str:
-    return f"{term_to_text(eq.lhs)} = {term_to_text(eq.rhs)}"
+    return str(eq)
 
 
 def proof_to_text(p: entail.Proof) -> str:

@@ -36,7 +36,7 @@ from .core import (
     UalgError,
     same_signature,
 )
-from .closure import EmptyCarrierError, close
+from .closure import EmptyCarrierError, close, free_width
 from .homs import CarrierMap, hom_violation
 from .terms import App, Term, Var, all_environments, fingerprints, term_columns
 
@@ -92,8 +92,8 @@ def build_free(
             "no variables and no constants: empty carrier not representable"
         )
 
-    width = sum(alg.size ** len(variables) for alg in K)
-    if width * max(1, len(variables)) > caps.cells:
+    width, cells = free_width([alg.size for alg in K], len(variables))
+    if cells > caps.cells:
         raise CapExceededError(
             f"tuple cells: index width {width} exceeds cap {caps.cells}"
         )

@@ -19,6 +19,8 @@ from .core import (
     Caps,
     FiniteAlgebra,
     UalgError,
+    _decode_mixed,
+    mapped_cells,
     same_signature,
 )
 
@@ -79,16 +81,16 @@ class HomClassification:
 
 
 def hom_violation(m: CarrierMap) -> tuple[str, tuple[int, ...]] | None:
-    """First (symbol, args) where the map fails to commute, else None."""
+    """First (symbol, args) where the map fails to commute, else None; each
+    table is compared whole, mapped through the image."""
     same_signature(m.src, m.dst)
-    image, size = m.image, m.dst.size
+    image = m.image
     for (name, arity), src_table, dst_table in zip(m.src.sig.ops, m.src.tables, m.dst.tables):
-        for at, args in enumerate(itertools.product(range(m.src.size), repeat=arity)):
-            mapped = 0
-            for a in args:
-                mapped = mapped * size + image[a]
-            if image[src_table[at]] != dst_table[mapped]:
-                return (name, args)
+        mapped = [image[x] for x in src_table]
+        target = [dst_table[j] for j in mapped_cells(image, m.dst.size, arity)]
+        if mapped != target:
+            at = next(i for i, (a, b) in enumerate(zip(mapped, target)) if a != b)
+            return (name, _decode_mixed((m.src.size,) * arity, at))
     return None
 
 

@@ -10,10 +10,14 @@ check cell by two checked apply_op calls, the hom search branching on every
 source element in place of the generators, the models of E found by
 filtering every table and deduplicated by trying every relabelling, the
 congruences of an algebra found by trying every set partition, every
-algebra the easy direction derives by its own mod_check call, the hard
-direction's free algebra built on one variable per element of B, a hom's
-image closed as a subalgebra of its target (hom_image), and the HSP
+quotient cell by one apply_op call after a cell-by-cell congruence check,
+every algebra the easy direction derives by its own mod_check call, the
+hard direction's free algebra built on one variable per element of B, a
+hom's image closed as a subalgebra of its target (hom_image), and the HSP
 certificate check comparing that image with B by an isomorphism search.
+Table indices here come from enumerating itertools.product (_positions),
+never from the package's index codec, so a fault in the codec cannot
+show on both sides of a differential test.
 """
 
 import functools
@@ -44,10 +48,22 @@ from ualg import (
 )
 from ualg.birkhoff import PipelineReport, Stage, _env_string, _models_theory
 from ualg.closure import CertCheckResult, ProductAlgebra
-from ualg.core import Caps, UalgError, _decode_mixed, _encode_mixed, same_signature
+from ualg.core import Caps, UalgError, same_signature
 from ualg.free import FreeAlgebra, UniversalMapFailure, universal_map
 from ualg.homs import NotAHomError, hom_violation
 from ualg.terms import all_environments
+
+
+@functools.lru_cache(maxsize=None)
+def _positions(sizes):
+    """Each coordinate tuple of the mixed-radix space with these sizes
+    mapped to its position in itertools.product order: the row-major
+    index, found by enumeration rather than by the package's arithmetic."""
+    return {args: i for i, args in enumerate(itertools.product(*map(range, sizes)))}
+
+
+def _cell(sizes, args):
+    return _positions(tuple(sizes))[tuple(args)]
 
 
 def theory_upto_pairwise(K, variables, max_depth, term_cap=1_000_000, env_cap=1_000_000):
@@ -157,11 +173,11 @@ def _compatible(ops, n, m, image, v):
             continue
         decided = [a for a in range(n) if image[a] >= 0]
         for args in itertools.product(decided, repeat=arity):
-            res = src_table[_encode_mixed((n,) * arity, args)]
+            res = src_table[_cell((n,) * arity, args)]
             if image[res] < 0:
                 continue
             if v in args or res == v:
-                mapped = _encode_mixed((m,) * arity, [image[a] for a in args])
+                mapped = _cell((m,) * arity, [image[a] for a in args])
                 if dst_table[mapped] != image[res]:
                     return False
     return True
@@ -182,7 +198,7 @@ def product_cellwise(factors, size_cap=4096, cells_cap=1_000_000):
     if cells > cells_cap:
         raise CapExceededError(f"product tables need {cells} cells, cap {cells_cap}")
 
-    coords = [_decode_mixed(sizes, a) for a in range(n)]
+    coords = list(_positions(sizes))
     tables = []
     for name, arity in sig.ops:
         table = []
@@ -191,7 +207,7 @@ def product_cellwise(factors, size_cap=4096, cells_cap=1_000_000):
                 apply_op(f, name, [coords[a][i] for a in args])
                 for i, f in enumerate(factors)
             ]
-            table.append(_encode_mixed(sizes, value))
+            table.append(_cell(sizes, value))
         tables.append(tuple(table))
     return ProductAlgebra(FiniteAlgebra(sig, n, tuple(tables)), sizes)
 
@@ -345,7 +361,7 @@ def _relabellings(sig, size, tables):
         for (_, arity), table in zip(sig.ops, tables):
             new = [0] * len(table)
             for i, args in enumerate(itertools.product(range(size), repeat=arity)):
-                new[_encode_mixed([size] * arity, [perm[a] for a in args])] = perm[table[i]]
+                new[_cell([size] * arity, [perm[a] for a in args])] = perm[table[i]]
             out.append(tuple(new))
         yield tuple(out)
 
@@ -361,13 +377,45 @@ def congruences_bruteforce(alg):
     for theta in _set_partitions(n):
         block = {r: [x for x in range(n) if theta[x] == r] for r in theta}
         if all(
-            theta[table[_encode_mixed([n] * arity, a)]] == theta[table[_encode_mixed([n] * arity, b)]]
+            theta[table[_cell([n] * arity, a)]] == theta[table[_cell([n] * arity, b)]]
             for (_, arity), table in zip(alg.sig.ops, alg.tables)
             for a in itertools.product(range(n), repeat=arity)
             for b in itertools.product(*(block[theta[x]] for x in a))
         ):
             out.append(theta)
     return sorted(out)
+
+
+def quotient_apply_op(alg, theta):
+    """alg/theta for a least-element labelling theta, checked cell by cell:
+    in signature order and row-major order, the first operation tuple whose
+    value and the value at its tuple of least elements lie in different
+    blocks raises UalgError.  Each cell of the quotient is one apply_op
+    call at the least elements of its blocks."""
+    n = alg.size
+    for name, arity in alg.sig.ops:
+        for args in itertools.product(range(n), repeat=arity):
+            least = tuple(theta[a] for a in args)
+            value, at_least = apply_op(alg, name, args), apply_op(alg, name, least)
+            if theta[value] != theta[at_least]:
+                blocks = "|".join(
+                    "{" + ",".join(str(x) for x in range(n) if theta[x] == r) + "}"
+                    for r in sorted(set(theta))
+                )
+                raise UalgError(
+                    f"{blocks} is not a congruence: {name}{args} = {value} and "
+                    f"{name}{least} = {at_least} lie in different blocks"
+                )
+    reps = sorted(set(theta))
+    nat = tuple(reps.index(r) for r in theta)
+    quo = FiniteAlgebra(alg.sig, len(reps), tuple(
+        tuple(
+            nat[apply_op(alg, name, [reps[i] for i in args])]
+            for args in itertools.product(range(len(reps)), repeat=arity)
+        )
+        for name, arity in alg.sig.ops
+    ))
+    return quo, CarrierMap(alg, quo, nat)
 
 
 def _set_partitions(n):

@@ -61,8 +61,12 @@ SIG_CONST = signature(("c", 0), ("d", 0))
 SIG_MIXED = signature(("g", 1), ("e", 0), ("t", 3))
 
 
+def z_successor(n):
+    return algebra(SIG_G, n, {"g": [(a + 1) % n for a in range(n)]})
+
+
 def z5_successor():
-    return algebra(SIG_G, 5, {"g": [(a + 1) % 5 for a in range(5)]})
+    return z_successor(5)
 
 
 def z3_malcev():

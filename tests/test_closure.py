@@ -4,6 +4,7 @@ import pytest
 
 from ualg import (
     CarrierMap,
+    build_free,
     Var,
     algebra,
     apply_op,
@@ -21,12 +22,12 @@ from ualg import (
     var_to_eqcl_check,
 )
 from ualg import closure
-from ualg.closure import CertCheckResult, EmptyCarrierError, HspCertificate
+from ualg.closure import CertCheckResult, EmptyCarrierError, HspCertificate, free_width
 from ualg.core import CapExceededError, Caps, SignatureMismatchError, UalgError
 from ualg.homs import NotAHomError
 from ualg.terms import all_environments
 
-from oracles import congruences_bruteforce, hom_image
+from oracles import _set_partitions, congruences_bruteforce, hom_image, quotient_apply_op
 from samples import (
     SIG_F,
     SIG_FE,
@@ -42,6 +43,7 @@ from samples import (
     z3_malcev,
     z4_add,
     z5_successor,
+    z_successor,
 )
 
 X, Y = Var("x"), Var("y")
@@ -217,6 +219,26 @@ def test_quotient_rejects_partitions_that_are_not_congruences():
             quotient(z3_add(), bad)
 
 
+QUOTIENT_SAMPLES = [*all_binary_size2(), z4_add(), z_successor(4), z3_malcev(),
+                    chain3_median(), constants_only(), mixed_arities(), mul3_with_unit()]
+
+
+@pytest.mark.parametrize("alg", QUOTIENT_SAMPLES)
+def test_quotient_matches_the_apply_op_oracle_on_every_partition(alg):
+    compatible = []
+    for theta in _set_partitions(alg.size):
+        try:
+            expected = quotient_apply_op(alg, theta)
+        except UalgError as failure:
+            with pytest.raises(UalgError) as exc:
+                quotient(alg, theta)
+            assert str(exc.value) == str(failure)
+        else:
+            assert quotient(alg, theta) == expected
+            compatible.append(theta)
+    assert sorted(compatible) == congruences(alg)
+
+
 def test_check_leq():
     assert check_leq(z3_add(), z3_add()).image == (0, 1, 2)
     square = product([z2_xor(), z2_xor()]).alg
@@ -268,6 +290,32 @@ def test_trivial_certificate_refuses_what_build_free_would():
     assert cert.gens == (0, 1, 2)
     with pytest.raises(CapExceededError, match="index width 27 exceeds cap 80$"):
         var_to_eqcl_check([band], band, cert, caps=Caps(cells=80))
+
+
+def test_free_width_is_the_one_bound_of_both_cell_checks():
+    # L3's least generating set has 3 elements; on r variables its free
+    # algebra has r elements over 3^r coordinates
+    band = left_zero(3)
+    for r in range(1, 4):
+        width, cells = free_width([3], r)
+        assert (width, cells) == (3**r, 3**r * r)
+        variables = ["x", "y", "z"][:r]
+        # cells == cap: neither check refuses r
+        assert build_free([band], variables, Caps(cells=cells)).alg.size == r
+        if r < 3:
+            with pytest.raises(CapExceededError, match=f"^generating sets of size {r + 1}: "):
+                trivial_certificate(0, band, Caps(cells=cells))
+        else:
+            assert trivial_certificate(0, band, Caps(cells=cells)).gens == (0, 1, 2)
+        # cells == cap + 1: both refuse r
+        with pytest.raises(CapExceededError, match=f"^tuple cells: index width {width} exceeds cap {cells - 1}$"):
+            build_free([band], variables, Caps(cells=cells - 1))
+        with pytest.raises(
+            CapExceededError,
+            match=f"^generating sets of size {r}: a free algebra on {r} variables over a "
+            f"size-3 algebra needs {cells} tuple cells, cap {cells - 1}$",
+        ):
+            trivial_certificate(0, band, Caps(cells=cells - 1))
 
 
 def test_semilattice_square_certificate():

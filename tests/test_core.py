@@ -12,8 +12,8 @@ from ualg.core import (
     UalgError,
     UnknownSymbolError,
     _decode_mixed,
-    _encode_mixed,
     _violations,
+    mapped_cells,
 )
 
 from samples import SIG_F, SIG_M, semilattice2, z2_xor
@@ -97,21 +97,32 @@ def test_apply_op_matches_direct_indexing_exhaustively():
         }
         alg = algebra(sig, size, tables)
         for name, arity in sig.ops:
-            for args in itertools.product(range(size), repeat=arity):
-                expected = tables[name][_encode_mixed((size,) * arity, args)]
-                assert apply_op(alg, name, args) == expected
+            for at, args in enumerate(itertools.product(range(size), repeat=arity)):
+                assert apply_op(alg, name, args) == tables[name][at]
 
 
-def test_row_major_index_is_a_bijection():
-    # the one index codec with equal sizes: row-major order, args[0] most significant
+def test_mapped_cells_and_decode_match_positions_in_product_order():
+    # brute force: a tuple's row-major index is its position in itertools.product order
     for size in range(1, 5):
         for arity in range(0, 4):
-            sizes = (size,) * arity
-            seen = [_encode_mixed(sizes, args) for args in itertools.product(range(size), repeat=arity)]
-            assert seen == list(range(size**arity))
-            for index, args in enumerate(itertools.product(range(size), repeat=arity)):
-                assert index == sum(a * size ** (arity - 1 - i) for i, a in enumerate(args))
-                assert _decode_mixed(sizes, index) == args
+            dst_cells = list(itertools.product(range(size), repeat=arity))
+            images = [
+                tuple(range(size)),  # identity
+                (size - 1,) * size,  # constant
+                tuple(a // 2 for a in range(size)),  # not injective
+                (size - 1, 0),  # shorter or longer than size
+                tuple(a % size for a in range(size + 1)),  # longer than size
+            ]
+            for image in images:
+                src_cells = itertools.product(range(len(image)), repeat=arity)
+                assert mapped_cells(image, size, arity) == [
+                    dst_cells.index(tuple(image[a] for a in args)) for args in src_cells
+                ]
+            for index, args in enumerate(dst_cells):
+                assert _decode_mixed((size,) * arity, index) == args
+    for sizes in [(2, 3), (3, 1, 2), (4, 2, 3, 2), (5,)]:
+        for index, args in enumerate(itertools.product(*map(range, sizes))):
+            assert _decode_mixed(sizes, index) == args
 
 
 def test_signature_invariants():

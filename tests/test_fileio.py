@@ -1,6 +1,6 @@
 import pytest
 
-from ualg import App, Equation, Substitution, Var, build_free
+from ualg import App, Equation, Substitution, Var, build_free, enumerate_terms, signature
 from ualg.closure import HspCertificate
 from ualg.entail import Hyp, Refl, Sub, Sym, Trans, App as PApp
 from ualg.fileio import (
@@ -153,6 +153,29 @@ def test_term_and_equation_text_are_canonical():
     eq = Equation(t, X)
     assert equation_to_text(eq) == "f(?x,f(?y,e)) = ?x"
     assert parse_equation(equation_to_text(eq)) == eq
+
+
+def _term_text_recursive(t):
+    """The surface form written out by its own recursion."""
+    if type(t) is Var:
+        return f"?{t.name}"
+    if not t.children:
+        return t.symbol
+    return f"{t.symbol}({','.join(_term_text_recursive(c) for c in t.children)})"
+
+
+def test_term_and_equation_text_are_the_str_forms():
+    # every term of depth <= 2 over f/2, g/1, e/0 and m/3 on two variables
+    sig = signature(("f", 2), ("g", 1), ("e", 0), ("m", 3))
+    terms = enumerate_terms(sig, ["x", "y"], 2)
+    assert len(terms) == 75_897
+    for t in terms:
+        assert term_to_text(t) == str(t) == _term_text_recursive(t)
+    for p, q in zip(terms[::97], terms[::-89]):
+        eq = Equation(p, q)
+        text = equation_to_text(eq)
+        assert text == str(eq) == f"{_term_text_recursive(p)} = {_term_text_recursive(q)}"
+        assert parse_equation(text) == eq
 
 
 def test_certificate_round_trip():

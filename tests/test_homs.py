@@ -18,7 +18,7 @@ from ualg import (
     product,
 )
 from ualg import homs
-from ualg.core import Caps, SignatureMismatchError, UalgError, _encode_mixed
+from ualg.core import Caps, SignatureMismatchError, UalgError
 from ualg.homs import (
     KernelInclusionError,
     NotSurjectiveError,
@@ -285,8 +285,9 @@ def relabel(alg, perm):
     tables = {}
     for (name, arity), table in zip(alg.sig.ops, alg.tables):
         renamed = [0] * len(table)
-        for at, args in enumerate(itertools.product(range(alg.size), repeat=arity)):
-            renamed[_encode_mixed((alg.size,) * arity, [perm[a] for a in args])] = perm[table[at]]
+        cells = {args: at for at, args in enumerate(itertools.product(range(alg.size), repeat=arity))}
+        for args, at in cells.items():
+            renamed[cells[tuple(perm[a] for a in args)]] = perm[table[at]]
         tables[name] = renamed
     return algebra(alg.sig, alg.size, tables)
 
