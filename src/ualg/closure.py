@@ -1,7 +1,7 @@
 """The H, S, P constructions on finite algebras.
 
 Products are carried by mixed-radix flat indices (factor 0 most
-significant).  Generated subalgebras and free algebras come from one
+significant), and built on the byte-lane kernel when they fit.  Generated subalgebras and free algebras come from one
 deterministic pass closure, `close`, which also yields the operation
 tables.  Homomorphic images are built only as quotients A/theta, by
 congruences each a union-find closed under translations.  An HSP
@@ -24,6 +24,9 @@ from .core import (
     UalgError,
     _decode_mixed,
     apply_op,
+    encode_lanes,
+    index_lanes,
+    lane_pointwise,
     mapped_cells,
     same_signature,
 )
@@ -57,7 +60,9 @@ class ProductAlgebra:
 
 def product(factors: Sequence[FiniteAlgebra], caps: Caps = DEFAULT_CAPS) -> ProductAlgebra:
     """Componentwise product of a nonempty list of same-signature algebras:
-    each factor's tables pulled back along its coordinate column."""
+    on byte lanes (_product_lanes) up to 256 elements when every factor fits
+    in them, else each factor's tables pulled back along its coordinate
+    column.  The tables are int tuples either way."""
     if not factors:
         raise ValueError("product requires at least one factor")
     sig = same_signature(*factors)
@@ -70,12 +75,31 @@ def product(factors: Sequence[FiniteAlgebra], caps: Caps = DEFAULT_CAPS) -> Prod
     cells = sum(n**arity for _, arity in sig.ops)
     if cells > caps.cells:
         raise CapExceededError(f"product tables need {cells} cells, cap {caps.cells}")
-    tables = [[0] * n**arity for _, arity in sig.ops]
-    for f, column in zip(factors, zip(*(_decode_mixed(sizes, a) for a in range(n)))):
-        for pos, ((_, arity), ft) in enumerate(zip(sig.ops, f.tables)):
-            at = mapped_cells(column, f.size, arity)
-            tables[pos] = [v * f.size + ft[j] for v, j in zip(tables[pos], at)]
+    if n <= 256 and all(f._lanes is not None for f in factors):
+        tables = _product_lanes(factors, sizes)
+    else:
+        tables = [[0] * n**arity for _, arity in sig.ops]
+        for f, column in zip(factors, zip(*(_decode_mixed(sizes, a) for a in range(n)))):
+            for pos, ((_, arity), ft) in enumerate(zip(sig.ops, f.tables)):
+                at = mapped_cells(column, f.size, arity)
+                tables[pos] = [v * f.size + ft[j] for v, j in zip(tables[pos], at)]
     return ProductAlgebra(FiniteAlgebra(sig, n, tuple(map(tuple, tables))), sizes)
+
+
+def _product_lanes(factors: Sequence[FiniteAlgebra], sizes: tuple[int, ...]) -> list[bytes]:
+    """The product tables on byte lanes, for at most 256 elements and
+    factors that each fit in byte lanes: each factor's operation applied by
+    the lane kernel to its coordinate lanes, which depend only on the sizes,
+    then the factors' values encoded in mixed radix."""
+    m = len(sizes)
+    # a constant's table has one cell, of member 0
+    applies = [lane_pointwise(f._lanes, b"\0") for f in factors]
+    tables = []
+    for name, arity in factors[0].sig.ops:
+        lanes = index_lanes(sizes * arity)  # lane f + m*j: factor f's coordinate of argument j
+        values = [apply(name, lanes[f::m]) for f, apply in enumerate(applies)]
+        tables.append(encode_lanes(values, sizes))
+    return tables
 
 
 def close(

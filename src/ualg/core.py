@@ -7,13 +7,21 @@ Every FiniteAlgebra is well formed: each k-ary table holds n^k entries, all
 in 0..n-1.  The constructor enforces this, raising InvalidTablesError with
 every violation, so the rest of the package indexes tables raw.
 Everything is immutable and safe to share.
+
+The module also holds the one index codec (mapped_cells and _decode_mixed
+for int tables, index_lanes and encode_lanes for byte lanes) and the one
+byte-lane kernel (lane_plan, lane_pointwise), which term columns,
+products and the free algebra's closure share.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 
 class UalgError(Exception):
@@ -174,6 +182,13 @@ class FiniteAlgebra:
             index[name] = (arity, table)
         object.__setattr__(self, "_ops", index)
 
+    @cached_property
+    def _lanes(self) -> dict[str, tuple[list[bytes], bytes]] | None:
+        """lane_plan([self]), built on first use and kept: every product
+        with this algebra as a factor, and every term_columns call on it,
+        reads the same byte views of its tables."""
+        return lane_plan([self], self.sig)
+
 
 def algebra(sig: Signature, size: int, tables: Mapping[str, Sequence[int]]) -> FiniteAlgebra:
     """Build a FiniteAlgebra from a symbol->table mapping."""
@@ -194,6 +209,99 @@ def mapped_cells(image: Sequence[int], size: int, arity: int) -> list[int]:
     for _ in range(arity):
         cells = [c * size + x for c in cells for x in image]
     return cells
+
+
+def index_lanes(sizes: Sequence[int]) -> list[bytes]:
+    """For each coordinate of a mixed-radix row-major index over these sizes
+    (each at most 256), its value at every index in order, as a byte lane:
+    coordinate i repeats each value size[i+1] * .. times and tiles the run
+    size[0] * .. size[i-1] times."""
+    lanes, tile, repeat = [], 1, math.prod(sizes)
+    for size in sizes:
+        repeat //= size
+        lanes.append(b"".join([bytes((a,)) * repeat for a in range(size)]) * tile)
+        tile *= size
+    return lanes
+
+
+_IDENTITY = bytes(range(256))
+
+
+def encode_lanes(lanes: Sequence[bytes], sizes: Sequence[int]) -> bytes:
+    """The inverse of index_lanes: the mixed-radix row-major index at each
+    position of these coordinate lanes (the sizes' product at most 256), by
+    translates that multiply by the next size and carry-free big-int adds."""
+    from_bytes = int.from_bytes
+    index = lanes[0]
+    for lane, size in zip(lanes[1:], sizes[1:]):
+        times = _IDENTITY[::size].ljust(256, b"\0")  # p -> p * size
+        index = (from_bytes(index.translate(times), "little") + from_bytes(lane, "little")).to_bytes(len(lane), "little")
+    return index
+
+
+def lane_plan(K: Sequence[FiniteAlgebra], sig: Signature) -> dict[str, tuple[list[bytes], bytes]] | None:
+    """Per symbol, the byte-lane kernel's step tables and final table over
+    the members K, or None when they do not fit in byte lanes: their sizes
+    must sum to at most 256, and so must their r-th powers for each arity r.
+
+    Member k's lanes hold its values shifted by off_k = |A_0| + .. + |A_k-1|.
+    After j arguments of an r-ary symbol, they hold start(k, j) plus the
+    row-major index of those arguments, where start(k, j) is
+    |A_0|^j + .. + |A_k-1|^j.  Step j maps start(k, j) + p to
+    start(k, j+1) - off_k + p*|A_k|, so adding the next argument's lane
+    gives start(k, j+1) + p*|A_k| + v, below 256 with no carry.  The final
+    table maps start(k, r) + i to off_k plus entry i of member k's table (a
+    constant reads start(k, 0) = k).  With one member there is no shift:
+    each step multiplies by its size and the final table is its own.
+    """
+    sizes = [alg.size for alg in K]
+    # n^j <= n^top for 1 <= j <= top: the largest arity, at least 1, decides
+    top = max([1] + [arity for _, arity in sig.ops])
+    if sum([n**top for n in sizes]) > 256:
+        return None
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    # Member k's block of every table starts at start(k, j), right after
+    # member k-1's: each table is the members' blocks joined, padded to 256.
+    steps = []  # step j depends only on the sizes: every symbol shares it
+    for j in range(1, top):
+        blocks, start = [], 0  # start(k, j+1)
+        for n, off in zip(sizes, offsets):
+            blocks.append(_IDENTITY[start - off : start - off + n ** (j + 1) : n])
+            start += n ** (j + 1)
+        steps.append(b"".join(blocks).ljust(256, b"\0"))
+    shifts = [_IDENTITY[off:] + _IDENTITY[:off] for off in offsets]  # v -> off + v
+    plan = {}
+    for pos, (name, arity) in enumerate(sig.ops):
+        final = b"".join([bytes(alg.tables[pos]).translate(shift) for alg, shift in zip(K, shifts)])
+        plan[name] = (steps[: max(arity - 1, 0)], final.ljust(256, b"\0"))
+    return plan
+
+
+def lane_pointwise(
+    plan: dict[str, tuple[list[bytes], bytes]], members: bytes
+) -> Callable[[str, Sequence[bytes]], bytes]:
+    """The byte-lane kernel: apply(symbol, argument lanes) under a lane_plan.
+
+    A value column is a bytes string, one lane per coordinate; an r-ary
+    application is r - 1 translates through the step tables, carry-free
+    big-int adds and one translate through the final table, whatever the
+    width.  A constant reads members, each coordinate's member index, so its
+    column is as wide as members.
+    """
+    from_bytes = int.from_bytes
+
+    def apply(name: str, args: Sequence[bytes]) -> bytes:
+        steps, final = plan[name]
+        if len(args) == 2:  # the common case, unrolled
+            x, y = args
+            z = from_bytes(x.translate(steps[0]), "little") + from_bytes(y, "little")
+            return z.to_bytes(len(y), "little").translate(final)
+        z = args[0] if args else members
+        for step, x in zip(steps, args[1:]):
+            z = (from_bytes(z.translate(step), "little") + from_bytes(x, "little")).to_bytes(len(x), "little")
+        return z.translate(final)
+
+    return apply
 
 
 def _decode_mixed(sizes: Sequence[int], index: int) -> tuple[int, ...]:

@@ -8,15 +8,16 @@ land on the same element exactly when the class satisfies their identity.
 
 While it is closed, an element is a bytes string with one byte lane per
 coordinate, member k's values shifted by |A_0| + .. + |A_k-1| so that the
-members' lane ranges never overlap.  An application then reads every
-member's table through a few C-level byte translates and carry-free big-int
-adds (see `_lane_plan`), not a Python loop over the coordinates.  This fits
-when the members' sizes sum to at most 256 and so do their r-th powers for
-each arity r; otherwise the closure runs on int tuples, one raw table lookup
-per coordinate.  Either way the elements are stored as int tuples, so the
-free algebra does not depend on the path.  The soundness re-check evaluates
-the representatives with `terms.fingerprints`, which shares no code with
-either closure kernel, so it catches a fault in them.
+members' lane ranges never overlap.  An application is then the package's
+one lane kernel (`core.lane_plan`, `core.lane_pointwise`): a few C-level
+byte translates and carry-free big-int adds, not a Python loop over the
+coordinates.  This fits when the members' sizes sum to at most 256 and so
+do their r-th powers for each arity r; otherwise the closure runs on int
+tuples, one raw table lookup per coordinate.  Either way the elements are
+stored as int tuples, so the free algebra does not depend on the path.  The
+soundness re-check evaluates the representatives on the list kernel alone
+(`terms._list_fingerprints`), which shares no code with either closure
+kernel, so it catches a fault in them.
 """
 
 from __future__ import annotations
@@ -32,13 +33,24 @@ from .core import (
     CapExceededError,
     Caps,
     FiniteAlgebra,
+    OutOfRangeError,
     Signature,
     UalgError,
+    lane_plan,
+    lane_pointwise,
     same_signature,
 )
 from .closure import EmptyCarrierError, close, free_width
 from .homs import CarrierMap, hom_violation
-from .terms import App, Term, Var, all_environments, fingerprints, term_columns
+from .terms import (
+    App,
+    Term,
+    Var,
+    _list_fingerprints,
+    all_environments,
+    fingerprints,
+    term_columns,
+)
 
 
 @dataclass(frozen=True)
@@ -77,7 +89,7 @@ def build_free(
     most 256, and their r-th powers too for each arity r) and on int tuples
     otherwise; the choice depends only on the sizes and arities, and the
     result is the same.  `_check_invariants` re-evaluates every
-    representative with `terms.fingerprints`, independently of both.
+    representative on the list kernel, independently of both.
     """
     if K:
         sig = same_signature(*K)
@@ -116,11 +128,12 @@ def build_free(
             )
 
     projections = fingerprints(K, [Var(name) for name in variables], variables)
-    plan = _lane_plan(K, sig)
+    plan = lane_plan(K, sig)
     if plan is None:
         apply, seeds = _tuple_pointwise(K, sig, index, width), projections
     else:
-        apply, seeds, unshift = _lane_pointwise(K, plan, index, projections)
+        members, seeds, unshift = _shifted_lanes(K, index, projections)
+        apply = lane_pointwise(plan, members)
     elements, origins, tables = close(sig, seeds, apply, admit)
     if plan is not None:
         elements = [tuple(lanes.translate(unshift)) for lanes in elements]
@@ -157,81 +170,30 @@ def _tuple_pointwise(K, sig, index, width):
         at = heads[0] if heads else [0] * width
         for tup in heads[1:]:
             at = [i * n + a for i, (_, n), a in zip(at, cells, tup)]
-        # tuple([...]), not tuple(generator): see terms.fingerprints.
+        # tuple([...]), not tuple(generator): see terms._fingerprints.
         return tuple([table[i * n + a] for (table, n), i, a in zip(cells, at, lasts)])
 
     return pointwise
 
 
-def _lane_plan(K, sig) -> dict[str, tuple[list[bytes], bytes]] | None:
-    """Per symbol, the byte-lane kernel's step tables and final table, or
-    None when the class does not fit in byte lanes.
-
-    Member k's lanes hold its values shifted by off_k = |A_0| + .. + |A_k-1|.
-    After j arguments of an r-ary symbol, they hold start(k, j) plus the
-    row-major index of those arguments, where start(k, j) is
-    |A_0|^j + .. + |A_k-1|^j.  Step j maps start(k, j) + p to
-    start(k, j+1) - off_k + p*|A_k|, so adding the next argument's lane
-    gives start(k, j+1) + p*|A_k| + v, below 256 with no carry.  The final
-    table maps start(k, r) + i to off_k plus entry i of member k's table (a
-    constant reads start(k, 0) = k).
-    """
-    sizes = [alg.size for alg in K]
-    if sum(sizes) > 256 or any(sum(n**arity for n in sizes) > 256 for _, arity in sig.ops):
-        return None
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    plan = {}
-    for pos, (name, arity) in enumerate(sig.ops):
-        start = [list(itertools.accumulate([n**j for n in sizes], initial=0)) for j in range(arity + 1)]
-        steps = []
-        for j in range(1, arity):
-            step = bytearray(256)
-            for k, n in enumerate(sizes):
-                for p in range(n**j):
-                    step[start[j][k] + p] = start[j + 1][k] - offsets[k] + p * n
-            steps.append(bytes(step))
-        final = bytearray(256)
-        for k, alg in enumerate(K):
-            for i, value in enumerate(alg.tables[pos]):
-                final[start[arity][k] + i] = offsets[k] + value
-        plan[name] = (steps, bytes(final))
-    return plan
-
-
-def _lane_pointwise(K, plan, index, projections):
-    """The byte-lane kernel: an element is a bytes string, one lane per
-    coordinate; an application is a few translates and carry-free big-int
-    adds, whatever the width.  Returns it, the seeds in lanes and the table
-    that decodes lanes back to values."""
-    width = len(index)
+def _shifted_lanes(K, index, projections):
+    """The member shift of the lane kernel (see core.lane_plan): each
+    coordinate's member index, the seeds in lanes, and the table that
+    decodes lanes back to values."""
     offsets = list(itertools.accumulate([alg.size for alg in K], initial=0))
-    members = bytes([ki for ki, _ in index])
     shift = bytes([offsets[ki] for ki, _ in index])
     unshift = bytearray(256)
     for k, alg in enumerate(K):
         unshift[offsets[k]:offsets[k + 1]] = range(alg.size)
-    from_bytes = int.from_bytes
-
-    def pointwise(name: str, args: tuple[bytes, ...]) -> bytes:
-        steps, final = plan[name]
-        if len(args) == 2:  # the common case, unrolled
-            x, y = args
-            z = from_bytes(x.translate(steps[0]), "little") + from_bytes(y, "little")
-            return z.to_bytes(width, "little").translate(final)
-        z = args[0] if args else members
-        for step, x in zip(steps, args[1:]):
-            z = (from_bytes(z.translate(step), "little") + from_bytes(x, "little")).to_bytes(width, "little")
-        return z.translate(final)
-
     seeds = [bytes(map(operator.add, tup, shift)) for tup in projections]
-    return pointwise, seeds, bytes(unshift)
+    return bytes([ki for ki, _ in index]), seeds, bytes(unshift)
 
 
 def _check_invariants(free: FreeAlgebra) -> None:
     """Soundness re-check of a built free algebra; raises UalgError."""
     if len(set(free.tuples)) != len(free.tuples):
         raise UalgError("free algebra: element tuples are not pairwise distinct")
-    computed = fingerprints(free.k_algebras, free.reprs, free.variables)
+    computed = _list_fingerprints(free.k_algebras, free.reprs, free.variables)
     for e, tup in enumerate(free.tuples):
         if computed[e] != tup:
             raise UalgError(
@@ -275,6 +237,9 @@ def universal_map(
     for name in free.variables:
         if name not in assign:
             raise ValueError(f"assignment misses variable {name}")
+    for name, value in assign.items():
+        if not 0 <= value < B.size:
+            raise OutOfRangeError(f"binding {name}={value} outside carrier 0..{B.size - 1}")
     single = {name: [value] for name, value in assign.items()}
     image = tuple([col[0] for col in term_columns(B, free.reprs, single)])
     candidate = CarrierMap(free.alg, B, image)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NoReturn, Sequence, Union
+from typing import Callable, Iterator, Mapping, NoReturn, Sequence, Union
 
 from .core import (
     DEFAULT_CAPS,
@@ -22,6 +22,8 @@ from .core import (
     UalgError,
     UnknownSymbolError,
     apply_op,
+    index_lanes,
+    lane_pointwise,
 )
 
 
@@ -174,8 +176,11 @@ def _bad_application(ops: dict, node: App) -> NoReturn:
     )
 
 
-def environment_columns(variables: Sequence[str], size: int) -> dict[str, list[int]]:
-    """Each variable's value over all_environments(variables, size), in order."""
+def environment_columns(variables: Sequence[str], size: int) -> dict[str, Sequence[int]]:
+    """Each variable's value over all_environments(variables, size), in
+    order: byte lanes when size <= 256, else lists."""
+    if size <= 256:
+        return dict(zip(variables, index_lanes([size] * len(variables))))
     envs = list(itertools.product(range(size), repeat=len(variables)))
     return {name: [env[pos] for env in envs] for pos, name in enumerate(variables)}
 
@@ -187,18 +192,47 @@ def term_columns(
     environments, given as one column of values per variable (see
     environment_columns); with no variables there is one environment.
 
-    Works bottom-up and computes each distinct subterm object once, so the
-    children that enumerate_terms and build_free's representatives share
-    cost one comprehension over their columns, not one tree walk per
-    environment.  Raises what evaluate raises, for the first term on which
-    evaluate would raise.  Columns are shared (a variable's is the one
-    passed in, a repeated subterm's is computed once): treat them as
-    read-only.
+    Works bottom-up and computes each distinct subterm object once, one
+    application of the lane kernel (lane_pointwise) per node when alg fits
+    in byte lanes, else of a list comprehension: so the children that
+    enumerate_terms and build_free's representatives share are never walked
+    twice.  The columns are bytes on the lanes and lists otherwise.  Raises
+    what evaluate raises, for the first term on which evaluate would raise.
+    Columns are shared (a variable's is the one passed in, a repeated
+    subterm's is computed once): treat them as read-only.
     """
-    # keyed by id: every node stays reachable from terms during the call
+    plan = alg._lanes
+    if plan is None:
+        return _list_columns(alg, terms, columns)
+    lanes = {name: bytes(col) for name, col in columns.items()}
+    apply = lane_pointwise(plan, bytes(_width(columns)))
     done: dict[int, Sequence[int]] = {}
-    width = len(next(iter(columns.values()), (0,)))
-    return [_column(t, done, columns, alg._ops, alg.size, width) for t in terms]
+    return [_column(t, done, lanes, alg._ops, apply) for t in terms]
+
+
+def _list_columns(
+    alg: FiniteAlgebra, terms: Sequence[Term], columns: Mapping[str, Sequence[int]]
+) -> list[list[int]]:
+    """term_columns on lists alone, sharing no code with the lane kernel."""
+    table_of, n, width = alg._ops, alg.size, _width(columns)
+
+    def apply(name: str, args: Sequence[Sequence[int]]) -> list[int]:
+        table = table_of[name][1]
+        if not args:
+            return [table[0]] * width
+        # row-major indices a column at a time: no call per cell
+        idx = args[0]
+        for c in args[1:]:
+            idx = [i * n + v for i, v in zip(idx, c)]
+        return [table[i] for i in idx]
+
+    lists = {name: list(col) for name, col in columns.items()}
+    done: dict[int, Sequence[int]] = {}
+    return [_column(t, done, lists, table_of, apply) for t in terms]
+
+
+def _width(columns: Mapping[str, Sequence[int]]) -> int:
+    return len(next(iter(columns.values()), (0,)))
 
 
 def _column(
@@ -206,9 +240,9 @@ def _column(
     done: dict[int, Sequence[int]],
     columns: Mapping[str, Sequence[int]],
     ops: dict,
-    n: int,
-    width: int,
+    apply: Callable[[str, Sequence], Sequence[int]],
 ) -> Sequence[int]:
+    # done is keyed by id: every node stays reachable from terms during the call
     if type(node) is Var:
         try:
             return columns[node.name]
@@ -220,17 +254,9 @@ def _column(
     entry = ops.get(node.symbol)
     if entry is None or len(node.children) != entry[0]:
         _bad_application(ops, node)
-    table = entry[1]
-    if not node.children:
-        col = [table[0]] * width
-    else:
-        # row-major indices a column at a time: no call per cell
-        args = [_column(c, done, columns, ops, n, width) for c in node.children]
-        idx = args[0]
-        for c in args[1:]:
-            idx = [i * n + v for i, v in zip(idx, c)]
-        col = [table[i] for i in idx]
-    done[id(node)] = col
+    col = done[id(node)] = apply(
+        node.symbol, [_column(c, done, columns, ops, apply) for c in node.children]
+    )
     return col
 
 
@@ -240,9 +266,19 @@ def fingerprints(
     """Each term's value columns in the members of K over all environments
     of the variables, joined in class order: its evaluation tuple at the
     (member, environment) coordinates of the free algebra of V(K)."""
-    per_alg = [
-        term_columns(alg, terms, environment_columns(variables, alg.size)) for alg in K
-    ]
+    return _fingerprints(K, terms, variables, term_columns)
+
+
+def _list_fingerprints(
+    K: Sequence[FiniteAlgebra], terms: Sequence[Term], variables: Sequence[str]
+) -> list[tuple[int, ...]]:
+    """fingerprints on the list kernel alone, for the free algebra's
+    soundness re-check: it shares no code with the lanes it checks."""
+    return _fingerprints(K, terms, variables, _list_columns)
+
+
+def _fingerprints(K, terms, variables, columns_of) -> list[tuple[int, ...]]:
+    per_alg = [columns_of(alg, terms, environment_columns(variables, alg.size)) for alg in K]
     if not per_alg:
         return [() for _ in terms]
     out = []

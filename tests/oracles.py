@@ -3,8 +3,10 @@
 Each is the pair-by-pair, point-by-point or pass-by-pass form that a
 faster or shared path in ualg replaced: every equation of a bounded theory
 decided by its own class_satisfies call, every coordinate of an
-evaluation tuple by its own evaluate call, every closure with its own
-naive pass loop followed by a separate pass that tabulates the operations,
+evaluation tuple by its own evaluate call, every term's value column by
+one table lookup per environment (the list kernel), every closure with
+its own naive pass loop followed by a separate pass that tabulates the
+operations,
 every product cell by one checked apply_op call per factor, every hom
 check cell by two checked apply_op calls, the hom search branching on every
 source element in place of the generators, the models of E found by
@@ -181,6 +183,26 @@ def _compatible(ops, n, m, image, v):
                 if dst_table[mapped] != image[res]:
                     return False
     return True
+
+
+def term_columns_lists(alg, terms, columns):
+    """The list kernel that the byte lanes replaced: each term's value
+    column as a list, one table lookup per environment, each cell found by
+    enumeration."""
+    width = len(next(iter(columns.values()), (0,)))
+    tables = dict(zip(alg.sig.symbols, alg.tables))
+    done = {}
+
+    def column(t):
+        if type(t) is Var:
+            return list(columns[t.name])
+        if id(t) not in done:
+            table, args = tables[t.symbol], [column(c) for c in t.children]
+            sizes = (alg.size,) * len(args)
+            done[id(t)] = [table[_cell(sizes, cell)] for cell in zip(*args)] if args else [table[0]] * width
+        return done[id(t)]
+
+    return [column(t) for t in terms]
 
 
 def product_cellwise(factors, size_cap=4096, cells_cap=1_000_000):

@@ -81,8 +81,8 @@ def chain3_median():
     return chain_median(3)
 
 
-def constants_only():
-    return algebra(SIG_CONST, 3, {"c": [2], "d": [0]})
+def constants_only(size=3):
+    return algebra(SIG_CONST, size, {"c": [size - 1], "d": [0]})
 
 
 def mixed_arities():

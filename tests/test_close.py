@@ -7,6 +7,7 @@ import itertools
 
 import pytest
 
+import ualg.closure
 import ualg.free
 from ualg import (
     App,
@@ -59,6 +60,7 @@ from samples import (
     z4_add,
     z5_successor,
     z_add,
+    z_successor,
 )
 
 SAMPLES = [z2_xor(), semilattice2(SIG_F), z3_add(), z4_add()]
@@ -129,7 +131,7 @@ PATH_CASES = [c for c in FREE_CASES if c[0].startswith(("lanes-", "tuples-"))]
     "path, K", [(c[0].split("-")[0], c[1]) for c in PATH_CASES], ids=[c[0] for c in PATH_CASES]
 )
 def test_build_free_takes_the_path_its_case_names(path, K):
-    assert (ualg.free._lane_plan(K, K[0].sig) is not None) == (path == "lanes")
+    assert (ualg.core.lane_plan(K, K[0].sig) is not None) == (path == "lanes")
 
 
 def test_build_free_empty_class_matches_the_pass_oracle():
@@ -245,6 +247,33 @@ def test_product_matches_the_cellwise_oracle(pool, count):
         got, want = product(list(factors)), product_cellwise(list(factors))
         assert got.alg == want.alg
         assert got.sizes == want.sizes
+
+
+# Either side of the product's byte-lane rule: at most 256 elements, and
+# factors that each fit in byte lanes (size^arity <= 256 for each arity).
+PRODUCT_CASES = [
+    ("lanes-16x16", [z_add(16), z_add(16)]),  # 256 elements
+    ("lists-17x16", [z_add(17), z_add(16)]),  # 272 elements
+    ("lists-17", [z_add(17)]),  # 17 elements, but 17^2 > 256
+    ("lanes-unary", [z5_successor(), z_successor(3)]),
+    ("lanes-ternary", [z3_malcev(), chain3_median()]),
+    ("lists-ternary-median7", [chain_median(7)]),  # 7^3 > 256
+    ("lanes-constants", [constants_only(), constants_only(2)]),
+    ("lists-constants-300", [constants_only(300)]),
+    ("lanes-mixed", [mixed_arities(), mixed_arities()]),
+]
+
+
+@pytest.mark.parametrize(
+    "path, factors", [(c[0].split("-")[0], c[1]) for c in PRODUCT_CASES], ids=[c[0] for c in PRODUCT_CASES]
+)
+def test_product_takes_the_path_its_case_names_and_matches_the_cellwise_oracle(path, factors, monkeypatch):
+    lane_products = []
+    real = ualg.closure._product_lanes
+    monkeypatch.setattr(ualg.closure, "_product_lanes", lambda *args: lane_products.append(args) or real(*args))
+    got = product(factors)
+    assert bool(lane_products) == (path == "lanes")
+    assert got == product_cellwise(factors)
 
 
 @pytest.mark.parametrize("factors", [[z4_add(), z3_add()], [mul3_with_unit()] * 3])

@@ -43,10 +43,26 @@ from oracles import (
     eqcl_to_var_check_permodel,
     models_theory_pairwise,
     nat_epi_pointwise,
+    term_columns_lists,
     theory_upto_pairwise,
     universal_map_pointwise,
 )
-from samples import EASY_LAW_SETS, SIG_F, SIG_FE, easy_laws, semilattice2, z2_xor, z3_add, z4_add
+from samples import (
+    EASY_LAW_SETS,
+    SIG_F,
+    SIG_FE,
+    chain_median,
+    constants_only,
+    easy_laws,
+    mixed_arities,
+    semilattice2,
+    z2_xor,
+    z3_add,
+    z3_malcev,
+    z4_add,
+    z_add,
+    z_successor,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_DATA = sorted((ROOT / "demos" / "data").glob("*.alg"))
@@ -92,7 +108,8 @@ def test_columns_match_evaluate_at_depth_3():
 def test_columns_without_variables_have_one_environment():
     mul3 = algebra(SIG_FE, 3, {"f": [(a * b) % 3 for a in range(3) for b in range(3)], "e": [2]})
     terms = enumerate_terms(SIG_FE, [], 2)
-    assert term_columns(mul3, terms, {}) == [[evaluate(mul3, t, {})] for t in terms]
+    columns = term_columns(mul3, terms, {})
+    assert [list(c) for c in columns] == [[evaluate(mul3, t, {})] for t in terms]
 
 
 def test_columns_under_one_given_environment():
@@ -147,6 +164,34 @@ def test_columns_match_evaluate_over_out_of_range_entries(arity, size, bad):
         columns = term_columns(alg, terms, environment_columns(variables, size))
         for t, col in zip(terms, columns):
             assert list(col) == [evaluate(alg, t, rho) for rho in envs], (table, str(t))
+
+
+# Either side of the byte-lane fit rule for one algebra: its size, and its
+# size to the power of each arity, at most 256; past it the list kernel runs.
+COLUMN_CASES = [
+    ("lanes-unary", z_successor(5), "xy", 3),
+    ("lists-unary-257", z_successor(257), "x", 3),
+    ("lanes-ternary-malcev", z3_malcev(), "xy", 2),
+    ("lanes-ternary-median6", chain_median(6), "xy", 2),  # 6^3 = 216
+    ("lists-ternary-median7", chain_median(7), "xy", 2),  # 7^3 = 343
+    ("lanes-constants", constants_only(), "x", 1),
+    ("lanes-constants-no-variables", constants_only(), "", 1),
+    ("lists-constants-300", constants_only(300), "x", 1),
+    ("lanes-mixed", mixed_arities(), "x", 2),
+    ("lanes-binary-16", z_add(16), "xy", 2),  # 16^2 = 256
+    ("lists-binary-17", z_add(17), "xy", 2),  # 17^2 = 289
+]
+
+
+@pytest.mark.parametrize(
+    "path, alg, variables, depth", [(c[0].split("-")[0], *c[1:]) for c in COLUMN_CASES], ids=[c[0] for c in COLUMN_CASES]
+)
+def test_columns_match_the_list_kernel_oracle_either_side_of_the_fit_rule(path, alg, variables, depth):
+    terms = enumerate_terms(alg.sig, list(variables), depth)
+    columns = environment_columns(list(variables), alg.size)
+    got = term_columns(alg, terms, columns)
+    assert {type(c) for c in got} == {bytes if path == "lanes" else list}
+    assert [list(c) for c in got] == term_columns_lists(alg, terms, columns)
 
 
 THEORY_CASES = [
@@ -227,6 +272,14 @@ def test_free_maps_match_pointwise_oracles():
             for values in itertools.product(range(B.size), repeat=len(variables)):
                 assign = dict(zip(variables, values))
                 assert universal_map(free, B, assign) == universal_map_pointwise(free, B, assign)
+            # a value outside B's carrier is refused as evaluate refuses it
+            for bad in (B.size, 300, -1):
+                assign = {name: bad for name in variables}
+                with pytest.raises(OutOfRangeError) as got:
+                    universal_map(free, B, assign)
+                with pytest.raises(OutOfRangeError) as want:
+                    universal_map_pointwise(free, B, assign)
+                assert str(got.value) == str(want.value)
 
 
 def test_mod_check_reports_a_class_sat_result():
@@ -299,7 +352,9 @@ def test_easy_direction_failure_witness_matches_the_permodel_oracle(laws, monkey
 
 CORRUPTED_FREE = """
 import dataclasses
+import sys
 from ualg import Equation, SearchLimits, UalgError, Var, build_free, search_proof, signature
+import ualg.core
 import ualg.entail
 import ualg.free
 from ualg.core import algebra
@@ -317,22 +372,43 @@ for label, bad in broken.items():
         ualg.free._check_invariants(bad)
     except UalgError:
         print("raised", label)
-lane_plan = ualg.free._lane_plan
+real = {"lane_plan": ualg.core.lane_plan, "lane_pointwise": ualg.core.lane_pointwise}
 
 
 def corrupted_plan(K, sig):
-    plan = lane_plan(K, sig)
+    plan = real["lane_plan"](K, sig)
     steps, final = plan["m"]  # the one member's m(1, 1) = 1 sits at entry 3
     plan["m"] = (steps, final[:3] + bytes([0]) + final[4:])
     return plan
 
 
-ualg.free._lane_plan = corrupted_plan
-try:
-    build_free([sl], ["x", "y"])
-except UalgError as e:
-    if "does not evaluate to its tuple" in str(e):
-        print("raised corrupted lane table")
+def corrupted_pointwise(plan, members):
+    apply = real["lane_pointwise"](plan, members)
+
+    def corrupted(name, args):  # the last lane reads the first: one lane is wrong
+        lanes = apply(name, args)
+        return lanes[:-1] + lanes[:1]
+
+    return corrupted
+
+
+def patch(name, value):  # in every module that binds the name
+    for module in [m for m in sys.modules.values() if m.__name__.startswith("ualg.")]:
+        if hasattr(module, name):
+            setattr(module, name, value)
+
+
+# The lanes are corrupted everywhere, term columns included, on an algebra
+# whose plan is not cached yet: a re-check on the lanes would agree with the
+# corrupted closure, so only one on the list kernel raises.
+for name, fault in [("lane_plan", corrupted_plan), ("lane_pointwise", corrupted_pointwise)]:
+    patch(name, fault)
+    try:
+        build_free([algebra(signature(("m", 2)), 2, {"m": [0, 0, 0, 1]})], ["x", "y"])
+    except UalgError as e:
+        if "does not evaluate to its tuple" in str(e):
+            print("raised corrupted", name)
+    patch(name, real[name])
 ualg.entail.check_proof = lambda sig, axioms, proof: Equation(Var("x"), Var("x"))
 goal = Equation(Var("y"), Var("y"))
 try:
@@ -355,6 +431,7 @@ def test_soundness_checks_survive_python_O():
         "raised duplicate tuple",
         "raised swapped representatives",
         "raised wrong generator",
-        "raised corrupted lane table",
+        "raised corrupted lane_plan",
+        "raised corrupted lane_pointwise",
         "raised search_proof",
     ]
