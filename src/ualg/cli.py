@@ -167,7 +167,9 @@ def _parse_map(text: str, src: FiniteAlgebra, dst: FiniteAlgebra, flag: str) -> 
         raise UsageError(f"{flag}: {e}") from None
 
 
-def _gen_vars(count: int) -> list[str]:
+def _gen_vars(count: int, least: int = 0) -> list[str]:
+    if count < least:
+        raise UsageError(f"--vars must be at least {least}, got {count}")
     return [f"v{i}" for i in range(count)]
 
 
@@ -238,8 +240,9 @@ def _cmd_class_sat(args, caps: Caps, out: TextIO) -> int:
 
 
 def _cmd_theory(args, caps: Caps, out: TextIO) -> int:
+    variables = _gen_vars(args.vars)
     named = _load_class(args.files)
-    theory = theory_partition([alg for _, alg in named], _gen_vars(args.vars), args.depth, caps)
+    theory = theory_partition([alg for _, alg in named], variables, args.depth, caps)
     for eq in theory.equations():
         print(equation_to_text(eq), file=out)
     return 0
@@ -301,8 +304,9 @@ def _cmd_factor(args, caps: Caps, out: TextIO) -> int:
 
 
 def _cmd_free(args, caps: Caps, out: TextIO) -> int:
+    variables = _gen_vars(args.vars)
     named = _load_class(args.files)
-    free = build_free([alg for _, alg in named], _gen_vars(args.vars), caps)
+    free = build_free([alg for _, alg in named], variables, caps)
     text = emit_algebra_file(free.alg.sig, [("F", free.alg)])
     sidecar = emit_free_sidecar(free)
     if args.out:
@@ -362,11 +366,9 @@ def _cmd_entail_search(args, caps: Caps, out: TextIO) -> int:
 
 
 def _cmd_birkhoff_demo(args, caps: Caps, out: TextIO) -> int:
-    if args.vars < 1:
-        raise UsageError(f"--vars must be at least 1, got {args.vars}")
+    variables = _gen_vars(args.vars, 1)
     named = _load_class(args.files)
     K = [alg for _, alg in named]
-    variables = _gen_vars(args.vars)
     all_ok = True
 
     theory = theory_upto(K, variables, 1, caps)

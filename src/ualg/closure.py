@@ -1,17 +1,21 @@
 """The H, S, P constructions on finite algebras.
 
 Products are carried by mixed-radix flat indices (factor 0 most
-significant), and built on the byte-lane kernel when they fit.  Generated subalgebras and free algebras come from one
-deterministic pass closure, `close`, which also yields the operation
-tables.  Homomorphic images are built only as quotients A/theta, by
-congruences each a union-find closed under translations.  An HSP
-certificate, a product -> subalgebra -> image pipeline witnessing
-membership in V of a finite class, is checked with no hom search.
+significant), and built on the byte-lane kernel when they fit.  Generated
+subalgebras, free algebras and certificates close tuples by one routine,
+`generate`, which never builds the product; it runs `close`, the one
+deterministic pass closure, which also yields the operation tables.
+Homomorphic images are built only as quotients A/theta, by congruences
+each a union-find closed under translations.  An HSP certificate, a
+product -> subalgebra -> image pipeline witnessing membership in V of a
+finite class, is checked with no hom search.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -26,6 +30,7 @@ from .core import (
     apply_op,
     encode_lanes,
     index_lanes,
+    lane_plan,
     lane_pointwise,
     mapped_cells,
     same_signature,
@@ -162,6 +167,69 @@ def close(
             ])
 
 
+def generate(
+    K: Sequence[FiniteAlgebra],
+    members: Sequence[int],
+    seeds: Iterable[tuple[int, ...]],
+    sig: Signature,
+    admit: Callable[[int], None] | None = None,
+) -> tuple[list[tuple[int, ...]], list, tuple[tuple[int, ...], ...]]:
+    """The subalgebra of the product of K[k] over k in members generated by
+    the int-tuple seeds, without building the product: close's elements as
+    int tuples, their origins and tables.  It closes on the lane kernel when
+    the members used fit it (one member on its cached plan, several with
+    their values shifted apart), else on int tuples."""
+    seeds = list(seeds)
+    if not seeds and not sig.constants():
+        raise EmptyCarrierError("empty generating set and no constants: empty carrier not representable")
+    used = sorted(set(members))
+    plan = K[used[0]]._lanes if len(used) == 1 else lane_plan([K[k] for k in used], sig)
+    if plan is None:
+        return close(sig, seeds, _tuple_pointwise(K, sig, members), admit)
+    if len(used) == 1:  # one member: no shift (see core.lane_plan)
+        apply = lane_pointwise(plan, bytes(len(members)))
+        elements, origins, tables = close(sig, list(map(bytes, seeds)), apply, admit)
+        return list(map(tuple, elements)), origins, tables
+    offsets = dict(zip(used, itertools.accumulate([K[k].size for k in used], initial=0)))
+    unshift = bytes(itertools.chain.from_iterable(range(K[k].size) for k in used)).ljust(256, b"\0")
+    shift = bytes(map(offsets.get, members))
+    apply = lane_pointwise(plan, bytes(map({k: r for r, k in enumerate(used)}.get, members)))
+    elements, origins, tables = close(sig, [bytes(map(operator.add, tup, shift)) for tup in seeds], apply, admit)
+    return [tuple(e.translate(unshift)) for e in elements], origins, tables
+
+
+def _tuple_pointwise(K, sig, members):
+    """The fallback kernel: raw row-major lookups, one per coordinate."""
+    columns = {name: [(K[k].tables[pos], K[k].size) for k in members]
+               for pos, (name, _) in enumerate(sig.ops)}
+
+    def pointwise(name: str, args: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+        cells = columns[name]
+        if not args:
+            return tuple([table[0] for table, _ in cells])
+        *heads, lasts = args
+        at = heads[0] if heads else [0] * len(cells)
+        for tup in heads[1:]:
+            at = [i * n + a for i, (_, n), a in zip(at, cells, tup)]
+        # tuple([...]), not tuple(generator): see terms._fingerprints.
+        return tuple([table[i * n + a] for (table, n), i, a in zip(cells, at, lasts)])
+
+    return pointwise
+
+
+def cap_admit(caps: Caps, width: int, what: str) -> Callable[[int], None]:
+    """close's admit bounding a subalgebra of a width-coordinate product by
+    caps.carrier elements and caps.cells tuple cells (elements x width)."""
+
+    def admit(count: int) -> None:
+        if count > caps.carrier:
+            raise CapExceededError(f"{what} carrier would exceed cap {caps.carrier} elements")
+        if count * width > caps.cells:
+            raise CapExceededError(f"tuple cells would exceed cap {caps.cells}")
+
+    return admit
+
+
 def subalgebra_generate(
     alg: FiniteAlgebra, gens: Sequence[int]
 ) -> tuple[FiniteAlgebra, CarrierMap]:
@@ -171,22 +239,9 @@ def subalgebra_generate(
     for g in seeds:
         if not 0 <= g < alg.size:
             raise ValueError(f"generator {g} outside carrier")
-    if not seeds and not alg.sig.constants():
-        raise EmptyCarrierError(
-            "empty generating set and no constants: empty carrier not representable"
-        )
-    n = alg.size
-    tables = {name: table for (name, _), table in zip(alg.sig.ops, alg.tables)}
-
-    def lookup(name: str, args: tuple[int, ...]) -> int:  # raw row-major
-        at = 0
-        for a in args:
-            at = at * n + a
-        return tables[name][at]
-
-    elements, _, op_tables = close(alg.sig, seeds, lookup)
-    sub = FiniteAlgebra(alg.sig, len(elements), op_tables)
-    return sub, CarrierMap(sub, alg, tuple(elements))
+    elements, _, tables = generate([alg], [0], [(g,) for g in seeds], alg.sig)
+    sub = FiniteAlgebra(alg.sig, len(elements), tables)
+    return sub, CarrierMap(sub, alg, tuple([e for (e,) in elements]))
 
 
 def _join(start: Sequence[int], pairs: Iterable[tuple[int, int]], translations) -> tuple[int, ...]:
@@ -348,31 +403,33 @@ def hsp_certificate_check(
 ) -> CertCheckResult:
     """Replay product -> generated subalgebra -> image and test the result
     is isomorphic to B, that is, covers B (a hom image in B is a subalgebra
-    of B); report the first failing stage otherwise."""
-    factor_list: list[FiniteAlgebra] = []
+    of B); report the first failing stage otherwise.  The product is never
+    built: generate closes the generators, bounded as build_free's are."""
+    members: list[int] = []
     for k_index, power in cert.factors:
         if not 0 <= k_index < len(K):
             return CertCheckResult(False, "product", f"factor index {k_index} outside class")
         if power < 1:
             return CertCheckResult(False, "product", f"factor power {power} < 1")
-        factor_list.extend([K[k_index]] * power)
-    if not factor_list:
+        members.extend([k_index] * power)
+    if not members:
         return CertCheckResult(False, "product", "no factors")
     try:
-        same_signature(*factor_list, B)
-        prod = product(factor_list, caps)
-    except CapExceededError:
-        raise
+        sig = same_signature(*[K[k] for k in members], B)
     except UalgError as e:
         return CertCheckResult(False, "product", str(e))
 
+    sizes = [K[k].size for k in members]
+    n = math.prod(sizes)
     for g in cert.gens:
-        if not 0 <= g < prod.alg.size:
+        if not 0 <= g < n:
             return CertCheckResult(False, "subalgebra", f"generator {g} outside product carrier")
+    seeds = [_decode_mixed(sizes, g) for g in sorted(set(cert.gens))]
     try:
-        sub, _ = subalgebra_generate(prod.alg, cert.gens)
-    except UalgError as e:
+        elements, _, tables = generate(K, members, seeds, sig, cap_admit(caps, len(members), "subalgebra"))
+    except EmptyCarrierError as e:
         return CertCheckResult(False, "subalgebra", str(e))
+    sub = FiniteAlgebra(sig, len(elements), tables)
 
     if len(cert.image) != sub.size:
         return CertCheckResult(

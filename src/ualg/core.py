@@ -11,7 +11,7 @@ Everything is immutable and safe to share.
 The module also holds the one index codec (mapped_cells and _decode_mixed
 for int tables, index_lanes and encode_lanes for byte lanes) and the one
 byte-lane kernel (lane_plan, lane_pointwise), which term columns,
-products and the free algebra's closure share.
+products and closure.generate share.
 """
 
 from __future__ import annotations
@@ -52,11 +52,13 @@ class CapExceededError(UalgError):
 class Caps:
     """The resource limits: every capped function takes one Caps.
 
-    carrier bounds product and free-algebra carrier sizes; cells bounds
-    table cells, environment spaces, term counts, a model search's work
-    (cells assigned plus relabellings tried) and the congruences found
-    for one algebra (at most Bell(size)); search bounds a hom search's
-    work, the target values it tries at its branch points.  Only
+    carrier bounds the carriers of products, free algebras and certificate
+    subalgebras (closure.generate builds no product); cells bounds table
+    cells, the tuple cells (elements x coordinates) of the latter two,
+    environment spaces, term counts, a model search's work (cells assigned
+    plus relabellings tried) and the congruences found for one algebra (at
+    most Bell(size)); search bounds a hom search's work, the target values
+    it tries at its branch points.  Only
     the hom-search API (find_homs, find_isomorphism, check_leq, the
     hom-find command) searches homs; neither Birkhoff direction does.
     Every CLI command reads its caps from UALG_CAPS and passes them to

@@ -6,15 +6,9 @@ variables into each algebra's carrier.  The algebra is the subalgebra of
 the big product generated by the variable-projection tuples; two terms
 land on the same element exactly when the class satisfies their identity.
 
-While it is closed, an element is a bytes string with one byte lane per
-coordinate, member k's values shifted by |A_0| + .. + |A_k-1| so that the
-members' lane ranges never overlap.  An application is then the package's
-one lane kernel (`core.lane_plan`, `core.lane_pointwise`): a few C-level
-byte translates and carry-free big-int adds, not a Python loop over the
-coordinates.  This fits when the members' sizes sum to at most 256 and so
-do their r-th powers for each arity r; otherwise the closure runs on int
-tuples, one raw table lookup per coordinate.  Either way the elements are
-stored as int tuples, so the free algebra does not depend on the path.  The
+The closure is `closure.generate` with the projection tuples as seeds:
+on byte lanes when the class fits the lane kernel, on int tuples
+otherwise, with the elements stored as int tuples either way.  The
 soundness re-check evaluates the representatives on the list kernel alone
 (`terms._list_fingerprints`), which shares no code with either closure
 kernel, so it catches a fault in them.
@@ -22,8 +16,6 @@ kernel, so it catches a fault in them.
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -36,11 +28,9 @@ from .core import (
     OutOfRangeError,
     Signature,
     UalgError,
-    lane_plan,
-    lane_pointwise,
     same_signature,
 )
-from .closure import EmptyCarrierError, close, free_width
+from .closure import EmptyCarrierError, cap_admit, free_width, generate
 from .homs import CarrierMap, hom_violation
 from .terms import (
     App,
@@ -85,11 +75,9 @@ def build_free(
     """Close the variable-projection tuples of the indexed product under
     pointwise operations; discovery order fixes labels and representatives.
 
-    The closure runs on byte lanes when the class fits (sizes summing to at
-    most 256, and their r-th powers too for each arity r) and on int tuples
-    otherwise; the choice depends only on the sizes and arities, and the
-    result is the same.  `_check_invariants` re-evaluates every
-    representative on the list kernel, independently of both.
+    The closure is closure.generate's, on byte lanes or int tuples;
+    `_check_invariants` re-evaluates every representative on the list
+    kernel, independently of both.
     """
     if K:
         sig = same_signature(*K)
@@ -117,26 +105,8 @@ def build_free(
         for env in all_environments(variables, alg.size)
     ]
 
-    def admit(count: int) -> None:
-        if count > caps.carrier:
-            raise CapExceededError(
-                f"free carrier would exceed cap {caps.carrier} elements"
-            )
-        if count * width > caps.cells:
-            raise CapExceededError(
-                f"tuple cells would exceed cap {caps.cells}"
-            )
-
     projections = fingerprints(K, [Var(name) for name in variables], variables)
-    plan = lane_plan(K, sig)
-    if plan is None:
-        apply, seeds = _tuple_pointwise(K, sig, index, width), projections
-    else:
-        members, seeds, unshift = _shifted_lanes(K, index, projections)
-        apply = lane_pointwise(plan, members)
-    elements, origins, tables = close(sig, seeds, apply, admit)
-    if plan is not None:
-        elements = [tuple(lanes.translate(unshift)) for lanes in elements]
+    elements, origins, tables = generate(K, [ki for ki, _ in index], projections, sig, cap_admit(caps, width, "free"))
     gens = {name: elements.index(tup) for name, tup in zip(variables, projections)}
     reprs: list[Term] = []
     for e, origin in enumerate(origins):
@@ -155,38 +125,6 @@ def build_free(
     )
     _check_invariants(free)
     return free
-
-
-def _tuple_pointwise(K, sig, index, width):
-    """The fallback kernel: raw row-major lookups, one per coordinate."""
-    columns = {name: [(K[ki].tables[pos], K[ki].size) for ki, _ in index]
-               for pos, (name, _) in enumerate(sig.ops)}
-
-    def pointwise(name: str, args: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-        cells = columns[name]
-        if not args:
-            return tuple([table[0] for table, _ in cells])
-        *heads, lasts = args
-        at = heads[0] if heads else [0] * width
-        for tup in heads[1:]:
-            at = [i * n + a for i, (_, n), a in zip(at, cells, tup)]
-        # tuple([...]), not tuple(generator): see terms._fingerprints.
-        return tuple([table[i * n + a] for (table, n), i, a in zip(cells, at, lasts)])
-
-    return pointwise
-
-
-def _shifted_lanes(K, index, projections):
-    """The member shift of the lane kernel (see core.lane_plan): each
-    coordinate's member index, the seeds in lanes, and the table that
-    decodes lanes back to values."""
-    offsets = list(itertools.accumulate([alg.size for alg in K], initial=0))
-    shift = bytes([offsets[ki] for ki, _ in index])
-    unshift = bytearray(256)
-    for k, alg in enumerate(K):
-        unshift[offsets[k]:offsets[k + 1]] = range(alg.size)
-    seeds = [bytes(map(operator.add, tup, shift)) for tup in projections]
-    return bytes([ki for ki, _ in index]), seeds, bytes(unshift)
 
 
 def _check_invariants(free: FreeAlgebra) -> None:

@@ -85,12 +85,12 @@ def constants_only(size=3):
     return algebra(SIG_CONST, size, {"c": [size - 1], "d": [0]})
 
 
-def mixed_arities():
-    """The 4-chain with its order-reversing involution, bottom and median."""
-    return algebra(SIG_MIXED, 4, {
-        "g": [3 - a for a in range(4)],
+def mixed_arities(n=4):
+    """The n-chain with its order-reversing involution, bottom and median."""
+    return algebra(SIG_MIXED, n, {
+        "g": [n - 1 - a for a in range(n)],
         "e": [0],
-        "t": [sorted(args)[1] for args in itertools.product(range(4), repeat=3)],
+        "t": [sorted(args)[1] for args in itertools.product(range(n), repeat=3)],
     })
 
 

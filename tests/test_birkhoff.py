@@ -13,11 +13,13 @@ from ualg import (
     Equation,
     Var,
     algebra,
+    build_free,
     eqcl_to_var_check,
     find_isomorphism,
     product,
     subalgebra_generate,
     trivial_certificate,
+    universal_map,
     var_to_eqcl_check,
     verify_invariance,
 )
@@ -28,7 +30,7 @@ from ualg.birkhoff import (
     ProductWitness,
     SubalgebraWitness,
 )
-from ualg.closure import CertCheckResult, HspCertificate, hsp_certificate_check
+from ualg.closure import CertCheckResult, HspCertificate, generate, hsp_certificate_check
 
 from oracles import hom_image, hsp_certificate_check_isosearch, var_to_eqcl_check_allvars
 from samples import SIG_F, SIG_FE, certified_square_images, easy_laws, semilattice2, z2_xor, z3_add
@@ -175,10 +177,11 @@ def test_var_to_eqcl_rejects_bad_certificate():
 
 def test_certificate_caps_raise_and_are_no_verdict():
     # a tripped cap is a resource limit, not a FAIL stage; the certificate
-    # check runs no hom search, so the search cap cannot trip in it
+    # check bounds the generated subalgebra, not the product, and runs no
+    # hom search, so the search cap cannot trip in it
     z2 = z2_xor()
     cert = trivial_certificate(0, z2)
-    with pytest.raises(CapExceededError, match="product size 2 exceeds cap 1"):
+    with pytest.raises(CapExceededError, match="^subalgebra carrier would exceed cap 1 elements$"):
         var_to_eqcl_check([z2], z2, cert, caps=Caps(carrier=1))
     assert var_to_eqcl_check([z2], z2, cert, caps=Caps(search=1)) == var_to_eqcl_check(
         [z2], z2, cert
@@ -357,6 +360,24 @@ def test_var_to_eqcl_passes_the_basis_certificate_of_a_power(k):
     report = var_to_eqcl_check([z2], power.alg, cert)
     assert report.overall, report.lines()
     assert hsp_certificate_check_isosearch([z2], power.alg, cert) == CertCheckResult(True)
+
+
+def test_free_algebra_certificate_of_z3_squared_passes_under_default_caps():
+    # Z3^2 in V(Z3): the product Z3^9 has 19,683 elements, past the carrier
+    # cap, but only the 9-element subalgebra its projection tuples generate
+    # is closed, and it is the free algebra on two variables
+    z3 = z3_add()
+    square = product([z3, z3]).alg
+    free = build_free([z3], ["v0", "v1"])
+    gens = tuple(int("".join(map(str, free.tuples[free.gens[v]])), 3) for v in free.variables)
+    image = universal_map(free, square, {"v0": 3, "v1": 1}).image
+    cert = HspCertificate(((0, 9),), gens, image)
+    assert hsp_certificate_check([z3], square, cert) == CertCheckResult(True)
+    seeds = sorted(free.tuples[free.gens[v]] for v in free.variables)
+    _, _, tables = generate([z3], [0] * 9, seeds, z3.sig)
+    assert tables == free.alg.tables
+    with pytest.raises(CapExceededError, match="product size 19683 exceeds cap 4096"):
+        hsp_certificate_check_isosearch([z3], square, cert)
 
 
 def test_trivial_certificate_takes_the_first_least_generating_set():

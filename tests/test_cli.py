@@ -293,6 +293,13 @@ def test_birkhoff_demo_refuses_zero_vars():
     assert (code, out, err) == (2, "", "usage error: --vars must be at least 1, got 0\n")
 
 
+@pytest.mark.parametrize("command", [["theory", "--depth", "2"], ["free"]])
+@pytest.mark.parametrize("count", [-1, -2])
+def test_negative_vars_is_a_usage_error(command, count, z2_file):
+    code, out, err = run(*command, "--vars", str(count), z2_file)
+    assert (code, out, err) == (2, "", f"usage error: --vars must be at least 0, got {count}\n")
+
+
 def test_birkhoff_demo_honours_caps(monkeypatch):
     monkeypatch.setenv("UALG_CAPS", "carrier=2")
     code, out, err = run("birkhoff-demo", "--vars", "2", str(DEMO_DATA / "semilattice2.alg"))

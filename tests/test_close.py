@@ -29,7 +29,7 @@ from ualg import (
     verify_invariance,
 )
 from ualg.birkhoff import HomImageWitness
-from ualg.closure import EmptyCarrierError, close
+from ualg.closure import EmptyCarrierError, close, generate
 from ualg.core import CapExceededError, OutOfRangeError
 from ualg.homs import hom_violation
 
@@ -300,6 +300,48 @@ def test_subalgebra_generate_beyond_binary_matches_the_pass_oracle(make):
             want_sub, want_inc = subalgebra_generate_passes(alg, gens)
             assert sub == want_sub
             assert inc.image == want_inc.image
+
+
+# Either side of the byte-lane fit rule, which counts only the members the
+# coordinates use: the untouched Z17 below keeps its case on the lanes.
+GENERATE_CASES = [
+    ("lanes-Z2xZ3xZ3", [z2_xor(), z3_add()], (0, 1, 1)),
+    ("lanes-SL^3", [semilattice2(SIG_F)], (0, 0, 0)),
+    ("lanes-unary", [z5_successor(), z_successor(3)], (0, 1, 0)),
+    ("lanes-ternary", [z3_malcev(), chain3_median()], (1, 0)),
+    ("lanes-constants", [constants_only(), constants_only(2)], (0, 1)),
+    ("lanes-constants^2", [constants_only()], (0, 0)),
+    ("lanes-mixed", [mixed_arities()], (0, 0)),
+    ("lanes-unused-Z17", [z_add(17), z2_xor(), z3_add()], (2, 1)),
+    ("tuples-Z17^2", [z_add(17)], (0, 0)),  # 17^2 > 256
+    ("tuples-ternary-median7", [chain_median(7)], (0,)),  # 7^3 > 256
+    ("tuples-constants-300", [constants_only(300)], (0,)),
+    ("tuples-mixed-7", [mixed_arities(7)], (0, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "path, K, members", [(c[0].split("-")[0], *c[1:]) for c in GENERATE_CASES], ids=[c[0] for c in GENERATE_CASES]
+)
+def test_generate_takes_the_path_its_case_names_and_matches_the_materialized_oracle(path, K, members, monkeypatch):
+    tuple_closures = []
+    real = ualg.closure._tuple_pointwise
+    monkeypatch.setattr(ualg.closure, "_tuple_pointwise", lambda *args: tuple_closures.append(args) or real(*args))
+    prod = product_cellwise([K[k] for k in members]).alg
+    coords = list(itertools.product(*[range(K[k].size) for k in members]))  # flat index order
+    flat = {tup: i for i, tup in enumerate(coords)}
+    pairs = list(itertools.combinations(range(prod.size), 2))
+    # fewer pairs on larger products, where the oracle's closure is slower
+    for gens in [(), *itertools.combinations(range(prod.size), 1), *pairs[:: len(pairs) * prod.size // 600 + 1]]:
+        if not gens and not K[0].sig.constants():
+            with pytest.raises(EmptyCarrierError):
+                generate(K, members, [], K[0].sig)
+            continue
+        elements, _, tables = generate(K, members, [coords[g] for g in gens], K[0].sig)
+        want_sub, want_inc = subalgebra_generate_passes(prod, gens)
+        assert [flat[e] for e in elements] == list(want_inc.image)
+        assert tables == want_sub.tables
+    assert bool(tuple_closures) == (path == "tuples")
 
 
 def _naive_last_pass(sig, elements, apply):
