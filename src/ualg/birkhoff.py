@@ -27,6 +27,9 @@ from .free import UniversalMapFailure, build_free, universal_map
 from .homs import CarrierMap, classify, hom_violation
 from .terms import Equation, environment_columns, equation_vars, infer_signature, term_columns
 
+# the depth of K's two-variable theory that var_to_eqcl_check's last stage checks in B
+THEORY_DEPTH = 2
+
 
 class MalformedWitnessError(UalgError):
     pass
@@ -236,7 +239,6 @@ def var_to_eqcl_check(
     K: Sequence[FiniteAlgebra],
     B: FiniteAlgebra,
     cert: HspCertificate,
-    theory_depth: int = 2,
     caps: Caps = DEFAULT_CAPS,
 ) -> PipelineReport:
     """The hard direction at desk scale: a certified member of V(K) is a
@@ -271,7 +273,7 @@ def var_to_eqcl_check(
         return PipelineReport(tuple(stages))
     stages.append(Stage("universal-map", True, f"image {result.image}"))
 
-    stages.append(_models_theory(K, B, theory_depth, caps))
+    stages.append(_models_theory(K, B, THEORY_DEPTH, caps))
     return PipelineReport(tuple(stages))
 
 

@@ -48,26 +48,36 @@ class CapExceededError(UalgError):
     """A configured resource cap was hit; never a silent truncation."""
 
 
+class SearchCapError(CapExceededError):
+    """The hom search's cap, caps.search, was hit."""
+
+
 @dataclass(frozen=True)
 class Caps:
-    """The resource limits: every capped function takes one Caps.
+    """The resource limits, each tripped only through check.
 
-    carrier bounds the carriers of products, free algebras and certificate
-    subalgebras (closure.generate builds no product); cells bounds table
-    cells, the tuple cells (elements x coordinates) of the latter two,
-    environment spaces, term counts, a model search's work (cells assigned
-    plus relabellings tried) and the congruences found for one algebra (at
-    most Bell(size)); search bounds a hom search's work, the target values
-    it tries at its branch points.  Only
-    the hom-search API (find_homs, find_isomorphism, check_leq, the
-    hom-find command) searches homs; neither Birkhoff direction does.
-    Every CLI command reads its caps from UALG_CAPS and passes them to
-    every stage, both Birkhoff pipelines included.
+    carrier and cells admit every algebra a product or closure.generate
+    builds by one rule, closure.cap_admit: n elements need n <= carrier,
+    sum n^arity table cells <= cells (one application each in close, so
+    this bounds work) and, for tuples of width w, n * w <= cells.  cells
+    also bounds environment spaces, term counts, a model search's work
+    (cells assigned plus relabellings tried) and the congruences of one
+    algebra; search bounds a hom search's work, the target values tried
+    at its branch points (only the hom-search API searches homs).  Every
+    CLI command reads UALG_CAPS and passes its caps to every stage.
     """
 
     carrier: int = 4096
     cells: int = 1_000_000
     search: int = 1_000_000
+
+    def check(self, key: str, amount: int, what: str) -> None:
+        """Raise CapExceededError (SearchCapError for search), naming what,
+        once amount exceeds the cap key; hot loops compare first."""
+        cap = getattr(self, key)
+        if amount > cap:
+            error = SearchCapError if key == "search" else CapExceededError
+            raise error(f"{what}: {amount} exceeds cap {key}={cap}; raise it with UALG_CAPS={key}=N")
 
     @staticmethod
     def from_env(environ: Mapping[str, str] | None = None) -> "Caps":
@@ -77,10 +87,15 @@ class Caps:
         values = {}
         for part in filter(None, (p.strip() for p in raw.split(","))):
             key, _, num = part.partition("=")
-            if key not in ("carrier", "cells", "search") or not num.isdigit():
+            if key not in ("carrier", "cells", "search") or not is_digits(num):
                 raise UalgError(f"bad UALG_CAPS entry: {part!r}")
             values[key] = int(num)
         return Caps(**values)
+
+
+def is_digits(text: str) -> bool:
+    """ASCII digits only: str.isdigit also takes ² and ٣, which int rejects or misreads."""
+    return text.isascii() and text.isdigit()
 
 
 DEFAULT_CAPS = Caps()

@@ -11,11 +11,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NoReturn, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     DEFAULT_CAPS,
-    CapExceededError,
     Caps,
     FiniteAlgebra,
     Signature,
@@ -37,10 +36,8 @@ from .terms import (
 )
 
 def _check_env_space(size: int, variables: Sequence[str], caps: Caps) -> None:
-    if size ** len(variables) > caps.cells:
-        raise CapExceededError(
-            f"environment space {size}^{len(variables)} exceeds cap {caps.cells}"
-        )
+    if (space := size ** len(variables)) > caps.cells:  # per satisfies call: name it only to trip
+        caps.check("cells", space, f"environment space {size}^{len(variables)}")
 
 
 @dataclass(frozen=True)
@@ -118,10 +115,8 @@ def find_models(
         offsets[name] = sum(widths)
         widths.append(size**arity)
     n_cells = sum(widths)
-    if n_cells > caps.cells:  # checked before the per-cell lists are built
-        raise CapExceededError(
-            f"model search at size {size}: {n_cells} table cells exceed cap {caps.cells}"
-        )
+    # checked before the per-cell lists are built
+    caps.check("cells", n_cells, f"model search table cells at size {size}")
     instances = []
     for eq in E:
         names = equation_vars(eq)
@@ -144,6 +139,7 @@ def find_models(
     }
     spans = [(offsets[name], args_of[arity]) for name, arity in sig.ops]
     reps, count, work, cap = [], 0, 0, caps.cells
+    what = f"model search work at size {size} (cells assigned plus relabellings tried)"
     tried = [0] * n_cells  # next value to try at each cell
     added: list = [None] * n_cells  # cells whose waiting lists each cell appended to
     d = 0
@@ -153,7 +149,7 @@ def find_models(
             for perm in itertools.islice(itertools.permutations(range(size)), 1, None):
                 work += 1
                 if work > cap:
-                    _model_cap(size, cap)
+                    caps.check("cells", work, what)
                 order = _relabel_order(cells, spans, perm, size)
                 if order < 0:
                     break
@@ -178,18 +174,12 @@ def find_models(
             continue
         work += 1
         if work > cap:
-            _model_cap(size, cap)
+            caps.check("cells", work, what)
         cells[d], tried[d] = value, value + 1
         added[d] = _propagate(waiting[d], cells, size, waiting)
         if added[d] is not None:
             d += 1
     return tuple(reps), count
-
-
-def _model_cap(size: int, cap: int) -> NoReturn:
-    raise CapExceededError(
-        f"model search at size {size}: cells assigned plus relabellings tried exceed cap {cap}"
-    )
 
 
 def _compile(t: Term, pos: dict[str, int], offsets: dict[str, int]):

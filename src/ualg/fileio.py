@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import FiniteAlgebra, InvalidTablesError, Signature, UalgError, Violation
+from .core import FiniteAlgebra, InvalidTablesError, Signature, UalgError, Violation, is_digits
 from .closure import HspCertificate
 from .terms import App, Equation, Substitution, Term, Var
 from . import entail
@@ -338,7 +338,7 @@ def parse_algebra_file(
         lineno, words = take()
         if words == ["end"]:
             break
-        if len(words) != 3 or words[0] != "op" or not words[2].isdigit():
+        if len(words) != 3 or words[0] != "op" or not is_digits(words[2]):
             raise ParseError("expected 'op <name> <arity>' or 'end'", span(lineno))
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", words[1]):
             raise ParseError(f"bad operation name {words[1]!r}", span(lineno))
@@ -356,7 +356,7 @@ def parse_algebra_file(
             raise ParseError("expected 'algebra <name>'", span(lineno))
         name = words[1]
         lineno, words = take()
-        if len(words) != 2 or words[0] != "size" or not words[1].isdigit():
+        if len(words) != 2 or words[0] != "size" or not is_digits(words[1]):
             raise ParseError("expected 'size <n>'", span(lineno))
         size = int(words[1])
         if size < 1:
@@ -374,7 +374,7 @@ def parse_algebra_file(
             if symbol in tables:
                 raise ParseError(f"duplicate table for {symbol!r}", span(lineno))
             entries = words[2:]
-            if not all(e.lstrip("-").isdigit() for e in entries):
+            if not all(is_digits(e.removeprefix("-")) for e in entries):
                 raise ParseError("table entries must be integers", span(lineno))
             tables[symbol] = tuple(int(e) for e in entries)
         missing = [s for s in sig.symbols if s not in tables]

@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 
 from .core import (
     DEFAULT_CAPS,
-    CapExceededError,
     Caps,
     FiniteAlgebra,
     OutOfRangeError,
@@ -30,7 +29,7 @@ from .core import (
     UalgError,
     same_signature,
 )
-from .closure import EmptyCarrierError, cap_admit, free_width, generate
+from .closure import cap_admit, free_width, generate
 from .homs import CarrierMap, hom_violation
 from .terms import (
     App,
@@ -87,16 +86,7 @@ def build_free(
     for pos, name in enumerate(variables):
         if name in variables[:pos]:
             raise ValueError(f"variable {name!r} is repeated")
-    if not variables and not sig.constants():
-        raise EmptyCarrierError(
-            "no variables and no constants: empty carrier not representable"
-        )
-
-    width, cells = free_width([alg.size for alg in K], len(variables))
-    if cells > caps.cells:
-        raise CapExceededError(
-            f"tuple cells: index width {width} exceeds cap {caps.cells}"
-        )
+    width = free_width([alg.size for alg in K], len(variables), caps)
     # The coordinate order is the kernel's (terms.all_environments per member,
     # members in class order); the generator tuples below come from it too.
     index = [
@@ -106,7 +96,7 @@ def build_free(
     ]
 
     projections = fingerprints(K, [Var(name) for name in variables], variables)
-    elements, origins, tables = generate(K, [ki for ki, _ in index], projections, sig, cap_admit(caps, width, "free"))
+    elements, origins, tables = generate(K, [ki for ki, _ in index], projections, sig, cap_admit(caps, sig, width, "free"))
     gens = {name: elements.index(tup) for name, tup in zip(variables, projections)}
     reprs: list[Term] = []
     for e, origin in enumerate(origins):

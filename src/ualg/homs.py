@@ -15,9 +15,9 @@ from typing import Iterator, Mapping
 
 from .core import (
     DEFAULT_CAPS,
-    CapExceededError,
     Caps,
     FiniteAlgebra,
+    SearchCapError,  # re-exported: the hom search trips it through Caps.check
     UalgError,
     _decode_mixed,
     mapped_cells,
@@ -41,10 +41,6 @@ class KernelInclusionError(UalgError):
     def __init__(self, pair: tuple[int, int]):
         self.pair = pair
         super().__init__(f"kernel inclusion fails at pair {pair}")
-
-
-class SearchCapError(CapExceededError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -170,18 +166,18 @@ def iter_homs(
             raise ValueError(f"fixed assignment {a}->{b} out of range")
     seeds = [(s[0], d[0]) for (_, k), s, d in zip(src.sig.ops, src.tables, dst.tables) if not k]
     seeds += fixed.items()
-    search = _Search(src, dst, surjective, injective, caps.search)
+    search = _Search(src, dst, surjective, injective, caps)
     return search.homs() if search.assign(seeds) else iter(())
 
 
 class _Search:
     """A partial image src -> dst, -1 marking the undecided elements."""
 
-    def __init__(self, src, dst, surjective: bool | None, injective: bool | None, cap: int):
+    def __init__(self, src, dst, surjective: bool | None, injective: bool | None, caps: Caps):
         self.src, self.dst, self.surjective, self.injective = src, dst, surjective, injective
         self.ops = [(k, s, d) for (_, k), s, d in zip(src.sig.ops, src.tables, dst.tables) if k]
         self.image = [-1] * src.size
-        self.cap, self.tried = cap, 0
+        self.caps, self.cap, self.tried = caps, caps.search, 0
 
     def assign(self, todo: list[tuple[int, int]]) -> bool:
         """Send a to b for each (a, b) in todo, checking each newly decided x
@@ -227,10 +223,7 @@ class _Search:
         for b in range(self.dst.size):
             self.tried += 1
             if self.tried > self.cap:
-                raise SearchCapError(
-                    f"hom search: {self.tried} values tried at branch points exceed cap "
-                    f"{self.cap}; raise it with UALG_CAPS=search=N"
-                )
+                self.caps.check("search", self.tried, "hom search values tried at branch points")
             if self.assign([(a, b)]):
                 yield from self.homs()
             image[:] = saved

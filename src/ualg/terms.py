@@ -14,7 +14,6 @@ from typing import Callable, Iterator, Mapping, NoReturn, Sequence, Union
 from .core import (
     DEFAULT_CAPS,
     ArityMismatchError,
-    CapExceededError,
     Caps,
     FiniteAlgebra,
     OutOfRangeError,
@@ -386,8 +385,7 @@ def enumerate_terms(
     terms.extend(App(c) for c in sig.constants())
     depths = [0] * len(terms)
     cap = caps.cells
-    if len(terms) > cap:
-        raise CapExceededError(f"term enumeration exceeded cap {cap}")
+    caps.check("cells", len(terms), "terms enumerated")
     for d in range(1, max_depth + 1):
         base = len(terms)
         for name, arity in sig.ops:
@@ -399,7 +397,7 @@ def enumerate_terms(
                 terms.append(App(name, tuple([terms[i] for i in combo])))
                 depths.append(d)
                 if len(terms) > cap:
-                    raise CapExceededError(f"term enumeration exceeded cap {cap}")
+                    caps.check("cells", len(terms), "terms enumerated")
         if len(terms) == base:
             break
     return terms

@@ -214,11 +214,9 @@ def product_cellwise(factors, size_cap=4096, cells_cap=1_000_000):
     n = 1
     for s in sizes:
         n *= s
-    if n > size_cap:
-        raise CapExceededError(f"product size {n} exceeds cap {size_cap}")
-    cells = sum(n**arity for _, arity in sig.ops)
-    if cells > cells_cap:
-        raise CapExceededError(f"product tables need {cells} cells, cap {cells_cap}")
+    caps = Caps(carrier=size_cap, cells=cells_cap)
+    caps.check("carrier", n, "product carrier")
+    caps.check("cells", sum(n**arity for _, arity in sig.ops), "product table cells")
 
     coords = list(_positions(sizes))
     tables = []
@@ -304,19 +302,14 @@ def build_free_passes(K, variables, caps=Caps(), sig=None):
         for env in all_environments(variables, alg.size)
     ]
     width = len(index)
-    if width * max(1, len(variables)) > caps.cells:
-        raise CapExceededError(
-            f"tuple cells: index width {width} exceeds cap {caps.cells}"
-        )
+    caps.check("cells", width * max(1, len(variables)), f"free tuple cells on {len(variables)} variables")
     elements, reprs, label, gens = [], [], {}, {}
 
     def add(tup, term):
-        if len(elements) + 1 > caps.carrier:
-            raise CapExceededError(
-                f"free carrier would exceed cap {caps.carrier} elements"
-            )
-        if (len(elements) + 1) * width > caps.cells:
-            raise CapExceededError(f"tuple cells would exceed cap {caps.cells}")
+        count = len(elements) + 1
+        caps.check("carrier", count, "free carrier")
+        caps.check("cells", count * width, "free tuple cells")
+        caps.check("cells", sum(count**arity for _, arity in sig.ops), "free table cells")
         label[tup] = len(elements)
         elements.append(tup)
         reprs.append(term)

@@ -31,6 +31,7 @@ from ualg.birkhoff import (
     SubalgebraWitness,
 )
 from ualg.closure import CertCheckResult, HspCertificate, generate, hsp_certificate_check
+from ualg.free import UniversalMapFailure
 
 from oracles import hom_image, hsp_certificate_check_isosearch, var_to_eqcl_check_allvars
 from samples import SIG_F, SIG_FE, certified_square_images, easy_laws, semilattice2, z2_xor, z3_add
@@ -87,7 +88,10 @@ def test_invariance_rejects_malformed_witnesses():
 
 def test_eqcl_to_var_products_never_skip_past_the_cap():
     # the 2 x 2 products exceed carrier 3: an error, not a PASS over the rest
-    with pytest.raises(CapExceededError, match="product size 4 exceeds cap 3"):
+    with pytest.raises(
+        CapExceededError,
+        match="^product carrier: 4 exceeds cap carrier=3; raise it with UALG_CAPS=carrier=N$",
+    ):
         eqcl_to_var_check([COMM], 2, caps=Caps(carrier=3))
 
 
@@ -117,7 +121,11 @@ def test_eqcl_to_var_is_exhaustive_at_pool_3():
 
 
 def test_eqcl_to_var_model_search_is_capped():
-    with pytest.raises(CapExceededError, match="model search at size 3: .* exceed cap 100$"):
+    with pytest.raises(
+        CapExceededError,
+        match=r"^model search work at size 3 \(cells assigned plus relabellings tried\): "
+        r"101 exceeds cap cells=100; raise it with UALG_CAPS=cells=N$",
+    ):
         eqcl_to_var_check(easy_laws(["assoc"]), 3, caps=Caps(cells=100))
     assert eqcl_to_var_check(easy_laws(["assoc"]), 3, caps=Caps(cells=5000)).overall
 
@@ -175,13 +183,39 @@ def test_var_to_eqcl_rejects_bad_certificate():
     assert report.stages[0].name == "certificate" and not report.stages[0].passed
 
 
+@pytest.mark.parametrize(
+    "failure, witness",
+    [
+        (UniversalMapFailure("hom", (0, 0), symbol="f", args=(0, 1)), "hom check failed at f(0, 1)"),
+        (UniversalMapFailure("surjectivity", (0, 0), unreached=1), "surjectivity failed: 1 unreached"),
+    ],
+    ids=["hom", "surjectivity"],
+)
+def test_universal_map_failure_is_the_last_stage(failure, witness, monkeypatch):
+    # the certificate check has shown B is an image of the free algebra, so
+    # universal_map cannot fail on a checked certificate; a failing one must
+    # still end the report with a FAIL stage, before the theory stage
+    z2 = z2_xor()
+    monkeypatch.setattr(ualg.birkhoff, "universal_map", lambda free, B, assign: failure)
+    report = var_to_eqcl_check([z2], z2, trivial_certificate(0, z2))
+    assert not report.overall
+    assert report.lines() == [
+        "STAGE certificate PASS",
+        "STAGE free-build PASS 2 elements over 2 coordinates",
+        f"STAGE universal-map FAIL {witness}",
+    ]
+
+
 def test_certificate_caps_raise_and_are_no_verdict():
     # a tripped cap is a resource limit, not a FAIL stage; the certificate
     # check bounds the generated subalgebra, not the product, and runs no
     # hom search, so the search cap cannot trip in it
     z2 = z2_xor()
     cert = trivial_certificate(0, z2)
-    with pytest.raises(CapExceededError, match="^subalgebra carrier would exceed cap 1 elements$"):
+    with pytest.raises(
+        CapExceededError,
+        match="^subalgebra carrier: 2 exceeds cap carrier=1; raise it with UALG_CAPS=carrier=N$",
+    ):
         var_to_eqcl_check([z2], z2, cert, caps=Caps(carrier=1))
     assert var_to_eqcl_check([z2], z2, cert, caps=Caps(search=1)) == var_to_eqcl_check(
         [z2], z2, cert
@@ -376,7 +410,10 @@ def test_free_algebra_certificate_of_z3_squared_passes_under_default_caps():
     seeds = sorted(free.tuples[free.gens[v]] for v in free.variables)
     _, _, tables = generate([z3], [0] * 9, seeds, z3.sig)
     assert tables == free.alg.tables
-    with pytest.raises(CapExceededError, match="product size 19683 exceeds cap 4096"):
+    with pytest.raises(
+        CapExceededError,
+        match="^product carrier: 19683 exceeds cap carrier=4096; raise it with UALG_CAPS=carrier=N$",
+    ):
         hsp_certificate_check_isosearch([z3], square, cert)
 
 

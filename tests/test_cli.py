@@ -149,6 +149,22 @@ def test_factor(pool_file):
     assert out.startswith("WITNESS kernel-pair ")
 
 
+def test_factor_witnesses_and_errors(pool_file):
+    maps = ["--src", f"{pool_file}:Z4", "--gdst", f"{pool_file}:Z4", "--hdst", f"{pool_file}:Z4"]
+    # h sends everything to 0: no preimage of 1
+    assert run("factor", *maps, "--g", "0 1 2 3", "--h", "0 0 0 0") == (
+        1, "WITNESS not-surjective missing=1\n", ""
+    )
+    # g(1 + 1) = g(2) = 0, but g(1) + g(1) = 2
+    assert run("factor", *maps, "--g", "0 1 0 0", "--h", "0 1 2 3") == (
+        2, "", "error: map is not a homomorphism at f(1, 1)\n"
+    )
+    # a map takes ASCII digits only: str.isdigit accepts ², which int rejects
+    assert run("factor", *maps, "--g", "0 1 ² 3", "--h", "0 1 2 3") == (
+        2, "", "usage error: --g expects space-separated carrier values\n"
+    )
+
+
 def test_free_stdout_and_files(tmp_path, z2_file):
     code, out, _ = run("free", "--vars", "2", z2_file)
     assert code == 0
@@ -305,17 +321,19 @@ def test_birkhoff_demo_honours_caps(monkeypatch):
     code, out, err = run("birkhoff-demo", "--vars", "2", str(DEMO_DATA / "semilattice2.alg"))
     assert code == 2
     # the invariance stage's product A x A is the first to reach the cap
-    assert err == "error: product size 4 exceeds cap 2\n"
+    assert err == "error: product carrier: 4 exceeds cap carrier=2; raise it with UALG_CAPS=carrier=N\n"
     assert "hard-direction" not in out
     code, out, err = run("free", "--vars", "2", str(DEMO_DATA / "semilattice2.alg"))
-    assert (code, out, err) == (2, "", "error: free carrier would exceed cap 2 elements\n")
+    assert (code, out, err) == (
+        2, "", "error: free carrier: 3 exceeds cap carrier=2; raise it with UALG_CAPS=carrier=N\n"
+    )
 
 
 @pytest.mark.parametrize(
     "caps, message",
     [
-        ("carrier=3", "product size 4 exceeds cap 3"),
-        ("cells=10", "product tables need 16 cells, cap 10"),
+        ("carrier=3", "product carrier: 4 exceeds cap carrier=3; raise it with UALG_CAPS=carrier=N"),
+        ("cells=10", "product table cells: 16 exceeds cap cells=10; raise it with UALG_CAPS=cells=N"),
     ],
 )
 def test_birkhoff_demo_caps_reach_every_stage(caps, message, monkeypatch):
@@ -350,8 +368,8 @@ def test_birkhoff_demo_refuses_a_large_least_generating_set(tmp_path):
     code, out, err = run("birkhoff-demo", "--vars", "2", str(path))
     assert code == 2
     assert err == (
-        "error: generating sets of size 5: a free algebra on 5 variables over a "
-        "size-16 algebra needs 5242880 tuple cells, cap 1000000\n"
+        "error: free tuple cells on 5 variables: 5242880 exceeds cap cells=1000000; "
+        "raise it with UALG_CAPS=cells=N\n"
     )
     assert out.endswith("STAGE easy-direction.hom-images-closed PASS\n")
 

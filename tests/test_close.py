@@ -458,8 +458,12 @@ def test_out_of_range_entries_raise(make, bad):
     assert violation.symbol == alg.sig.symbols[0]
     assert violation.index == (0 if bad in ("size", "negative") else None)
     # the caps trip first, at the same point
-    with pytest.raises(CapExceededError, match="product size"):
-        product([alg, alg], Caps(carrier=alg.size**2 - 1))
+    n = alg.size**2
+    with pytest.raises(
+        CapExceededError,
+        match=f"^product carrier: {n} exceeds cap carrier={n - 1}; raise it with UALG_CAPS=carrier=N$",
+    ):
+        product([alg, alg], Caps(carrier=n - 1))
 
 
 def _hom_searches(src, dst):

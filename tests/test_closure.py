@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -190,7 +191,11 @@ def test_congruences_examples():
 
 
 def test_congruences_are_capped():
-    with pytest.raises(CapExceededError, match=r"^congruences of a size-3 algebra: 5 found exceed cap 4$"):
+    with pytest.raises(
+        CapExceededError,
+        match=r"^congruences found in a size-3 algebra: 5 exceeds cap cells=4; "
+        r"raise it with UALG_CAPS=cells=N$",
+    ):
         congruences(constants_only(), Caps(cells=4))
     assert len(congruences(constants_only(), Caps(cells=5))) == 5
 
@@ -277,18 +282,19 @@ def test_trivial_certificate_refuses_what_build_free_would():
     # set is the carrier, and 16^5 * 5 tuple cells exceed the default cap
     with pytest.raises(
         CapExceededError,
-        match="^generating sets of size 5: a free algebra on 5 variables over a "
-        "size-16 algebra needs 5242880 tuple cells, cap 1000000$",
+        match="^free tuple cells on 5 variables: 5242880 exceeds cap cells=1000000; "
+        "raise it with UALG_CAPS=cells=N$",
     ):
         trivial_certificate(0, left_zero(16))
     # L3 needs 3 generators, 3^3 coordinates of 3 cells: refused at 80 cells,
     # exactly where the hard direction's free algebra is refused too
     band = left_zero(3)
-    with pytest.raises(CapExceededError, match="needs 81 tuple cells, cap 80$"):
+    message = "^free tuple cells on 3 variables: 81 exceeds cap cells=80; raise it with UALG_CAPS=cells=N$"
+    with pytest.raises(CapExceededError, match=message):
         trivial_certificate(0, band, Caps(cells=80))
     cert = trivial_certificate(0, band, Caps(cells=81))
     assert cert.gens == (0, 1, 2)
-    with pytest.raises(CapExceededError, match="index width 27 exceeds cap 80$"):
+    with pytest.raises(CapExceededError, match=message):
         var_to_eqcl_check([band], band, cert, caps=Caps(cells=80))
 
 
@@ -297,25 +303,87 @@ def test_free_width_is_the_one_bound_of_both_cell_checks():
     # algebra has r elements over 3^r coordinates
     band = left_zero(3)
     for r in range(1, 4):
-        width, cells = free_width([3], r)
-        assert (width, cells) == (3**r, 3**r * r)
+        cells = 3**r * r
+        assert free_width([3], r, Caps(cells=cells)) == 3**r
         variables = ["x", "y", "z"][:r]
         # cells == cap: neither check refuses r
         assert build_free([band], variables, Caps(cells=cells)).alg.size == r
         if r < 3:
-            with pytest.raises(CapExceededError, match=f"^generating sets of size {r + 1}: "):
+            with pytest.raises(
+                CapExceededError,
+                match=f"^free tuple cells on {r + 1} variables: {3 ** (r + 1) * (r + 1)} exceeds cap "
+                f"cells={cells}; raise it with UALG_CAPS=cells=N$",
+            ):
                 trivial_certificate(0, band, Caps(cells=cells))
         else:
             assert trivial_certificate(0, band, Caps(cells=cells)).gens == (0, 1, 2)
-        # cells == cap + 1: both refuse r
-        with pytest.raises(CapExceededError, match=f"^tuple cells: index width {width} exceeds cap {cells - 1}$"):
+        # cells == cap + 1: both refuse r, with one message
+        message = (
+            f"^free tuple cells on {r} variables: {cells} exceeds cap cells={cells - 1}; "
+            "raise it with UALG_CAPS=cells=N$"
+        )
+        with pytest.raises(CapExceededError, match=message):
+            free_width([3], r, Caps(cells=cells - 1))
+        with pytest.raises(CapExceededError, match=message):
             build_free([band], variables, Caps(cells=cells - 1))
-        with pytest.raises(
-            CapExceededError,
-            match=f"^generating sets of size {r}: a free algebra on {r} variables over a "
-            f"size-3 algebra needs {cells} tuple cells, cap {cells - 1}$",
-        ):
+        with pytest.raises(CapExceededError, match=message):
             trivial_certificate(0, band, Caps(cells=cells - 1))
+
+
+@pytest.mark.parametrize("sig", [SIG_F, SIG_FE, mixed_arities().sig, constants_only().sig])
+@pytest.mark.parametrize("width", [0, 1, 3])
+def test_cap_admit_is_the_first_bound_exceeded(sig, width):
+    # admit(n) passes exactly when n <= carrier, n * width <= cells and
+    # sum n^arity <= cells; otherwise the first of those to fail trips
+    for carrier, cells in [(5, 30), (40, 30), (40, 200), (1, 1), (4096, 1_000_000)]:
+        caps = Caps(carrier=carrier, cells=cells)
+        admit = closure.cap_admit(caps, sig, width, "test")
+        for n in range(1, 1100):
+            table = sum(n**arity for _, arity in sig.ops)
+            bounds = [("carrier", n, carrier, "carrier"), ("cells", n * width, cells, "tuple cells"),
+                      ("cells", table, cells, "table cells")]
+            tripped = [(key, amount, cap, what) for key, amount, cap, what in bounds if amount > cap]
+            if not tripped:
+                admit(n)
+                continue
+            key, amount, cap, what = tripped[0]
+            message = f"test {what}: {amount} exceeds cap {key}={cap}; raise it with UALG_CAPS={key}=N"
+            with pytest.raises(CapExceededError) as info:
+                admit(n)
+            assert str(info.value) == message
+
+
+def test_cap_admit_takes_caps_past_the_largest_range():
+    # a cap may be any int; the admitted sizes stop at sys.maxsize anyway
+    caps = Caps(carrier=10**30, cells=10**40)
+    closure.cap_admit(caps, SIG_F, 3, "test")(10**12)
+    assert product([semilattice2(), semilattice2()], caps).alg.size == 4
+    with pytest.raises(
+        CapExceededError,
+        match=f"^test carrier: {10**30 + 1} exceeds cap carrier={10**30}; raise it with UALG_CAPS=carrier=N$",
+    ):
+        closure.cap_admit(caps, SIG_F, 0, "test")(10**30 + 1)
+
+
+def test_the_table_cell_bound_refuses_nand_to_the_twelfth_at_once():
+    # NAND^12 has 4096 elements, within the carrier cap, and these generators
+    # generate all of it; its table needs 4096^2 cells.  The product is
+    # refused outright, and the certificate's closure stops at its 1001st
+    # element (1001^2 cells), long before closing 4096^2 applications.
+    nand = algebra(SIG_F, 2, {"f": [1, 1, 1, 0]})
+    with pytest.raises(
+        CapExceededError,
+        match="^product table cells: 16777216 exceeds cap cells=1000000; raise it with UALG_CAPS=cells=N$",
+    ):
+        product([nand] * 12)
+    cert = HspCertificate(((0, 12),), (15, 240, 819, 1365), (0, 1))
+    start = time.perf_counter()
+    with pytest.raises(
+        CapExceededError,
+        match="^subalgebra table cells: 1002001 exceeds cap cells=1000000; raise it with UALG_CAPS=cells=N$",
+    ):
+        hsp_certificate_check([nand], nand, cert)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_semilattice_square_certificate():

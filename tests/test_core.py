@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -150,3 +151,9 @@ def test_caps_from_env():
         Caps.from_env({"UALG_CAPS": "bogus=1"})
     with pytest.raises(UalgError):
         Caps.from_env({"UALG_CAPS": "carrier=x"})
+
+
+@pytest.mark.parametrize("entry", ["cells=²", "carrier=٣", "search=-1", "cells=", "cells=1e6"])
+def test_caps_from_env_takes_only_ascii_digits(entry):
+    with pytest.raises(UalgError, match=f"^{re.escape(f'bad UALG_CAPS entry: {entry!r}')}$"):
+        Caps.from_env({"UALG_CAPS": entry})

@@ -188,11 +188,18 @@ def test_find_models_counts_work_against_the_cells_cap():
     E = easy_laws(["assoc"])
     with pytest.raises(
         CapExceededError,
-        match="model search at size 3: cells assigned plus relabellings tried exceed cap 100",
+        match=r"^model search work at size 3 \(cells assigned plus relabellings tried\): "
+        r"101 exceeds cap cells=100; raise it with UALG_CAPS=cells=N$",
     ):
         find_models(SIG_F, E, 3, Caps(cells=100))
     assert len(find_models(SIG_F, E, 3, Caps(cells=5000))[0]) == 24
-    with pytest.raises(CapExceededError, match="environment space 3\\^3 exceeds cap 20"):
+    with pytest.raises(
+        CapExceededError,
+        match=r"^environment space 3\^3: 27 exceeds cap cells=20; raise it with UALG_CAPS=cells=N$",
+    ):
         find_models(SIG_F, E, 3, Caps(cells=20))
-    with pytest.raises(CapExceededError, match="model search at size 5: 125 table cells exceed cap 100"):
+    with pytest.raises(
+        CapExceededError,
+        match="^model search table cells at size 5: 125 exceeds cap cells=100; raise it with UALG_CAPS=cells=N$",
+    ):
         find_models(SIG_T, [], 5, Caps(cells=100))

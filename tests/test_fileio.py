@@ -76,6 +76,32 @@ def test_parse_algebra_file_errors():
         parse_algebra_file("signature\nop f 2\nend\nalgebra A\nsize 2\nend\n")
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        # str.isdigit accepts these; int rejects the superscript and reads
+        # the Arabic-Indic digit as 3, while the tokenizer takes only 0-9
+        ("signature\nop f ²\nend\n", 2, "expected 'op <name> <arity>' or 'end'"),
+        ("signature\nop f 2\nend\nalgebra A\nsize ²\nend\n", 5, "expected 'size <n>'"),
+        ("signature\nop f 2\nend\nalgebra A\nsize ٣\nend\n", 5, "expected 'size <n>'"),
+        ("signature\nop f 1\nend\nalgebra A\nsize 2\nop f 0 --1\nend\n", 6, "table entries must be integers"),
+        ("signature\nop f 1\nend\nalgebra A\nsize 2\nop f 0 ¹\nend\n", 6, "table entries must be integers"),
+    ],
+    ids=["arity-superscript", "size-superscript", "size-arabic-indic", "entry-double-minus", "entry-superscript"],
+)
+def test_parse_algebra_file_takes_only_ascii_digits(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_file(text)
+    assert str(exc.value).endswith(f": {message}")
+    assert exc.value.span.line == line
+
+
+def test_parse_algebra_file_reads_a_negative_entry_as_a_validation_failure():
+    # one leading minus is an integer, out of range for the carrier
+    with pytest.raises(AlgebraValidationError):
+        parse_algebra_file("signature\nop f 1\nend\nalgebra A\nsize 2\nop f 0 -1\nend\n")
+
+
 def test_multiple_algebras_round_trip():
     sig, algebras = parse_algebra_file(Z2_FILE)
     text = emit_algebra_file(sig, [("A", z2_xor()), ("B", z2_xor())])

@@ -169,12 +169,23 @@ def test_build_free_caps():
 def test_build_free_checks_the_index_width_before_listing_it():
     # 2^64 environments: listing them first would never return
     variables = [f"v{i}" for i in range(64)]
-    with pytest.raises(CapExceededError, match=f"index width {2**64} exceeds cap 1000000$"):
+    with pytest.raises(
+        CapExceededError,
+        match=f"^free tuple cells on 64 variables: {2**64 * 64} exceeds cap cells=1000000; "
+        "raise it with UALG_CAPS=cells=N$",
+    ):
         build_free([z2_xor()], variables)
-    # the width sums over the class: 2^3 + 3^3 coordinates, 3 cells each
-    with pytest.raises(CapExceededError, match="index width 35 exceeds cap 104$"):
+    # the width sums over the class: 2^3 + 3^3 coordinates, 3 generator tuples
+    with pytest.raises(
+        CapExceededError,
+        match="^free tuple cells on 3 variables: 105 exceeds cap cells=104; raise it with UALG_CAPS=cells=N$",
+    ):
         build_free([z2_xor(), z3_add()], ["a", "b", "c"], caps=Caps(cells=104))
-    with pytest.raises(CapExceededError, match="tuple cells would exceed cap 105$"):
+    # the generators pass; the fourth element's 4 x 35 tuple cells do not
+    with pytest.raises(
+        CapExceededError,
+        match="^free tuple cells: 140 exceeds cap cells=105; raise it with UALG_CAPS=cells=N$",
+    ):
         build_free([z2_xor(), z3_add()], ["a", "b", "c"], caps=Caps(cells=105))
 
 

@@ -253,7 +253,7 @@ def test_search_cap():
     # only 0 -> 0 survives propagation, then four at 1
     with pytest.raises(
         SearchCapError,
-        match=r"^hom search: 8 values tried at branch points exceed cap 7; "
+        match=r"^hom search values tried at branch points: 8 exceeds cap search=7; "
         r"raise it with UALG_CAPS=search=N$",
     ):
         find_homs(z4_add(), z4_add(), caps=Caps(search=7))
@@ -267,16 +267,28 @@ def test_search_cap_counts_branch_points_past_fixed_elements_and_constants():
         (0, 3, 2, 1)
     ]
     assert len(find_homs(z4_add(), z4_add(), fixed={0: 0}, caps=Caps(search=4))) == 4
-    with pytest.raises(SearchCapError, match=r"^hom search: 4 values tried .* cap 3;"):
+    with pytest.raises(
+        SearchCapError,
+        match=r"^hom search values tried at branch points: 4 exceeds cap search=3; "
+        r"raise it with UALG_CAPS=search=N$",
+    ):
         find_homs(z4_add(), z4_add(), fixed={0: 0}, caps=Caps(search=3))
     # the unit 1 of mul3 is a constant; 0 takes three values, two of them
     # idempotent, and then 2 takes three values under each
     assert len(find_homs(mul3_with_unit(), mul3_with_unit(), caps=Caps(search=9))) == 3
-    with pytest.raises(SearchCapError, match=r"^hom search: 9 values tried .* cap 8;"):
+    with pytest.raises(
+        SearchCapError,
+        match=r"^hom search values tried at branch points: 9 exceeds cap search=8; "
+        r"raise it with UALG_CAPS=search=N$",
+    ):
         find_homs(mul3_with_unit(), mul3_with_unit(), caps=Caps(search=8))
     # constants_only names 2 and 0, so 1 is its one branch point
     assert len(find_homs(constants_only(), constants_only(), caps=Caps(search=3))) == 3
-    with pytest.raises(SearchCapError, match=r"^hom search: 3 values tried .* cap 2;"):
+    with pytest.raises(
+        SearchCapError,
+        match=r"^hom search values tried at branch points: 3 exceeds cap search=2; "
+        r"raise it with UALG_CAPS=search=N$",
+    ):
         find_homs(constants_only(), constants_only(), caps=Caps(search=2))
 
 
@@ -389,7 +401,7 @@ def test_search_cap_bounds_the_values_tried_not_the_space():
     assert find_isomorphism(power, twisted, Caps(search=4584)) is not None
     with pytest.raises(
         SearchCapError,
-        match=r"^hom search: 4584 values tried at branch points exceed cap 4583; "
+        match=r"^hom search values tried at branch points: 4584 exceeds cap search=4583; "
         r"raise it with UALG_CAPS=search=N$",
     ):
         find_isomorphism(power, twisted, Caps(search=4583))

@@ -235,13 +235,22 @@ def test_theory_upto_matches_pairwise_oracle(label, K, variables, depth):
 def test_theory_env_cap_is_checked_before_any_work():
     # depth 0 over three variables: no pair uses all three, so the old
     # pair-by-pair check never tripped; the cap now bounds |A|^|variables|
-    with pytest.raises(CapExceededError, match=r"environment space 2\^3 exceeds cap 7"):
+    with pytest.raises(
+        CapExceededError,
+        match=r"^environment space 2\^3: 8 exceeds cap cells=7; raise it with UALG_CAPS=cells=N$",
+    ):
         theory_upto([z2_xor()], ["x", "y", "z"], 0, Caps(cells=7))
     # every member counts, not only those a failing pair happens to reach
-    with pytest.raises(CapExceededError, match=r"environment space 4\^2"):
+    with pytest.raises(
+        CapExceededError,
+        match=r"^environment space 4\^2: 16 exceeds cap cells=10; raise it with UALG_CAPS=cells=N$",
+    ):
         theory_upto([semilattice2(SIG_F), z4_add()], ["x", "y"], 1, Caps(cells=10))
     # before term enumeration, whose own cap would also trip here
-    with pytest.raises(CapExceededError, match="environment space"):
+    with pytest.raises(
+        CapExceededError,
+        match=r"^environment space 2\^2: 4 exceeds cap cells=3; raise it with UALG_CAPS=cells=N$",
+    ):
         theory_upto([z2_xor()], ["x", "y"], 3, Caps(cells=3))
     # inclusive: 2 terms and 2^2 environments fit a cap of 4
     assert theory_upto([z2_xor()], ["x", "y"], 0, Caps(cells=4)) == theory_upto_pairwise(
