@@ -22,7 +22,7 @@ from .closure import (
     quotient,
     subalgebra_generate,
 )
-from .eqlogic import _check_env_space, find_models, mod_check, satisfies, theory_partition
+from .eqlogic import find_models, satisfies, theory_partition
 from .free import UniversalMapFailure, build_free, universal_map
 from .homs import CarrierMap, classify, hom_violation
 from .terms import Equation, environment_columns, equation_vars, infer_signature, term_columns
@@ -219,20 +219,28 @@ def _closure_failure(
 ) -> Stage | None:
     """None when derived models E: each equation's sides have equal value
     columns over the environment columns cached in envs, each checked
-    against caps when first built.  A failure replays mod_check for the
-    first failing equation and its witness."""
+    against caps when first built.  A failure replays the failing equation
+    through satisfies for its witness."""
     for i, eq in enumerate(E):
         columns = envs.get((i, derived.size))
         if columns is None:
             names = equation_vars(eq)
-            _check_env_space(derived.size, names, caps)
+            caps.check_env_space(derived.size, names)
             columns = envs[i, derived.size] = environment_columns(names, derived.size)
         lhs, rhs = term_columns(derived, (eq.lhs, eq.rhs), columns)
         if lhs != rhs:
-            res = mod_check(derived, E, caps)
-            ce = _env_string(res.counterexample.assoc)
-            return Stage("closure", False, f"{how} breaks equation {res.failing_index} at {ce}")
+            ce = _replay(derived, eq, caps)
+            return Stage("closure", False, f"{how} breaks equation {i} at {ce}")
     return None
+
+
+def _replay(alg: FiniteAlgebra, eq: Equation, caps: Caps) -> str:
+    """satisfies' counterexample to an equation alg's value columns fail;
+    UalgError when there is none, for then the two evaluations disagree."""
+    res = satisfies(alg, eq, caps)
+    if res.holds:
+        raise UalgError(f"value columns fail {eq}, but satisfies finds no counterexample")
+    return _env_string(res.counterexample.assoc)
 
 
 def var_to_eqcl_check(
@@ -285,5 +293,4 @@ def _models_theory(K: Sequence[FiniteAlgebra], B: FiniteAlgebra, depth: int, cap
     eq = theory.first_failure(B, caps)
     if eq is None:
         return Stage("models-theory", True, f"{theory.pair_count} equations")
-    ce = _env_string(satisfies(B, eq, caps).counterexample.assoc)
-    return Stage("models-theory", False, f"{eq} fails at {ce}")
+    return Stage("models-theory", False, f"{eq} fails at {_replay(B, eq, caps)}")

@@ -13,12 +13,9 @@ finite class, is checked with no hom search.
 
 from __future__ import annotations
 
-import bisect
-import functools
 import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -75,7 +72,7 @@ def product(factors: Sequence[FiniteAlgebra], caps: Caps = DEFAULT_CAPS) -> Prod
     sig = same_signature(*factors)
     sizes = tuple(a.size for a in factors)
     n = math.prod(sizes)
-    cap_admit(caps, sig, 0, "product")(n)
+    caps.admit(sig, 0, "product")(n)
     if n <= 256 and all(f._lanes is not None for f in factors):
         tables = _product_lanes(factors, sizes)
     else:
@@ -213,36 +210,6 @@ def _tuple_pointwise(K, sig, members):
     return pointwise
 
 
-def cap_admit(caps: Caps, sig: Signature, width: int, what: str) -> Callable[[int], None]:
-    """The one admission rule for products and generate's closures, as
-    close's admit: n elements need n <= caps.carrier, sum n^arity table
-    cells <= caps.cells and, for tuples of width w > 0, n * w <= caps.cells.
-    Admitting an element is one comparison with the largest n all allow;
-    past it, the first bound exceeded, in that order, trips Caps.check."""
-    limit = _admit_limit(caps, sig, width)
-
-    def admit(count: int) -> None:
-        if count > limit:
-            caps.check("carrier", count, f"{what} carrier")
-            caps.check("cells", count * width, f"{what} tuple cells")
-            caps.check("cells", _table_cells(sig, count), f"{what} table cells")
-
-    return admit
-
-
-def _table_cells(sig: Signature, n: int) -> int:
-    return sum([n**arity for _, arity in sig.ops])
-
-
-@functools.lru_cache(maxsize=256)
-def _admit_limit(caps: Caps, sig: Signature, width: int) -> int:
-    """The largest n cap_admit allows (the table cells grow with n), shared
-    by every product and closure under the same caps and signature.  No
-    carrier reaches sys.maxsize, the most a range can hold."""
-    top = min(caps.carrier, caps.cells // width if width else caps.carrier, sys.maxsize - 1)
-    return bisect.bisect_right(range(top + 1), caps.cells, key=functools.partial(_table_cells, sig)) - 1
-
-
 def subalgebra_generate(
     alg: FiniteAlgebra, gens: Sequence[int]
 ) -> tuple[FiniteAlgebra, CarrierMap]:
@@ -371,15 +338,6 @@ class HspCertificate:
     image: tuple[int, ...]
 
 
-def free_width(sizes: Iterable[int], nvars: int, caps: Caps) -> int:
-    """The coordinates of the free algebra on nvars variables over members
-    of these sizes; its nvars generator tuples (one with none) must pass
-    cap_admit's tuple-cell bound before any is built."""
-    width = sum(size**nvars for size in sizes)
-    caps.check("cells", width * max(1, nvars), f"free tuple cells on {nvars} variables")
-    return width
-
-
 def trivial_certificate(
     k_index: int, alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS
 ) -> HspCertificate:
@@ -389,7 +347,7 @@ def trivial_certificate(
     but it raises CapExceededError before trying a size r that build_free
     would refuse on r variables over any class containing alg."""
     for r in range(0 if alg.sig.constants() else 1, alg.size + 1):
-        free_width([alg.size], r, caps)
+        caps.admit(alg.sig, alg.size**r * max(1, r), "free")(1)  # as build_free admits its generators
         for gens in itertools.combinations(range(alg.size), r):
             sub, inclusion = subalgebra_generate(alg, gens)
             if sub.size == alg.size:
@@ -434,7 +392,7 @@ def hsp_certificate_check(
             return CertCheckResult(False, "subalgebra", f"generator {g} outside product carrier")
     seeds = [_decode_mixed(sizes, g) for g in sorted(set(cert.gens))]
     try:
-        elements, _, tables = generate(K, members, seeds, sig, cap_admit(caps, sig, len(members), "subalgebra"))
+        elements, _, tables = generate(K, members, seeds, sig, caps.admit(sig, len(members), "subalgebra"))
     except EmptyCarrierError as e:
         return CertCheckResult(False, "subalgebra", str(e))
     sub = FiniteAlgebra(sig, len(elements), tables)

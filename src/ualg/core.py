@@ -54,13 +54,14 @@ class SearchCapError(CapExceededError):
 
 @dataclass(frozen=True)
 class Caps:
-    """The resource limits, each tripped only through check.
+    """The resource limits and the rules that apply them, tripped by check.
 
     carrier and cells admit every algebra a product or closure.generate
-    builds by one rule, closure.cap_admit: n elements need n <= carrier,
-    sum n^arity table cells <= cells (one application each in close, so
-    this bounds work) and, for tuples of width w, n * w <= cells.  cells
-    also bounds environment spaces, term counts, a model search's work
+    builds, and the free algebra's generator tuples, by one rule, admit:
+    n elements need n <= carrier, n * w <= cells for tuples of width w,
+    and sum n^arity table cells <= cells (one application each in close,
+    so this bounds work).  cells also bounds
+    environment spaces (check_env_space), term counts, a model search's work
     (cells assigned plus relabellings tried) and the congruences of one
     algebra; search bounds a hom search's work, the target values tried
     at its branch points (only the hom-search API searches homs).  Every
@@ -78,6 +79,25 @@ class Caps:
         if amount > cap:
             error = SearchCapError if key == "search" else CapExceededError
             raise error(f"{what}: {amount} exceeds cap {key}={cap}; raise it with UALG_CAPS={key}=N")
+
+    def admit(self, sig: Signature, width: int, what: str) -> Callable[[int], None]:
+        """close's admit(n) for an algebra of width-w tuples (w = 0 for a
+        product), checked on every call: the first of n <= carrier,
+        n * w <= cells and sum n^arity <= cells that fails trips check."""
+        arities = [arity for _, arity in sig.ops]
+
+        def admit(n: int) -> None:
+            if n > self.carrier or n * width > self.cells or sum([n**r for r in arities]) > self.cells:
+                self.check("carrier", n, f"{what} carrier")
+                self.check("cells", n * width, f"{what} tuple cells")
+                self.check("cells", sum([n**r for r in arities]), f"{what} table cells")
+
+        return admit
+
+    def check_env_space(self, size: int, variables: Sequence[str]) -> None:
+        """At most cells environments; one comparison within the cap."""
+        if (space := size ** len(variables)) > self.cells:
+            self.check("cells", space, f"environment space {size}^{len(variables)}")
 
     @staticmethod
     def from_env(environ: Mapping[str, str] | None = None) -> "Caps":
@@ -158,11 +178,18 @@ class InvalidTablesError(OutOfRangeError):
         super().__init__("invalid tables: " + "; ".join(map(str, violations)))
 
 
+def _table_length(size: int, arity: int, got: int) -> int | str:
+    """size^arity, as text once arity passes got's bit length (then it exceeds got)."""
+    if size > 1 and arity > got.bit_length():
+        return f"{size}^{arity}"
+    return size**arity
+
+
 def _violations(sig: Signature, size: int, tables: Sequence[Sequence[int]]) -> list[Violation]:
     """Every wrong table length and out-of-range entry, in signature order."""
     out = []
     for (name, arity), table in zip(sig.ops, tables):
-        expected = size**arity
+        expected = _table_length(size, arity, len(table))
         if len(table) != expected:
             out.append(Violation(name, None, f"expected {expected} entries, got {len(table)}"))
             continue
@@ -194,7 +221,8 @@ class FiniteAlgebra:
             )
         index = {}
         for (name, arity), table in zip(self.sig.ops, self.tables):
-            if len(table) != self.size**arity or min(table) < 0 or max(table) >= self.size:
+            length = len(table)
+            if length != _table_length(self.size, arity, length) or min(table) < 0 or max(table) >= self.size:
                 raise InvalidTablesError(_violations(self.sig, self.size, self.tables))
             index[name] = (arity, table)
         object.__setattr__(self, "_ops", index)

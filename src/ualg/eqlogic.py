@@ -35,10 +35,6 @@ from .terms import (
     term_columns,
 )
 
-def _check_env_space(size: int, variables: Sequence[str], caps: Caps) -> None:
-    if (space := size ** len(variables)) > caps.cells:  # per satisfies call: name it only to trip
-        caps.check("cells", space, f"environment space {size}^{len(variables)}")
-
 
 @dataclass(frozen=True)
 class SatResult:
@@ -49,7 +45,7 @@ class SatResult:
 def satisfies(alg: FiniteAlgebra, eq: Equation, caps: Caps = DEFAULT_CAPS) -> SatResult:
     """Decide alg |= eq by checking every environment over its variables."""
     names = equation_vars(eq)
-    _check_env_space(alg.size, names, caps)
+    caps.check_env_space(alg.size, names)
     ops, n = alg._ops, alg.size
     # every environment binds the equation's variables to carrier elements,
     # so the tree walk needs none of evaluate's binding checks
@@ -120,7 +116,7 @@ def find_models(
     instances = []
     for eq in E:
         names = equation_vars(eq)
-        _check_env_space(size, names, caps)
+        caps.check_env_space(size, names)
         pos = {name: i for i, name in enumerate(names)}
         sides = []
         for side in (eq.lhs, eq.rhs):
@@ -284,7 +280,7 @@ class TheoryPartition:
         with its least member p and the first member whose column differs
         from p's: every p' below p lies in a class alg keeps constant.
         """
-        _check_env_space(alg.size, self.variables, caps)
+        caps.check_env_space(alg.size, self.variables)
         columns = term_columns(
             alg, self.terms, environment_columns(self.variables, alg.size)
         )
@@ -310,7 +306,7 @@ def theory_partition(
         raise ValueError("theory_upto needs a nonempty class to fix the signature")
     sig = same_signature(*K)
     for alg in K:
-        _check_env_space(alg.size, variables, caps)
+        caps.check_env_space(alg.size, variables)
     terms = enumerate_terms(sig, variables, max_depth, caps)
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, key in enumerate(fingerprints(K, terms, variables)):

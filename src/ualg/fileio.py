@@ -342,11 +342,10 @@ def parse_algebra_file(
             raise ParseError("expected 'op <name> <arity>' or 'end'", span(lineno))
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", words[1]):
             raise ParseError(f"bad operation name {words[1]!r}", span(lineno))
+        if words[1] in [name for name, _ in ops]:
+            raise ParseError(f"duplicate operation name {words[1]!r}", span(lineno))
         ops.append((words[1], int(words[2])))
-    try:
-        sig = Signature(tuple(ops))
-    except ValueError as e:
-        raise ParseError(str(e), span(lineno)) from None
+    sig = Signature(tuple(ops))
 
     algebras: list[tuple[str, FiniteAlgebra]] = []
     failures: list[tuple[str, Violation]] = []

@@ -29,7 +29,7 @@ from .core import (
     UalgError,
     same_signature,
 )
-from .closure import cap_admit, free_width, generate
+from .closure import generate
 from .homs import CarrierMap, hom_violation
 from .terms import (
     App,
@@ -86,7 +86,11 @@ def build_free(
     for pos, name in enumerate(variables):
         if name in variables[:pos]:
             raise ValueError(f"variable {name!r} is repeated")
-    width = free_width([alg.size for alg in K], len(variables), caps)
+    # one coordinate per member and environment; the generator tuples (one
+    # per variable, one with none) are admitted as one block before any is
+    # built, not as elements: over trivial members they all coincide
+    width = sum([alg.size ** len(variables) for alg in K])
+    caps.admit(sig, width * max(1, len(variables)), "free")(1)
     # The coordinate order is the kernel's (terms.all_environments per member,
     # members in class order); the generator tuples below come from it too.
     index = [
@@ -96,7 +100,7 @@ def build_free(
     ]
 
     projections = fingerprints(K, [Var(name) for name in variables], variables)
-    elements, origins, tables = generate(K, [ki for ki, _ in index], projections, sig, cap_admit(caps, sig, width, "free"))
+    elements, origins, tables = generate(K, [ki for ki, _ in index], projections, sig, caps.admit(sig, width, "free"))
     gens = {name: elements.index(tup) for name, tup in zip(variables, projections)}
     reprs: list[Term] = []
     for e, origin in enumerate(origins):

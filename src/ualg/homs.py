@@ -131,15 +131,19 @@ def hom_factor(g: CarrierMap, h: CarrierMap) -> CarrierMap:
         witness = hom_violation(m)
         if witness is not None:
             raise NotAHomError(witness)
+    # per h-class: its least element p and, if any, its first q with g(q) != g(p)
     preimage: dict[int, int] = {}
-    for a in range(h.src.size):
-        preimage.setdefault(h.image[a], a)
+    failures: dict[int, tuple[int, int]] = {}
+    for a, c in enumerate(h.image):
+        p = preimage.setdefault(c, a)
+        if g.image[a] != g.image[p]:
+            failures.setdefault(c, (p, a))
     for c in range(h.dst.size):
         if c not in preimage:
             raise NotSurjectiveError(c)
-    for (x, y) in sorted(kernel_pairs(h)):
-        if g.image[x] != g.image[y]:
-            raise KernelInclusionError((x, y))
+    if failures:
+        # the least pair of ker h that g separates has the least such p
+        raise KernelInclusionError(min(failures.values()))
     return CarrierMap(h.dst, g.dst, tuple(g.image[preimage[c]] for c in range(h.dst.size)))
 
 

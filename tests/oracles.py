@@ -8,7 +8,8 @@ one table lookup per environment (the list kernel), every closure with
 its own naive pass loop followed by a separate pass that tabulates the
 operations,
 every product cell by one checked apply_op call per factor, every hom
-check cell by two checked apply_op calls, the hom search branching on every
+check cell by two checked apply_op calls, hom_factor's kernel
+inclusion scanning every kernel pair, the hom search branching on every
 source element in place of the generators, the models of E found by
 filtering every table and deduplicated by trying every relabelling, the
 congruences of an algebra found by trying every set partition, every
@@ -52,7 +53,7 @@ from ualg.birkhoff import PipelineReport, Stage, _env_string, _models_theory
 from ualg.closure import CertCheckResult, ProductAlgebra
 from ualg.core import Caps, UalgError, same_signature
 from ualg.free import FreeAlgebra, UniversalMapFailure, universal_map
-from ualg.homs import NotAHomError, hom_violation
+from ualg.homs import KernelInclusionError, NotAHomError, NotSurjectiveError, hom_violation, kernel_pairs
 from ualg.terms import all_environments
 
 
@@ -131,6 +132,25 @@ def hom_violation_apply_op(m):
             if m.image[apply_op(m.src, name, args)] != apply_op(m.dst, name, mapped):
                 return (name, args)
     return None
+
+
+def hom_factor_pairwise(g, h):
+    """hom_factor scanning every pair of ker h in sorted order for the first
+    one g separates."""
+    for m in (g, h):
+        witness = hom_violation(m)
+        if witness is not None:
+            raise NotAHomError(witness)
+    preimage = {}
+    for a in range(h.src.size):
+        preimage.setdefault(h.image[a], a)
+    for c in range(h.dst.size):
+        if c not in preimage:
+            raise NotSurjectiveError(c)
+    for x, y in sorted(kernel_pairs(h)):
+        if g.image[x] != g.image[y]:
+            raise KernelInclusionError((x, y))
+    return CarrierMap(h.dst, g.dst, tuple(g.image[preimage[c]] for c in range(h.dst.size)))
 
 
 def iter_homs_elementwise(src, dst, surjective=None, injective=None, fixed=None):
@@ -302,7 +322,7 @@ def build_free_passes(K, variables, caps=Caps(), sig=None):
         for env in all_environments(variables, alg.size)
     ]
     width = len(index)
-    caps.check("cells", width * max(1, len(variables)), f"free tuple cells on {len(variables)} variables")
+    caps.check("cells", width * max(1, len(variables)), "free tuple cells")
     elements, reprs, label, gens = [], [], {}, {}
 
     def add(tup, term):

@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 import ualg.birkhoff
+import ualg.eqlogic
 
 from ualg import (
     App,
@@ -11,6 +12,7 @@ from ualg import (
     Caps,
     CarrierMap,
     Equation,
+    UalgError,
     Var,
     algebra,
     build_free,
@@ -86,6 +88,55 @@ def test_invariance_rejects_malformed_witnesses():
         verify_invariance(z2_xor(), COMM, SubalgebraWitness(not_injective))
 
 
+TWISTED = algebra(SIG_F, 2, {"f": [1, 0, 0, 1]})
+
+
+def _identity(src, dst):
+    return CarrierMap(src, dst, tuple(range(src.size)))
+
+
+@pytest.mark.parametrize("witness, message", [
+    (IsoWitness(_identity(TWISTED, TWISTED), _identity(TWISTED, TWISTED)),
+     "iso pair does not connect A to the target"),
+    (IsoWitness(_identity(z2_xor(), TWISTED), _identity(TWISTED, z2_xor())),
+     r"iso component is not a hom at f\(0, 0\)"),
+    (IsoWitness(_identity(z2_xor(), z2_xor()), CarrierMap(z2_xor(), z2_xor(), (0, 0))),
+     "maps are not mutually inverse"),
+    (HomImageWitness(_identity(z3_add(), z3_add())), "hom-image map does not start at A"),
+    (SubalgebraWitness(CarrierMap(z2_xor(), z3_add(), (0, 1))), "embedding does not land in A"),
+    (SubalgebraWitness(CarrierMap(z2_xor(), z2_xor(), (1, 1))), r"embedding is not a hom at f\(0, 0\)"),
+    ("nonsense", "unrecognized witness 'nonsense'"),
+], ids=["iso-disconnected", "iso-not-hom", "iso-not-inverse", "image-wrong-source",
+        "embedding-wrong-target", "embedding-not-hom", "unrecognized"])
+def test_invariance_names_each_malformed_witness(witness, message):
+    with pytest.raises(MalformedWitnessError, match=f"^{message}$"):
+        verify_invariance(z2_xor(), COMM, witness)
+
+
+def _columns_all_differ(alg, terms, columns):
+    """A term_columns that reports every term's column as different."""
+    return [(i,) for i in range(len(terms))]
+
+
+def test_eqcl_to_var_refuses_a_failure_satisfies_cannot_replay(monkeypatch):
+    # the value columns say f is not commutative; satisfies finds no
+    # counterexample, so the stage has no witness and the check raises
+    monkeypatch.setattr(ualg.birkhoff, "term_columns", _columns_all_differ)
+    with pytest.raises(
+        UalgError, match=r"^value columns fail f\(\?x,\?y\) = f\(\?y,\?x\), but satisfies finds no counterexample$"
+    ):
+        eqcl_to_var_check([COMM], 2)
+
+
+def test_var_to_eqcl_refuses_a_theory_failure_satisfies_cannot_replay(monkeypatch):
+    m = semilattice2(SIG_F)
+    monkeypatch.setattr(ualg.eqlogic, "term_columns", _columns_all_differ)
+    with pytest.raises(
+        UalgError, match=r"^value columns fail \?x = f\(\?x,\?x\), but satisfies finds no counterexample$"
+    ):
+        var_to_eqcl_check([m], m, trivial_certificate(0, m))
+
+
 def test_eqcl_to_var_products_never_skip_past_the_cap():
     # the 2 x 2 products exceed carrier 3: an error, not a PASS over the rest
     with pytest.raises(
@@ -132,7 +183,7 @@ def test_eqcl_to_var_model_search_is_capped():
 
 def test_eqcl_to_var_quotient_failure_names_the_blocks(monkeypatch):
     """A quotient with one corrupted cell fails the H stage; the witness
-    names the congruence's blocks and replays mod_check."""
+    names the congruence's blocks and replays the equation through satisfies."""
     real = ualg.birkhoff.quotient
 
     def corrupted(alg, theta):

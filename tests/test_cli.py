@@ -368,7 +368,7 @@ def test_birkhoff_demo_refuses_a_large_least_generating_set(tmp_path):
     code, out, err = run("birkhoff-demo", "--vars", "2", str(path))
     assert code == 2
     assert err == (
-        "error: free tuple cells on 5 variables: 5242880 exceeds cap cells=1000000; "
+        "error: free tuple cells: 5242880 exceeds cap cells=1000000; "
         "raise it with UALG_CAPS=cells=N\n"
     )
     assert out.endswith("STAGE easy-direction.hom-images-closed PASS\n")

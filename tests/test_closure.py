@@ -23,7 +23,7 @@ from ualg import (
     var_to_eqcl_check,
 )
 from ualg import closure
-from ualg.closure import CertCheckResult, EmptyCarrierError, HspCertificate, free_width
+from ualg.closure import CertCheckResult, EmptyCarrierError, HspCertificate
 from ualg.core import CapExceededError, Caps, SignatureMismatchError, UalgError
 from ualg.homs import NotAHomError
 from ualg.terms import all_environments
@@ -282,14 +282,14 @@ def test_trivial_certificate_refuses_what_build_free_would():
     # set is the carrier, and 16^5 * 5 tuple cells exceed the default cap
     with pytest.raises(
         CapExceededError,
-        match="^free tuple cells on 5 variables: 5242880 exceeds cap cells=1000000; "
+        match="^free tuple cells: 5242880 exceeds cap cells=1000000; "
         "raise it with UALG_CAPS=cells=N$",
     ):
         trivial_certificate(0, left_zero(16))
     # L3 needs 3 generators, 3^3 coordinates of 3 cells: refused at 80 cells,
     # exactly where the hard direction's free algebra is refused too
     band = left_zero(3)
-    message = "^free tuple cells on 3 variables: 81 exceeds cap cells=80; raise it with UALG_CAPS=cells=N$"
+    message = "^free tuple cells: 81 exceeds cap cells=80; raise it with UALG_CAPS=cells=N$"
     with pytest.raises(CapExceededError, match=message):
         trivial_certificate(0, band, Caps(cells=80))
     cert = trivial_certificate(0, band, Caps(cells=81))
@@ -300,18 +300,18 @@ def test_trivial_certificate_refuses_what_build_free_would():
 
 def test_free_width_is_the_one_bound_of_both_cell_checks():
     # L3's least generating set has 3 elements; on r variables its free
-    # algebra has r elements over 3^r coordinates
+    # algebra has r elements over 3^r coordinates, and both admit its r
+    # generator tuples by Caps.admit's one rule
     band = left_zero(3)
     for r in range(1, 4):
         cells = 3**r * r
-        assert free_width([3], r, Caps(cells=cells)) == 3**r
         variables = ["x", "y", "z"][:r]
         # cells == cap: neither check refuses r
         assert build_free([band], variables, Caps(cells=cells)).alg.size == r
         if r < 3:
             with pytest.raises(
                 CapExceededError,
-                match=f"^free tuple cells on {r + 1} variables: {3 ** (r + 1) * (r + 1)} exceeds cap "
+                match=f"^free tuple cells: {3 ** (r + 1) * (r + 1)} exceeds cap "
                 f"cells={cells}; raise it with UALG_CAPS=cells=N$",
             ):
                 trivial_certificate(0, band, Caps(cells=cells))
@@ -319,11 +319,9 @@ def test_free_width_is_the_one_bound_of_both_cell_checks():
             assert trivial_certificate(0, band, Caps(cells=cells)).gens == (0, 1, 2)
         # cells == cap + 1: both refuse r, with one message
         message = (
-            f"^free tuple cells on {r} variables: {cells} exceeds cap cells={cells - 1}; "
+            f"^free tuple cells: {cells} exceeds cap cells={cells - 1}; "
             "raise it with UALG_CAPS=cells=N$"
         )
-        with pytest.raises(CapExceededError, match=message):
-            free_width([3], r, Caps(cells=cells - 1))
         with pytest.raises(CapExceededError, match=message):
             build_free([band], variables, Caps(cells=cells - 1))
         with pytest.raises(CapExceededError, match=message):
@@ -337,7 +335,7 @@ def test_cap_admit_is_the_first_bound_exceeded(sig, width):
     # sum n^arity <= cells; otherwise the first of those to fail trips
     for carrier, cells in [(5, 30), (40, 30), (40, 200), (1, 1), (4096, 1_000_000)]:
         caps = Caps(carrier=carrier, cells=cells)
-        admit = closure.cap_admit(caps, sig, width, "test")
+        admit = caps.admit(sig, width, "test")
         for n in range(1, 1100):
             table = sum(n**arity for _, arity in sig.ops)
             bounds = [("carrier", n, carrier, "carrier"), ("cells", n * width, cells, "tuple cells"),
@@ -354,15 +352,15 @@ def test_cap_admit_is_the_first_bound_exceeded(sig, width):
 
 
 def test_cap_admit_takes_caps_past_the_largest_range():
-    # a cap may be any int; the admitted sizes stop at sys.maxsize anyway
+    # a cap may be any int: admission compares each size with it directly
     caps = Caps(carrier=10**30, cells=10**40)
-    closure.cap_admit(caps, SIG_F, 3, "test")(10**12)
+    caps.admit(SIG_F, 3, "test")(10**12)
     assert product([semilattice2(), semilattice2()], caps).alg.size == 4
     with pytest.raises(
         CapExceededError,
         match=f"^test carrier: {10**30 + 1} exceeds cap carrier={10**30}; raise it with UALG_CAPS=carrier=N$",
     ):
-        closure.cap_admit(caps, SIG_F, 0, "test")(10**30 + 1)
+        caps.admit(SIG_F, 0, "test")(10**30 + 1)
 
 
 def test_the_table_cell_bound_refuses_nand_to_the_twelfth_at_once():
@@ -410,6 +408,17 @@ def test_certificate_stage_failures():
     wrong_size = HspCertificate(factors=((0, 1),), gens=(0,), image=(0,))
     result = hsp_certificate_check([m], m, wrong_size)
     assert result.stage == "isomorphism"
+
+
+@pytest.mark.parametrize("cert, result", [
+    (HspCertificate(((0, 0),), (), ()), CertCheckResult(False, "product", "factor power 0 < 1")),
+    (HspCertificate((), (), ()), CertCheckResult(False, "product", "no factors")),
+    (HspCertificate(((0, 1),), (), ()), CertCheckResult(
+        False, "subalgebra", "empty generating set and no constants: empty carrier not representable")),
+], ids=["power-0", "no-factors", "empty-subalgebra"])
+def test_certificate_stage_texts(cert, result):
+    m = semilattice2()
+    assert hsp_certificate_check([m], m, cert) == result
 
 
 def test_certificate_check_scans_the_image_map_once(monkeypatch):

@@ -76,6 +76,36 @@ def test_parse_algebra_file_errors():
         parse_algebra_file("signature\nop f 2\nend\nalgebra A\nsize 2\nend\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("signature\nop 2f 2\nend\n", "2:1-1: bad operation name '2f'"),
+    ("signature\nop f 2\nop f 1\nend\n", "3:1-1: duplicate operation name 'f'"),
+    ("signature\nop f 1\nend\nalgebra A\nsize 2\nop f 0 1\nop f 1 0\nend\n", "7:1-1: duplicate table for 'f'"),
+    ("signature\nop f 1\nend\nalgebra A\nsize 0\nend\n", "5:1-1: size must be at least 1"),
+    ("signature\nop f 1\nend\nsize 2\nop f 0 1\nend\n", "4:1-1: expected 'algebra <name>'"),
+], ids=["bad-op-name", "duplicate-op-name", "duplicate-table", "size-0", "missing-algebra-line"])
+def test_parse_algebra_file_error_texts(text, message):
+    with pytest.raises(ParseError, match=f"^a\\.alg:{message}$"):
+        parse_algebra_file(text, "a.alg")
+
+
+def test_parse_equation_file_refuses_an_unexpected_character():
+    with pytest.raises(ParseError, match=r"^laws:2:6-6: unexpected character '\$'$"):
+        parse_equation_file("f(?x) = ?x\nf(?x,$) = ?x\n", "laws")
+
+
+def test_parse_algebra_file_refuses_a_huge_arity_without_taking_the_power():
+    # 3^4000000 has 1.9 million digits: its power took seconds and its text
+    # passes int's string-conversion limit; the length check needs neither
+    text = "signature\nop f 4000000\nend\nalgebra A\nsize 3\nop f 0\nend\n"
+    with pytest.raises(AlgebraValidationError) as info:
+        parse_algebra_file(text)
+    (name, violation), = info.value.failures
+    assert (name, str(violation)) == ("A", "op f: expected 3^4000000 entries, got 1")
+    # an ordinary length mismatch keeps its count
+    with pytest.raises(AlgebraValidationError, match="^validation failed: A: op f: expected 4 entries, got 3$"):
+        parse_algebra_file("signature\nop f 2\nend\nalgebra A\nsize 2\nop f 0 1 1\nend\n")
+
+
 @pytest.mark.parametrize(
     "text, line, message",
     [

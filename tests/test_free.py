@@ -171,14 +171,14 @@ def test_build_free_checks_the_index_width_before_listing_it():
     variables = [f"v{i}" for i in range(64)]
     with pytest.raises(
         CapExceededError,
-        match=f"^free tuple cells on 64 variables: {2**64 * 64} exceeds cap cells=1000000; "
+        match=f"^free tuple cells: {2**64 * 64} exceeds cap cells=1000000; "
         "raise it with UALG_CAPS=cells=N$",
     ):
         build_free([z2_xor()], variables)
     # the width sums over the class: 2^3 + 3^3 coordinates, 3 generator tuples
     with pytest.raises(
         CapExceededError,
-        match="^free tuple cells on 3 variables: 105 exceeds cap cells=104; raise it with UALG_CAPS=cells=N$",
+        match="^free tuple cells: 105 exceeds cap cells=104; raise it with UALG_CAPS=cells=N$",
     ):
         build_free([z2_xor(), z3_add()], ["a", "b", "c"], caps=Caps(cells=104))
     # the generators pass; the fourth element's 4 x 35 tuple cells do not

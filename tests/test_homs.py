@@ -16,6 +16,7 @@ from ualg import (
     is_isomorphic,
     kernel_pairs,
     product,
+    signature,
 )
 from ualg import homs
 from ualg.core import Caps, SignatureMismatchError, UalgError
@@ -27,7 +28,7 @@ from ualg.homs import (
     iter_homs,
 )
 
-from oracles import iter_homs_elementwise
+from oracles import hom_factor_pairwise, iter_homs_elementwise
 from samples import (
     SIG_CONST,
     SIG_F,
@@ -193,6 +194,55 @@ def test_hom_factor_choice_of_preimage_does_not_matter():
         for c in range(h.dst.size):
             fiber_values = {g.image[a] for a in range(4) if h.image[a] == c}
             assert fiber_values == {phi.image[c]}
+
+
+def _unary_identity(size):
+    """An algebra on which every map is a hom: one unary identity operation."""
+    return algebra(signature(("u", 1)), size, {"u": list(range(size))})
+
+
+def _factor_outcome(factor, g, h):
+    try:
+        return "map", factor(g, h).image
+    except NotSurjectiveError as e:
+        return "not-surjective", e.missing
+    except KernelInclusionError as e:
+        return "kernel-pair", e.pair
+
+
+def test_hom_factor_matches_the_pairwise_oracle():
+    # random maps between identity algebras, where every map is a hom: the
+    # class scan reports the witness, or the factor map, of the sorted scan
+    rng = random.Random(19)
+    outcomes = set()
+    for _ in range(400):
+        n, k = rng.randrange(1, 9), rng.randrange(1, 5)
+        src, hdst, gdst = _unary_identity(n), _unary_identity(k), _unary_identity(3)
+        h = CarrierMap(src, hdst, tuple(rng.randrange(k) for _ in range(n)))
+        image = [rng.randrange(3) for _ in range(k)]
+        g_image = [image[c] for c in h.image]  # factors through h ...
+        for _ in range(rng.randrange(3)):  # ... until some values are moved
+            g_image[rng.randrange(n)] = rng.randrange(3)
+        g = CarrierMap(src, gdst, tuple(g_image))
+        outcome = _factor_outcome(hom_factor, g, h)
+        assert outcome == _factor_outcome(hom_factor_pairwise, g, h)
+        outcomes.add(outcome[0])
+    assert outcomes == {"map", "not-surjective", "kernel-pair"}
+
+
+def test_hom_factor_scans_the_classes_not_the_kernel_pairs(monkeypatch):
+    # ker h holds n^2 pairs: 3000 elements took 40 s and 1.2 GB through them
+    def refuse(m):
+        raise AssertionError("kernel_pairs called")
+
+    monkeypatch.setattr(homs, "kernel_pairs", refuse)
+    src = _unary_identity(3000)
+    const = CarrierMap(src, _unary_identity(1), (0,) * 3000)
+    assert hom_factor(const, const).image == (0,)
+    moved = CarrierMap(src, _unary_identity(2), (0,) * 2999 + (1,))
+    with pytest.raises(KernelInclusionError) as info:
+        hom_factor(moved, const)
+    assert info.value.pair == (0, 2999)
 
 
 def test_find_homs_matches_brute_force_oracle():
