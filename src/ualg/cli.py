@@ -12,7 +12,7 @@ import functools
 import sys
 from typing import Sequence, TextIO
 
-from .core import Caps, FiniteAlgebra, Signature, UalgError, is_digits
+from .core import Caps, FiniteAlgebra, Signature, UalgError, decimal
 from .birkhoff import (
     ProductWitness,
     _env_string,
@@ -158,11 +158,11 @@ def _load_class(specs: Sequence[str]) -> list[tuple[str, FiniteAlgebra]]:
 
 
 def _parse_map(text: str, src: FiniteAlgebra, dst: FiniteAlgebra, flag: str) -> CarrierMap:
-    words = text.split()
-    if not all(is_digits(w) for w in words):
+    values = tuple(map(decimal, text.split()))
+    if None in values:
         raise UsageError(f"{flag} expects space-separated carrier values")
     try:
-        return CarrierMap(src, dst, tuple(int(w) for w in words))
+        return CarrierMap(src, dst, values)
     except ValueError as e:
         raise UsageError(f"{flag}: {e}") from None
 

@@ -1,7 +1,7 @@
 """The H, S, P constructions on finite algebras.
 
 Products are carried by mixed-radix flat indices (factor 0 most
-significant), and built on the byte-lane kernel when they fit.  Generated
+significant), and built by outer sums on int tables, with no lanes.  Generated
 subalgebras, free algebras and certificates close tuples by one routine,
 `generate`, which never builds the product; it runs `close`, the one
 deterministic pass closure, which also yields the operation tables.
@@ -13,6 +13,7 @@ finite class, is checked with no hom search.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -27,8 +28,6 @@ from .core import (
     UalgError,
     _decode_mixed,
     apply_op,
-    encode_lanes,
-    index_lanes,
     lane_plan,
     lane_pointwise,
     mapped_cells,
@@ -64,40 +63,44 @@ class ProductAlgebra:
 
 def product(factors: Sequence[FiniteAlgebra], caps: Caps = DEFAULT_CAPS) -> ProductAlgebra:
     """Componentwise product of a nonempty list of same-signature algebras:
-    on byte lanes (_product_lanes) up to 256 elements when every factor fits
-    in them, else each factor's tables pulled back along its coordinate
-    column.  The tables are int tuples either way."""
+    A0 x (A1 x (.. x Am)) by two-factor outer sums (_outer_sum), the caps
+    admitted once on the final size."""
     if not factors:
         raise ValueError("product requires at least one factor")
     sig = same_signature(*factors)
     sizes = tuple(a.size for a in factors)
-    n = math.prod(sizes)
-    caps.admit(sig, 0, "product")(n)
-    if n <= 256 and all(f._lanes is not None for f in factors):
-        tables = _product_lanes(factors, sizes)
-    else:
-        tables = [[0] * n**arity for _, arity in sig.ops]
-        for f, column in zip(factors, zip(*(_decode_mixed(sizes, a) for a in range(n)))):
-            for pos, ((_, arity), ft) in enumerate(zip(sig.ops, f.tables)):
-                at = mapped_cells(column, f.size, arity)
-                tables[pos] = [v * f.size + ft[j] for v, j in zip(tables[pos], at)]
-    return ProductAlgebra(FiniteAlgebra(sig, n, tuple(map(tuple, tables))), sizes)
+    caps.admit(sig, 0, "product")(math.prod(sizes))
+    tables, q = factors[-1].tables, sizes[-1]
+    for f in reversed(factors[:-1]):
+        tables = [_outer_sum(a, f.size, b, q, arity) for (_, arity), a, b in zip(sig.ops, f.tables, tables)]
+        q *= f.size
+    return ProductAlgebra(FiniteAlgebra(sig, q, tuple(tables)), sizes)
 
 
-def _product_lanes(factors: Sequence[FiniteAlgebra], sizes: tuple[int, ...]) -> list[bytes]:
-    """The product tables on byte lanes, for at most 256 elements and
-    factors that each fit in byte lanes: each factor's operation applied by
-    the lane kernel to its coordinate lanes, which depend only on the sizes,
-    then the factors' values encoded in mixed radix."""
-    m = len(sizes)
-    # a constant's table has one cell, of member 0
-    applies = [lane_pointwise(f._lanes, b"\0") for f in factors]
-    tables = []
-    for name, arity in factors[0].sig.ops:
-        lanes = index_lanes(sizes * arity)  # lane f + m*j: factor f's coordinate of argument j
-        values = [apply(name, lanes[f::m]) for f, apply in enumerate(applies)]
-        tables.append(encode_lanes(values, sizes))
-    return tables
+def _outer_sum(a: Sequence[int], p: int, b: Sequence[int], q: int, arity: int) -> tuple[int, ...]:
+    """The table of A x B from the tables a of A (p elements) and b of B (q
+    elements), x in A x B being (x // q, x % q).  The row at heads (x1, ..,
+    x_{r-1}) is A's row at their first coordinates, scaled by q with each
+    value repeated q times, plus B's row at their second coordinates tiled
+    p times: for each entry v of A's row, the run B's row plus v * q."""
+    if arity == 0:
+        return (a[0] * q + b[0],)
+    rows = len(b) // q
+    firsts, seconds, shifts = _shape(p, q, arity)
+    runs = list(zip(*[map(operator.add, b * p, shifts)] * q))  # run v * rows + j: B's row j plus v * q
+    a_rows = list(zip(*[map(rows.__mul__, a)] * p))  # A's rows, scaled to run indices
+    at = map(operator.add, itertools.chain.from_iterable(map(a_rows.__getitem__, firsts)), seconds)
+    return tuple(itertools.chain.from_iterable(map(runs.__getitem__, at)))
+
+
+@functools.lru_cache(maxsize=16)
+def _shape(p: int, q: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """_outer_sum's index lists, kept per shape since they depend only on the
+    sizes: per head, A's row at its first coordinates and, once per entry of
+    that row, B's row at its second ones; and each cell's v * q, run by run."""
+    firsts = mapped_cells([x // q for x in range(p * q)], p, arity - 1)
+    seconds = [j for j in mapped_cells([x % q for x in range(p * q)], q, arity - 1) for _ in range(p)]
+    return tuple(firsts), tuple(seconds), tuple([v for v in range(0, p * q, q) for _ in range(q**arity)])
 
 
 def close(
@@ -371,20 +374,22 @@ def hsp_certificate_check(
     is isomorphic to B, that is, covers B (a hom image in B is a subalgebra
     of B); report the first failing stage otherwise.  The product is never
     built: generate closes the generators, bounded as build_free's are."""
-    members: list[int] = []
     for k_index, power in cert.factors:
         if not 0 <= k_index < len(K):
             return CertCheckResult(False, "product", f"factor index {k_index} outside class")
         if power < 1:
             return CertCheckResult(False, "product", f"factor power {power} < 1")
-        members.extend([k_index] * power)
-    if not members:
+    if not cert.factors:
         return CertCheckResult(False, "product", "no factors")
     try:
-        sig = same_signature(*[K[k] for k in members], B)
+        sig = same_signature(*[K[k] for k, _ in cert.factors], B)
     except UalgError as e:
         return CertCheckResult(False, "product", str(e))
+    # the generator block is admitted, as build_free's is, before the factors are expanded
+    admit = caps.admit(sig, sum(power for _, power in cert.factors), "subalgebra")
+    admit(1)
 
+    members = [k for k, power in cert.factors for _ in range(power)]
     sizes = [K[k].size for k in members]
     n = math.prod(sizes)
     for g in cert.gens:
@@ -392,7 +397,7 @@ def hsp_certificate_check(
             return CertCheckResult(False, "subalgebra", f"generator {g} outside product carrier")
     seeds = [_decode_mixed(sizes, g) for g in sorted(set(cert.gens))]
     try:
-        elements, _, tables = generate(K, members, seeds, sig, caps.admit(sig, len(members), "subalgebra"))
+        elements, _, tables = generate(K, members, seeds, sig, admit)
     except EmptyCarrierError as e:
         return CertCheckResult(False, "subalgebra", str(e))
     sub = FiniteAlgebra(sig, len(elements), tables)

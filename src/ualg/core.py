@@ -8,16 +8,14 @@ in 0..n-1.  The constructor enforces this, raising InvalidTablesError with
 every violation, so the rest of the package indexes tables raw.
 Everything is immutable and safe to share.
 
-The module also holds the one index codec (mapped_cells and _decode_mixed
-for int tables, index_lanes and encode_lanes for byte lanes) and the one
-byte-lane kernel (lane_plan, lane_pointwise), which term columns,
-products and closure.generate share.
+The module also holds the one index codec on int tables (mapped_cells and
+_decode_mixed) and the one byte-lane kernel (lane_plan, lane_pointwise),
+which term columns and closure.generate share; products read no lanes.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -107,15 +105,21 @@ class Caps:
         values = {}
         for part in filter(None, (p.strip() for p in raw.split(","))):
             key, _, num = part.partition("=")
-            if key not in ("carrier", "cells", "search") or not is_digits(num):
+            if key not in ("carrier", "cells", "search") or (value := decimal(num)) is None:
                 raise UalgError(f"bad UALG_CAPS entry: {part!r}")
-            values[key] = int(num)
+            values[key] = value
         return Caps(**values)
 
 
-def is_digits(text: str) -> bool:
-    """ASCII digits only: str.isdigit also takes ² and ٣, which int rejects or misreads."""
-    return text.isascii() and text.isdigit()
+def decimal(text: str) -> int | None:
+    """A numeral of ASCII digits as an int, else None: the one reader of
+    integers in outside input.  str.isdigit also takes ² and ٣, which int
+    rejects or misreads, and int refuses a numeral past its conversion limit
+    (sys.get_int_max_str_digits) with a bare ValueError."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:
+        return None
 
 
 DEFAULT_CAPS = Caps()
@@ -229,9 +233,10 @@ class FiniteAlgebra:
 
     @cached_property
     def _lanes(self) -> dict[str, tuple[list[bytes], bytes]] | None:
-        """lane_plan([self]), built on first use and kept: every product
-        with this algebra as a factor, and every term_columns call on it,
-        reads the same byte views of its tables."""
+        """lane_plan([self]), built on first use and kept: every
+        term_columns call on this algebra, and every closure.generate on it
+        alone, reads the same byte views of its tables (products read
+        none)."""
         return lane_plan([self], self.sig)
 
 
@@ -256,38 +261,14 @@ def mapped_cells(image: Sequence[int], size: int, arity: int) -> list[int]:
     return cells
 
 
-def index_lanes(sizes: Sequence[int]) -> list[bytes]:
-    """For each coordinate of a mixed-radix row-major index over these sizes
-    (each at most 256), its value at every index in order, as a byte lane:
-    coordinate i repeats each value size[i+1] * .. times and tiles the run
-    size[0] * .. size[i-1] times."""
-    lanes, tile, repeat = [], 1, math.prod(sizes)
-    for size in sizes:
-        repeat //= size
-        lanes.append(b"".join([bytes((a,)) * repeat for a in range(size)]) * tile)
-        tile *= size
-    return lanes
-
-
 _IDENTITY = bytes(range(256))
-
-
-def encode_lanes(lanes: Sequence[bytes], sizes: Sequence[int]) -> bytes:
-    """The inverse of index_lanes: the mixed-radix row-major index at each
-    position of these coordinate lanes (the sizes' product at most 256), by
-    translates that multiply by the next size and carry-free big-int adds."""
-    from_bytes = int.from_bytes
-    index = lanes[0]
-    for lane, size in zip(lanes[1:], sizes[1:]):
-        times = _IDENTITY[::size].ljust(256, b"\0")  # p -> p * size
-        index = (from_bytes(index.translate(times), "little") + from_bytes(lane, "little")).to_bytes(len(lane), "little")
-    return index
 
 
 def lane_plan(K: Sequence[FiniteAlgebra], sig: Signature) -> dict[str, tuple[list[bytes], bytes]] | None:
     """Per symbol, the byte-lane kernel's step tables and final table over
     the members K, or None when they do not fit in byte lanes: their sizes
-    must sum to at most 256, and so must their r-th powers for each arity r.
+    must sum to at most 256, and so must their r-th powers for each arity r,
+    and no arity may pass 8 (past 8 only one-element members would fit).
 
     Member k's lanes hold its values shifted by off_k = |A_0| + .. + |A_k-1|.
     After j arguments of an r-ary symbol, they hold start(k, j) plus the
@@ -302,7 +283,7 @@ def lane_plan(K: Sequence[FiniteAlgebra], sig: Signature) -> dict[str, tuple[lis
     sizes = [alg.size for alg in K]
     # n^j <= n^top for 1 <= j <= top: the largest arity, at least 1, decides
     top = max([1] + [arity for _, arity in sig.ops])
-    if sum([n**top for n in sizes]) > 256:
+    if top > 8 or sum([n**top for n in sizes]) > 256:
         return None
     offsets = list(itertools.accumulate(sizes, initial=0))
     # Member k's block of every table starts at start(k, j), right after

@@ -8,10 +8,11 @@ parse is idempotent and parse after emit is the identity.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import FiniteAlgebra, InvalidTablesError, Signature, UalgError, Violation, is_digits
+from .core import FiniteAlgebra, InvalidTablesError, Signature, UalgError, Violation, decimal
 from .closure import HspCertificate
 from .terms import App, Equation, Substitution, Term, Var
 from . import entail
@@ -112,6 +113,13 @@ class _Tokenizer:
             raise ParseError(f"trailing input {tok.text!r}", tok.span)
 
 
+def _int(tok: Token) -> int:
+    """An int token's value; one past int's conversion limit is a ParseError."""
+    if (value := decimal(tok.text)) is None:
+        raise ParseError(f"{len(tok.text)}-digit integer, past the limit of {sys.get_int_max_str_digits()}", tok.span)
+    return value
+
+
 def _parse_term(tz: _Tokenizer) -> Term:
     tok = tz.next()
     if tok.kind == "var":
@@ -167,9 +175,9 @@ def _parse_proof(tz: _Tokenizer) -> entail.Proof:
     head = tz.next("name")
     kind = head.text
     if kind == "hyp":
-        index = tz.next("int")
+        index = _int(tz.next("int"))
         tz.next("rparen")
-        return entail.Hyp(int(index.text))
+        return entail.Hyp(index)
     if kind == "refl":
         term = _parse_term(tz)
         tz.next("rparen")
@@ -274,7 +282,7 @@ def parse_certificate(text: str, file: str = "<certificate>") -> HspCertificate:
         while (tok := tz.next()).kind != "rparen":
             if tok.kind != "int":
                 raise ParseError(f"expected an integer or ')', found {tok.text!r}", tok.span)
-            out.append(int(tok.text))
+            out.append(_int(tok))
         return tuple(out)
 
     opens("cert")
@@ -338,13 +346,13 @@ def parse_algebra_file(
         lineno, words = take()
         if words == ["end"]:
             break
-        if len(words) != 3 or words[0] != "op" or not is_digits(words[2]):
+        if len(words) != 3 or words[0] != "op" or (arity := decimal(words[2])) is None:
             raise ParseError("expected 'op <name> <arity>' or 'end'", span(lineno))
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", words[1]):
             raise ParseError(f"bad operation name {words[1]!r}", span(lineno))
         if words[1] in [name for name, _ in ops]:
             raise ParseError(f"duplicate operation name {words[1]!r}", span(lineno))
-        ops.append((words[1], int(words[2])))
+        ops.append((words[1], arity))
     sig = Signature(tuple(ops))
 
     algebras: list[tuple[str, FiniteAlgebra]] = []
@@ -355,9 +363,8 @@ def parse_algebra_file(
             raise ParseError("expected 'algebra <name>'", span(lineno))
         name = words[1]
         lineno, words = take()
-        if len(words) != 2 or words[0] != "size" or not is_digits(words[1]):
+        if len(words) != 2 or words[0] != "size" or (size := decimal(words[1])) is None:
             raise ParseError("expected 'size <n>'", span(lineno))
-        size = int(words[1])
         if size < 1:
             raise ParseError("size must be at least 1", span(lineno))
         tables: dict[str, tuple[int, ...]] = {}
@@ -372,10 +379,11 @@ def parse_algebra_file(
                 raise ParseError(f"unknown operation symbol {symbol!r}", span(lineno))
             if symbol in tables:
                 raise ParseError(f"duplicate table for {symbol!r}", span(lineno))
-            entries = words[2:]
-            if not all(is_digits(e.removeprefix("-")) for e in entries):
+            values = [decimal(e.removeprefix("-")) for e in words[2:]]
+            if None in values:
                 raise ParseError("table entries must be integers", span(lineno))
-            tables[symbol] = tuple(int(e) for e in entries)
+            # one leading minus is a negative entry, which validation refuses
+            tables[symbol] = tuple([-v if e[0] == "-" else v for v, e in zip(values, words[2:])])
         missing = [s for s in sig.symbols if s not in tables]
         if missing:
             raise ParseError(f"algebra {name} misses tables for {missing}", span(lineno))

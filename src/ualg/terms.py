@@ -21,7 +21,6 @@ from .core import (
     UalgError,
     UnknownSymbolError,
     apply_op,
-    index_lanes,
     lane_pointwise,
 )
 
@@ -177,10 +176,13 @@ def _bad_application(ops: dict, node: App) -> NoReturn:
 
 def environment_columns(variables: Sequence[str], size: int) -> dict[str, Sequence[int]]:
     """Each variable's value over all_environments(variables, size), in
-    order: byte lanes when size <= 256, else lists."""
+    order: byte lanes when size <= 256, else lists.  Variable i repeats each
+    value size^(k-1-i) times and tiles that run size^i times."""
+    k = len(variables)
     if size <= 256:
-        return dict(zip(variables, index_lanes([size] * len(variables))))
-    envs = list(itertools.product(range(size), repeat=len(variables)))
+        return {v: b"".join([bytes((a,)) * size ** (k - 1 - i) for a in range(size)]) * size**i
+                for i, v in enumerate(variables)}
+    envs = list(itertools.product(range(size), repeat=k))
     return {name: [env[pos] for env in envs] for pos, name in enumerate(variables)}
 
 

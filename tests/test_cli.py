@@ -394,6 +394,19 @@ def test_bad_numeric_arguments_exit_two(z2_file, tmp_path):
     assert code == 2
 
 
+def test_numerals_past_the_int_limit_exit_two_with_a_span(tmp_path):
+    big = "1" + "0" * 5000  # past int's default string-conversion limit of 4,300 digits
+    alg = tmp_path / "big.alg"
+    alg.write_text(f"signature\nop f 2\nend\nalgebra A\nsize {big}\nend\n")
+    code, out, err = run("validate", str(alg))
+    assert code == 2 and err == f"error: {alg}:5:1-1: expected 'size <n>'\n"
+    axioms, proof = tmp_path / "ax.eqs", tmp_path / "big.proof"
+    axioms.write_text("f(?x,?y) = f(?y,?x)\n")
+    proof.write_text(f"(hyp {big})\n")
+    code, out, err = run("entail-check", "--axioms", str(axioms), "--goal", "?x = ?x", "--proof", str(proof))
+    assert code == 2 and err.startswith(f"error: {proof}:1:6-5006: 5001-digit integer")
+
+
 def test_help_exits_zero():
     code, out, err = run("--help")
     assert code == 0

@@ -14,6 +14,7 @@ from ualg import (
     Caps,
     CarrierMap,
     Equation,
+    FiniteAlgebra,
     SearchLimits,
     Var,
     algebra,
@@ -249,31 +250,38 @@ def test_product_matches_the_cellwise_oracle(pool, count):
         assert got.sizes == want.sizes
 
 
-# Either side of the product's byte-lane rule: at most 256 elements, and
-# factors that each fit in byte lanes (size^arity <= 256 for each arity).
+# Products by shape, each a fold of two-factor outer sums: the factor sizes
+# (a 1 is a one-element factor, which the fold scales by 1 and tiles once)
+# and, past one binary symbol, the signature.
 PRODUCT_CASES = [
-    ("lanes-16x16", [z_add(16), z_add(16)]),  # 256 elements
-    ("lists-17x16", [z_add(17), z_add(16)]),  # 272 elements
-    ("lists-17", [z_add(17)]),  # 17 elements, but 17^2 > 256
-    ("lanes-unary", [z5_successor(), z_successor(3)]),
-    ("lanes-ternary", [z3_malcev(), chain3_median()]),
-    ("lists-ternary-median7", [chain_median(7)]),  # 7^3 > 256
-    ("lanes-constants", [constants_only(), constants_only(2)]),
-    ("lists-constants-300", [constants_only(300)]),
-    ("lanes-mixed", [mixed_arities(), mixed_arities()]),
+    ("16x16", [z_add(16), z_add(16)]),
+    ("17x16", [z_add(17), z_add(16)]),
+    ("17", [z_add(17)]),
+    ("3x1x2", [z3_add(), z_add(1), z2_xor()]),
+    ("1x4x1", [z_add(1), z4_add(), z_add(1)]),
+    ("unary-5x3", [z5_successor(), z_successor(3)]),
+    ("unary-5x1x3", [z5_successor(), z_successor(1), z_successor(3)]),
+    ("ternary-3x3", [z3_malcev(), chain3_median()]),
+    ("ternary-7", [chain_median(7)]),
+    ("ternary-3x1x2", [z3_malcev(), chain_median(1), chain_median(2)]),
+    ("constants-3x2", [constants_only(), constants_only(2)]),
+    ("constants-300", [constants_only(300)]),
+    ("constants-3x1x2", [constants_only(), constants_only(1), constants_only(2)]),
+    ("mixed-4x4", [mixed_arities(), mixed_arities()]),
+    ("mixed-2x1x3", [mixed_arities(2), mixed_arities(1), mixed_arities(3)]),
 ]
 
 
-@pytest.mark.parametrize(
-    "path, factors", [(c[0].split("-")[0], c[1]) for c in PRODUCT_CASES], ids=[c[0] for c in PRODUCT_CASES]
-)
-def test_product_takes_the_path_its_case_names_and_matches_the_cellwise_oracle(path, factors, monkeypatch):
-    lane_products = []
-    real = ualg.closure._product_lanes
-    monkeypatch.setattr(ualg.closure, "_product_lanes", lambda *args: lane_products.append(args) or real(*args))
-    got = product(factors)
-    assert bool(lane_products) == (path == "lanes")
-    assert got == product_cellwise(factors)
+@pytest.mark.parametrize("factors", [c[1] for c in PRODUCT_CASES], ids=[c[0] for c in PRODUCT_CASES])
+def test_product_matches_the_cellwise_oracle_by_shape(factors):
+    assert product(factors) == product_cellwise(factors)
+
+
+@pytest.mark.parametrize("factors", [c[1] for c in PRODUCT_CASES], ids=[c[0] for c in PRODUCT_CASES])
+def test_product_reads_no_lane_plan(factors):
+    fresh = [FiniteAlgebra(f.sig, f.size, f.tables) for f in factors]
+    product(fresh)
+    assert all("_lanes" not in f.__dict__ for f in fresh)
 
 
 @pytest.mark.parametrize("factors", [[z4_add(), z3_add()], [mul3_with_unit()] * 3])

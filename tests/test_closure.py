@@ -384,6 +384,19 @@ def test_the_table_cell_bound_refuses_nand_to_the_twelfth_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_certificate_admits_the_generator_block_before_expanding_the_factors(monkeypatch):
+    def no_decode(*args):
+        raise AssertionError("decoded a generator past the cap")
+
+    monkeypatch.setattr(closure, "_decode_mixed", no_decode)
+    cert = HspCertificate(((0, 1001),), (0,), (0,))
+    with pytest.raises(
+        CapExceededError,
+        match="^subalgebra tuple cells: 1001 exceeds cap cells=1000; raise it with UALG_CAPS=cells=N$",
+    ):
+        hsp_certificate_check([z2_xor()], z2_xor(), cert, Caps(cells=1000))
+
+
 def test_semilattice_square_certificate():
     m = semilattice2()
     cert = HspCertificate(factors=((0, 2),), gens=(1, 2), image=(0, 1, 0))

@@ -157,3 +157,9 @@ def test_caps_from_env():
 def test_caps_from_env_takes_only_ascii_digits(entry):
     with pytest.raises(UalgError, match=f"^{re.escape(f'bad UALG_CAPS entry: {entry!r}')}$"):
         Caps.from_env({"UALG_CAPS": entry})
+
+
+def test_caps_from_env_names_an_entry_past_the_int_limit():
+    entry = "cells=" + "9" * 5000  # past int's default string-conversion limit of 4,300 digits
+    with pytest.raises(UalgError, match=f"^{re.escape(f'bad UALG_CAPS entry: {entry!r}')}$"):
+        Caps.from_env({"UALG_CAPS": f"carrier=10,{entry}"})

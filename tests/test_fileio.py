@@ -126,6 +126,44 @@ def test_parse_algebra_file_takes_only_ascii_digits(text, line, message):
     assert exc.value.span.line == line
 
 
+# 5,001 digits: past int's default string-conversion limit of 4,300
+BIG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (f"signature\nop f {BIG}\nend\n", 2, "expected 'op <name> <arity>' or 'end'"),
+        (f"signature\nop f 2\nend\nalgebra A\nsize {BIG}\nend\n", 5, "expected 'size <n>'"),
+        (f"signature\nop f 1\nend\nalgebra A\nsize 2\nop f 0 {BIG}\nend\n", 6, "table entries must be integers"),
+        (f"signature\nop f 1\nend\nalgebra A\nsize 2\nop f 0 -{BIG}\nend\n", 6, "table entries must be integers"),
+    ],
+    ids=["arity", "size", "entry", "negative-entry"],
+)
+def test_parse_algebra_file_refuses_numerals_past_the_int_limit_with_a_span(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_file(text, "big.alg")
+    assert str(exc.value) == f"big.alg:{line}:1-1: {message}"
+
+
+def test_parse_proof_refuses_a_hyp_index_past_the_int_limit_with_a_span():
+    with pytest.raises(ParseError) as exc:
+        parse_proof(f"(sym (hyp {BIG}))", "big.proof")
+    assert exc.value.span == SourceSpan("big.proof", 1, 11, 5011)
+    assert str(exc.value).endswith(": 5001-digit integer, past the limit of 4300")
+
+
+@pytest.mark.parametrize("text, col", [
+    (f"(cert (factors (0 {BIG})) (gens 1) (image 0))", 19),
+    (f"(cert (factors (0 1)) (gens {BIG}) (image 0))", 29),
+    (f"(cert (factors (0 1)) (gens 1) (image 0 {BIG}))", 41),
+], ids=["factors", "gens", "image"])
+def test_parse_certificate_refuses_integers_past_the_int_limit_with_a_span(text, col):
+    with pytest.raises(ParseError) as exc:
+        parse_certificate(text)
+    assert exc.value.span == SourceSpan("<certificate>", 1, col, col + 5000)
+
+
 def test_parse_algebra_file_reads_a_negative_entry_as_a_validation_failure():
     # one leading minus is an integer, out of range for the carrier
     with pytest.raises(AlgebraValidationError):

@@ -29,7 +29,8 @@ from ualg import (
     theory_upto,
     universal_map,
 )
-from ualg.core import ArityMismatchError, CapExceededError, Caps, OutOfRangeError, UnknownSymbolError
+from ualg.closure import generate
+from ualg.core import ArityMismatchError, CapExceededError, Caps, OutOfRangeError, UnknownSymbolError, lane_plan
 from ualg.eqlogic import ClassSatResult, theory_partition
 from ualg.fileio import equation_to_text, parse_algebra_file
 from ualg.terms import (
@@ -43,6 +44,8 @@ from oracles import (
     eqcl_to_var_check_permodel,
     models_theory_pairwise,
     nat_epi_pointwise,
+    product_cellwise,
+    subalgebra_generate_passes,
     term_columns_lists,
     theory_upto_pairwise,
     universal_map_pointwise,
@@ -192,6 +195,35 @@ def test_columns_match_the_list_kernel_oracle_either_side_of_the_fit_rule(path, 
     got = term_columns(alg, terms, columns)
     assert {type(c) for c in got} == {bytes if path == "lanes" else list}
     assert [list(c) for c in got] == term_columns_lists(alg, terms, columns)
+
+
+def sum_mod(arity, size):
+    """(x1 + .. + xk) mod size for one k-ary symbol h, beside a successor g."""
+    sig = signature(("h", arity), ("g", 1))
+    h = [sum(args) % size for args in itertools.product(range(size), repeat=arity)]
+    return algebra(sig, size, {"h": h, "g": [(a + 1) % size for a in range(size)]})
+
+
+# Past arity 8 only one-element members fit in byte lanes (2^9 > 256), and
+# their plan would be one step table per arity: lane_plan declines them.
+@pytest.mark.parametrize("arity, size, fits", [(8, 1, True), (8, 2, True), (9, 1, False)])
+def test_lane_plan_declines_arities_past_8_and_both_paths_match_the_oracles(arity, size, fits):
+    alg = sum_mod(arity, size)
+    assert (lane_plan([alg], alg.sig) is not None) == fits
+    assert (lane_plan([alg, alg], alg.sig) is not None) == (fits and size == 1)
+    terms = enumerate_terms(alg.sig, ["x", "y"], 1)
+    columns = environment_columns(["x", "y"], size)
+    got = term_columns(alg, terms, columns)
+    assert {type(c) for c in got} == {bytes if fits else list}
+    assert [list(c) for c in got] == term_columns_lists(alg, terms, columns)
+    for members in ([0], [0, 0]):
+        prod = product_cellwise([alg] * len(members)).alg
+        coords = list(itertools.product(range(size), repeat=len(members)))
+        for g in range(prod.size):
+            elements, _, tables = generate([alg], members, [coords[g]], alg.sig)
+            want_sub, want_inc = subalgebra_generate_passes(prod, [g])
+            assert [coords.index(e) for e in elements] == list(want_inc.image)
+            assert tables == want_sub.tables
 
 
 THEORY_CASES = [
