@@ -4,7 +4,9 @@ Products are carried by mixed-radix flat indices (factor 0 most
 significant), and built by outer sums on int tables, with no lanes.  Generated
 subalgebras, free algebras and certificates close tuples by one routine,
 `generate`, which never builds the product; it runs `close`, the one
-deterministic pass closure, which also yields the operation tables.
+deterministic pass closure, which also yields the operation tables and
+applies a whole table row per call: one kernel call per row, not per
+argument tuple.
 Homomorphic images are built only as quotients A/theta, by congruences
 each a union-find closed under translations.  An HSP certificate, a
 product -> subalgebra -> image pipeline witnessing membership in V of a
@@ -106,10 +108,13 @@ def _shape(p: int, q: int, arity: int) -> tuple[tuple[int, ...], ...]:
 def close(
     sig: Signature,
     seeds: Iterable[Hashable],
-    apply: Callable[[str, tuple], Hashable],
+    apply: Callable[[str, tuple, Sequence], Sequence[Hashable]],
     admit: Callable[[int], None] | None = None,
 ) -> tuple[list, list, tuple[tuple[int, ...], ...]]:
-    """Least set containing the seeds and closed under apply(symbol, args).
+    """Least set containing the seeds and closed under the operations,
+    applied a row at a time: apply(symbol, prefix, lasts) returns the values
+    of symbol(*prefix, last) for each last in lasts, in order.  A constant
+    is a row of one cell: apply(symbol, (), ()) returns its one value.
 
     Returns the elements in discovery order (the seeds, then passes applying
     the symbols in signature order to the elements found before the pass,
@@ -117,9 +122,11 @@ def close(
     (symbol, argument labels) producing it) and the operation tables.  The
     passes are semi-naive: each applies, in row-major order, only the label
     tuples with an argument found by the previous pass (constants only in the
-    first).  No other tuple can find anything, so the discovery order is the
-    naive one and every tuple is applied once, filling the tables.
-    admit(n) runs before the n-th element is added and may raise.
+    first), one row (a head of all arguments but the last, and the lasts not
+    yet applied) per call.  No other tuple can find anything, so the
+    discovery order is the naive one and every tuple is applied once,
+    filling the tables.  admit(n) runs before the n-th element is added and
+    may raise.
     """
     elements: list = []
     origins: list = []
@@ -143,7 +150,7 @@ def close(
         for pos, (name, arity) in enumerate(sig.ops):
             if arity == 0:  # a constant: first pass only
                 if not rows[pos]:
-                    value = apply(name, ())
+                    [value] = apply(name, (), ())
                     rows[pos] = {(): [label[value] if value in label else add(value, (name, ()))]}
                 continue
             old_rows, rows[pos] = rows[pos], {}
@@ -151,12 +158,15 @@ def close(
             for head, prefix in zip(heads, itertools.product(elements[:base], repeat=arity - 1)):
                 # a row from an earlier pass holds all lasts found before it
                 row = rows[pos][head] = old_rows.get(head) or []
-                for last in elements[len(row):base]:
-                    value = apply(name, (*prefix, last))
-                    at = label.get(value)
-                    if at is None:
-                        at = add(value, (name, (*head, label[last])))
-                    row.append(at)
+                lasts = elements[len(row):base]
+                if not lasts:  # a unary symbol's first pass over no seeds
+                    continue
+                values = apply(name, prefix, lasts)
+                at = list(map(label.get, values))
+                if None in at:  # cell by cell, so a value new earlier in the row is found again
+                    at = [label[value] if value in label else add(value, (name, (*head, label[last])))
+                          for value, last in zip(values, lasts)]
+                row += at
         if len(elements) == base:
             return elements, origins, tuple([
                 tuple(itertools.chain.from_iterable(op_rows.values())) for op_rows in rows
@@ -174,7 +184,8 @@ def generate(
     the int-tuple seeds, without building the product: close's elements as
     int tuples, their origins and tables.  It closes on the lane kernel when
     the members used fit it (one member on its cached plan, several with
-    their values shifted apart), else on int tuples."""
+    their values shifted apart), one kernel call per row of close, else on
+    int tuples."""
     seeds = list(seeds)
     if not seeds and not sig.constants():
         raise EmptyCarrierError("empty generating set and no constants: empty carrier not representable")
@@ -183,32 +194,50 @@ def generate(
     if plan is None:
         return close(sig, seeds, _tuple_pointwise(K, sig, members), admit)
     if len(used) == 1:  # one member: no shift (see core.lane_plan)
-        apply = lane_pointwise(plan, bytes(len(members)))
+        apply = _lane_rows(lane_pointwise(plan, bytes(len(members))), len(members))
         elements, origins, tables = close(sig, list(map(bytes, seeds)), apply, admit)
         return list(map(tuple, elements)), origins, tables
     offsets = dict(zip(used, itertools.accumulate([K[k].size for k in used], initial=0)))
     unshift = bytes(itertools.chain.from_iterable(range(K[k].size) for k in used)).ljust(256, b"\0")
     shift = bytes(map(offsets.get, members))
-    apply = lane_pointwise(plan, bytes(map({k: r for r, k in enumerate(used)}.get, members)))
+    apply = _lane_rows(lane_pointwise(plan, bytes(map({k: r for r, k in enumerate(used)}.get, members))), len(members))
     elements, origins, tables = close(sig, [bytes(map(operator.add, tup, shift)) for tup in seeds], apply, admit)
     return [tuple(e.translate(unshift)) for e in elements], origins, tables
 
 
+def _lane_rows(apply, width: int):
+    """close's row contract on the lane kernel: one application per row,
+    the prefix lanes each repeated once per last and the lasts joined, the
+    result cut back into width-byte lanes."""
+
+    def row(name: str, prefix: tuple[bytes, ...], lasts: Sequence[bytes]) -> list[bytes]:
+        m = len(lasts)
+        if m <= 1:  # a constant or a one-last row: a direct call costs less than repeat, join and cut
+            return [apply(name, (*prefix, *lasts))]
+        z = apply(name, [x * m for x in prefix] + [b"".join(lasts)])
+        if not width:  # the empty class's one element, the empty tuple
+            return [z] * m
+        return [z[i : i + width] for i in range(0, m * width, width)]
+
+    return row
+
+
 def _tuple_pointwise(K, sig, members):
-    """The fallback kernel: raw row-major lookups, one per coordinate."""
+    """The fallback kernel on int tuples: raw row-major lookups, one per
+    coordinate, the prefix's part of each index computed once per row."""
     columns = {name: [(K[k].tables[pos], K[k].size) for k in members]
                for pos, (name, _) in enumerate(sig.ops)}
 
-    def pointwise(name: str, args: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    def pointwise(name: str, prefix: tuple, lasts: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
         cells = columns[name]
-        if not args:
-            return tuple([table[0] for table, _ in cells])
-        *heads, lasts = args
-        at = heads[0] if heads else [0] * len(cells)
-        for tup in heads[1:]:
+        if not lasts:  # a constant
+            return [tuple([table[0] for table, _ in cells])]
+        at = [0] * len(cells)
+        for tup in prefix:
             at = [i * n + a for i, (_, n), a in zip(at, cells, tup)]
+        at = [(table, i * n) for i, (table, n) in zip(at, cells)]
         # tuple([...]), not tuple(generator): see terms._fingerprints.
-        return tuple([table[i * n + a] for (table, n), i, a in zip(cells, at, lasts)])
+        return [tuple([table[i + a] for (table, i), a in zip(at, last)]) for last in lasts]
 
     return pointwise
 

@@ -113,10 +113,12 @@ class _Tokenizer:
             raise ParseError(f"trailing input {tok.text!r}", tok.span)
 
 
-def _int(tok: Token) -> int:
-    """An int token's value; one past int's conversion limit is a ParseError."""
-    if (value := decimal(tok.text)) is None:
-        raise ParseError(f"{len(tok.text)}-digit integer, past the limit of {sys.get_int_max_str_digits()}", tok.span)
+def _int(text: str, span: SourceSpan) -> int | None:
+    """decimal(text), except that ASCII digits past int's conversion limit
+    are a ParseError at span saying so, for a token as for an .alg line."""
+    value = decimal(text)
+    if value is None and text.isascii() and text.isdigit():
+        raise ParseError(f"{len(text)}-digit integer, past the limit of {sys.get_int_max_str_digits()}", span)
     return value
 
 
@@ -175,7 +177,8 @@ def _parse_proof(tz: _Tokenizer) -> entail.Proof:
     head = tz.next("name")
     kind = head.text
     if kind == "hyp":
-        index = _int(tz.next("int"))
+        tok = tz.next("int")
+        index = _int(tok.text, tok.span)
         tz.next("rparen")
         return entail.Hyp(index)
     if kind == "refl":
@@ -282,7 +285,7 @@ def parse_certificate(text: str, file: str = "<certificate>") -> HspCertificate:
         while (tok := tz.next()).kind != "rparen":
             if tok.kind != "int":
                 raise ParseError(f"expected an integer or ')', found {tok.text!r}", tok.span)
-            out.append(_int(tok))
+            out.append(_int(tok.text, tok.span))
         return tuple(out)
 
     opens("cert")
@@ -346,7 +349,7 @@ def parse_algebra_file(
         lineno, words = take()
         if words == ["end"]:
             break
-        if len(words) != 3 or words[0] != "op" or (arity := decimal(words[2])) is None:
+        if len(words) != 3 or words[0] != "op" or (arity := _int(words[2], span(lineno))) is None:
             raise ParseError("expected 'op <name> <arity>' or 'end'", span(lineno))
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", words[1]):
             raise ParseError(f"bad operation name {words[1]!r}", span(lineno))
@@ -363,7 +366,7 @@ def parse_algebra_file(
             raise ParseError("expected 'algebra <name>'", span(lineno))
         name = words[1]
         lineno, words = take()
-        if len(words) != 2 or words[0] != "size" or (size := decimal(words[1])) is None:
+        if len(words) != 2 or words[0] != "size" or (size := _int(words[1], span(lineno))) is None:
             raise ParseError("expected 'size <n>'", span(lineno))
         if size < 1:
             raise ParseError("size must be at least 1", span(lineno))
@@ -380,7 +383,8 @@ def parse_algebra_file(
             if symbol in tables:
                 raise ParseError(f"duplicate table for {symbol!r}", span(lineno))
             values = [decimal(e.removeprefix("-")) for e in words[2:]]
-            if None in values:
+            if None in values:  # the first bad entry: too long, or not a numeral
+                _int(words[2 + values.index(None)].removeprefix("-"), span(lineno))
                 raise ParseError("table entries must be integers", span(lineno))
             # one leading minus is a negative entry, which validation refuses
             tables[symbol] = tuple([-v if e[0] == "-" else v for v, e in zip(values, words[2:])])

@@ -399,7 +399,7 @@ def test_numerals_past_the_int_limit_exit_two_with_a_span(tmp_path):
     alg = tmp_path / "big.alg"
     alg.write_text(f"signature\nop f 2\nend\nalgebra A\nsize {big}\nend\n")
     code, out, err = run("validate", str(alg))
-    assert code == 2 and err == f"error: {alg}:5:1-1: expected 'size <n>'\n"
+    assert code == 2 and err == f"error: {alg}:5:1-1: 5001-digit integer, past the limit of 4300\n"
     axioms, proof = tmp_path / "ax.eqs", tmp_path / "big.proof"
     axioms.write_text("f(?x,?y) = f(?y,?x)\n")
     proof.write_text(f"(hyp {big})\n")

@@ -204,11 +204,27 @@ def test_hom_image_matches_the_pass_oracle_on_every_hom():
             assert onto.image == want_onto.image
 
 
+def rowwise(apply):
+    """close's row contract over a per-tuple apply(symbol, args): one value
+    per last, a constant's row being its one cell."""
+
+    def row(name, prefix, lasts):
+        if not lasts:
+            return [apply(name, ())]
+        return [apply(name, (*prefix, last)) for last in lasts]
+
+    return row
+
+
+def lookup_in(alg):
+    return rowwise(lambda name, args: apply_op(alg, name, args))
+
+
 def test_close_keeps_discovery_order_origins_and_tables():
     alg = with_constant()
     sig = alg.sig
     for gens in [(), (4,), (2, 7), (8, 0, 8)]:
-        elements, origins, tables = close(sig, gens, lambda name, args: apply_op(alg, name, args))
+        elements, origins, tables = close(sig, gens, lookup_in(alg))
         assert elements == closure_list(alg, gens)
         for e, origin in enumerate(origins):
             if e < len(dict.fromkeys(gens)):
@@ -227,7 +243,7 @@ def test_close_keeps_discovery_order_origins_and_tables():
 def test_close_admit_sees_every_count_and_can_stop():
     alg = z2_times_z3()
     seen = []
-    close(alg.sig, [1], lambda name, args: apply_op(alg, name, args), seen.append)
+    close(alg.sig, [1], lookup_in(alg), seen.append)
     assert seen == list(range(1, len(seen) + 1))
 
     def stop(count):
@@ -235,7 +251,27 @@ def test_close_admit_sees_every_count_and_can_stop():
             raise CapExceededError("stop")
 
     with pytest.raises(CapExceededError, match="stop"):
-        close(alg.sig, [1], lambda name, args: apply_op(alg, name, args), stop)
+        close(alg.sig, [1], lookup_in(alg), stop)
+
+
+def test_close_labels_a_value_repeated_within_its_row_once():
+    # g's one row over the seeds 0, 1 finds 2 at both cells: the second
+    # cell must find the label the first one gave, not add 2 again
+    alg = algebra(SIG_G, 3, {"g": [2, 2, 2]})
+    rows = {
+        "per tuple": lookup_in(alg),
+        "int tuples": ualg.closure._tuple_pointwise([alg], alg.sig, [0]),
+    }
+    for name, apply in rows.items():
+        seeds = [0, 1] if name == "per tuple" else [(0,), (1,)]
+        elements, origins, tables = close(alg.sig, seeds, apply)
+        assert len(elements) == 3, name
+        assert origins == [None, None, ("g", (0,))], name
+        assert tables == ((2, 2, 2),), name
+    elements, origins, tables = generate([alg], [0, 0], [(0, 1), (1, 0)], alg.sig)  # on byte lanes
+    assert elements == [(0, 1), (1, 0), (2, 2)]
+    assert origins == [None, None, ("g", (0,))]
+    assert tables == ((2, 2, 2),)
 
 
 PRODUCT_POOLS = [SAMPLES, [mul3_with_unit(), semilattice2_with_top()]]
@@ -372,7 +408,7 @@ def test_close_tables_equal_the_naive_last_pass_on_free_semilattices(k):
         return tuple(apply_op(sl, name, column) for column in zip(*args))
 
     seeds = [free.tuples[free.gens[v]] for v in free.variables]
-    elements, _, tables = close(SIG_F, seeds, pointwise)
+    elements, _, tables = close(SIG_F, seeds, rowwise(pointwise))
     assert elements == list(free.tuples)
     assert tables == _naive_last_pass(SIG_F, elements, pointwise) == free.alg.tables
 
@@ -384,7 +420,7 @@ def test_close_tables_equal_the_naive_last_pass_on_every_subset(alg):
 
     for r in range(alg.size + 1):
         for gens in itertools.combinations(range(alg.size), r):
-            elements, _, tables = close(alg.sig, gens, lookup)
+            elements, _, tables = close(alg.sig, gens, rowwise(lookup))
             assert elements == closure_list(alg, gens)
             assert tables == _naive_last_pass(alg.sig, elements, lookup)
 
@@ -397,12 +433,13 @@ def test_close_tables_equal_the_naive_last_pass_on_every_subset(alg):
 ])
 def test_close_applies_each_tuple_once(alg, gens):
     calls = []
+    lookup = lookup_in(alg)
 
-    def lookup(name, args):
-        calls.append((name, args))
-        return apply_op(alg, name, args)
+    def row(name, prefix, lasts):  # records every tuple a row hands over
+        calls.extend([(name, (*prefix, last)) for last in lasts] if lasts else [(name, ())])
+        return lookup(name, prefix, lasts)
 
-    elements, _, _ = close(alg.sig, gens, lookup)
+    elements, _, _ = close(alg.sig, gens, row)
     assert sorted(calls) == sorted(
         (name, args)
         for name, arity in alg.sig.ops

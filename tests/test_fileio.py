@@ -133,12 +133,16 @@ BIG = "1" + "0" * 5000
 @pytest.mark.parametrize(
     "text, line, message",
     [
-        (f"signature\nop f {BIG}\nend\n", 2, "expected 'op <name> <arity>' or 'end'"),
-        (f"signature\nop f 2\nend\nalgebra A\nsize {BIG}\nend\n", 5, "expected 'size <n>'"),
-        (f"signature\nop f 1\nend\nalgebra A\nsize 2\nop f 0 {BIG}\nend\n", 6, "table entries must be integers"),
-        (f"signature\nop f 1\nend\nalgebra A\nsize 2\nop f 0 -{BIG}\nend\n", 6, "table entries must be integers"),
+        # each line kind says the number is too long, as the tokens do, at its line
+        (f"signature\nop f {BIG}\nend\n", 2, "5001-digit integer, past the limit of 4300"),
+        (f"signature\nop f 2\nend\nalgebra A\nsize {BIG}\nend\n", 5, "5001-digit integer, past the limit of 4300"),
+        (f"signature\nop f 1\nend\nalgebra A\nsize 2\nop f 0 {BIG}\nend\n", 6, "5001-digit integer, past the limit of 4300"),
+        (f"signature\nop f 1\nend\nalgebra A\nsize 2\nop f 0 -{BIG}\nend\n", 6, "5001-digit integer, past the limit of 4300"),
+        # a line of the wrong shape keeps its syntax message
+        (f"signature\nop f 2 {BIG}\nend\n", 2, "expected 'op <name> <arity>' or 'end'"),
+        (f"signature\nop f 2\nend\nalgebra A\nsize {BIG} 1\nend\n", 5, "expected 'size <n>'"),
     ],
-    ids=["arity", "size", "entry", "negative-entry"],
+    ids=["arity", "size", "entry", "negative-entry", "op-line-shape", "size-line-shape"],
 )
 def test_parse_algebra_file_refuses_numerals_past_the_int_limit_with_a_span(text, line, message):
     with pytest.raises(ParseError) as exc:
