@@ -10,7 +10,8 @@ Everything is immutable and safe to share.
 
 The module also holds the one index codec on int tables (mapped_cells and
 _decode_mixed) and the one byte-lane kernel (lane_plan, lane_pointwise),
-which term columns and closure.generate share; products read no lanes.
+which term columns, closure.generate and the hom search's leaf re-check
+share; products read no lanes.
 """
 
 from __future__ import annotations
@@ -234,9 +235,9 @@ class FiniteAlgebra:
     @cached_property
     def _lanes(self) -> dict[str, tuple[list[bytes], bytes]] | None:
         """lane_plan([self]), built on first use and kept: every
-        term_columns call on this algebra, and every closure.generate on it
-        alone, reads the same byte views of its tables (products read
-        none)."""
+        term_columns call on this algebra, every closure.generate on it
+        alone and every hom search onto it reads the same byte views of its
+        tables (products read none)."""
         return lane_plan([self], self.sig)
 
 

@@ -4,14 +4,16 @@ A carrier map is just the image list of a function between carriers; the
 classifier decides whether it commutes with every basic operation and
 whether it is injective/surjective.  find_homs enumerates the homs by
 backtracking over the images of a generating set only: propagation along
-the operation tables forces every other value or finds a conflict.
+the operation tables forces every other value or finds a conflict.  Each
+complete image is re-checked, on the target's byte lanes when they fit, and
+one that is not a hom raises UalgError.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .core import (
     DEFAULT_CAPS,
@@ -20,6 +22,7 @@ from .core import (
     SearchCapError,  # re-exported: the hom search trips it through Caps.check
     UalgError,
     _decode_mixed,
+    lane_pointwise,
     mapped_cells,
     same_signature,
 )
@@ -162,6 +165,8 @@ def iter_homs(
     branches on each least element outside the subalgebra generated by the
     constants, the fixed elements and the earlier branch points.  caps.search
     bounds the values tried at them: iterating past it raises SearchCapError.
+    A complete image that is not a hom (propagation missed a conflict) raises
+    UalgError; only the flags filter complete images.
     """
     same_signature(src, dst)
     fixed = dict(fixed or {})
@@ -175,35 +180,38 @@ def iter_homs(
 
 
 class _Search:
-    """A partial image src -> dst, -1 marking the undecided elements."""
+    """A partial image src -> dst, -1 marking the undecided elements, with
+    trail, the decided elements in the order decided (an undo trail: a node
+    is undone by cutting it back), and uses, each target value's preimage
+    count (for injective and the surjective prune)."""
 
     def __init__(self, src, dst, surjective: bool | None, injective: bool | None, caps: Caps):
         self.src, self.dst, self.surjective, self.injective = src, dst, surjective, injective
         self.ops = [(k, s, d) for (_, k), s, d in zip(src.sig.ops, src.tables, dst.tables) if k]
-        self.image = [-1] * src.size
-        self.caps, self.cap, self.tried = caps, caps.search, 0
+        self.image, self.trail, self.uses = [-1] * src.size, [], [0] * dst.size
+        self.caps, self.cap = caps, caps.search
 
     def assign(self, todo: list[tuple[int, int]]) -> bool:
         """Send a to b for each (a, b) in todo, checking each newly decided x
         against the operation tuples over decided elements that contain x and
         forcing undecided results.  False on a conflict: an element sent to
         two values, or under injective two elements sent to one."""
-        image, n, m = self.image, self.src.size, self.dst.size
-        decided = [a for a in range(n) if image[a] >= 0]
+        image, trail, uses, n, m = self.image, self.trail, self.uses, self.src.size, self.dst.size
         while todo:
             x, b = todo.pop()
             if image[x] == b:
                 continue
-            if image[x] >= 0 or (self.injective and b in image):
+            if image[x] >= 0 or (self.injective and uses[b]):
                 return False
             image[x] = b
-            decided.append(x)
+            uses[b] += 1
+            trail.append(x)
             for arity, src_table, dst_table in self.ops:
-                for head in itertools.product(decided, repeat=arity - 1):
+                for head in itertools.product(trail, repeat=arity - 1):
                     s = d = 0
                     for a in head:
                         s, d = (s + a) * n, (d + image[a]) * m
-                    for y in decided if x in head else (x,):
+                    for y in trail if x in head else (x,):
                         res, val = src_table[s + y], dst_table[d + image[y]]
                         if image[res] != val:
                             if image[res] >= 0:
@@ -212,25 +220,62 @@ class _Search:
         return True
 
     def homs(self) -> Iterator[CarrierMap]:
-        """The homs extending the image, each re-checked by classify: branch on
-        the least undecided element, target values ascending."""
-        image = self.image
-        if self.surjective and self.dst.size - len(set(image) - {-1}) > image.count(-1):
-            return  # more values unused than elements undecided
-        if -1 not in image:
-            cls = classify(m := CarrierMap(self.src, self.dst, tuple(image)))
-            sur, inj = self.surjective, self.injective
-            if cls.is_hom and sur in (None, cls.surjective) and inj in (None, cls.injective):
-                yield m
-            return
-        a, saved = image.index(-1), image[:]
-        for b in range(self.dst.size):
-            self.tried += 1
-            if self.tried > self.cap:
-                self.caps.check("search", self.tried, "hom search values tried at branch points")
-            if self.assign([(a, b)]):
-                yield from self.homs()
-            image[:] = saved
+        """The homs extending the image, in one depth-first loop: branch on
+        the least undecided element, target values ascending.  stack holds
+        the open branch points: element, len(trail) before it, values left.
+        Each complete image is re-checked by _recheck, built at the first."""
+        image, trail, uses, n, m = self.image, self.trail, self.uses, self.src.size, self.dst.size
+        sur, inj, assign, recheck, tried = self.surjective, self.injective, self.assign, None, 0
+        stack = [(-1, len(trail), iter((0,)))]  # the root: one try, assigning nothing
+        while stack:
+            a, mark, values = stack[-1]
+            for b in values:
+                if len(trail) > mark:  # undo down to the branch point
+                    for x in trail[mark:]:
+                        uses[image[x]] -= 1
+                        image[x] = -1
+                    del trail[mark:]
+                if a >= 0:
+                    tried += 1
+                    if tried > self.cap:
+                        self.caps.check("search", tried, "hom search values tried at branch points")
+                    if not assign([(a, b)]):
+                        continue
+                if sur and uses.count(0) > n - len(trail):
+                    continue  # more values unused than elements undecided
+                if len(trail) < n:
+                    stack.append((image.index(-1), len(trail), iter(range(m))))
+                    break
+                recheck = recheck or _recheck(self.src, self.dst)
+                if (witness := recheck(image)) is not None:
+                    raise UalgError(f"hom search reached {tuple(image)}, not a hom at {witness[0]}{witness[1]}")
+                if sur in (None, not uses.count(0)) and inj in (None, m - uses.count(0) == n):
+                    yield CarrierMap(self.src, self.dst, tuple(image))
+            else:
+                stack.pop()
+
+
+def _recheck(src: FiniteAlgebra, dst: FiniteAlgebra) -> Callable[[Sequence[int]], tuple[str, tuple[int, ...]] | None]:
+    """hom_violation as a function of the image src -> dst, sharing no code
+    with _Search.assign: per table, dst's lane_pointwise on src's argument
+    columns mapped through the image against src's table mapped through it;
+    hom_violation itself when dst fails lane_plan's fit rule or |src| > 256."""
+    n, plan = src.size, dst._lanes
+    if plan is None or n > 256:
+        return lambda image: hom_violation(CarrierMap(src, dst, tuple(image)))
+    apply, ops = lane_pointwise(plan, b"\0"), []
+    for (name, arity), table in zip(src.sig.ops, src.tables):
+        columns = [b"".join([bytes([v]) * n ** (arity - 1 - j) for v in range(n)]) * n**j for j in range(arity)]
+        ops.append((name, arity, columns, bytes(table)))
+
+    def violation(image: Sequence[int]) -> tuple[str, tuple[int, ...]] | None:
+        h = bytes(image).ljust(256, b"\0")
+        for name, arity, columns, table in ops:
+            if (target := apply(name, [c.translate(h) for c in columns])) != (mapped := table.translate(h)):
+                return name, _decode_mixed((n,) * arity, next(i for i, x in enumerate(target) if x != mapped[i]))
+        return None
+
+    return violation
 
 
 def find_homs(

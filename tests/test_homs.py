@@ -19,7 +19,7 @@ from ualg import (
     signature,
 )
 from ualg import homs
-from ualg.core import Caps, SignatureMismatchError, UalgError
+from ualg.core import Caps, SignatureMismatchError, UalgError, lane_plan
 from ualg.homs import (
     KernelInclusionError,
     NotSurjectiveError,
@@ -255,6 +255,20 @@ def test_find_homs_matches_brute_force_oracle():
             assert got == brute_force_homs(src, dst, surjective, injective)
 
 
+def count_leaves(monkeypatch):
+    """The images the hom search's leaf re-check is called on, recorded as
+    the searches run."""
+    calls = []
+    real = homs._recheck
+
+    def counting(src, dst):
+        check = real(src, dst)
+        return lambda image: calls.append(tuple(image)) or check(image)
+
+    monkeypatch.setattr(homs, "_recheck", counting)
+    return calls
+
+
 @pytest.mark.parametrize("factor, found, leaves", [
     (semilattice2(SIG_F), 9, 9),
     (z2_xor(), 8, 8),
@@ -262,11 +276,9 @@ def test_find_homs_matches_brute_force_oracle():
 def test_find_homs_prunes_on_the_element_just_assigned(monkeypatch, factor, found, leaves):
     # Every complete image reaches the leaf re-check; pruning on the source
     # element just assigned leaves only the homs themselves for these cubes.
-    calls = []
-    real = homs.classify
-    monkeypatch.setattr(homs, "classify", lambda m: calls.append(m) or real(m))
+    calls = count_leaves(monkeypatch)
     assert len(find_homs(product([factor] * 3).alg, factor)) == found
-    assert len(calls) <= leaves
+    assert 0 < len(calls) <= leaves
 
 
 def test_find_homs_fixed_assignment():
@@ -365,6 +377,7 @@ MAJORITY_TABLE = [sorted(args)[1] for args in itertools.product(range(2), repeat
 SWAP = algebra(SIG_G, 2, {"g": [1, 0]})
 MAJORITY = algebra(SIG_T, 2, {"t": MAJORITY_TABLE})
 MIXED2 = algebra(SIG_MIXED, 2, {"g": [1, 0], "e": [0], "t": MAJORITY_TABLE})
+MALCEV7 = algebra(SIG_T, 7, {"t": [(x - y + z) % 7 for x, y, z in itertools.product(range(7), repeat=3)]})
 DIFFERENTIAL_POOLS = {
     "binary": [
         z2_xor(), semilattice2(SIG_F), z3_add(), z4_add(),
@@ -387,6 +400,10 @@ DIFFERENTIAL_POOLS = {
         algebra(SIG_CONST, 2, {"c": [0], "d": [1]}),
     ],
     "mixed": [mixed_arities(), MIXED2, relabelled_product([MIXED2, MIXED2])],
+    # targets past lane_plan's fit rule (7^3 cells > 256): the leaf re-check
+    # falls back to hom_violation
+    "ternary-past-the-fit": [MALCEV7, z3_malcev(), MAJORITY],
+    "mixed-past-the-fit": [mixed_arities(7), MIXED2],
 }
 
 
@@ -411,12 +428,71 @@ def test_iter_homs_matches_the_elementwise_oracle(pool):
 
 def test_z3_squared_endomorphisms_need_one_leaf_each(monkeypatch):
     # Z3^2 is generated by two elements: 9^2 candidate maps, not 9^9
-    calls = []
-    real = homs.classify
-    monkeypatch.setattr(homs, "classify", lambda m: calls.append(m) or real(m))
+    calls = count_leaves(monkeypatch)
     z3_squared = product([z3_add(), z3_add()]).alg
     assert len(find_homs(z3_squared, z3_squared)) == 81
     assert len(calls) == 81
+
+
+def test_a_complete_image_that_is_not_a_hom_raises(monkeypatch):
+    # with propagation switched off every map Z3 -> Z3 is a leaf: (0, 0, 0)
+    # is a hom, and the next, (0, 0, 1), must raise rather than be dropped
+    real = homs._Search.__init__
+
+    def no_propagation(self, *args):
+        real(self, *args)
+        self.ops = []
+
+    monkeypatch.setattr(homs._Search, "__init__", no_propagation)
+    with pytest.raises(UalgError, match=r"^hom search reached \(0, 0, 1\), not a hom at f\(1, 1\)$"):
+        find_homs(z3_add(), z3_add())
+
+
+def _random_hom_or_not(rng, sig, n, m):
+    """Random algebras src and dst of sizes n and m with a map src -> dst
+    that is a hom or (about half the time) one image value away from one:
+    dst keeps the image closed, and src's entries are preimages."""
+    h = [rng.randrange(m) for _ in range(n)]
+    inside = sorted(set(h))
+    fibers = {b: [a for a in range(n) if h[a] == b] for b in inside}
+    src_tables, dst_tables = {}, {}
+    for name, arity in sig.ops:
+        dst_tables[name] = [
+            rng.choice(inside) if all(x in fibers for x in args) else rng.randrange(m)
+            for args in itertools.product(range(m), repeat=arity)
+        ]
+    dst = algebra(sig, m, dst_tables)
+    for name, arity in sig.ops:
+        src_tables[name] = [
+            rng.choice(fibers[apply_op(dst, name, [h[a] for a in args])])
+            for args in itertools.product(range(n), repeat=arity)
+        ]
+    if rng.random() < 0.5:
+        h[rng.randrange(n)] = rng.randrange(m)
+    return algebra(sig, n, src_tables), dst, tuple(h)
+
+
+@pytest.mark.parametrize("sig, sizes", [
+    (signature(("g", 1), ("c", 0), ("f", 2), ("t", 3)), [(1, 1), (3, 2), (5, 4), (4, 6), (3, 7), (6, 8)]),
+    (signature(("g", 1), ("c", 0)), [(9, 200), (12, 257), (257, 3), (300, 1)]),
+], ids=["all-arities", "unary-and-constant"])
+def test_leaf_recheck_matches_hom_violation(monkeypatch, sig, sizes):
+    # the lane re-check reports hom_violation's witness, or None, on both
+    # sides of lane_plan's fit rule and of |src| = 256; within both it never
+    # calls hom_violation
+    rng = random.Random(22)
+    outcomes = set()
+    for n, m in sizes:
+        for _ in range(30):
+            src, dst, image = _random_hom_or_not(rng, sig, n, m)
+            lanes = lane_plan([dst], sig) is not None and n <= 256
+            want = hom_violation(CarrierMap(src, dst, image))
+            with monkeypatch.context() as patch:
+                if lanes:
+                    patch.setattr(homs, "hom_violation", lambda m: pytest.fail("hom_violation called"))
+                assert homs._recheck(src, dst)(image) == want
+            outcomes.add((lanes, want is None))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_relabelled_z2_cube_isomorphism_under_default_caps():

@@ -398,6 +398,7 @@ from ualg import Equation, SearchLimits, UalgError, Var, build_free, search_proo
 import ualg.core
 import ualg.entail
 import ualg.free
+import ualg.homs
 from ualg.core import algebra
 
 assert False, "this interpreter keeps asserts"  # stripped under -O
@@ -456,6 +457,20 @@ try:
     search_proof(signature(("m", 2)), [], goal, SearchLimits(max_depth=1))
 except UalgError:
     print("raised search_proof")
+real_init = ualg.homs._Search.__init__
+
+
+def no_propagation(self, *args):  # every map Z3 -> Z3 is a leaf: the re-check must catch the non-homs
+    real_init(self, *args)
+    self.ops = []
+
+
+ualg.homs._Search.__init__ = no_propagation
+z3 = algebra(signature(("f", 2)), 3, {"f": [(a + b) % 3 for a in range(3) for b in range(3)]})
+try:
+    ualg.homs.find_homs(z3, z3)
+except UalgError:
+    print("raised hom search")
 """
 
 
@@ -475,4 +490,5 @@ def test_soundness_checks_survive_python_O():
         "raised corrupted lane_plan",
         "raised corrupted lane_pointwise",
         "raised search_proof",
+        "raised hom search",
     ]
