@@ -24,7 +24,7 @@ from .closure import (
 )
 from .eqlogic import find_models, satisfies, theory_partition
 from .free import UniversalMapFailure, build_free, universal_map
-from .homs import CarrierMap, classify, hom_violation
+from .homs import CarrierMap, hom_violation
 from .terms import Equation, environment_columns, equation_vars, infer_signature, term_columns
 
 # the depth of K's two-variable theory that var_to_eqcl_check's last stage checks in B
@@ -90,9 +90,7 @@ def _derived_algebra(A: FiniteAlgebra, witness: InvarianceWitness, caps: Caps) -
         if f.src != A or g.dst != A or f.dst != g.src:
             raise MalformedWitnessError("iso pair does not connect A to the target")
         for m in (f, g):
-            v = hom_violation(m)
-            if v is not None:
-                raise MalformedWitnessError(f"iso component is not a hom at {v[0]}{v[1]}")
+            _require_hom(m, "iso component")
         if any(g.image[b] != a for a, b in enumerate(f.image)) or any(
             f.image[a] != b for b, a in enumerate(g.image)
         ):
@@ -101,9 +99,7 @@ def _derived_algebra(A: FiniteAlgebra, witness: InvarianceWitness, caps: Caps) -
     if isinstance(witness, HomImageWitness):
         if witness.map.src != A:
             raise MalformedWitnessError("hom-image map does not start at A")
-        v = hom_violation(witness.map)
-        if v is not None:
-            raise MalformedWitnessError(f"image map is not a hom at {v[0]}{v[1]}")
+        _require_hom(witness.map, "image map")
         # A/ker, each element labelled by the least with its image, is
         # isomorphic to the image (first isomorphism theorem)
         image = witness.map.image
@@ -112,12 +108,8 @@ def _derived_algebra(A: FiniteAlgebra, witness: InvarianceWitness, caps: Caps) -
         m = witness.embedding
         if m.dst != A:
             raise MalformedWitnessError("embedding does not land in A")
-        cls = classify(m)
-        if not cls.is_hom:
-            raise MalformedWitnessError(
-                f"embedding is not a hom at {cls.witness[0]}{cls.witness[1]}"
-            )
-        if not cls.injective:
+        _require_hom(m, "embedding")
+        if len(set(m.image)) != m.src.size:
             raise MalformedWitnessError("embedding is not injective")
         return m.src
     if isinstance(witness, ProductWitness):
@@ -129,6 +121,12 @@ def _derived_algebra(A: FiniteAlgebra, witness: InvarianceWitness, caps: Caps) -
             )
         return product(witness.factors, caps).alg
     raise MalformedWitnessError(f"unrecognized witness {witness!r}")
+
+
+def _require_hom(m: CarrierMap, what: str) -> None:
+    v = hom_violation(m)
+    if v is not None:
+        raise MalformedWitnessError(f"{what} is not a hom at {v[0]}{v[1]}")
 
 
 def verify_invariance(
@@ -188,29 +186,24 @@ def eqcl_to_var_check(
     stages = [Stage("enumerate-models", True, f"{count} models of {len(E)} equations")]
     envs: dict = {}  # (equation index, size) -> environment columns
 
-    for a, b in itertools.combinations_with_replacement(models, 2):
-        bad = _closure_failure(product([a, b], caps).alg, E, "product", envs, caps)
-        if bad is not None:
-            return PipelineReport((*stages, bad))
-    stages.append(Stage("products-closed", True))
-
-    for alg in models:
-        for r in range(1, alg.size + 1):
-            for gens in itertools.combinations(range(alg.size), r):
-                sub, _ = subalgebra_generate(alg, gens)
-                bad = _closure_failure(sub, E, f"subalgebra from {gens}", envs, caps)
-                if bad is not None:
-                    return PipelineReport((*stages, bad))
-    stages.append(Stage("subalgebras-closed", True))
-
-    for alg in models:
-        for theta in congruences(alg, caps):
-            if 1 < len(set(theta)) < alg.size:
-                quo, _ = quotient(alg, theta)
-                bad = _closure_failure(quo, E, f"quotient by {_blocks_text(theta)}", envs, caps)
-                if bad is not None:
-                    return PipelineReport((*stages, bad))
-    stages.append(Stage("hom-images-closed", True))
+    closures = [
+        ("products-closed", ((product([a, b], caps).alg, "product")
+                             for a, b in itertools.combinations_with_replacement(models, 2))),
+        ("subalgebras-closed", ((subalgebra_generate(alg, gens)[0], f"subalgebra from {gens}")
+                                for alg in models
+                                for r in range(1, alg.size + 1)
+                                for gens in itertools.combinations(range(alg.size), r))),
+        ("hom-images-closed", ((quotient(alg, theta)[0], f"quotient by {_blocks_text(theta)}")
+                               for alg in models
+                               for theta in congruences(alg, caps)
+                               if 1 < len(set(theta)) < alg.size)),
+    ]
+    for name, derived in closures:
+        for alg, how in derived:
+            bad = _closure_failure(alg, E, how, envs, caps)
+            if bad is not None:
+                return PipelineReport((*stages, bad))
+        stages.append(Stage(name, True))
     return PipelineReport(tuple(stages))
 
 

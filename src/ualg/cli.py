@@ -371,6 +371,12 @@ def _cmd_birkhoff_demo(args, caps: Caps, out: TextIO) -> int:
     K = [alg for _, alg in named]
     all_ok = True
 
+    def emit(report, prefix: str) -> None:
+        nonlocal all_ok
+        for line in report.lines():
+            print(line.replace("STAGE ", f"STAGE {prefix}."), file=out)
+        all_ok = all_ok and report.overall
+
     theory = theory_upto(K, variables, 1, caps)
     nontrivial = [eq for eq in theory if eq.lhs != eq.rhs]
     print(f"# theory of the class up to depth 1: {len(theory)} equations", file=out)
@@ -379,24 +385,15 @@ def _cmd_birkhoff_demo(args, caps: Caps, out: TextIO) -> int:
     equations = nontrivial or theory
     for i, (name, alg) in enumerate(named):
         eq = equations[i % len(equations)]
-        report = verify_invariance(alg, eq, ProductWitness((alg, alg)), caps)
-        for line in report.lines():
-            print(line.replace("STAGE ", f"STAGE invariance.{name}."), file=out)
-        all_ok = all_ok and report.overall
+        emit(verify_invariance(alg, eq, ProductWitness((alg, alg)), caps), f"invariance.{name}")
 
     if nontrivial:
         sample = nontrivial[: min(4, len(nontrivial))]
-        report = eqcl_to_var_check(sample, 2, caps)
-        for line in report.lines():
-            print(line.replace("STAGE ", "STAGE easy-direction."), file=out)
-        all_ok = all_ok and report.overall
+        emit(eqcl_to_var_check(sample, 2, caps), "easy-direction")
 
     for i, (name, alg) in enumerate(named):
         cert = trivial_certificate(i, alg, caps)
-        report = var_to_eqcl_check(K, alg, cert, caps=caps)
-        for line in report.lines():
-            print(line.replace("STAGE ", f"STAGE hard-direction.{name}."), file=out)
-        all_ok = all_ok and report.overall
+        emit(var_to_eqcl_check(K, alg, cert, caps=caps), f"hard-direction.{name}")
 
     print(f"RESULT {'pass' if all_ok else 'fail'}", file=out)
     return 0 if all_ok else 1

@@ -414,9 +414,9 @@ def hsp_certificate_check(
         sig = same_signature(*[K[k] for k, _ in cert.factors], B)
     except UalgError as e:
         return CertCheckResult(False, "product", str(e))
-    # the generator block is admitted, as build_free's is, before the factors are expanded
-    admit = caps.admit(sig, sum(power for _, power in cert.factors), "subalgebra")
-    admit(1)
+    # the generator block is admitted whole, as build_free's is, before the factors are expanded or any generator decoded
+    width, distinct = sum(power for _, power in cert.factors), sorted(set(cert.gens))
+    caps.admit(sig, width * max(1, len(distinct)), "subalgebra")(1)
 
     members = [k for k, power in cert.factors for _ in range(power)]
     sizes = [K[k].size for k in members]
@@ -424,9 +424,9 @@ def hsp_certificate_check(
     for g in cert.gens:
         if not 0 <= g < n:
             return CertCheckResult(False, "subalgebra", f"generator {g} outside product carrier")
-    seeds = [_decode_mixed(sizes, g) for g in sorted(set(cert.gens))]
+    seeds = [_decode_mixed(sizes, g) for g in distinct]
     try:
-        elements, _, tables = generate(K, members, seeds, sig, admit)
+        elements, _, tables = generate(K, members, seeds, sig, caps.admit(sig, width, "subalgebra"))
     except EmptyCarrierError as e:
         return CertCheckResult(False, "subalgebra", str(e))
     sub = FiniteAlgebra(sig, len(elements), tables)

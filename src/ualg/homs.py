@@ -26,6 +26,7 @@ from .core import (
     mapped_cells,
     same_signature,
 )
+from .terms import environment_columns
 
 
 class NotAHomError(UalgError):
@@ -59,9 +60,9 @@ class CarrierMap:
             raise ValueError(
                 f"image length {len(self.image)} != source size {self.src.size}"
             )
-        for a, b in enumerate(self.image):
-            if not 0 <= b < self.dst.size:
-                raise ValueError(f"image[{a}] = {b} outside target carrier")
+        if not 0 <= min(self.image) <= max(self.image) < self.dst.size:  # src.size >= 1
+            a, b = next((a, b) for a, b in enumerate(self.image) if not 0 <= b < self.dst.size)
+            raise ValueError(f"image[{a}] = {b} outside target carrier")
 
     def __call__(self, a: int) -> int:
         return self.image[a]
@@ -265,8 +266,7 @@ def _recheck(src: FiniteAlgebra, dst: FiniteAlgebra) -> Callable[[Sequence[int]]
         return lambda image: hom_violation(CarrierMap(src, dst, tuple(image)))
     apply, ops = lane_pointwise(plan, b"\0"), []
     for (name, arity), table in zip(src.sig.ops, src.tables):
-        columns = [b"".join([bytes([v]) * n ** (arity - 1 - j) for v in range(n)]) * n**j for j in range(arity)]
-        ops.append((name, arity, columns, bytes(table)))
+        ops.append((name, arity, list(environment_columns(range(arity), n).values()), bytes(table)))
 
     def violation(image: Sequence[int]) -> tuple[str, tuple[int, ...]] | None:
         h = bytes(image).ljust(256, b"\0")

@@ -385,23 +385,23 @@ def enumerate_terms(
         raise ValueError("variable names must be distinct")
     terms: list[Term] = [Var(v) for v in variables]
     terms.extend(App(c) for c in sig.constants())
-    depths = [0] * len(terms)
     cap = caps.cells
     caps.check("cells", len(terms), "terms enumerated")
-    for d in range(1, max_depth + 1):
+    start = 0  # the last layer is terms[start:base]; each new term has a child there
+    for _ in range(max_depth):
         base = len(terms)
         for name, arity in sig.ops:
             if arity == 0:
                 continue
             for combo in itertools.product(range(base), repeat=arity):
-                if max(depths[i] for i in combo) != d - 1:
+                if max(combo) < start:
                     continue
                 terms.append(App(name, tuple([terms[i] for i in combo])))
-                depths.append(d)
                 if len(terms) > cap:
                     caps.check("cells", len(terms), "terms enumerated")
         if len(terms) == base:
             break
+        start = base
     return terms
 
 

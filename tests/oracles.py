@@ -16,8 +16,9 @@ congruences of an algebra found by trying every set partition, every
 quotient cell by one apply_op call after a cell-by-cell congruence check,
 every algebra the easy direction derives by its own mod_check call, the
 hard direction's free algebra built on one variable per element of B, a
-hom's image closed as a subalgebra of its target (hom_image), and the HSP
-certificate check comparing that image with B by an isomorphism search.
+hom's image closed as a subalgebra of its target (hom_image), the HSP
+certificate check comparing that image with B by an isomorphism search,
+and term enumeration keeping every term's depth in a list beside it.
 Table indices here come from enumerating itertools.product (_positions),
 never from the package's index codec, so a fault in the codec cannot
 show on both sides of a differential test.
@@ -67,6 +68,28 @@ def _positions(sizes):
 
 def _cell(sizes, args):
     return _positions(tuple(sizes))[tuple(args)]
+
+
+def enumerate_terms_depths(sig, variables, max_depth, caps=Caps()):
+    """enumerate_terms keeping each term's depth in a list beside it: layer
+    d keeps the child tuples whose deepest child, looked up there, has
+    depth d-1."""
+    terms = [Var(v) for v in variables] + [App(c) for c in sig.constants()]
+    depths = [0] * len(terms)
+    caps.check("cells", len(terms), "terms enumerated")
+    for d in range(1, max_depth + 1):
+        base = len(terms)
+        for name, arity in sig.ops:
+            if arity == 0:
+                continue
+            for combo in itertools.product(range(base), repeat=arity):
+                if max(depths[i] for i in combo) == d - 1:
+                    terms.append(App(name, tuple([terms[i] for i in combo])))
+                    depths.append(d)
+                    caps.check("cells", len(terms), "terms enumerated")
+        if len(terms) == base:
+            break
+    return terms
 
 
 def theory_upto_pairwise(K, variables, max_depth, term_cap=1_000_000, env_cap=1_000_000):

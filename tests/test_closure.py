@@ -397,6 +397,23 @@ def test_certificate_admits_the_generator_block_before_expanding_the_factors(mon
         hsp_certificate_check([z2_xor()], z2_xor(), cert, Caps(cells=1000))
 
 
+def test_certificate_admits_every_distinct_generator_before_decoding_any(monkeypatch):
+    # 20,000 generators of Z2^1000 need 2 * 10^7 tuple cells: the block is
+    # refused whole, not at the 1,001st generator after decoding them all
+    def no_decode(*args):
+        raise AssertionError("decoded a generator past the cap")
+
+    monkeypatch.setattr(closure, "_decode_mixed", no_decode)
+    cert = HspCertificate(((0, 1000),), tuple(range(20_000)), (0,))
+    start = time.perf_counter()
+    with pytest.raises(
+        CapExceededError,
+        match="^subalgebra tuple cells: 20000000 exceeds cap cells=1000000; raise it with UALG_CAPS=cells=N$",
+    ):
+        hsp_certificate_check([z2_xor()], z2_xor(), cert)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_semilattice_square_certificate():
     m = semilattice2()
     cert = HspCertificate(factors=((0, 2),), gens=(1, 2), image=(0, 1, 0))

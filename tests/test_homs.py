@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -78,6 +79,19 @@ def brute_force_homs(src, dst, surjective=None, injective=None, fixed=None):
 
 def mod2() -> CarrierMap:
     return CarrierMap(z4_add(), z2_xor(), (0, 1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "image, message",
+    [
+        ((0, 1, 2, 3), "image[2] = 2 outside target carrier"),
+        ((1, 0, -1, 5), "image[2] = -1 outside target carrier"),
+        ((0, 1, 0), "image length 3 != source size 4"),
+    ],
+)
+def test_carrier_map_names_its_first_bad_entry(image, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CarrierMap(z4_add(), z2_xor(), image)
 
 
 def test_classify_mod2():

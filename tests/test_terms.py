@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from ualg import (
     enumerate_terms,
     evaluate,
     free_lift,
+    signature,
     substitute,
 )
 from ualg.core import ArityMismatchError, CapExceededError, Caps, OutOfRangeError
@@ -24,7 +26,8 @@ from ualg.terms import (
     term_vars,
 )
 
-from samples import SIG_F, SIG_FE, semilattice2, z2_xor, z3_add
+from oracles import enumerate_terms_depths
+from samples import SIG_CONST, SIG_F, SIG_FE, SIG_G, SIG_MIXED, SIG_T, semilattice2, z2_xor, z3_add
 
 X, Y = Var("x"), Var("y")
 
@@ -122,6 +125,21 @@ def test_enumerate_terms_no_duplicates_and_downward_closed():
 def test_enumerate_terms_cap():
     with pytest.raises(CapExceededError):
         enumerate_terms(SIG_F, ["x", "y"], 4, Caps(cells=100))
+
+
+@pytest.mark.parametrize("sig", [SIG_CONST, SIG_G, SIG_F, SIG_T, SIG_FE, SIG_MIXED, signature(("f", 2), ("g", 1))],
+                         ids=["constants", "unary", "binary", "ternary", "binary-constant", "mixed", "binary-unary"])
+def test_enumerate_terms_matches_the_depth_list_oracle(sig):
+    # the same terms in the same order, and the same cap error, at every depth
+    for variables, max_depth in itertools.product([[], ["x"], ["x", "y"]], range(4)):
+        for caps in (Caps(), Caps(cells=40)):
+            try:
+                want = enumerate_terms_depths(sig, variables, max_depth, caps)
+            except CapExceededError as e:
+                with pytest.raises(CapExceededError, match=f"^{re.escape(str(e))}$"):
+                    enumerate_terms(sig, variables, max_depth, caps)
+            else:
+                assert enumerate_terms(sig, variables, max_depth, caps) == want
 
 
 def test_substitution_lemma_exhaustive_small():
