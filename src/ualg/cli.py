@@ -21,7 +21,7 @@ from .birkhoff import (
     verify_invariance,
 )
 from .closure import trivial_certificate
-from .eqlogic import class_satisfies, satisfies, theory_partition, theory_upto
+from .eqlogic import class_satisfies, satisfies, theory_partition
 from .entail import (
     ProofCheckError,
     SearchLimits,
@@ -31,7 +31,6 @@ from .entail import (
 )
 from .fileio import (
     AlgebraValidationError,
-    ParseError,
     emit_algebra_file,
     emit_free_sidecar,
     equation_to_text,
@@ -70,33 +69,40 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check an algebra file's tables")
+    p.set_defaults(run=_cmd_validate)
     p.add_argument("file")
 
     p = sub.add_parser("sat", help="does one algebra satisfy an equation?")
+    p.set_defaults(run=_cmd_sat)
     p.add_argument("--algebra", required=True, metavar="FILE[:NAME]")
     p.add_argument("--equation", required=True, metavar='"p = q"')
 
     p = sub.add_parser("class-sat", help="does every listed algebra satisfy it?")
+    p.set_defaults(run=_cmd_class_sat)
     p.add_argument("--equation", required=True, metavar='"p = q"')
     p.add_argument("files", nargs="+", metavar="FILE[:NAME]")
 
     p = sub.add_parser("theory", help="bounded equational theory of a class")
+    p.set_defaults(run=_cmd_theory)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--vars", type=int, required=True, metavar="K")
     p.add_argument("files", nargs="+", metavar="FILE[:NAME]")
 
     p = sub.add_parser("hom", help="classify a carrier map")
+    p.set_defaults(run=_cmd_hom)
     p.add_argument("--src", required=True, metavar="FILE[:NAME]")
     p.add_argument("--dst", required=True, metavar="FILE[:NAME]")
     p.add_argument("--map", required=True, metavar='"i0 i1 ..."')
 
     p = sub.add_parser("hom-find", help="enumerate homomorphisms")
+    p.set_defaults(run=_cmd_hom_find)
     p.add_argument("--src", required=True, metavar="FILE[:NAME]")
     p.add_argument("--dst", required=True, metavar="FILE[:NAME]")
     p.add_argument("--surjective", action="store_true")
     p.add_argument("--injective", action="store_true")
 
     p = sub.add_parser("factor", help="factor g through a surjective h")
+    p.set_defaults(run=_cmd_factor)
     p.add_argument("--src", required=True, metavar="FILE[:NAME]")
     p.add_argument("--gdst", required=True, metavar="FILE[:NAME]")
     p.add_argument("--hdst", required=True, metavar="FILE[:NAME]")
@@ -104,16 +110,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--h", required=True, metavar='"i0 i1 ..."')
 
     p = sub.add_parser("free", help="build the relatively free algebra")
+    p.set_defaults(run=_cmd_free)
     p.add_argument("--vars", type=int, required=True, metavar="K")
     p.add_argument("--out", metavar="BASE", help="write BASE.alg and BASE.elems")
     p.add_argument("files", nargs="+", metavar="FILE[:NAME]")
 
     p = sub.add_parser("entail-check", help="check a proof object against a goal")
+    p.set_defaults(run=_cmd_entail_check)
     p.add_argument("--axioms", required=True, metavar="FILE")
     p.add_argument("--goal", required=True, metavar='"p = q"')
     p.add_argument("--proof", required=True, metavar="FILE")
 
     p = sub.add_parser("entail-search", help="search for a proof of a goal")
+    p.set_defaults(run=_cmd_entail_search)
     p.add_argument("--axioms", required=True, metavar="FILE")
     p.add_argument("--goal", required=True, metavar='"p = q"')
     p.add_argument("--depth", type=int, required=True)
@@ -121,6 +130,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-term-size", type=int, default=24)
 
     p = sub.add_parser("birkhoff-demo", help="run the HSP demonstration pipelines")
+    p.set_defaults(run=_cmd_birkhoff_demo)
     p.add_argument("--vars", type=int, required=True, metavar="K")
     p.add_argument("files", nargs="+", metavar="FILE[:NAME]")
 
@@ -183,12 +193,11 @@ def run_cli(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | 
             args = parser.parse_args(list(argv))
         except SystemExit as e:  # --help and friends
             return 0 if not e.code else 2
-        handler = _HANDLERS[args.command]
-        return handler(args, caps, out)
+        return args.run(args, caps, out)
     except UsageError as e:
         print(f"usage error: {e}", file=err)
         return 2
-    except (ParseError, AlgebraValidationError, UalgError, OSError, ValueError) as e:
+    except (UalgError, OSError, ValueError) as e:
         print(f"error: {e}", file=err)
         return 2
 
@@ -377,12 +386,12 @@ def _cmd_birkhoff_demo(args, caps: Caps, out: TextIO) -> int:
             print(line.replace("STAGE ", f"STAGE {prefix}."), file=out)
         all_ok = all_ok and report.overall
 
-    theory = theory_upto(K, variables, 1, caps)
-    nontrivial = [eq for eq in theory if eq.lhs != eq.rhs]
-    print(f"# theory of the class up to depth 1: {len(theory)} equations", file=out)
+    theory = theory_partition(K, variables, 1, caps)
+    nontrivial = [eq for eq in theory.equations() if eq.lhs != eq.rhs]
+    print(f"# theory of the class up to depth 1: {theory.pair_count} equations", file=out)
 
     # every member gets an equation; the theory always holds x = x
-    equations = nontrivial or theory
+    equations = nontrivial or list(theory.equations())
     for i, (name, alg) in enumerate(named):
         eq = equations[i % len(equations)]
         emit(verify_invariance(alg, eq, ProductWitness((alg, alg)), caps), f"invariance.{name}")
@@ -397,21 +406,6 @@ def _cmd_birkhoff_demo(args, caps: Caps, out: TextIO) -> int:
 
     print(f"RESULT {'pass' if all_ok else 'fail'}", file=out)
     return 0 if all_ok else 1
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "sat": _cmd_sat,
-    "class-sat": _cmd_class_sat,
-    "theory": _cmd_theory,
-    "hom": _cmd_hom,
-    "hom-find": _cmd_hom_find,
-    "factor": _cmd_factor,
-    "free": _cmd_free,
-    "entail-check": _cmd_entail_check,
-    "entail-search": _cmd_entail_search,
-    "birkhoff-demo": _cmd_birkhoff_demo,
-}
 
 
 if __name__ == "__main__":

@@ -200,7 +200,8 @@ def _violations(sig: Signature, size: int, tables: Sequence[Sequence[int]]) -> l
             continue
         for i, entry in enumerate(table):
             if not 0 <= entry < size:
-                out.append(Violation(name, i, f"entry {entry} ≥ size {size}"))
+                bound = "< 0" if entry < 0 else f"≥ size {size}"
+                out.append(Violation(name, i, f"entry {entry} {bound}"))
     return out
 
 

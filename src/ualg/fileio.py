@@ -10,13 +10,15 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .core import FiniteAlgebra, InvalidTablesError, Signature, UalgError, Violation, decimal
 from .closure import HspCertificate
 from .terms import App, Equation, Substitution, Term, Var
 from . import entail
 from .free import FreeAlgebra
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -107,10 +109,14 @@ class _Tokenizer:
         self.pos += 1
         return tok
 
-    def expect_end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"trailing input {tok.text!r}", tok.span)
+
+def _parse_whole(read: Callable[[_Tokenizer], T], text: str, file: str, first_line: int = 1) -> T:
+    """read(tokens of text), refusing any input left after it."""
+    tz = _Tokenizer(text, file, first_line)
+    value = read(tz)
+    if (tok := tz.peek()) is not None:
+        raise ParseError(f"trailing input {tok.text!r}", tok.span)
+    return value
 
 
 def _int(text: str, span: SourceSpan) -> int | None:
@@ -145,24 +151,22 @@ def _parse_term(tz: _Tokenizer) -> Term:
         children.append(_parse_term(tz))
 
 
+def _parse_equation(tz: _Tokenizer) -> Equation:
+    lhs = _parse_term(tz)
+    tz.next("equals")
+    return Equation(lhs, _parse_term(tz))
+
+
 def parse_term(text: str, file: str = "<string>", first_line: int = 1) -> Term:
-    tz = _Tokenizer(text, file, first_line)
-    t = _parse_term(tz)
-    tz.expect_end()
-    return t
+    return _parse_whole(_parse_term, text, file, first_line)
 
 
 def parse_equation(text: str, file: str = "<string>", first_line: int = 1) -> Equation:
-    tz = _Tokenizer(text, file, first_line)
-    lhs = _parse_term(tz)
-    tz.next("equals")
-    rhs = _parse_term(tz)
-    tz.expect_end()
-    return Equation(lhs, rhs)
+    return _parse_whole(_parse_equation, text, file, first_line)
 
 
 def parse_equation_file(text: str, file: str = "<equations>") -> list[Equation]:
-    """One `term = term` per line; '#' comments; blank lines ignored."""
+    """One `term = term` per line; '#' or ';' comments; blank lines ignored."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -178,30 +182,20 @@ def _parse_proof(tz: _Tokenizer) -> entail.Proof:
     kind = head.text
     if kind == "hyp":
         tok = tz.next("int")
-        index = _int(tok.text, tok.span)
-        tz.next("rparen")
-        return entail.Hyp(index)
-    if kind == "refl":
-        term = _parse_term(tz)
-        tz.next("rparen")
-        return entail.Refl(term)
-    if kind == "sym":
-        body = _parse_proof(tz)
-        tz.next("rparen")
-        return entail.Sym(body)
-    if kind == "trans":
-        left = _parse_proof(tz)
-        right = _parse_proof(tz)
-        tz.next("rparen")
-        return entail.Trans(left, right)
-    if kind == "app":
+        node = entail.Hyp(_int(tok.text, tok.span))
+    elif kind == "refl":
+        node = entail.Refl(_parse_term(tz))
+    elif kind == "sym":
+        node = entail.Sym(_parse_proof(tz))
+    elif kind == "trans":
+        node = entail.Trans(_parse_proof(tz), _parse_proof(tz))
+    elif kind == "app":
         symbol = tz.next("name")
         children = []
         while tz.peek() is not None and tz.peek().kind == "lparen":
             children.append(_parse_proof(tz))
-        tz.next("rparen")
-        return entail.App(symbol.text, tuple(children))
-    if kind == "sub":
+        node = entail.App(symbol.text, tuple(children))
+    elif kind == "sub":
         body = _parse_proof(tz)
         tz.next("lparen")
         bindings: dict[str, Term] = {}
@@ -227,16 +221,15 @@ def _parse_proof(tz: _Tokenizer) -> entail.Proof:
             if var_name in bindings:
                 raise ParseError(f"duplicate binding for {var_name}", var_tok.span)
             bindings[var_name] = term
-        tz.next("rparen")
-        return entail.Sub(body, Substitution(bindings))
-    raise ParseError(f"unknown proof constructor {kind!r}", head.span)
+        node = entail.Sub(body, Substitution(bindings))
+    else:
+        raise ParseError(f"unknown proof constructor {kind!r}", head.span)
+    tz.next("rparen")
+    return node
 
 
 def parse_proof(text: str, file: str = "<proof>") -> entail.Proof:
-    tz = _Tokenizer(text, file)
-    p = _parse_proof(tz)
-    tz.expect_end()
-    return p
+    return _parse_whole(_parse_proof, text, file)
 
 
 def term_to_text(t: Term) -> str:
@@ -269,10 +262,7 @@ def proof_to_text(p: entail.Proof) -> str:
     raise ValueError(f"not a proof node: {p!r}")
 
 
-def parse_certificate(text: str, file: str = "<certificate>") -> HspCertificate:
-    """(cert (factors (i power)*) (gens n*) (image n*))"""
-    tz = _Tokenizer(text, file)
-
+def _parse_certificate(tz: _Tokenizer) -> HspCertificate:
     def opens(name: str) -> None:
         tz.next("lparen")
         label = tz.next("name")
@@ -303,8 +293,12 @@ def parse_certificate(text: str, file: str = "<certificate>") -> HspCertificate:
     opens("image")
     image = ints()
     tz.next("rparen")
-    tz.expect_end()
     return HspCertificate(tuple(factors), gens, image)
+
+
+def parse_certificate(text: str, file: str = "<certificate>") -> HspCertificate:
+    """(cert (factors (i power)*) (gens n*) (image n*))"""
+    return _parse_whole(_parse_certificate, text, file)
 
 
 def certificate_to_text(cert: HspCertificate) -> str:
@@ -322,24 +316,17 @@ def parse_algebra_file(
     Raises ParseError on syntax problems and AlgebraValidationError when a
     table breaks the size/range invariants.
     """
-    lines: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped.split()))
+    numbered = enumerate((raw.split("#", 1)[0].split() for raw in text.splitlines()), start=1)
+    lines = ((lineno, words) for lineno, words in numbered if words)
     last_line = len(text.splitlines()) or 1
 
     def span(lineno: int) -> SourceSpan:
         return SourceSpan(file, lineno, 1, 1)
 
-    pos = 0
-
     def take() -> tuple[int, list[str]]:
-        nonlocal pos
-        if pos >= len(lines):
+        if (line := next(lines, None)) is None:
             raise ParseError("missing 'end'", span(last_line))
-        pos += 1
-        return lines[pos - 1]
+        return line
 
     lineno, words = take()
     if words != ["signature"]:
@@ -360,8 +347,7 @@ def parse_algebra_file(
 
     algebras: list[tuple[str, FiniteAlgebra]] = []
     failures: list[tuple[str, Violation]] = []
-    while pos < len(lines):
-        lineno, words = take()
+    for lineno, words in lines:
         if len(words) != 2 or words[0] != "algebra":
             raise ParseError("expected 'algebra <name>'", span(lineno))
         name = words[1]

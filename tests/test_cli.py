@@ -51,6 +51,14 @@ def test_validate_bad_table(tmp_path):
     assert out.splitlines() == ["WITNESS algebra=A op=f index=2 entry 2 ≥ size 2"]
 
 
+def test_validate_negative_entry(tmp_path):
+    path = tmp_path / "negative.alg"
+    path.write_text("signature\nop f 1\nend\nalgebra A\nsize 2\nop f 0 -1\nend\n")
+    code, out, err = run("validate", str(path))
+    assert code == 1
+    assert out.splitlines() == ["WITNESS algebra=A op=f index=1 entry -1 < 0"]
+
+
 def test_validate_missing_file():
     code, out, err = run("validate", "missing.alg")
     assert code == 2

@@ -170,8 +170,9 @@ def test_parse_certificate_refuses_integers_past_the_int_limit_with_a_span(text,
 
 def test_parse_algebra_file_reads_a_negative_entry_as_a_validation_failure():
     # one leading minus is an integer, out of range for the carrier
-    with pytest.raises(AlgebraValidationError):
+    with pytest.raises(AlgebraValidationError) as exc:
         parse_algebra_file("signature\nop f 1\nend\nalgebra A\nsize 2\nop f 0 -1\nend\n")
+    assert str(exc.value) == "validation failed: A: op f index 1: entry -1 < 0"
 
 
 def test_multiple_algebras_round_trip():
@@ -205,7 +206,7 @@ def test_parse_term_errors_carry_spans():
 def test_parse_equation_and_file():
     eq = parse_equation("f(?x,?y) = f(?y,?x)")
     assert eq == Equation(App("f", (X, Y)), App("f", (Y, X)))
-    text = "# axioms\nf(?x,?y) = f(?y,?x)\n\nf(?x,?x) = ?x  # idempotence\n"
+    text = "# axioms\nf(?x,?y) = f(?y,?x)  ; commutativity\n\nf(?x,?x) = ?x  # idempotence\n"
     eqs = parse_equation_file(text)
     assert len(eqs) == 2
     assert eqs[1] == Equation(App("f", (X, X)), X)
@@ -231,17 +232,47 @@ def test_proof_round_trips():
 
 
 def test_parse_proof_whitespace_and_comments():
-    text = "; derived by hand\n(trans (hyp 0)\n  (sym (hyp 0)))  ; end\n"
+    text = "; derived by hand\n(trans (hyp 0)  # axiom 0\n  (sym (hyp 0)))  ; end\n"
     assert parse_proof(text) == Trans(Hyp(0), Sym(Hyp(0)))
 
 
-def test_parse_proof_errors():
-    with pytest.raises(ParseError):
-        parse_proof("(flip (hyp 0))")
-    with pytest.raises(ParseError):
-        parse_proof("(hyp x)")
-    with pytest.raises(ParseError):
-        parse_proof("(sub (hyp 0) ((x ?y) (x ?y)))")
+@pytest.mark.parametrize("text, message", [
+    ("(hyp 0", "1:7-7: unexpected end of input (wanted rparen)"),
+    ("(hyp 0 1)", "1:8-8: expected rparen, found '1'"),
+    ("(refl ?x", "1:9-9: unexpected end of input (wanted rparen)"),
+    ("(refl ?x ?y)", "1:10-11: expected rparen, found '?y'"),
+    ("(sym (hyp 0)", "1:13-13: unexpected end of input (wanted rparen)"),
+    ("(sym (hyp 0) (hyp 1))", "1:14-14: expected rparen, found '('"),
+    ("(trans (hyp 0) (hyp 1)", "1:23-23: unexpected end of input (wanted rparen)"),
+    ("(trans (hyp 0) (hyp 1) (hyp 2))", "1:24-24: expected rparen, found '('"),
+    ("(trans (hyp 0))", "1:15-15: expected lparen, found ')'"),
+    ("(app f (hyp 0)", "1:15-15: unexpected end of input (wanted rparen)"),
+    ("(app f (hyp 0) x)", "1:16-16: expected rparen, found 'x'"),
+    ("(sub (hyp 0) ((x ?y))", "1:22-22: unexpected end of input (wanted rparen)"),
+    ("(sub (hyp 0) ((x ?y)) x)", "1:23-23: expected rparen, found 'x'"),
+    ("(sub (hyp 0) ((x ?y ?z)))", "1:21-22: expected rparen, found '?z'"),
+    ("(sub (hyp 0) x)", "1:14-14: expected lparen, found 'x'"),
+    ("(sub (hyp 0) (x))", "1:15-15: expected a (var term) binding, found 'x'"),
+    ("(sub (hyp 0) ((3 ?y)))", "1:16-16: expected a variable, found '3'"),
+    ("(sub (hyp 0) ((x ?y) (x ?y)))", "1:23-23: duplicate binding for x"),
+    ("(sub (hyp 0) ((?x ?y) (x ?z)))", "1:24-24: duplicate binding for x"),
+    ("(flip (hyp 0))", "1:2-5: unknown proof constructor 'flip'"),
+    ("(hyp x)", "1:6-6: expected int, found 'x'"),
+    ("", "1:1-1: unexpected end of input (wanted lparen)"),
+    ("(hyp 0) (hyp 1)", "1:9-9: trailing input '('"),
+    ("(hyp 0)\n\n  x", "3:3-3: trailing input 'x'"),
+], ids=[
+    "hyp-missing-rparen", "hyp-extra", "refl-missing-rparen", "refl-extra",
+    "sym-missing-rparen", "sym-extra", "trans-missing-rparen", "trans-extra", "trans-one-premise",
+    "app-missing-rparen", "app-extra", "sub-missing-rparen", "sub-extra", "binding-extra",
+    "bindings-not-a-list", "binding-not-a-list", "binding-name-not-a-variable",
+    "duplicate-binding", "duplicate-binding-mixed-spelling",
+    "unknown-constructor", "hyp-not-an-int", "empty", "trailing", "trailing-on-a-later-line",
+])
+def test_parse_proof_errors(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_proof(text, "p")
+    assert str(exc.value) == f"p:{message}"
 
 
 def test_term_and_equation_text_are_canonical():

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -349,13 +350,17 @@ def test_cli_theory_matches_pairwise_oracle(path):
         assert (code, out, err) == (0, expected, "")
 
 
+def _pairwise_partition(K, variables, depth, caps):
+    """The pairwise oracle's theory, read as birkhoff-demo reads a partition."""
+    pairs = theory_upto_pairwise(K, variables, depth, caps.cells, caps.cells)
+    return types.SimpleNamespace(pair_count=len(pairs), equations=lambda: iter(pairs))
+
+
 @pytest.mark.parametrize("name", ["semilattice2.alg", "z2_xor.alg", "pool.alg"])
 def test_cli_birkhoff_demo_matches_old_path(name, monkeypatch):
     argv = ["birkhoff-demo", "--vars", "2", str(ROOT / "demos" / "data" / name)]
     new = _cli(argv)
-    monkeypatch.setattr(
-        ualg.cli, "theory_upto", lambda K, v, depth, caps: theory_upto_pairwise(K, v, depth, caps.cells, caps.cells)
-    )
+    monkeypatch.setattr(ualg.cli, "theory_partition", _pairwise_partition)
     monkeypatch.setattr(ualg.birkhoff, "_models_theory", lambda K, B, depth, caps: models_theory_pairwise(K, B, depth))
     monkeypatch.setattr(ualg.birkhoff, "universal_map", universal_map_pointwise)
     old = _cli(argv)
