@@ -16,6 +16,7 @@ share; products read no lanes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -234,7 +235,7 @@ class FiniteAlgebra:
         object.__setattr__(self, "_ops", index)
 
     @cached_property
-    def _lanes(self) -> dict[str, tuple[list[bytes], bytes]] | None:
+    def _lanes(self) -> dict[str, tuple[tuple[bytes, ...], bytes]] | None:
         """lane_plan([self]), built on first use and kept: every
         term_columns call on this algebra, every closure.generate on it
         alone and every hom search onto it reads the same byte views of its
@@ -266,7 +267,7 @@ def mapped_cells(image: Sequence[int], size: int, arity: int) -> list[int]:
 _IDENTITY = bytes(range(256))
 
 
-def lane_plan(K: Sequence[FiniteAlgebra], sig: Signature) -> dict[str, tuple[list[bytes], bytes]] | None:
+def lane_plan(K: Sequence[FiniteAlgebra], sig: Signature) -> dict[str, tuple[tuple[bytes, ...], bytes]] | None:
     """Per symbol, the byte-lane kernel's step tables and final table over
     the members K, or None when they do not fit in byte lanes: their sizes
     must sum to at most 256, and so must their r-th powers for each arity r,
@@ -280,24 +281,17 @@ def lane_plan(K: Sequence[FiniteAlgebra], sig: Signature) -> dict[str, tuple[lis
     gives start(k, j+1) + p*|A_k| + v, below 256 with no carry.  The final
     table maps start(k, r) + i to off_k plus entry i of member k's table (a
     constant reads start(k, 0) = k).  With one member there is no shift:
-    each step multiplies by its size and the final table is its own.
+    each step multiplies by its size and the final table is its own.  The
+    step tables and shifts depend only on the sizes and the largest arity,
+    so _lane_frame keeps them per shape; only the final tables are built
+    per call.
     """
-    sizes = [alg.size for alg in K]
+    sizes = tuple([alg.size for alg in K])
     # n^j <= n^top for 1 <= j <= top: the largest arity, at least 1, decides
     top = max([1] + [arity for _, arity in sig.ops])
     if top > 8 or sum([n**top for n in sizes]) > 256:
         return None
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    # Member k's block of every table starts at start(k, j), right after
-    # member k-1's: each table is the members' blocks joined, padded to 256.
-    steps = []  # step j depends only on the sizes: every symbol shares it
-    for j in range(1, top):
-        blocks, start = [], 0  # start(k, j+1)
-        for n, off in zip(sizes, offsets):
-            blocks.append(_IDENTITY[start - off : start - off + n ** (j + 1) : n])
-            start += n ** (j + 1)
-        steps.append(b"".join(blocks).ljust(256, b"\0"))
-    shifts = [_IDENTITY[off:] + _IDENTITY[:off] for off in offsets]  # v -> off + v
+    steps, shifts = _lane_frame(sizes, top)
     plan = {}
     for pos, (name, arity) in enumerate(sig.ops):
         final = b"".join([bytes(alg.tables[pos]).translate(shift) for alg, shift in zip(K, shifts)])
@@ -305,8 +299,26 @@ def lane_plan(K: Sequence[FiniteAlgebra], sig: Signature) -> dict[str, tuple[lis
     return plan
 
 
+@functools.lru_cache(maxsize=32)
+def _lane_frame(sizes: tuple[int, ...], top: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """lane_plan's step tables 1 .. top - 1 and each member's shift v ->
+    off_k + v, kept per shape since they depend only on the sizes: every
+    symbol of every plan of that shape shares them, so they are tuples."""
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    # Member k's block of every table starts at start(k, j), right after
+    # member k-1's: each table is the members' blocks joined, padded to 256.
+    steps = []
+    for j in range(1, top):
+        blocks, start = [], 0  # start(k, j+1)
+        for n, off in zip(sizes, offsets):
+            blocks.append(_IDENTITY[start - off : start - off + n ** (j + 1) : n])
+            start += n ** (j + 1)
+        steps.append(b"".join(blocks).ljust(256, b"\0"))
+    return tuple(steps), tuple([_IDENTITY[off:] + _IDENTITY[:off] for off in offsets])
+
+
 def lane_pointwise(
-    plan: dict[str, tuple[list[bytes], bytes]], members: bytes
+    plan: dict[str, tuple[tuple[bytes, ...], bytes]], members: bytes
 ) -> Callable[[str, Sequence[bytes]], bytes]:
     """The byte-lane kernel: apply(symbol, argument lanes) under a lane_plan.
 

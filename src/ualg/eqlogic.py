@@ -303,7 +303,7 @@ def theory_partition(
     member A of K has more than caps.cells environments |A|^|variables|,
     and when there are more than caps.cells terms."""
     if not K:
-        raise ValueError("theory_upto needs a nonempty class to fix the signature")
+        raise ValueError("a theory needs a nonempty class to fix the signature")
     sig = same_signature(*K)
     for alg in K:
         caps.check_env_space(alg.size, variables)

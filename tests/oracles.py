@@ -18,7 +18,8 @@ every algebra the easy direction derives by its own mod_check call, the
 hard direction's free algebra built on one variable per element of B, a
 hom's image closed as a subalgebra of its target (hom_image), the HSP
 certificate check comparing that image with B by an isomorphism search,
-and term enumeration keeping every term's depth in a list beside it.
+term enumeration keeping every term's depth in a list beside it, and the
+byte-lane plan rebuilding its step tables on every call.
 Table indices here come from enumerating itertools.product (_positions),
 never from the package's index codec, so a fault in the codec cannot
 show on both sides of a differential test.
@@ -226,6 +227,30 @@ def _compatible(ops, n, m, image, v):
                 if dst_table[mapped] != image[res]:
                     return False
     return True
+
+
+def lane_plan_uncached(K, sig):
+    """core.lane_plan as it was before its step tables and shifts were kept
+    per shape: every call rebuilds them from the sizes."""
+    identity = bytes(range(256))
+    sizes = [alg.size for alg in K]
+    top = max([1] + [arity for _, arity in sig.ops])
+    if top > 8 or sum([n**top for n in sizes]) > 256:
+        return None
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    steps = []
+    for j in range(1, top):
+        blocks, start = [], 0
+        for n, off in zip(sizes, offsets):
+            blocks.append(identity[start - off : start - off + n ** (j + 1) : n])
+            start += n ** (j + 1)
+        steps.append(b"".join(blocks).ljust(256, b"\0"))
+    shifts = [identity[off:] + identity[:off] for off in offsets]
+    plan = {}
+    for pos, (name, arity) in enumerate(sig.ops):
+        final = b"".join([bytes(alg.tables[pos]).translate(shift) for alg, shift in zip(K, shifts)])
+        plan[name] = (steps[: max(arity - 1, 0)], final.ljust(256, b"\0"))
+    return plan
 
 
 def term_columns_lists(alg, terms, columns):
@@ -489,8 +514,10 @@ def _set_partitions(n):
 
 def eqcl_to_var_check_permodel(E, pool_size_bound, product_size_cap=4096, search_cap=1_000_000):
     """The easy direction over brute-force models, one mod_check call per
-    derived algebra.  Products come from birkhoff.product, so a test can
-    patch them on both paths at once."""
+    derived algebra, every nonempty generator subset of every model closed
+    and checked.  Products and generated subalgebras come from
+    birkhoff.product and birkhoff.subalgebra_generate, so a test can patch
+    them on both paths at once."""
     sig = infer_signature(E)
     models, count = [], 0
     for size in range(1, pool_size_bound + 1):
@@ -517,7 +544,7 @@ def eqcl_to_var_check_permodel(E, pool_size_bound, product_size_cap=4096, search
     for alg in models:
         for r in range(1, alg.size + 1):
             for gens in itertools.combinations(range(alg.size), r):
-                sub, _ = subalgebra_generate(alg, gens)
+                sub, _ = birkhoff.subalgebra_generate(alg, gens)
                 bad = check(sub, f"subalgebra from {gens}")
                 if bad is not None:
                     return PipelineReport((*stages, bad))

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 
@@ -36,7 +37,7 @@ from ualg.closure import CertCheckResult, HspCertificate, generate, hsp_certific
 from ualg.free import UniversalMapFailure
 
 from oracles import hom_image, hsp_certificate_check_isosearch, var_to_eqcl_check_allvars
-from samples import SIG_F, SIG_FE, certified_square_images, easy_laws, semilattice2, z2_xor, z3_add
+from samples import EASY_LAW_SETS, SIG_F, SIG_FE, certified_square_images, easy_laws, semilattice2, z2_xor, z3_add
 
 X, Y = Var("x"), Var("y")
 COMM = Equation(App("f", (X, Y)), App("f", (Y, X)))
@@ -169,6 +170,44 @@ def test_eqcl_to_var_is_exhaustive_at_pool_3():
     assert report.stages[0].witness == "69 models of 1 equations"
     report = eqcl_to_var_check(easy_laws(["leftproj"]), pool_size_bound=3)
     assert report.lines()[0] == "STAGE enumerate-models PASS 3 models of 1 equations"
+
+
+def test_eqcl_to_var_checks_each_subuniverse_once(monkeypatch):
+    """Over the nine easy-direction law sets at pool 3, the subalgebra
+    stage closes 480 of the models' 643 nonempty generator subsets (a subset
+    is skipped when dropping one generator leaves a subset whose subuniverse
+    holds it) and checks 439 subalgebras: per model, one per distinct
+    subuniverse."""
+    real_generate, real_failure = ualg.birkhoff.subalgebra_generate, ualg.birkhoff._closure_failure
+    closed = []  # the model of each closure, in order
+
+    def generate(alg, gens):
+        closed.append(alg)
+        return real_generate(alg, gens)
+
+    def failure(derived, E, how, envs, caps):
+        if how.startswith("subalgebra from "):
+            checks[id(closed[-1])] += 1
+        return real_failure(derived, E, how, envs, caps)
+
+    monkeypatch.setattr(ualg.birkhoff, "subalgebra_generate", generate)
+    monkeypatch.setattr(ualg.birkhoff, "_closure_failure", failure)
+    subsets = closures = checked = 0
+    for laws in EASY_LAW_SETS:
+        closed, checks = [], collections.Counter()
+        assert eqcl_to_var_check(easy_laws(laws), 3).overall
+        models = list({id(alg): alg for alg in closed}.values())
+        subsets += sum(2**alg.size - 1 for alg in models)
+        closures += len(closed)
+        checked += sum(checks.values())
+        for alg in models:
+            universes = {
+                frozenset(real_generate(alg, gens)[1].image)
+                for r in range(1, alg.size + 1)
+                for gens in itertools.combinations(range(alg.size), r)
+            }
+            assert checks[id(alg)] == len(universes), (laws, alg)
+    assert (subsets, closures, checked) == (643, 480, 439)
 
 
 def test_eqcl_to_var_model_search_is_capped():

@@ -19,6 +19,7 @@ from ualg import (
     theory_upto,
 )
 from ualg.core import CapExceededError, Caps
+from ualg.eqlogic import theory_partition
 from ualg.fileio import parse_equation
 
 from oracles import hom_image, models_bruteforce
@@ -86,6 +87,17 @@ def test_theory_upto_examples():
 def test_theory_upto_needs_a_class():
     with pytest.raises(ValueError):
         theory_upto([], ["x"], 1)
+
+
+def test_empty_class_error_names_neither_function():
+    # theory_upto calls theory_partition, and the CLI calls theory_partition
+    # directly: the one message must fit both callers
+    messages = set()
+    for theory in (theory_partition, theory_upto):
+        with pytest.raises(ValueError) as info:
+            theory([], ["x"], 1)
+        messages.add(str(info.value))
+    assert messages == {"a theory needs a nonempty class to fix the signature"}
 
 
 def test_mod_check():

@@ -2,6 +2,7 @@
 pointwise or pair-by-pair oracle it replaced (see oracles.py)."""
 
 import dataclasses
+import functools
 import io
 import itertools
 import os
@@ -24,6 +25,7 @@ from ualg import (
     enumerate_terms,
     eqcl_to_var_check,
     evaluate,
+    infer_signature,
     mod_check,
     nat_epi,
     signature,
@@ -43,6 +45,8 @@ from ualg.terms import (
 
 from oracles import (
     eqcl_to_var_check_permodel,
+    lane_plan_uncached,
+    models_bruteforce,
     models_theory_pairwise,
     nat_epi_pointwise,
     product_cellwise,
@@ -227,6 +231,44 @@ def test_lane_plan_declines_arities_past_8_and_both_paths_match_the_oracles(arit
             assert tables == want_sub.tables
 
 
+# (arities of the signature, member sizes): classes of 1-4 members of these
+# sizes fit the byte lanes or not, by the size sum (200 + 57 > 256), the sum
+# of squares or cubes, or an arity past 8
+LANE_PLAN_CASES = [
+    ((0,), (1, 2, 3, 9, 200, 57)),
+    ((1,), (1, 2, 3, 9, 200, 57)),
+    ((2,), (1, 2, 3, 9)),
+    ((3,), (1, 2, 3, 5)),
+    ((0, 1, 2, 3), (1, 2, 3, 5)),
+    ((9,), (1, 2)),
+]
+
+
+@pytest.mark.parametrize("arities, sizes", LANE_PLAN_CASES, ids=["arities-" + "-".join(map(str, a)) for a, _ in LANE_PLAN_CASES])
+def test_lane_plan_matches_the_uncached_plan(arities, sizes):
+    """Step tables and shifts kept per shape give the plan that rebuilding
+    them gives, on a first and a repeated call, and None past the fit rule.
+    The kept steps are tuples, so no caller can mutate what later plans
+    share."""
+    rng = random.Random(len(sizes) * 10 + arities[-1])
+    sig = signature(*[(f"s{r}", r) for r in arities])
+    members = {n: random_algebra(rng, sig, n) for n in sizes}
+    fits = set()
+    for count in range(1, 5):
+        for shape in itertools.product(sizes, repeat=count):
+            K = [members[n] for n in shape]
+            want = lane_plan_uncached(K, sig)
+            fits.add(want is not None)
+            for _ in range(2):
+                got = lane_plan(K, sig)
+                if want is None:
+                    assert got is None
+                    continue
+                assert got == {name: (tuple(steps), final) for name, (steps, final) in want.items()}
+                assert all(type(steps) is tuple for steps, _ in got.values())
+    assert fits == ({False} if 9 in arities else {True, False})
+
+
 THEORY_CASES = [
     ("Z2", [z2_xor()], ["x", "y"], 2),
     ("SL", [semilattice2(SIG_F)], ["x", "y"], 2),
@@ -394,6 +436,54 @@ def test_easy_direction_failure_witness_matches_the_permodel_oracle(laws, monkey
     got = eqcl_to_var_check(E, 2).lines()
     assert got == eqcl_to_var_check_permodel(E, 2).lines()
     assert got[-1].startswith("STAGE closure FAIL product breaks equation ")
+
+
+def _corrupt_one_subuniverse(E, pool):
+    """A subalgebra_generate that corrupts one subuniverse's subalgebra, the
+    one of two or more elements that the most generator subsets of one model
+    reach (the first on ties): the first cell f(a, b) and value c of it,
+    in model elements, whose change breaks E.  The corrupted subalgebra is
+    the same algebra up to labels whichever subset reaches it, as a failure
+    found in a subalgebra must be."""
+    real = ualg.birkhoff.subalgebra_generate
+    reached = {}  # (model index, subuniverse) -> generator subsets
+    models = [m for size in range(1, pool + 1) for m in models_bruteforce(infer_signature(E), tuple(E), size)[0]]
+    for i, alg in enumerate(models):
+        for r in range(1, alg.size + 1):
+            for gens in itertools.combinations(range(alg.size), r):
+                universe = frozenset(real(alg, gens)[1].image)
+                if len(universe) > 1:
+                    reached.setdefault((i, universe), []).append(gens)
+    (i, universe), subsets = max(reached.items(), key=lambda item: len(item[1]))
+    target = models[i]
+
+    def corrupt(alg, gens, cell):
+        sub, inclusion = real(alg, gens)
+        if alg != target or frozenset(inclusion.image) != universe:
+            return sub, inclusion
+        label = {e: k for k, e in enumerate(inclusion.image)}
+        a, b, c = cell  # f(a, b) := c
+        table = list(sub.tables[0])
+        table[label[a] * sub.size + label[b]] = label[c]
+        return dataclasses.replace(sub, tables=(tuple(table),)), inclusion
+
+    members = sorted(universe)
+    for cell in itertools.product(members, repeat=3):
+        if not mod_check(corrupt(target, subsets[0], cell)[0], E).holds:
+            return functools.partial(corrupt, cell=cell)
+    raise AssertionError(f"no one-cell change of {members} breaks {E}")
+
+
+@pytest.mark.parametrize("laws", EASY_LAW_SETS)
+def test_easy_direction_subalgebra_failure_matches_the_permodel_oracle(laws, monkeypatch):
+    """One subuniverse's subalgebra corrupted: the subalgebra stage, which
+    checks each subuniverse once, fails at the first generator subset,
+    failing equation and counterexample of the every-subset path."""
+    E = easy_laws(laws)
+    monkeypatch.setattr(ualg.birkhoff, "subalgebra_generate", _corrupt_one_subuniverse(E, 3))
+    got = eqcl_to_var_check(E, 3).lines()
+    assert got == eqcl_to_var_check_permodel(E, 3).lines()
+    assert got[-1].startswith("STAGE closure FAIL subalgebra from (")
 
 
 CORRUPTED_FREE = """
