@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .core import DEFAULT_CAPS, Caps, FiniteAlgebra, UalgError
 from .closure import (
@@ -20,7 +20,7 @@ from .closure import (
     hsp_certificate_check,
     product,
     quotient,
-    subalgebra_generate,
+    subuniverses,
 )
 from .eqlogic import find_models, satisfies, theory_partition
 from .free import UniversalMapFailure, build_free, universal_map
@@ -167,10 +167,9 @@ def eqcl_to_var_check(
     The stages replay products of unordered pairs of representatives,
     generated subalgebras of each, and quotients A/theta of each by every
     congruence but 0_A and 1_A, requiring each derived algebra to model E.
-    Each distinct subuniverse of a model is checked once, generated by the
-    first nonempty generator subset (in combinations order) that reaches
-    it; the subsets that reach it later generate isomorphic subalgebras,
-    so the first failing subset and its witness are unchanged.
+    The subalgebras are those closure.subuniverses yields, one per distinct
+    subuniverse from the first nonempty generator subset reaching it; the
+    later ones generate it too, so the first failure is the same.
     This covers every model: satisfaction is preserved by isomorphism,
     A x B is isomorphic to B x A and to A' x B' for A' ~ A and B' ~ B, and
     the subalgebras and quotients of isomorphic algebras correspond.  It
@@ -193,7 +192,8 @@ def eqcl_to_var_check(
     closures = [
         ("products-closed", ((product([a, b], caps).alg, "product")
                              for a, b in itertools.combinations_with_replacement(models, 2))),
-        ("subalgebras-closed", (derived for alg in models for derived in _subalgebras(alg))),
+        ("subalgebras-closed", ((sub, f"subalgebra from {gens}")
+                                for alg in models for gens, sub, _ in subuniverses(alg))),
         ("hom-images-closed", ((quotient(alg, theta)[0], f"quotient by {_blocks_text(theta)}")
                                for alg in models
                                for theta in congruences(alg, caps)
@@ -206,27 +206,6 @@ def eqcl_to_var_check(
                 return PipelineReport((*stages, bad))
         stages.append(Stage(name, True))
     return PipelineReport(tuple(stages))
-
-
-def _subalgebras(alg: FiniteAlgebra) -> Iterator[tuple[FiniteAlgebra, str]]:
-    """The subalgebra of alg generated by each nonempty generator subset,
-    in combinations order, that is the first to reach its subuniverse.  A
-    subset is not closed when dropping one generator g leaves a subset
-    whose subuniverse holds g: both generate the same subuniverse."""
-    within: dict[tuple[int, ...], frozenset[int]] = {}  # generator subset -> its subuniverse
-    seen: set[frozenset[int]] = set()
-    for r in range(1, alg.size + 1):
-        for gens in itertools.combinations(range(alg.size), r):
-            # the subuniverse of gens without gens[i]; the empty subset is never closed
-            rests = (within.get(gens[:i] + gens[i + 1:], ()) for i in range(r))
-            universe = next((rest for rest, g in zip(rests, gens) if g in rest), None)
-            if universe is None:
-                sub, inclusion = subalgebra_generate(alg, gens)
-                universe = frozenset(inclusion.image)
-                if universe not in seen:
-                    seen.add(universe)
-                    yield sub, f"subalgebra from {gens}"
-            within[gens] = universe
 
 
 def _closure_failure(

@@ -20,7 +20,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .core import (
     DEFAULT_CAPS,
@@ -256,6 +256,28 @@ def subalgebra_generate(
     return sub, CarrierMap(sub, alg, tuple([e for (e,) in elements]))
 
 
+def subuniverses(alg: FiniteAlgebra, start: int = 1) -> Iterator[tuple[tuple[int, ...], FiniteAlgebra, CarrierMap]]:
+    """Each distinct subuniverse of alg once, as (the first generator subset
+    of size >= start reaching it, in size-then-combinations order, its
+    subalgebra, the inclusion).  A subset is not closed when dropping one
+    generator g leaves a subset whose subuniverse holds g: both generate
+    the same subuniverse, first reached by the smaller one."""
+    seen: set[frozenset[int]] = set()
+    within: dict[tuple[int, ...], frozenset[int]] = {}  # each subset of one size -> its subuniverse
+    for r in range(start, alg.size + 1):
+        below, within = within, {}  # a subset less one generator is one size down
+        for gens in itertools.combinations(range(alg.size), r):
+            rests = (below.get(gens[:i] + gens[i + 1:], ()) for i in range(r))
+            universe = next((rest for rest, g in zip(rests, gens) if g in rest), None)
+            if universe is None:
+                sub, inclusion = subalgebra_generate(alg, gens)
+                universe = frozenset(inclusion.image)
+                if universe not in seen:
+                    seen.add(universe)
+                    yield gens, sub, inclusion
+            within[gens] = universe
+
+
 def _join(start: Sequence[int], pairs: Iterable[tuple[int, int]], translations) -> tuple[int, ...]:
     """The least equivalence above start holding pairs and closed under the
     translations, each partition given as its labelling (every element
@@ -373,17 +395,16 @@ class HspCertificate:
 def trivial_certificate(
     k_index: int, alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS
 ) -> HspCertificate:
-    """A ∈ V{..A..}: unary product, identity image, and the first least-size
-    generating set (combinations in order, from size 0 when the signature has
-    constants).  The whole carrier generates itself, so the search returns,
-    but it raises CapExceededError before trying a size r that build_free
-    would refuse on r variables over any class containing alg."""
-    for r in range(0 if alg.sig.constants() else 1, alg.size + 1):
+    """A ∈ V{..A..}: unary product, identity image, and the first subset that
+    subuniverses yields (from size 0 when there are constants) generating the
+    whole carrier, a least-size generating set.  Each size up to its size
+    yields, and each is admitted first: a size r that build_free would refuse
+    on r variables over any class containing alg raises CapExceededError."""
+    for gens, sub, inclusion in subuniverses(alg, 0 if alg.sig.constants() else 1):
+        r = len(gens)
         caps.admit(alg.sig, alg.size**r * max(1, r), "free")(1)  # as build_free admits its generators
-        for gens in itertools.combinations(range(alg.size), r):
-            sub, inclusion = subalgebra_generate(alg, gens)
-            if sub.size == alg.size:
-                return HspCertificate(((k_index, 1),), gens, inclusion.image)
+        if sub.size == alg.size:
+            return HspCertificate(((k_index, 1),), gens, inclusion.image)
 
 
 @dataclass(frozen=True)

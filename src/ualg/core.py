@@ -60,12 +60,12 @@ class Caps:
     builds, and the free algebra's generator tuples, by one rule, admit:
     n elements need n <= carrier, n * w <= cells for tuples of width w,
     and sum n^arity table cells <= cells (one application each in close,
-    so this bounds work).  cells also bounds
-    environment spaces (check_env_space), term counts, a model search's work
-    (cells assigned plus relabellings tried) and the congruences of one
-    algebra; search bounds a hom search's work, the target values tried
-    at its branch points (only the hom-search API searches homs).  Every
-    CLI command reads UALG_CAPS and passes its caps to every stage.
+    so this bounds work).  cells also bounds environment spaces
+    (check_env_space), each term layer, refused before it is built, a
+    model search's work (cells assigned plus relabellings tried) and one
+    algebra's congruences; search bounds a hom search's work, the target
+    values tried at its branch points (only the hom-search API searches
+    homs).  Every CLI command reads UALG_CAPS and passes them to every stage.
     """
 
     carrier: int = 4096
@@ -74,11 +74,13 @@ class Caps:
 
     def check(self, key: str, amount: int, what: str) -> None:
         """Raise CapExceededError (SearchCapError for search), naming what,
-        once amount exceeds the cap key; hot loops compare first."""
+        once amount exceeds the cap key; hot loops compare first.  An amount
+        past 256 bits reads 2^k or more (its digits may pass int's text limit)."""
         cap = getattr(self, key)
         if amount > cap:
             error = SearchCapError if key == "search" else CapExceededError
-            raise error(f"{what}: {amount} exceeds cap {key}={cap}; raise it with UALG_CAPS={key}=N")
+            shown = amount if amount.bit_length() <= 256 else f"2^{amount.bit_length() - 1} or more"
+            raise error(f"{what}: {shown} exceeds cap {key}={cap}; raise it with UALG_CAPS={key}=N")
 
     def admit(self, sig: Signature, width: int, what: str) -> Callable[[int], None]:
         """close's admit(n) for an algebra of width-w tuples (w = 0 for a

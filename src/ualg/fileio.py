@@ -169,7 +169,7 @@ def parse_equation_file(text: str, file: str = "<equations>") -> list[Equation]:
     """One `term = term` per line; '#' or ';' comments; blank lines ignored."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].split(";", 1)[0].strip()
         if not line:
             continue
         out.append(parse_equation(line, file, lineno))

@@ -83,9 +83,11 @@ def build_free(
     elif sig is None:
         raise ValueError("empty class: pass the signature explicitly")
     variables = list(variables)
-    for pos, name in enumerate(variables):
-        if name in variables[:pos]:
+    seen: set[str] = set()
+    for name in variables:
+        if name in seen:
             raise ValueError(f"variable {name!r} is repeated")
+        seen.add(name)
     # one coordinate per member and environment; the generator tuples (one
     # per variable, one with none) are admitted as one block before any is
     # built, not as elements: over trivial members they all coincide

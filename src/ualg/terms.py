@@ -377,7 +377,8 @@ def enumerate_terms(
     signature order); layer d applies each symbol of arity >= 1, in
     signature order, to child tuples drawn lexicographically by index from
     the layers below, keeping tuples whose deepest child has depth d-1.
-    More than caps.cells terms raise CapExceededError.
+    A layer is refused before it is built, naming the total, when base terms
+    and its base^r - start^r tuples per r-ary symbol pass caps.cells.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
@@ -385,20 +386,14 @@ def enumerate_terms(
         raise ValueError("variable names must be distinct")
     terms: list[Term] = [Var(v) for v in variables]
     terms.extend(App(c) for c in sig.constants())
-    cap = caps.cells
     caps.check("cells", len(terms), "terms enumerated")
     start = 0  # the last layer is terms[start:base]; each new term has a child there
     for _ in range(max_depth):
         base = len(terms)
-        for name, arity in sig.ops:
-            if arity == 0:
-                continue
-            for combo in itertools.product(range(base), repeat=arity):
-                if max(combo) < start:
-                    continue
-                terms.append(App(name, tuple([terms[i] for i in combo])))
-                if len(terms) > cap:
-                    caps.check("cells", len(terms), "terms enumerated")
+        caps.check("cells", base + sum([base**r - start**r for _, r in sig.ops if r]), "terms enumerated")
+        terms += [App(name, tuple([terms[i] for i in combo]))
+                  for name, arity in sig.ops if arity
+                  for combo in itertools.product(range(base), repeat=arity) if max(combo) >= start]
         if len(terms) == base:
             break
         start = base

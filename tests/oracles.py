@@ -18,6 +18,7 @@ every algebra the easy direction derives by its own mod_check call, the
 hard direction's free algebra built on one variable per element of B, a
 hom's image closed as a subalgebra of its target (hom_image), the HSP
 certificate check comparing that image with B by an isomorphism search,
+the trivial certificate closing every generator subset in turn,
 term enumeration keeping every term's depth in a list beside it, and the
 byte-lane plan rebuilding its step tables on every call.
 Table indices here come from enumerating itertools.product (_positions),
@@ -29,6 +30,7 @@ import functools
 import itertools
 
 import ualg.birkhoff as birkhoff
+import ualg.closure as closure
 from ualg import (
     App,
     CapExceededError,
@@ -52,7 +54,7 @@ from ualg import (
     subalgebra_generate,
 )
 from ualg.birkhoff import PipelineReport, Stage, _env_string, _models_theory
-from ualg.closure import CertCheckResult, ProductAlgebra
+from ualg.closure import CertCheckResult, HspCertificate, ProductAlgebra
 from ualg.core import Caps, UalgError, same_signature
 from ualg.free import FreeAlgebra, UniversalMapFailure, universal_map
 from ualg.homs import KernelInclusionError, NotAHomError, NotSurjectiveError, hom_violation, kernel_pairs
@@ -74,12 +76,17 @@ def _cell(sizes, args):
 def enumerate_terms_depths(sig, variables, max_depth, caps=Caps()):
     """enumerate_terms keeping each term's depth in a list beside it: layer
     d keeps the child tuples whose deepest child, looked up there, has
-    depth d-1."""
+    depth d-1.  Each layer is refused before it is built when the terms
+    within depth d-1 and the tuples reaching it (within^r - below^r per
+    r-ary symbol, below counting depths under d-1) pass the cap; the
+    per-term check can then trip only if that count is short."""
     terms = [Var(v) for v in variables] + [App(c) for c in sig.constants()]
     depths = [0] * len(terms)
     caps.check("cells", len(terms), "terms enumerated")
     for d in range(1, max_depth + 1):
         base = len(terms)
+        below = sum(1 for depth in depths if depth < d - 1)
+        caps.check("cells", base + sum(base**arity - below**arity for _, arity in sig.ops if arity), "terms enumerated")
         for name, arity in sig.ops:
             if arity == 0:
                 continue
@@ -516,7 +523,7 @@ def eqcl_to_var_check_permodel(E, pool_size_bound, product_size_cap=4096, search
     """The easy direction over brute-force models, one mod_check call per
     derived algebra, every nonempty generator subset of every model closed
     and checked.  Products and generated subalgebras come from
-    birkhoff.product and birkhoff.subalgebra_generate, so a test can patch
+    birkhoff.product and closure.subalgebra_generate, so a test can patch
     them on both paths at once."""
     sig = infer_signature(E)
     models, count = [], 0
@@ -544,7 +551,7 @@ def eqcl_to_var_check_permodel(E, pool_size_bound, product_size_cap=4096, search
     for alg in models:
         for r in range(1, alg.size + 1):
             for gens in itertools.combinations(range(alg.size), r):
-                sub, _ = birkhoff.subalgebra_generate(alg, gens)
+                sub, _ = closure.subalgebra_generate(alg, gens)
                 bad = check(sub, f"subalgebra from {gens}")
                 if bad is not None:
                     return PipelineReport((*stages, bad))
@@ -558,6 +565,19 @@ def eqcl_to_var_check_permodel(E, pool_size_bound, product_size_cap=4096, search
                 return PipelineReport((*stages, bad))
     stages.append(Stage("hom-images-closed", True))
     return PipelineReport(tuple(stages))
+
+
+def trivial_certificate_every_subset(k_index, alg, caps=Caps()):
+    """trivial_certificate closing every generator subset in combinations
+    order, size by size from 0 when the signature has constants, and
+    admitting each size r, as build_free would admit r variables, before
+    trying it."""
+    for r in range(0 if alg.sig.constants() else 1, alg.size + 1):
+        caps.admit(alg.sig, alg.size**r * max(1, r), "free")(1)
+        for gens in itertools.combinations(range(alg.size), r):
+            sub, inclusion = subalgebra_generate(alg, gens)
+            if sub.size == alg.size:
+                return HspCertificate(((k_index, 1),), gens, inclusion.image)
 
 
 def hsp_certificate_check_isosearch(K, B, cert, caps=Caps()):

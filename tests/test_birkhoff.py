@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 import ualg.birkhoff
+import ualg.closure
 import ualg.eqlogic
 
 from ualg import (
@@ -178,7 +179,7 @@ def test_eqcl_to_var_checks_each_subuniverse_once(monkeypatch):
     is skipped when dropping one generator leaves a subset whose subuniverse
     holds it) and checks 439 subalgebras: per model, one per distinct
     subuniverse."""
-    real_generate, real_failure = ualg.birkhoff.subalgebra_generate, ualg.birkhoff._closure_failure
+    real_generate, real_failure = ualg.closure.subalgebra_generate, ualg.birkhoff._closure_failure
     closed = []  # the model of each closure, in order
 
     def generate(alg, gens):
@@ -190,7 +191,7 @@ def test_eqcl_to_var_checks_each_subuniverse_once(monkeypatch):
             checks[id(closed[-1])] += 1
         return real_failure(derived, E, how, envs, caps)
 
-    monkeypatch.setattr(ualg.birkhoff, "subalgebra_generate", generate)
+    monkeypatch.setattr(ualg.closure, "subalgebra_generate", generate)
     monkeypatch.setattr(ualg.birkhoff, "_closure_failure", failure)
     subsets = closures = checked = 0
     for laws in EASY_LAW_SETS:

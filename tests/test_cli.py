@@ -324,6 +324,14 @@ def test_negative_vars_is_a_usage_error(command, count, z2_file):
     assert (code, out, err) == (2, "", f"usage error: --vars must be at least 0, got {count}\n")
 
 
+@pytest.mark.parametrize("command", [["theory", "--depth", "1"], ["free"]])
+def test_a_cap_past_the_int_text_limit_exits_2_naming_the_cap(command):
+    # 2^20000 environments or tuple cells: no digits, but the cap and its setting
+    code, out, err = run(*command, "--vars", "20000", str(DEMO_DATA / "z2_xor.alg"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(" exceeds cap cells=1000000; raise it with UALG_CAPS=cells=N\n")
+
+
 def test_birkhoff_demo_honours_caps(monkeypatch):
     monkeypatch.setenv("UALG_CAPS", "carrier=2")
     code, out, err = run("birkhoff-demo", "--vars", "2", str(DEMO_DATA / "semilattice2.alg"))

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from ualg import (
     evaluate,
     find_models,
     hsp_certificate_check,
+    signature,
     product,
     quotient,
     subalgebra_generate,
@@ -23,12 +25,18 @@ from ualg import (
     var_to_eqcl_check,
 )
 from ualg import closure
-from ualg.closure import CertCheckResult, EmptyCarrierError, HspCertificate
+from ualg.closure import CertCheckResult, EmptyCarrierError, HspCertificate, subuniverses
 from ualg.core import CapExceededError, Caps, SignatureMismatchError, UalgError
 from ualg.homs import NotAHomError
 from ualg.terms import all_environments
 
-from oracles import _set_partitions, congruences_bruteforce, hom_image, quotient_apply_op
+from oracles import (
+    _set_partitions,
+    congruences_bruteforce,
+    hom_image,
+    quotient_apply_op,
+    trivial_certificate_every_subset,
+)
 from samples import (
     SIG_F,
     SIG_FE,
@@ -326,6 +334,55 @@ def test_free_width_is_the_one_bound_of_both_cell_checks():
             build_free([band], variables, Caps(cells=cells - 1))
         with pytest.raises(CapExceededError, match=message):
             trivial_certificate(0, band, Caps(cells=cells - 1))
+
+
+WALK_SIGNATURES = {
+    "f2": signature(("f", 2)),
+    "f2-e0": signature(("f", 2), ("e", 0)),
+    "u1-g2": signature(("u", 1), ("g", 2)),
+    "t3": signature(("t", 3)),
+    "c0-d0-u1": signature(("c", 0), ("d", 0), ("u", 1)),
+}
+
+
+def random_algebras(sig, count, seed):
+    rng = random.Random(seed)
+    for size in range(1, 6):
+        for _ in range(count):
+            yield algebra(sig, size, {name: [rng.randrange(size) for _ in range(size**arity)] for name, arity in sig.ops})
+
+
+def _certificate_or_cap_text(find, alg, caps):
+    try:
+        return find(3, alg, caps)
+    except CapExceededError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("name", WALK_SIGNATURES)
+def test_trivial_certificate_matches_the_every_subset_oracle(name):
+    # the same certificate, or the same cap text, under caps that refuse
+    # no size, or some size up to the least generating one
+    for alg in random_algebras(WALK_SIGNATURES[name], 24, name):
+        n = alg.size
+        for caps in (Caps(), Caps(cells=2 * n**2), Caps(cells=3 * n**3 - 1), Caps(cells=8)):
+            got = _certificate_or_cap_text(trivial_certificate, alg, caps)
+            assert got == _certificate_or_cap_text(trivial_certificate_every_subset, alg, caps), (alg, caps)
+
+
+@pytest.mark.parametrize("name", WALK_SIGNATURES)
+def test_subuniverses_yields_each_subuniverse_once_by_its_first_subset(name):
+    sig = WALK_SIGNATURES[name]
+    for alg in random_algebras(sig, 6, name):
+        for start in (0, 1) if sig.constants() else (1,):
+            first = {}  # subuniverse -> the first subset reaching it, in size-then-combinations order
+            for r in range(start, alg.size + 1):
+                for gens in itertools.combinations(range(alg.size), r):
+                    first.setdefault(frozenset(subalgebra_generate(alg, gens)[1].image), gens)
+            walked = list(subuniverses(alg, start))
+            assert [(frozenset(inclusion.image), gens) for gens, _, inclusion in walked] == list(first.items())
+            for gens, sub, inclusion in walked:
+                assert (sub, inclusion) == subalgebra_generate(alg, gens)
 
 
 @pytest.mark.parametrize("sig", [SIG_F, SIG_FE, mixed_arities().sig, constants_only().sig])

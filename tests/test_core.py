@@ -7,6 +7,7 @@ import pytest
 from ualg import Signature, FiniteAlgebra, algebra, apply_op, signature
 from ualg.core import (
     ArityMismatchError,
+    CapExceededError,
     Caps,
     InvalidTablesError,
     OutOfRangeError,
@@ -134,6 +135,13 @@ def test_signature_invariants():
     assert SIG_M.arity("m") == 2
     with pytest.raises(UnknownSymbolError):
         SIG_M.arity("f")
+
+
+@pytest.mark.parametrize("amount, shown", [(2**256 - 1, str(2**256 - 1)), (2**256, "2^256 or more"), (3**10_000, "2^15849 or more")],
+                         ids=["256-bits", "257-bits", "3^10000"])
+def test_cap_text_names_an_amount_past_256_bits_by_its_leading_power_of_two(amount, shown):
+    with pytest.raises(CapExceededError, match=rf"^work: {re.escape(shown)} exceeds cap cells=1000000; raise it with UALG_CAPS=cells=N$"):
+        Caps().check("cells", amount, "work")
 
 
 def test_algebra_builder_checks_symbols():

@@ -206,10 +206,10 @@ def test_parse_term_errors_carry_spans():
 def test_parse_equation_and_file():
     eq = parse_equation("f(?x,?y) = f(?y,?x)")
     assert eq == Equation(App("f", (X, Y)), App("f", (Y, X)))
-    text = "# axioms\nf(?x,?y) = f(?y,?x)  ; commutativity\n\nf(?x,?x) = ?x  # idempotence\n"
+    # a ';' comment, like a '#' one, may fill a line or end one
+    text = "# axioms\n; c\nf(?x,?y) = f(?y,?x)  ; commutativity\n\n  ;\nf(?x,?x) = ?x  # idempotence\n"
     eqs = parse_equation_file(text)
-    assert len(eqs) == 2
-    assert eqs[1] == Equation(App("f", (X, X)), X)
+    assert eqs == [eq, Equation(App("f", (X, X)), X)]
 
 
 def test_parse_proof_spec_example():

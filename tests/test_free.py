@@ -190,9 +190,22 @@ def test_build_free_checks_the_index_width_before_listing_it():
 
 
 def test_build_free_rejects_repeated_variables():
-    # checked before any work: the tiny cells cap would trip otherwise
-    with pytest.raises(ValueError, match="variable 'x' is repeated"):
-        build_free([semilattice2(SIG_F)], ["x", "y", "x"], caps=Caps(cells=1))
+    # checked before any work: the tiny cells cap would trip otherwise; the
+    # first name to repeat one before it is named
+    for variables, name in [("xyx", "x"), ("xyzyx", "y"), ("xyxy", "x")]:
+        with pytest.raises(ValueError, match=f"^variable '{name}' is repeated$"):
+            build_free([semilattice2(SIG_F)], list(variables), caps=Caps(cells=1))
+
+
+def test_caps_name_an_amount_past_the_int_text_limit_by_its_power_of_two():
+    # 2^15000 * 15000 tuple cells and 2^15000 environments have over 4,300
+    # digits, past what str may print; the cap text still names the cap
+    names = [f"v{i}" for i in range(15_000)]
+    tail = " exceeds cap cells=1000000; raise it with UALG_CAPS=cells=N$"
+    with pytest.raises(CapExceededError, match=r"^free tuple cells: 2\^15013 or more" + tail):
+        build_free([z2_xor()], names)
+    with pytest.raises(CapExceededError, match=r"^environment space 2\^15000: 2\^15000 or more" + tail):
+        theory_upto([z2_xor()], names, 1)
 
 
 def test_build_free_empty_class():

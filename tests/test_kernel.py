@@ -16,6 +16,7 @@ import pytest
 
 import ualg.birkhoff
 import ualg.cli
+import ualg.closure
 from ualg import (
     App,
     Equation,
@@ -445,7 +446,7 @@ def _corrupt_one_subuniverse(E, pool):
     in model elements, whose change breaks E.  The corrupted subalgebra is
     the same algebra up to labels whichever subset reaches it, as a failure
     found in a subalgebra must be."""
-    real = ualg.birkhoff.subalgebra_generate
+    real = ualg.closure.subalgebra_generate
     reached = {}  # (model index, subuniverse) -> generator subsets
     models = [m for size in range(1, pool + 1) for m in models_bruteforce(infer_signature(E), tuple(E), size)[0]]
     for i, alg in enumerate(models):
@@ -480,7 +481,7 @@ def test_easy_direction_subalgebra_failure_matches_the_permodel_oracle(laws, mon
     checks each subuniverse once, fails at the first generator subset,
     failing equation and counterexample of the every-subset path."""
     E = easy_laws(laws)
-    monkeypatch.setattr(ualg.birkhoff, "subalgebra_generate", _corrupt_one_subuniverse(E, 3))
+    monkeypatch.setattr(ualg.closure, "subalgebra_generate", _corrupt_one_subuniverse(E, 3))
     got = eqcl_to_var_check(E, 3).lines()
     assert got == eqcl_to_var_check_permodel(E, 3).lines()
     assert got[-1].startswith("STAGE closure FAIL subalgebra from (")

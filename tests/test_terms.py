@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import ualg.terms
 from ualg import (
     App,
     Environment,
@@ -140,6 +141,23 @@ def test_enumerate_terms_matches_the_depth_list_oracle(sig):
                     enumerate_terms(sig, variables, max_depth, caps)
             else:
                 assert enumerate_terms(sig, variables, max_depth, caps) == want
+
+
+@pytest.mark.parametrize("caps, built, total", [(Caps(), 1000, 1006012010), (Caps(cells=40), 8, 1002)])
+def test_a_refused_term_layer_builds_no_term(caps, built, total, monkeypatch):
+    # over x and y, the ternary layers 1, 2 and 3 hold 8, 992 and
+    # 1002^3 - 10^3 terms; a layer past the cap is counted, not built
+    calls = []
+
+    def app(*args):
+        calls.append(args)
+        return App(*args)
+
+    monkeypatch.setattr(ualg.terms, "App", app)
+    message = f"^terms enumerated: {total} exceeds cap cells={caps.cells}; raise it with UALG_CAPS=cells=N$"
+    with pytest.raises(CapExceededError, match=message):
+        enumerate_terms(SIG_T, ["x", "y"], 3, caps)
+    assert len(calls) == built
 
 
 def test_substitution_lemma_exhaustive_small():
