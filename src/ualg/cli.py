@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import signal
 import sys
 from typing import Sequence, TextIO
 
@@ -39,6 +40,7 @@ from .fileio import (
     parse_equation_file,
     parse_proof,
     proof_to_text,
+    theory_text_rows,
 )
 from .free import build_free
 from .homs import (
@@ -203,6 +205,10 @@ def run_cli(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | 
 
 
 def main() -> None:
+    # a closed pipe ends the process quietly, as it does other Unix tools
+    sigpipe = getattr(signal, "SIGPIPE", None)
+    if sigpipe is not None:
+        signal.signal(sigpipe, signal.SIG_DFL)
     sys.exit(run_cli(sys.argv[1:]))
 
 
@@ -252,8 +258,8 @@ def _cmd_theory(args, caps: Caps, out: TextIO) -> int:
     variables = _gen_vars(args.vars)
     named = _load_class(args.files)
     theory = theory_partition([alg for _, alg in named], variables, args.depth, caps)
-    for eq in theory.equations():
-        print(equation_to_text(eq), file=out)
+    for row in theory_text_rows(theory):
+        out.write(row)
     return 0
 
 

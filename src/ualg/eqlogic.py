@@ -253,7 +253,8 @@ class TheoryPartition:
     member of the class K gives them the same value column (their
     fingerprints, the columns joined across K, are equal), which is when K
     satisfies their identity.  Each class lists term indices ascending;
-    classes are ordered by their least member."""
+    classes are ordered by their least member.  fileio.theory_text_rows
+    writes the pairs as text, each term rendered once, one row per term."""
 
     variables: tuple[str, ...]
     terms: list[Term]
@@ -264,13 +265,20 @@ class TheoryPartition:
         """Number of equations in the theory: the sum of |class|^2."""
         return sum(len(c) ** 2 for c in self.classes)
 
-    def equations(self) -> Iterator[Equation]:
-        """Every pair (p, q) within a class, by p ascending and then q
-        ascending: the lexicographic order of the term indices."""
+    def rows(self) -> Iterator[tuple[int, list[int]]]:
+        """Each term index p, ascending, with its class (q ascending): the
+        one pairing order, lexicographic in (p, q), that equations() and
+        fileio.theory_text_rows both read."""
         class_of = {i: cls for cls in self.classes for i in cls}
+        for p in range(len(self.terms)):
+            yield p, class_of[p]
+
+    def equations(self) -> Iterator[Equation]:
+        """Every pair (p, q) within a class, in rows() order."""
         terms = self.terms
-        for p, t in enumerate(terms):
-            for q in class_of[p]:
+        for p, cls in self.rows():
+            t = terms[p]
+            for q in cls:
                 yield Equation(t, terms[q])
 
     def first_failure(self, alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> Equation | None:

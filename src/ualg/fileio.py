@@ -10,10 +10,11 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .core import FiniteAlgebra, InvalidTablesError, Signature, UalgError, Violation, decimal
 from .closure import HspCertificate
+from .eqlogic import TheoryPartition
 from .terms import App, Equation, Substitution, Term, Var
 from . import entail
 from .free import FreeAlgebra
@@ -239,6 +240,18 @@ def term_to_text(t: Term) -> str:
 
 def equation_to_text(eq: Equation) -> str:
     return str(eq)
+
+
+def theory_text_rows(theory: TheoryPartition) -> Iterator[str]:
+    """The text of theory.equations(), one row per term p: the lines
+    `p = q` for each q in p's class, in equations() order, so the rows
+    joined are equation_to_text(eq) + "\n" over the equations.  Each term
+    is rendered once, by str; a row holds one class's lines, so a caller
+    that writes each row with one write never holds the whole text."""
+    texts = [str(t) for t in theory.terms]
+    for p, cls in theory.rows():
+        lhs = texts[p] + " = "
+        yield lhs + ("\n" + lhs).join([texts[q] for q in cls]) + "\n"
 
 
 def proof_to_text(p: entail.Proof) -> str:

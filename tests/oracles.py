@@ -19,8 +19,9 @@ hard direction's free algebra built on one variable per element of B, a
 hom's image closed as a subalgebra of its target (hom_image), the HSP
 certificate check comparing that image with B by an isomorphism search,
 the trivial certificate closing every generator subset in turn,
-term enumeration keeping every term's depth in a list beside it, and the
-byte-lane plan rebuilding its step tables on every call.
+term enumeration keeping every term's depth in a list beside it, the
+byte-lane plan rebuilding its step tables on every call, and a theory's
+text rendered by str one equation at a time.
 Table indices here come from enumerating itertools.product (_positions),
 never from the package's index codec, so a fault in the codec cannot
 show on both sides of a differential test.
@@ -111,6 +112,11 @@ def theory_upto_pairwise(K, variables, max_depth, term_cap=1_000_000, env_cap=1_
         for p, q in itertools.product(terms, repeat=2)
         if class_satisfies(K, Equation(p, q), Caps(cells=env_cap)).holds
     ]
+
+
+def theory_text_oracle(theory):
+    """The text of theory.equations(), each equation rendered on its own by str."""
+    return "".join(str(eq) + "\n" for eq in theory.equations())
 
 
 def models_theory_pairwise(K, B, depth):

@@ -1,15 +1,24 @@
+import hashlib
 import io
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ualg import algebra
 from ualg.cli import run_cli
+from ualg.eqlogic import theory_partition
 from ualg.fileio import emit_algebra_file, parse_algebra_file, parse_proof
 
+from oracles import theory_text_oracle
 from samples import SIG_F, semilattice2, z2_xor, z3_add, z4_add
 
-DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_DATA = ROOT / "demos" / "data"
+DEMO_ALGEBRAS = sorted(DEMO_DATA.glob("*.alg"))
 
 
 def run(*argv, env=None, monkeypatch=None):
@@ -107,6 +116,75 @@ def test_theory_lists_equations(z2_file):
     lines = out.splitlines()
     assert "f(?v0,?v1) = f(?v1,?v0)" in lines
     assert all(" = " in line for line in lines)
+
+
+class _Md5Stream:
+    """A text stream that keeps only the md5 of what is written to it."""
+
+    def __init__(self):
+        self.md5 = hashlib.md5()
+
+    def write(self, text):
+        self.md5.update(text.encode())
+        return len(text)
+
+
+# The str oracle takes about 9 s on z2_xor at depth 3 (522,730 lines) and
+# 30 s on semilattice2 (1,944,588 lines), so those two cases are held to
+# the md5 of the text the oracle gave.
+THEORY_MD5 = {
+    ("semilattice2.alg", 3): "f3fb39e306f71b4d450a06e7c19e14d5",
+    ("z2_xor.alg", 3): "b654319c8bebde89d0c22d87c9d81456",
+}
+
+
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize("path", DEMO_ALGEBRAS, ids=lambda path: path.name)
+def test_theory_stdout_is_str_of_each_equation(path, depth):
+    argv = ["theory", "--depth", str(depth), "--vars", "2", str(path)]
+    if (path.name, depth) in THEORY_MD5:
+        out = _Md5Stream()
+        assert run_cli(argv, stdout=out) == 0
+        assert out.md5.hexdigest() == THEORY_MD5[path.name, depth]
+        return
+    code, out, err = run(*argv)
+    assert (code, err) == (0, "")
+    _, named = parse_algebra_file(path.read_text(), file=str(path))
+    theory = theory_partition([alg for _, alg in named], ["v0", "v1"], depth)
+    assert out == theory_text_oracle(theory)
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_theory_writes_one_row_per_term():
+    out = _CountingStream()
+    assert run_cli(["theory", "--depth", "2", "--vars", "2", str(DEMO_DATA / "pool.alg")], stdout=out) == 0
+    assert out.writes == len({line.split(" = ")[0] for line in out.getvalue().splitlines()}) == 38
+
+
+@pytest.mark.skipif(getattr(signal, "SIGPIPE", None) is None, reason="no SIGPIPE on this platform")
+def test_a_closed_pipe_ends_the_command_quietly():
+    # the depth-3 theory is megabytes, far past a pipe's buffer, so ualg is
+    # still writing when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ualg.cli", "theory", "--depth", "3", "--vars", "2", str(DEMO_DATA / "pool.alg")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (first, err, proc.wait(timeout=60)) == (b"?v0 = ?v0\n", b"", -signal.SIGPIPE)
 
 
 def test_hom_classification(pool_file):
@@ -296,6 +374,20 @@ POOL_DEMO_STDOUT = (
 def test_birkhoff_demo_pool_stdout():
     code, out, err = run("birkhoff-demo", "--vars", "2", str(DEMO_DATA / "pool.alg"))
     assert (code, out, err) == (0, POOL_DEMO_STDOUT, "")
+
+
+BIRKHOFF_DEMO_SHA256 = {
+    "pool.alg": "3138e976ef2a6ab4c57abf3260ab3524aea64551ccb8f19fe4edffde1011eb1a",
+    "semilattice2.alg": "9b9be3a83ef2195db3da16c5065a16f56daf19f3afd2a8539641b9ff0fcfae68",
+    "z2_xor.alg": "98aad3bf39444620920f779c0a20baef99f14baa0e134ce35aeeca40a705dff4",
+}
+
+
+@pytest.mark.parametrize("path", DEMO_ALGEBRAS, ids=lambda path: path.name)
+def test_birkhoff_demo_stdout_is_pinned_on_every_demo_file(path):
+    code, out, err = run("birkhoff-demo", "--vars", "2", str(path))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == BIRKHOFF_DEMO_SHA256[path.name]
 
 
 @pytest.mark.parametrize(

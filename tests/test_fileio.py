@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from ualg import App, Equation, Substitution, Var, build_free, enumerate_terms, signature
+from ualg import App, Equation, Substitution, Var, algebra, build_free, enumerate_terms, signature
 from ualg.closure import HspCertificate
+from ualg.eqlogic import theory_partition
 from ualg.entail import Hyp, Refl, Sub, Sym, Trans, App as PApp
 from ualg.fileio import (
     AlgebraValidationError,
@@ -19,8 +22,10 @@ from ualg.fileio import (
     parse_term,
     proof_to_text,
     term_to_text,
+    theory_text_rows,
 )
 
+from oracles import theory_text_oracle
 from samples import semilattice2, z2_xor
 
 X, Y = Var("x"), Var("y")
@@ -305,6 +310,36 @@ def test_term_and_equation_text_are_the_str_forms():
         text = equation_to_text(eq)
         assert text == str(eq) == f"{_term_text_recursive(p)} = {_term_text_recursive(q)}"
         assert parse_equation(text) == eq
+
+
+# (signature, {variable count: deepest depth}): the largest theory here, on
+# 183 terms, has at most 183^2 pairs even when every member is trivial
+THEORY_TEXT_CASES = [
+    (signature(("f", 2)), {1: 3, 2: 2}),
+    (signature(("c", 0), ("u", 1), ("f", 2)), {0: 3, 1: 2, 2: 1}),
+    (signature(("t", 3)), {1: 2, 2: 1}),
+]
+
+
+@pytest.mark.parametrize("sig, depths", THEORY_TEXT_CASES, ids=["f2", "c0u1f2", "t3"])
+def test_theory_text_rows_are_str_of_each_equation(sig, depths):
+    # classes of 1-3 random algebras of 1-3 elements: one row per term, whose
+    # lines are that term's equations, and all rows are the str of each equation
+    rng = random.Random(len(sig.ops))
+    for n_vars, deepest in depths.items():
+        variables = ["x", "y"][:n_vars]
+        for max_depth in range(deepest + 1):
+            for _ in range(4):
+                K = []
+                for _ in range(rng.randint(1, 3)):
+                    n = rng.randint(1, 3)
+                    K.append(algebra(sig, n, {f: [rng.randrange(n) for _ in range(n**r)] for f, r in sig.ops}))
+                theory = theory_partition(K, variables, max_depth)
+                rows = list(theory_text_rows(theory))
+                assert len(rows) == len(theory.terms)
+                for t, row in zip(theory.terms, rows):
+                    assert all(line.startswith(f"{t} = ") for line in row.splitlines())
+                assert "".join(rows) == theory_text_oracle(theory)
 
 
 def test_certificate_round_trip():
