@@ -25,7 +25,7 @@ from .closure import (
 from .eqlogic import find_models, satisfies, theory_partition
 from .free import UniversalMapFailure, build_free, universal_map
 from .homs import CarrierMap, hom_violation
-from .terms import Equation, environment_columns, equation_vars, infer_signature, term_columns
+from .terms import Environment, Equation, environment_columns, equation_vars, infer_signature, term_columns
 
 # the depth of K's two-variable theory that var_to_eqcl_check's last stage checks in B
 THEORY_DEPTH = 2
@@ -138,21 +138,15 @@ def verify_invariance(
     stages = [Stage("witness-wellformed", True, kind)]
     base = satisfies(A, eq, caps)
     if not base.holds:
-        ce = _env_string(base.counterexample.assoc)
-        stages.append(Stage("base-satisfies", True, f"vacuous: A fails at {ce}"))
+        stages.append(Stage("base-satisfies", True, f"vacuous: A fails at {base.counterexample}"))
         return PipelineReport(tuple(stages))
     stages.append(Stage("base-satisfies", True))
-    derived_sat = satisfies(derived, eq, caps)
-    if derived_sat.holds:
+    res = satisfies(derived, eq, caps)
+    if res.holds:
         stages.append(Stage("derived-satisfies", True))
     else:
-        ce = _env_string(derived_sat.counterexample.assoc)
-        stages.append(Stage("derived-satisfies", False, f"counterexample {ce}"))
+        stages.append(Stage("derived-satisfies", False, f"counterexample {res.counterexample}"))
     return PipelineReport(tuple(stages))
-
-
-def _env_string(assoc: dict[str, int]) -> str:
-    return " ".join(f"{k}={v}" for k, v in assoc.items())
 
 
 def eqcl_to_var_check(
@@ -228,13 +222,13 @@ def _closure_failure(
     return None
 
 
-def _replay(alg: FiniteAlgebra, eq: Equation, caps: Caps) -> str:
+def _replay(alg: FiniteAlgebra, eq: Equation, caps: Caps) -> Environment:
     """satisfies' counterexample to an equation alg's value columns fail;
     UalgError when there is none, for then the two evaluations disagree."""
     res = satisfies(alg, eq, caps)
     if res.holds:
         raise UalgError(f"value columns fail {eq}, but satisfies finds no counterexample")
-    return _env_string(res.counterexample.assoc)
+    return res.counterexample
 
 
 def var_to_eqcl_check(

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the queried property holds (or the command succeeded),
 1 when the property fails (witnesses on stdout as `WITNESS ...` lines),
-2 for unusable input or usage errors (message on stderr).
+2 for unusable input, usage errors or terms nested past the recursion
+limit (message on stderr).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Sequence, TextIO
 from .core import Caps, FiniteAlgebra, Signature, UalgError, decimal
 from .birkhoff import (
     ProductWitness,
-    _env_string,
     eqcl_to_var_check,
     var_to_eqcl_check,
     verify_invariance,
@@ -128,8 +128,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--axioms", required=True, metavar="FILE")
     p.add_argument("--goal", required=True, metavar='"p = q"')
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--budget", type=int, default=50_000)
-    p.add_argument("--max-term-size", type=int, default=24)
+    p.add_argument("--budget", type=int, default=SearchLimits.node_budget)
+    p.add_argument("--max-term-size", type=int, default=SearchLimits.max_term_size)
 
     p = sub.add_parser("birkhoff-demo", help="run the HSP demonstration pipelines")
     p.set_defaults(run=_cmd_birkhoff_demo)
@@ -202,6 +202,9 @@ def run_cli(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | 
     except (UalgError, OSError, ValueError) as e:
         print(f"error: {e}", file=err)
         return 2
+    except RecursionError as e:  # a term nested past the interpreter's recursion limit
+        print(f"error: term nested too deeply: {e}", file=err)
+        return 2
 
 
 def main() -> None:
@@ -235,7 +238,7 @@ def _cmd_sat(args, caps: Caps, out: TextIO) -> int:
     if result.holds:
         print(f"RESULT holds {equation_to_text(eq)}", file=out)
         return 0
-    print(f"WITNESS {_env_string(result.counterexample.assoc)}", file=out)
+    print(f"WITNESS {result.counterexample}", file=out)
     return 1
 
 
@@ -247,10 +250,7 @@ def _cmd_class_sat(args, caps: Caps, out: TextIO) -> int:
         print(f"RESULT holds in {len(named)} algebra(s)", file=out)
         return 0
     failing = named[result.failing_index][0]
-    print(
-        f"WITNESS algebra={failing} {_env_string(result.counterexample.assoc)}",
-        file=out,
-    )
+    print(f"WITNESS algebra={failing} {result.counterexample}", file=out)
     return 1
 
 

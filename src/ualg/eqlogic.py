@@ -38,8 +38,13 @@ from .terms import (
 
 @dataclass(frozen=True)
 class SatResult:
+    """Whether the identity holds and, when it fails, the first refuting
+    environment; class_satisfies and mod_check also give the index of the
+    first failing member or equation."""
+
     holds: bool
     counterexample: Environment | None = None
+    failing_index: int | None = None
 
 
 def satisfies(alg: FiniteAlgebra, eq: Equation, caps: Caps = DEFAULT_CAPS) -> SatResult:
@@ -56,34 +61,25 @@ def satisfies(alg: FiniteAlgebra, eq: Equation, caps: Caps = DEFAULT_CAPS) -> Sa
     return SatResult(True)
 
 
-@dataclass(frozen=True)
-class ClassSatResult:
-    holds: bool
-    failing_index: int | None = None
-    counterexample: Environment | None = None
-
-
 def class_satisfies(
     K: Sequence[FiniteAlgebra], eq: Equation, caps: Caps = DEFAULT_CAPS
-) -> ClassSatResult:
+) -> SatResult:
     """Conjunction of satisfies over K; empty classes hold vacuously."""
     for i, alg in enumerate(K):
         res = satisfies(alg, eq, caps)
         if not res.holds:
-            return ClassSatResult(False, i, res.counterexample)
-    return ClassSatResult(True)
+            return SatResult(False, res.counterexample, i)
+    return SatResult(True)
 
 
-def mod_check(
-    alg: FiniteAlgebra, E: Sequence[Equation], caps: Caps = DEFAULT_CAPS
-) -> ClassSatResult:
+def mod_check(alg: FiniteAlgebra, E: Sequence[Equation], caps: Caps = DEFAULT_CAPS) -> SatResult:
     """Membership of alg in the model class of the finite equation list E;
     failing_index names the first equation of E that alg fails."""
     for i, eq in enumerate(E):
         res = satisfies(alg, eq, caps)
         if not res.holds:
-            return ClassSatResult(False, i, res.counterexample)
-    return ClassSatResult(True)
+            return SatResult(False, res.counterexample, i)
+    return SatResult(True)
 
 
 def find_models(

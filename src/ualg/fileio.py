@@ -360,10 +360,14 @@ def parse_algebra_file(
 
     algebras: list[tuple[str, FiniteAlgebra]] = []
     failures: list[tuple[str, Violation]] = []
+    names: set[str] = set()
     for lineno, words in lines:
         if len(words) != 2 or words[0] != "algebra":
             raise ParseError("expected 'algebra <name>'", span(lineno))
         name = words[1]
+        if name in names:
+            raise ParseError(f"duplicate algebra name {name!r}", span(lineno))
+        names.add(name)
         lineno, words = take()
         if len(words) != 2 or words[0] != "size" or (size := _int(words[1], span(lineno))) is None:
             raise ParseError("expected 'size <n>'", span(lineno))

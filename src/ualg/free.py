@@ -24,7 +24,6 @@ from .core import (
     DEFAULT_CAPS,
     Caps,
     FiniteAlgebra,
-    OutOfRangeError,
     Signature,
     UalgError,
     same_signature,
@@ -35,6 +34,7 @@ from .terms import (
     App,
     Term,
     Var,
+    _checked_bindings,
     _list_fingerprints,
     all_environments,
     fingerprints,
@@ -171,9 +171,7 @@ def universal_map(
     for name in free.variables:
         if name not in assign:
             raise ValueError(f"assignment misses variable {name}")
-    for name, value in assign.items():
-        if not 0 <= value < B.size:
-            raise OutOfRangeError(f"binding {name}={value} outside carrier 0..{B.size - 1}")
+    _checked_bindings(assign, B.size)
     single = {name: [value] for name, value in assign.items()}
     image = tuple([col[0] for col in term_columns(B, free.reprs, single)])
     candidate = CarrierMap(free.alg, B, image)

@@ -134,19 +134,24 @@ class Environment:
             if not 0 <= value < self.alg.size:
                 raise ValueError(f"binding {name}={value} outside carrier")
 
+    def __str__(self) -> str:
+        return " ".join(f"{name}={value}" for name, value in self.assoc.items())
 
-def _binding_map(rho: Environment | Mapping[str, int]) -> Mapping[str, int]:
-    return rho.assoc if isinstance(rho, Environment) else rho
+
+def _checked_bindings(rho: Environment | Mapping[str, int], n: int) -> Mapping[str, int]:
+    """rho's bindings; OutOfRangeError unless each lies in the carrier 0..n-1."""
+    bindings = rho.assoc if isinstance(rho, Environment) else rho
+    for name, value in bindings.items():
+        if not 0 <= value < n:
+            raise OutOfRangeError(f"binding {name}={value} outside carrier 0..{n - 1}")
+    return bindings
 
 
 def evaluate(alg: FiniteAlgebra, t: Term, rho: Environment | Mapping[str, int]) -> int:
     """Interpret t in alg under the variable bindings of rho."""
-    bindings, n = _binding_map(rho), alg.size
-    for name, value in bindings.items():
-        if not 0 <= value < n:
-            raise OutOfRangeError(f"binding {name}={value} outside carrier 0..{n - 1}")
+    bindings = _checked_bindings(rho, alg.size)
     try:
-        return _walk(t, bindings, alg._ops, n)
+        return _walk(t, bindings, alg._ops, alg.size)
     except KeyError as e:  # only binding lookups raise it
         raise UnboundVariableError(f"unbound variable ?{e.args[0]}") from None
 
@@ -303,10 +308,7 @@ def free_lift(
     Same value as evaluate(alg, t, h); computed by an explicit post-order
     so the agreement is a meaningful test rather than shared code.
     """
-    h = _binding_map(h)
-    for name, value in h.items():
-        if not 0 <= value < alg.size:
-            raise OutOfRangeError(f"binding {name}={value} outside carrier 0..{alg.size - 1}")
+    h = _checked_bindings(h, alg.size)
     out: dict[int, int] = {}
     stack: list[tuple[Term, bool]] = [(t, False)]
     while stack:

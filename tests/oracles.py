@@ -54,7 +54,7 @@ from ualg import (
     satisfies,
     subalgebra_generate,
 )
-from ualg.birkhoff import PipelineReport, Stage, _env_string, _models_theory
+from ualg.birkhoff import PipelineReport, Stage, _models_theory
 from ualg.closure import CertCheckResult, HspCertificate, ProductAlgebra
 from ualg.core import Caps, UalgError, same_signature
 from ualg.free import FreeAlgebra, UniversalMapFailure, universal_map
@@ -126,8 +126,7 @@ def models_theory_pairwise(K, B, depth):
     for eq in theory:
         res = satisfies(B, eq)
         if not res.holds:
-            ce = _env_string(res.counterexample.assoc)
-            return Stage("models-theory", False, f"{eq} fails at {ce}")
+            return Stage("models-theory", False, f"{eq} fails at {res.counterexample}")
     return Stage("models-theory", True, f"{len(theory)} equations")
 
 
@@ -543,8 +542,7 @@ def eqcl_to_var_check_permodel(E, pool_size_bound, product_size_cap=4096, search
         res = mod_check(derived, E)
         if res.holds:
             return None
-        ce = _env_string(res.counterexample.assoc)
-        return Stage("closure", False, f"{how} breaks equation {res.failing_index} at {ce}")
+        return Stage("closure", False, f"{how} breaks equation {res.failing_index} at {res.counterexample}")
 
     for a, b in itertools.combinations_with_replacement(models, 2):
         if a.size * b.size > product_size_cap:

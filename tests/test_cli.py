@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from ualg import algebra
-from ualg.cli import run_cli
-from ualg.eqlogic import theory_partition
-from ualg.fileio import emit_algebra_file, parse_algebra_file, parse_proof
+from ualg import SearchLimits, algebra, signature
+from ualg.cli import _build_parser, run_cli
+from ualg.eqlogic import class_satisfies, satisfies, theory_partition
+from ualg.fileio import emit_algebra_file, parse_algebra_file, parse_equation, parse_proof
 
 from oracles import theory_text_oracle
 from samples import SIG_F, semilattice2, z2_xor, z3_add, z4_add
@@ -108,6 +108,16 @@ def test_class_sat(pool_file, z2_file):
     code, out, _ = run("class-sat", "--equation", "f(?x,?x) = ?x", pool_file)
     assert code == 1
     assert out == "WITNESS algebra=Z2 x=1\n"
+
+
+def test_witnesses_print_the_refuting_environment(pool_file):
+    eq = "f(?x,?y) = ?x"
+    env = satisfies(z3_add(), parse_equation(eq)).counterexample
+    assert str(env) == "x=0 y=1"
+    assert run("sat", "--algebra", f"{pool_file}:Z3", "--equation", eq) == (1, f"WITNESS {env}\n", "")
+    named = parse_algebra_file(Path(pool_file).read_text())[1]
+    env = class_satisfies([alg for _, alg in named], parse_equation(eq)).counterexample
+    assert run("class-sat", "--equation", eq, pool_file) == (1, f"WITNESS algebra=Z2 {env}\n", "")
 
 
 def test_theory_lists_equations(z2_file):
@@ -513,6 +523,42 @@ def test_numerals_past_the_int_limit_exit_two_with_a_span(tmp_path):
     proof.write_text(f"(hyp {big})\n")
     code, out, err = run("entail-check", "--axioms", str(axioms), "--goal", "?x = ?x", "--proof", str(proof))
     assert code == 2 and err.startswith(f"error: {proof}:1:6-5006: 5001-digit integer")
+
+
+def test_terms_nested_past_the_recursion_limit_exit_two(tmp_path, z2_file):
+    # each walk recurses once per level: free's 300-element cycle has representatives
+    # 299 deep, theory's depth-270 terms are rendered, and the equation is parsed
+    s = signature(("u", 1))
+    cycle = tmp_path / "u300.alg"
+    cycle.write_text(emit_algebra_file(s, [("U", algebra(s, 300, {"u": [(a + 1) % 300 for a in range(300)]}))]))
+    chain = tmp_path / "cu.alg"
+    chain.write_text("signature\nop c 0\nop u 1\nend\nalgebra A\nsize 1\nop c 0\nop u 0\nend\n")
+    deep = "f(" * 1200 + "?x" + ",?x)" * 1200 + " = ?x"
+    for argv in (
+        ["free", "--vars", "1", str(cycle)],
+        ["theory", "--depth", "270", "--vars", "0", str(chain)],
+        ["sat", "--algebra", z2_file, "--equation", deep],
+    ):
+        code, _, err = run(*argv)
+        assert code == 2, argv[0]
+        assert err.startswith("error: term nested too deeply: ") and err.count("\n") == 1, err
+
+
+def test_a_repeated_algebra_name_is_refused_at_its_line(tmp_path):
+    path = tmp_path / "dup.alg"
+    text = emit_algebra_file(SIG_F, [("A", z2_xor()), ("B", z3_add()), ("A", z4_add())])
+    path.write_text(text)
+    lineno = [i for i, line in enumerate(text.splitlines(), 1) if line == "algebra A"][1]
+    want = f"error: {path}:{lineno}:1-1: duplicate algebra name 'A'\n"
+    for argv in (["validate", str(path)], ["sat", "--algebra", f"{path}:A", "--equation", "?x = ?x"],
+                 ["birkhoff-demo", "--vars", "1", str(path)]):
+        assert run(*argv) == (2, "", want)
+
+
+def test_entail_search_defaults_are_the_search_limits():
+    args = _build_parser().parse_args(["entail-search", "--axioms", "a", "--goal", "?x = ?x", "--depth", "1"])
+    limits = SearchLimits()
+    assert (args.budget, args.max_term_size) == (limits.node_budget, limits.max_term_size)
 
 
 def test_help_exits_zero():

@@ -4,7 +4,9 @@ import pytest
 
 from ualg import (
     App,
+    Environment,
     Equation,
+    SatResult,
     Var,
     algebra,
     class_satisfies,
@@ -36,7 +38,7 @@ from samples import (
     z3_add,
 )
 
-X, Y = Var("x"), Var("y")
+X, Y, Z = Var("x"), Var("y"), Var("z")
 COMM = Equation(App("f", (X, Y)), App("f", (Y, X)))
 IDEM = Equation(App("f", (X, X)), X)
 
@@ -107,6 +109,35 @@ def test_mod_check():
     res = mod_check(z2_xor(), [IDEM])
     assert not res.holds and res.failing_index == 0
     assert res.counterexample.assoc == {"x": 1}
+
+
+def test_the_three_satisfaction_checks_return_one_result_type():
+    ce = Environment(z2_xor(), {"x": 1})
+    assert satisfies(z2_xor(), IDEM) == SatResult(False, ce, None)
+    assert class_satisfies([semilattice2(SIG_F), z2_xor()], IDEM) == SatResult(False, ce, 1)
+    assert mod_check(z2_xor(), [COMM, IDEM]) == SatResult(False, ce, 1)
+    for res in (
+        satisfies(z2_xor(), COMM),
+        class_satisfies([z2_xor(), z3_add()], COMM),
+        class_satisfies([], IDEM),
+        mod_check(z2_xor(), [COMM]),
+        mod_check(z2_xor(), []),
+    ):
+        assert res == SatResult(True)
+
+
+def test_class_checks_stop_at_the_first_failure():
+    # under cells=4 an environment space past 4 raises; the checks never reach it
+    caps = Caps(cells=4)
+    proj = Equation(App("f", (X, Y)), X)  # Z2 fails it at x=0 y=1; Z3 has 9 environments
+    assoc = Equation(App("f", (X, App("f", (Y, Z)))), App("f", (App("f", (X, Y)), Z)))
+    with pytest.raises(CapExceededError):
+        mod_check(z2_xor(), [assoc], caps)
+    with pytest.raises(CapExceededError):
+        class_satisfies([z3_add()], proj, caps)
+    ce = Environment(z2_xor(), {"x": 0, "y": 1})
+    assert mod_check(z2_xor(), [proj, assoc], caps) == SatResult(False, ce, 0)
+    assert class_satisfies([z2_xor(), z3_add()], proj, caps) == SatResult(False, ce, 0)
 
 
 def _theory_pairs(alg, depth=2):

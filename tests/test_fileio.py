@@ -87,7 +87,13 @@ def test_parse_algebra_file_errors():
     ("signature\nop f 1\nend\nalgebra A\nsize 2\nop f 0 1\nop f 1 0\nend\n", "7:1-1: duplicate table for 'f'"),
     ("signature\nop f 1\nend\nalgebra A\nsize 0\nend\n", "5:1-1: size must be at least 1"),
     ("signature\nop f 1\nend\nsize 2\nop f 0 1\nend\n", "4:1-1: expected 'algebra <name>'"),
-], ids=["bad-op-name", "duplicate-op-name", "duplicate-table", "size-0", "missing-algebra-line"])
+    ("signature\nop f 1\nend\nalgebra A\nsize 1\nop f 0\nend\nalgebra A\nsize 1\nop f 0\nend\n",
+     "8:1-1: duplicate algebra name 'A'"),
+    # a name is taken even by a block whose tables fail validation
+    ("signature\nop f 1\nend\nalgebra A\nsize 1\nop f 1\nend\nalgebra A\nsize 1\nop f 0\nend\n",
+     "8:1-1: duplicate algebra name 'A'"),
+], ids=["bad-op-name", "duplicate-op-name", "duplicate-table", "size-0", "missing-algebra-line",
+        "duplicate-algebra-name", "duplicate-algebra-name-after-a-bad-table"])
 def test_parse_algebra_file_error_texts(text, message):
     with pytest.raises(ParseError, match=f"^a\\.alg:{message}$"):
         parse_algebra_file(text, "a.alg")

@@ -35,7 +35,7 @@ from ualg import (
 )
 from ualg.closure import generate
 from ualg.core import ArityMismatchError, CapExceededError, Caps, OutOfRangeError, UnknownSymbolError, lane_plan
-from ualg.eqlogic import ClassSatResult, theory_partition
+from ualg.eqlogic import SatResult, theory_partition
 from ualg.fileio import equation_to_text, parse_algebra_file
 from ualg.terms import (
     UnboundVariableError,
@@ -370,7 +370,7 @@ def test_free_maps_match_pointwise_oracles():
 def test_mod_check_reports_a_class_sat_result():
     idem = Equation(App("f", (X, X)), X)
     res = mod_check(z2_xor(), [Equation(X, X), idem])
-    assert res == ClassSatResult(False, 1, res.counterexample)
+    assert res == SatResult(False, res.counterexample, 1)
     assert res.counterexample.assoc == {"x": 1}
 
 

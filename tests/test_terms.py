@@ -11,11 +11,13 @@ from ualg import (
     Var,
     algebra,
     apply_op,
+    build_free,
     enumerate_terms,
     evaluate,
     free_lift,
     signature,
     substitute,
+    universal_map,
 )
 from ualg.core import ArityMismatchError, CapExceededError, Caps, OutOfRangeError
 from ualg.terms import (
@@ -79,17 +81,26 @@ def test_environment_rejects_out_of_range():
 @pytest.mark.parametrize("bad", [-1, 2])
 def test_evaluate_and_free_lift_refuse_out_of_range_bindings(bad):
     # on Z2 a binding of -1 would wrap round to the last row and one of 2
-    # would index past the table: both paths refuse either, as Environment does
-    for rho in ({"x": bad, "y": 0}, {"x": 0, "y": bad}):
-        with pytest.raises(OutOfRangeError):
-            evaluate(z2_xor(), f(X, Y), rho)
-        with pytest.raises(OutOfRangeError):
-            free_lift(z2_xor(), rho, f(X, Y))
-        # a bare variable is read, not applied: both paths still refuse it
-        with pytest.raises(OutOfRangeError):
-            evaluate(z2_xor(), X, rho)
-        with pytest.raises(OutOfRangeError):
-            free_lift(z2_xor(), rho, X)
+    # would index past the table: every path refuses either, as Environment
+    # does, with one text; universal_map refuses the assignment alike
+    free = build_free([z2_xor()], ["x", "y"])
+    for rho, name in (({"x": bad, "y": 0}, "x"), ({"x": 0, "y": bad}, "y")):
+        text = re.escape(f"binding {name}={bad} outside carrier 0..1")
+        for call in (
+            lambda: evaluate(z2_xor(), f(X, Y), rho),
+            lambda: free_lift(z2_xor(), rho, f(X, Y)),
+            # a bare variable is read, not applied: both paths still refuse it
+            lambda: evaluate(z2_xor(), X, rho),
+            lambda: free_lift(z2_xor(), rho, X),
+            lambda: universal_map(free, z2_xor(), rho),
+        ):
+            with pytest.raises(OutOfRangeError, match=f"^{text}$"):
+                call()
+
+
+def test_an_environment_prints_its_bindings_in_order():
+    assert str(Environment(z3_add(), {"y": 2, "x": 0})) == "y=2 x=0"
+    assert str(Environment(z3_add(), {})) == ""
 
 
 def test_free_lift_examples():
