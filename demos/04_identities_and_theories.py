@@ -6,7 +6,7 @@ back in lexicographic order so runs are reproducible.
 """
 
 from ualg import algebra, class_satisfies, mod_check, satisfies, signature, theory_upto
-from ualg.fileio import equation_to_text, parse_equation
+from ualg.fileio import parse_equation
 
 sig = signature(("f", 2))
 xor = algebra(sig, 2, {"f": [0, 1, 1, 0]})
@@ -32,4 +32,4 @@ theory = theory_upto([xor, z3], ["x", "y"], 1)
 nontrivial = [eq for eq in theory if eq.lhs != eq.rhs]
 print(f"depth-1 theory of {{xor, z3}}: {len(theory)} identities, {len(nontrivial)} beyond reflexivity:")
 for eq in nontrivial:
-    print("   ", equation_to_text(eq))
+    print("   ", eq)

@@ -9,7 +9,7 @@ deepening; the auditor replays conclusions in every model of the axioms.
 from ualg import SearchLimits, check_proof, search_proof, signature, soundness_audit
 from ualg.entail import Hyp, Sub, Sym
 from ualg.terms import Substitution
-from ualg.fileio import equation_to_text, parse_equation, parse_term, proof_to_text
+from ualg.fileio import parse_equation, parse_term, proof_to_text
 from ualg import algebra
 
 sig = signature(("f", 2))
@@ -18,7 +18,7 @@ axioms = [parse_equation("f(?x,?y) = f(?y,?x)")]
 # Hand-built proof: substitute y := f(x,x) into the flipped axiom.
 proof = Sub(Sym(Hyp(0)), Substitution({"y": parse_term("f(?x,?x)")}))
 print("proof:", proof_to_text(proof))
-print("concludes:", equation_to_text(check_proof(sig, axioms, proof)))
+print("concludes:", check_proof(sig, axioms, proof))
 
 # Search finds proofs of small consequences and re-checks them itself.
 goal = parse_equation("f(f(?x,?x),?y) = f(?y,f(?x,?x))")

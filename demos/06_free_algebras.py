@@ -8,7 +8,7 @@ into an algebra.
 """
 
 from ualg import algebra, build_free, class_satisfies, nat_epi, signature, universal_map
-from ualg.fileio import emit_algebra_file, emit_free_sidecar, parse_equation, parse_term, term_to_text
+from ualg.fileio import emit_algebra_file, emit_free_sidecar, parse_equation, parse_term
 
 sig = signature(("m", 2))
 sl = algebra(sig, 2, {"m": [0, 0, 0, 1]})
@@ -17,7 +17,7 @@ sl = algebra(sig, 2, {"m": [0, 0, 0, 1]})
 free = build_free([sl], ["x", "y"])
 print("free semilattice on {x,y}:")
 for i, (tup, rep) in enumerate(zip(free.tuples, free.reprs)):
-    print(f"  elem {i}: tuple {tup}  repr {term_to_text(rep)}")
+    print(f"  elem {i}: tuple {tup}  repr {rep}")
 
 # The natural map sends a term to its element; idempotence identifies
 # m(x,x) with x because the semilattice satisfies that identity.

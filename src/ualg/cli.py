@@ -34,7 +34,6 @@ from .fileio import (
     AlgebraValidationError,
     emit_algebra_file,
     emit_free_sidecar,
-    equation_to_text,
     parse_algebra_file,
     parse_equation,
     parse_equation_file,
@@ -236,7 +235,7 @@ def _cmd_sat(args, caps: Caps, out: TextIO) -> int:
     eq = parse_equation(args.equation)
     result = satisfies(alg, eq, caps)
     if result.holds:
-        print(f"RESULT holds {equation_to_text(eq)}", file=out)
+        print(f"RESULT holds {eq}", file=out)
         return 0
     print(f"WITNESS {result.counterexample}", file=out)
     return 1
@@ -357,9 +356,9 @@ def _cmd_entail_check(args, caps: Caps, out: TextIO) -> int:
         print(f"WITNESS proof-error {e}", file=out)
         return 1
     if conclusion == goal:
-        print(f"RESULT proved {equation_to_text(conclusion)}", file=out)
+        print(f"RESULT proved {conclusion}", file=out)
         return 0
-    print(f"WITNESS concluded {equation_to_text(conclusion)}", file=out)
+    print(f"WITNESS concluded {conclusion}", file=out)
     return 1
 
 

@@ -21,7 +21,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
 
 class UalgError(Exception):
@@ -42,6 +42,13 @@ class OutOfRangeError(UalgError):
 
 class SignatureMismatchError(UalgError):
     pass
+
+
+def _bad_application(symbol: str, arity: int | None = None, got: int = 0) -> NoReturn:
+    """Raise UnknownSymbolError when symbol has no arity, else ArityMismatchError."""
+    if arity is None:
+        raise UnknownSymbolError(f"unknown operation symbol {symbol!r}")
+    raise ArityMismatchError(f"op {symbol} expects {arity} arguments, got {got}")
 
 
 class CapExceededError(UalgError):
@@ -155,7 +162,7 @@ class Signature:
         for name, arity in self.ops:
             if name == symbol:
                 return arity
-        raise UnknownSymbolError(f"unknown operation symbol {symbol!r}")
+        _bad_application(symbol)
 
     def constants(self) -> tuple[str, ...]:
         return tuple(name for name, arity in self.ops if arity == 0)
@@ -358,14 +365,9 @@ def _decode_mixed(sizes: Sequence[int], index: int) -> tuple[int, ...]:
 def apply_op(alg: FiniteAlgebra, symbol: str, args: Sequence[int]) -> int:
     """Look up one operation value, checking symbol, arity and ranges."""
     entry = alg._ops.get(symbol)
-    if entry is None:
-        raise UnknownSymbolError(f"unknown operation symbol {symbol!r}")
-    arity, table = entry
-    if len(args) != arity:
-        raise ArityMismatchError(
-            f"op {symbol} expects {arity} arguments, got {len(args)}"
-        )
-    n = alg.size
+    if entry is None or len(args) != entry[0]:
+        _bad_application(symbol, entry and entry[0], len(args))
+    table, n = entry[1], alg.size
     idx = 0
     for a in args:
         if not 0 <= a < n:

@@ -59,6 +59,7 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_OP_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -111,9 +112,8 @@ class _Tokenizer:
         return tok
 
 
-def _parse_whole(read: Callable[[_Tokenizer], T], text: str, file: str, first_line: int = 1) -> T:
-    """read(tokens of text), refusing any input left after it."""
-    tz = _Tokenizer(text, file, first_line)
+def _parse_whole(read: Callable[[_Tokenizer], T], tz: _Tokenizer) -> T:
+    """read(tz), refusing any input left after it."""
     value = read(tz)
     if (tok := tz.peek()) is not None:
         raise ParseError(f"trailing input {tok.text!r}", tok.span)
@@ -159,21 +159,21 @@ def _parse_equation(tz: _Tokenizer) -> Equation:
 
 
 def parse_term(text: str, file: str = "<string>", first_line: int = 1) -> Term:
-    return _parse_whole(_parse_term, text, file, first_line)
+    return _parse_whole(_parse_term, _Tokenizer(text, file, first_line))
 
 
 def parse_equation(text: str, file: str = "<string>", first_line: int = 1) -> Equation:
-    return _parse_whole(_parse_equation, text, file, first_line)
+    return _parse_whole(_parse_equation, _Tokenizer(text, file, first_line))
 
 
 def parse_equation_file(text: str, file: str = "<equations>") -> list[Equation]:
-    """One `term = term` per line; '#' or ';' comments; blank lines ignored."""
+    """One `term = term` per line; '#' or ';' comments; lines without
+    tokens ignored.  Spans count columns as the line is written."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].split(";", 1)[0].strip()
-        if not line:
-            continue
-        out.append(parse_equation(line, file, lineno))
+        tz = _Tokenizer(raw, file, lineno)
+        if tz.tokens:
+            out.append(_parse_whole(_parse_equation, tz))
     return out
 
 
@@ -230,25 +230,27 @@ def _parse_proof(tz: _Tokenizer) -> entail.Proof:
 
 
 def parse_proof(text: str, file: str = "<proof>") -> entail.Proof:
-    return _parse_whole(_parse_proof, text, file)
+    return _parse_whole(_parse_proof, _Tokenizer(text, file))
 
 
-def term_to_text(t: Term) -> str:
-    """Canonical surface form: no spaces, nullary symbols written bare."""
-    return str(t)
-
-
-def equation_to_text(eq: Equation) -> str:
-    return str(eq)
+def _term_texts(terms: Sequence[Term]) -> list[str]:
+    """[str(t) for t in terms] without recursion: enumerate_terms and free
+    representatives list each child before its parent, so each application
+    is printed once from its children's texts (any other child by str)."""
+    done: dict[int, str] = {}  # keyed by id: terms keeps every node alive
+    for t in terms:
+        parts = [done.get(id(c)) or str(c) for c in t.children] if type(t) is App else ()
+        done[id(t)] = f"{t.symbol}({','.join(parts)})" if parts else str(t)
+    return [done[id(t)] for t in terms]
 
 
 def theory_text_rows(theory: TheoryPartition) -> Iterator[str]:
     """The text of theory.equations(), one row per term p: the lines
     `p = q` for each q in p's class, in equations() order, so the rows
-    joined are equation_to_text(eq) + "\n" over the equations.  Each term
-    is rendered once, by str; a row holds one class's lines, so a caller
-    that writes each row with one write never holds the whole text."""
-    texts = [str(t) for t in theory.terms]
+    joined are str(eq) + "\n" over the equations.  Each term is rendered
+    once, by _term_texts; a row holds one class's lines, so a caller that
+    writes each row with one write never holds the whole text."""
+    texts = _term_texts(theory.terms)
     for p, cls in theory.rows():
         lhs = texts[p] + " = "
         yield lhs + ("\n" + lhs).join([texts[q] for q in cls]) + "\n"
@@ -259,7 +261,7 @@ def proof_to_text(p: entail.Proof) -> str:
     if kind is entail.Hyp:
         return f"(hyp {p.index})"
     if kind is entail.Refl:
-        return f"(refl {term_to_text(p.term)})"
+        return f"(refl {p.term})"
     if kind is entail.Sym:
         return f"(sym {proof_to_text(p.body)})"
     if kind is entail.Trans:
@@ -269,7 +271,7 @@ def proof_to_text(p: entail.Proof) -> str:
         return f"(app {p.symbol} {parts})" if parts else f"(app {p.symbol})"
     if kind is entail.Sub:
         bindings = " ".join(
-            f"({name} {term_to_text(term)})" for name, term in p.sigma.assoc.items()
+            f"({name} {term})" for name, term in p.sigma.assoc.items()
         )
         return f"(sub {proof_to_text(p.body)} ({bindings}))"
     raise ValueError(f"not a proof node: {p!r}")
@@ -311,7 +313,7 @@ def _parse_certificate(tz: _Tokenizer) -> HspCertificate:
 
 def parse_certificate(text: str, file: str = "<certificate>") -> HspCertificate:
     """(cert (factors (i power)*) (gens n*) (image n*))"""
-    return _parse_whole(_parse_certificate, text, file)
+    return _parse_whole(_parse_certificate, _Tokenizer(text, file))
 
 
 def certificate_to_text(cert: HspCertificate) -> str:
@@ -351,7 +353,7 @@ def parse_algebra_file(
             break
         if len(words) != 3 or words[0] != "op" or (arity := _int(words[2], span(lineno))) is None:
             raise ParseError("expected 'op <name> <arity>' or 'end'", span(lineno))
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", words[1]):
+        if not _OP_NAME.fullmatch(words[1]):
             raise ParseError(f"bad operation name {words[1]!r}", span(lineno))
         if words[1] in [name for name, _ in ops]:
             raise ParseError(f"duplicate operation name {words[1]!r}", span(lineno))
@@ -407,7 +409,18 @@ def parse_algebra_file(
 def emit_algebra_file(
     sig: Signature, algebras: Sequence[tuple[str, FiniteAlgebra]]
 ) -> str:
-    """Canonical text: single spaces, signature order, trailing newline."""
+    """Canonical text: single spaces, signature order, trailing newline.
+    ValueError names the first name parse_algebra_file would not read back:
+    an op name not _OP_NAME, an algebra name empty, repeated or holding
+    whitespace or '#'."""
+    for symbol in sig.symbols:
+        if not _OP_NAME.fullmatch(symbol):
+            raise ValueError(f"operation name {symbol!r} would not read back")
+    names: set[str] = set()
+    for name, _ in algebras:
+        if name.split() != [name] or "#" in name or name in names:
+            raise ValueError(f"algebra name {name!r} would not read back")
+        names.add(name)
     blocks = []
     sig_lines = ["signature"]
     sig_lines.extend(f"op {name} {arity}" for name, arity in sig.ops)
@@ -429,8 +442,8 @@ def emit_free_sidecar(free: FreeAlgebra) -> str:
     for name in free.variables:
         by_element.setdefault(free.gens[name], []).append(name)
     lines = []
-    for i, term in enumerate(free.reprs):
-        line = f"elem {i} repr {term_to_text(term)}"
+    for i, text in enumerate(_term_texts(free.reprs)):
+        line = f"elem {i} repr {text}"
         if i in by_element:
             line += " gen " + " ".join(by_element[i])
         lines.append(line)

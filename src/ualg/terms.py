@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NoReturn, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .core import (
     DEFAULT_CAPS,
-    ArityMismatchError,
     Caps,
     FiniteAlgebra,
     OutOfRangeError,
     Signature,
     UalgError,
-    UnknownSymbolError,
+    _bad_application,
     apply_op,
     lane_pointwise,
 )
@@ -43,6 +42,7 @@ class App:
     children: tuple["Term", ...] = ()
 
     def __str__(self) -> str:
+        """Canonical surface form: no spaces, nullary symbols written bare."""
         if not self.children:
             return self.symbol
         return f"{self.symbol}({','.join(map(str, self.children))})"
@@ -88,16 +88,11 @@ def term_vars(t: Term) -> list[str]:
 
 
 def check_term(sig: Signature, t: Term) -> None:
-    """Raise unless every application matches its symbol's arity."""
-    if type(t) is Var:
-        return
-    arity = sig.arity(t.symbol)
-    if len(t.children) != arity:
-        raise ArityMismatchError(
-            f"op {t.symbol} expects {arity} arguments, got {len(t.children)}"
-        )
-    for c in t.children:
-        check_term(sig, c)
+    """Raise unless every application matches its symbol's arity, for the
+    first bad one in pre-order."""
+    for node in subterms(t):
+        if type(node) is App and len(node.children) != (arity := sig.arity(node.symbol)):
+            _bad_application(node.symbol, arity, len(node.children))
 
 
 @dataclass(frozen=True)
@@ -163,20 +158,11 @@ def _walk(node: Term, bindings: Mapping[str, int], ops: dict, n: int) -> int:
         return bindings[node.name]
     entry = ops.get(node.symbol)
     if entry is None or len(node.children) != entry[0]:
-        _bad_application(ops, node)
+        _bad_application(node.symbol, entry and entry[0], len(node.children))
     idx = 0
     for c in node.children:  # a variable child is read here, not by a call
         idx = idx * n + (bindings[c.name] if type(c) is Var else _walk(c, bindings, ops, n))
     return entry[1][idx]
-
-
-def _bad_application(ops: dict, node: App) -> NoReturn:
-    entry = ops.get(node.symbol)
-    if entry is None:
-        raise UnknownSymbolError(f"unknown operation symbol {node.symbol!r}")
-    raise ArityMismatchError(
-        f"op {node.symbol} expects {entry[0]} arguments, got {len(node.children)}"
-    )
 
 
 def environment_columns(variables: Sequence[str], size: int) -> dict[str, Sequence[int]]:
@@ -259,7 +245,7 @@ def _column(
         return col
     entry = ops.get(node.symbol)
     if entry is None or len(node.children) != entry[0]:
-        _bad_application(ops, node)
+        _bad_application(node.symbol, entry and entry[0], len(node.children))
     col = done[id(node)] = apply(
         node.symbol, [_column(c, done, columns, ops, apply) for c in node.children]
     )
@@ -340,13 +326,7 @@ class Equation:
 
 def equation_vars(eq: Equation) -> list[str]:
     """Variables of both sides, in first-occurrence order (lhs first)."""
-    names = term_vars(eq.lhs)
-    seen = set(names)
-    for v in term_vars(eq.rhs):
-        if v not in seen:
-            seen.add(v)
-            names.append(v)
-    return names
+    return list(dict.fromkeys(term_vars(eq.lhs) + term_vars(eq.rhs)))
 
 
 def collect_arities(t: Term, arities: dict[str, int]) -> None:

@@ -525,28 +525,33 @@ def test_numerals_past_the_int_limit_exit_two_with_a_span(tmp_path):
     assert code == 2 and err.startswith(f"error: {proof}:1:6-5006: 5001-digit integer")
 
 
-def test_terms_nested_past_the_recursion_limit_exit_two(tmp_path, z2_file):
-    # each walk recurses once per level: free's 300-element cycle has representatives
-    # 299 deep, theory's depth-270 terms are rendered, and the equation is parsed
+def test_built_terms_print_past_the_recursion_limit_and_read_ones_exit_two(tmp_path, z2_file):
+    # free's 300-element cycle has representatives 299 deep and theory renders
+    # terms 270 deep: both are printed without recursion and answer in full
     s = signature(("u", 1))
     cycle = tmp_path / "u300.alg"
     cycle.write_text(emit_algebra_file(s, [("U", algebra(s, 300, {"u": [(a + 1) % 300 for a in range(300)]}))]))
+    code, out, err = run("free", "--vars", "1", str(cycle))
+    elems = [line for line in out.splitlines() if line.startswith("elem ")]
+    assert (code, err, len(elems)) == (0, "", 300)
+    assert elems[-1] == "elem 299 repr " + "u(" * 299 + "?v0" + ")" * 299
     chain = tmp_path / "cu.alg"
     chain.write_text("signature\nop c 0\nop u 1\nend\nalgebra A\nsize 1\nop c 0\nop u 0\nend\n")
+    code, out, err = run("theory", "--depth", "270", "--vars", "0", str(chain))
+    lines = out.splitlines()
+    assert (code, err, len(lines), lines[:2]) == (0, "", 271**2, ["c = c", "c = u(c)"])
+    # a term read from the command line is still parsed by recursion
     deep = "f(" * 1200 + "?x" + ",?x)" * 1200 + " = ?x"
-    for argv in (
-        ["free", "--vars", "1", str(cycle)],
-        ["theory", "--depth", "270", "--vars", "0", str(chain)],
-        ["sat", "--algebra", z2_file, "--equation", deep],
-    ):
-        code, _, err = run(*argv)
-        assert code == 2, argv[0]
-        assert err.startswith("error: term nested too deeply: ") and err.count("\n") == 1, err
+    code, _, err = run("sat", "--algebra", z2_file, "--equation", deep)
+    assert code == 2
+    assert err.startswith("error: term nested too deeply: ") and err.count("\n") == 1, err
 
 
 def test_a_repeated_algebra_name_is_refused_at_its_line(tmp_path):
     path = tmp_path / "dup.alg"
-    text = emit_algebra_file(SIG_F, [("A", z2_xor()), ("B", z3_add()), ("A", z4_add())])
+    # emit_algebra_file refuses a repeated name, so the third block is renamed after emission
+    text = emit_algebra_file(SIG_F, [("A", z2_xor()), ("B", z3_add()), ("C", z4_add())])
+    text = text.replace("algebra C\n", "algebra A\n")
     path.write_text(text)
     lineno = [i for i, line in enumerate(text.splitlines(), 1) if line == "algebra A"][1]
     want = f"error: {path}:{lineno}:1-1: duplicate algebra name 'A'\n"

@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +14,8 @@ from ualg.fileio import (
     SourceSpan,
     certificate_to_text,
     emit_algebra_file,
+    _term_texts,
     emit_free_sidecar,
-    equation_to_text,
     parse_algebra_file,
     parse_certificate,
     parse_equation,
@@ -21,7 +23,6 @@ from ualg.fileio import (
     parse_proof,
     parse_term,
     proof_to_text,
-    term_to_text,
     theory_text_rows,
 )
 
@@ -104,6 +105,14 @@ def test_parse_equation_file_refuses_an_unexpected_character():
         parse_equation_file("f(?x) = ?x\nf(?x,$) = ?x\n", "laws")
 
 
+def test_parse_equation_file_spans_count_columns_as_written():
+    # the line is tokenized as it stands, so its indent counts
+    with pytest.raises(ParseError, match=r"^laws:2:10-10: expected a term, found '='$"):
+        parse_equation_file("?x = ?y\n    ?x = = ?y\n", "laws")
+    with pytest.raises(ParseError, match=r"^laws:3:8-8: unexpected character '\$'$"):
+        parse_equation_file("# c\n\t; c\n\t\t?x = $\n", "laws")
+
+
 def test_parse_algebra_file_refuses_a_huge_arity_without_taking_the_power():
     # 3^4000000 has 1.9 million digits: its power took seconds and its text
     # passes int's string-conversion limit; the length check needs neither
@@ -184,6 +193,41 @@ def test_parse_algebra_file_reads_a_negative_entry_as_a_validation_failure():
     with pytest.raises(AlgebraValidationError) as exc:
         parse_algebra_file("signature\nop f 1\nend\nalgebra A\nsize 2\nop f 0 -1\nend\n")
     assert str(exc.value) == "validation failed: A: op f index 1: entry -1 < 0"
+
+
+SIG_ODD_OPS = signature(("end", 1), ("op", 0), ("_F_1", 2))
+
+
+@pytest.mark.parametrize("sig, names", [
+    (SIG_ODD_OPS, ["A", "end", "signature", "algebra", "size", "Z_2.x", "?x", "-1", "a;b", "ä", "A\u200bB"]),
+    (signature(), ["A", "B"]),
+], ids=["odd-names", "no-ops"])
+def test_every_emitted_name_reads_back(sig, names):
+    algebras = [(name, algebra(sig, 2, {s: [i % 2 for i in range(2**r)] for s, r in sig.ops})) for name in names]
+    text = emit_algebra_file(sig, algebras)
+    assert parse_algebra_file(text) == (sig, algebras)
+
+
+@pytest.mark.parametrize("ops, names, refused", [
+    ((("f g", 2),), ["A"], "operation name 'f g'"),
+    ((("1f", 2),), ["A"], "operation name '1f'"),
+    ((("f-g", 2),), ["A"], "operation name 'f-g'"),
+    ((("", 2),), ["A"], "operation name ''"),
+    ((("f", 2), ("g#", 1)), ["A"], "operation name 'g#'"),
+    ((("f", 2),), [""], "algebra name ''"),
+    ((("f", 2),), ["A B"], "algebra name 'A B'"),
+    ((("f", 2),), ["#x"], "algebra name '#x'"),
+    ((("f", 2),), ["A#1"], "algebra name 'A#1'"),
+    ((("f", 2),), ["A\tB"], "algebra name 'A\\tB'"),
+    ((("f", 2),), ["A\u2028"], "algebra name 'A\\u2028'"),
+    ((("f", 2),), ["A", "B", "A"], "algebra name 'A'"),
+], ids=["space-op", "digit-op", "dash-op", "empty-op", "hash-op", "empty", "space", "hash", "trailing-hash",
+        "tab", "line-separator", "repeat"])
+def test_emit_refuses_names_that_would_not_read_back(ops, names, refused):
+    sig = signature(*ops)
+    alg = algebra(sig, 1, {s: [0] for s, _ in sig.ops})
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)} would not read back$"):
+        emit_algebra_file(sig, [(name, alg) for name in names])
 
 
 def test_multiple_algebras_round_trip():
@@ -288,11 +332,11 @@ def test_parse_proof_errors(text, message):
 
 def test_term_and_equation_text_are_canonical():
     t = App("f", (X, App("f", (Y, App("e")))))
-    assert term_to_text(t) == "f(?x,f(?y,e))"
-    assert parse_term(term_to_text(t)) == t
+    assert str(t) == "f(?x,f(?y,e))"
+    assert parse_term(str(t)) == t
     eq = Equation(t, X)
-    assert equation_to_text(eq) == "f(?x,f(?y,e)) = ?x"
-    assert parse_equation(equation_to_text(eq)) == eq
+    assert str(eq) == "f(?x,f(?y,e)) = ?x"
+    assert parse_equation(str(eq)) == eq
 
 
 def _term_text_recursive(t):
@@ -309,13 +353,27 @@ def test_term_and_equation_text_are_the_str_forms():
     sig = signature(("f", 2), ("g", 1), ("e", 0), ("m", 3))
     terms = enumerate_terms(sig, ["x", "y"], 2)
     assert len(terms) == 75_897
-    for t in terms:
-        assert term_to_text(t) == str(t) == _term_text_recursive(t)
+    texts = [str(t) for t in terms]
+    assert texts == [_term_text_recursive(t) for t in terms]
+    # _term_texts prints children listed earlier from their texts and falls
+    # back to str for the rest: whole lists, reversed ones and strided slices
+    assert _term_texts(terms) == texts
+    assert _term_texts(terms[::-1]) == texts[::-1]
+    assert _term_texts(terms[5::7]) == texts[5::7]
+    assert _term_texts(enumerate_terms(sig, [], 2)) == [str(t) for t in enumerate_terms(sig, [], 2)]
     for p, q in zip(terms[::97], terms[::-89]):
         eq = Equation(p, q)
-        text = equation_to_text(eq)
-        assert text == str(eq) == f"{_term_text_recursive(p)} = {_term_text_recursive(q)}"
+        text = str(eq)
+        assert text == f"{_term_text_recursive(p)} = {_term_text_recursive(q)}"
         assert parse_equation(text) == eq
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.parent.glob("demos/data/*.alg")), ids=lambda p: p.name)
+def test_term_texts_of_free_representatives_are_their_str(path):
+    _, named = parse_algebra_file(path.read_text())
+    for variables in (["x"], ["x", "y"]):
+        reprs = build_free([alg for _, alg in named], variables).reprs
+        assert _term_texts(reprs) == [str(t) for t in reprs]
 
 
 # (signature, {variable count: deepest depth}): the largest theory here, on

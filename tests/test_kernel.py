@@ -36,7 +36,7 @@ from ualg import (
 from ualg.closure import generate
 from ualg.core import ArityMismatchError, CapExceededError, Caps, OutOfRangeError, UnknownSymbolError, lane_plan
 from ualg.eqlogic import SatResult, theory_partition
-from ualg.fileio import equation_to_text, parse_algebra_file
+from ualg.fileio import parse_algebra_file
 from ualg.terms import (
     UnboundVariableError,
     all_environments,
@@ -387,9 +387,7 @@ def test_cli_theory_matches_pairwise_oracle(path):
     for depth, nvars in ((1, 1), (1, 3), (2, 2)):
         code, out, err = _cli(["theory", "--depth", str(depth), "--vars", str(nvars), str(path)])
         variables = [f"v{i}" for i in range(nvars)]
-        expected = "".join(
-            equation_to_text(eq) + "\n" for eq in theory_upto_pairwise(K, variables, depth)
-        )
+        expected = "".join(f"{eq}\n" for eq in theory_upto_pairwise(K, variables, depth))
         assert (code, out, err) == (0, expected, "")
 
 

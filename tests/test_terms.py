@@ -19,18 +19,20 @@ from ualg import (
     substitute,
     universal_map,
 )
-from ualg.core import ArityMismatchError, CapExceededError, Caps, OutOfRangeError
+from ualg.core import ArityMismatchError, CapExceededError, Caps, OutOfRangeError, UnknownSymbolError
 from ualg.terms import (
     UnboundVariableError,
     all_environments,
+    check_term,
     depth,
     infer_signature,
+    term_columns,
     term_size,
     term_vars,
 )
 
 from oracles import enumerate_terms_depths
-from samples import SIG_CONST, SIG_F, SIG_FE, SIG_G, SIG_MIXED, SIG_T, semilattice2, z2_xor, z3_add
+from samples import SIG_CONST, SIG_F, SIG_FE, SIG_G, SIG_MIXED, SIG_T, semilattice2, z2_xor, z3_add, z_add
 
 X, Y = Var("x"), Var("y")
 
@@ -66,6 +68,26 @@ def test_evaluate_errors():
         evaluate(z2_xor(), f(X, Y), {"x": 0})
     with pytest.raises(ArityMismatchError):
         evaluate(z2_xor(), App("f", (X,)), {"x": 0})
+
+
+@pytest.mark.parametrize("node, error, text", [
+    (App("g", (X,)), UnknownSymbolError, "unknown operation symbol 'g'"),
+    (App("f", (X,)), ArityMismatchError, "op f expects 2 arguments, got 1"),
+    (App("f", (X, X, X)), ArityMismatchError, "op f expects 2 arguments, got 3"),
+], ids=["unknown-symbol", "too-few", "too-many"])
+def test_a_bad_application_raises_one_text_on_every_path(node, error, text):
+    # Z2 takes term_columns' byte lanes and Z17 (17^2 > 256 cells) its lists;
+    # the bad node sits under a good one for the term walks
+    term = f(X, node)
+    for alg in (z2_xor(), z_add(17)):
+        for call in (
+            lambda: apply_op(alg, node.symbol, [0] * len(node.children)),
+            lambda: check_term(alg.sig, term),
+            lambda: evaluate(alg, term, {"x": 0}),
+            lambda: term_columns(alg, [X, term], {"x": [0, 1]}),
+        ):
+            with pytest.raises(error, match=f"^{re.escape(text)}$"):
+                call()
 
 
 def test_evaluate_accepts_environment_objects():
@@ -217,8 +239,6 @@ def test_term_vars_and_size():
 
 
 def test_check_term_well_formedness():
-    from ualg.terms import check_term
-
     check_term(SIG_FE, f(X, App("e")))
     with pytest.raises(ArityMismatchError):
         check_term(SIG_FE, App("f", (X,)))
