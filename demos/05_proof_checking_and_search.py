@@ -3,7 +3,8 @@
 Proofs are trees over six constructors (hypothesis, reflexivity, symmetry,
 transitivity, congruence, substitution).  The checker synthesizes the
 conclusion bottom-up; the searcher looks for small proofs by iterative
-deepening; the auditor replays conclusions in every model of the axioms.
+deepening and for small countermodels; the auditor replays conclusions
+in every model of the axioms.
 """
 
 from ualg import SearchLimits, check_proof, search_proof, signature, soundness_audit
@@ -25,8 +26,10 @@ goal = parse_equation("f(f(?x,?x),?y) = f(?y,f(?x,?x))")
 outcome = search_proof(sig, axioms, goal, SearchLimits(max_depth=3))
 print("search:", outcome.status, "->", proof_to_text(outcome.proof))
 
-# Unprovable goals are refuted within the explored space (no completeness
-# claim), and a starved budget is reported as such, never as refutation.
+# An unprovable goal with a two-element countermodel is refuted outright
+# (the outcome carries the countermodel); any other unprovable goal only
+# within the explored space, and a starved budget is reported as such,
+# never as refutation.
 print("idempotence from commutativity:", search_proof(sig, axioms, parse_equation("f(?x,?x) = ?x")).status)
 
 # Soundness: every derived identity holds in every model of the axioms.

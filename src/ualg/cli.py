@@ -371,7 +371,7 @@ def _cmd_entail_search(args, caps: Caps, out: TextIO) -> int:
         max_term_size=args.max_term_size,
         node_budget=args.budget,
     )
-    outcome = search_proof(sig, axioms, goal, limits)
+    outcome = search_proof(sig, axioms, goal, limits, caps)
     if outcome.status == "found":
         print(f"PROOF {proof_to_text(outcome.proof)}", file=out)
         return 0

@@ -69,10 +69,13 @@ class Caps:
     and sum n^arity table cells <= cells (one application each in close,
     so this bounds work).  cells also bounds environment spaces
     (check_env_space), each term layer, refused before it is built, a
-    model search's work (cells assigned plus relabellings tried) and one
-    algebra's congruences; search bounds a hom search's work, the target
-    values tried at its branch points (only the hom-search API searches
-    homs).  Every CLI command reads UALG_CAPS and passes them to every stage.
+    model search's work (cells assigned plus relabellings tried; in
+    search_proof's countermodel step, cells at most the node budget) and
+    one algebra's congruences; search bounds a hom search's work, the
+    target values tried at its branch points (only the hom-search API
+    searches homs).  Every CLI command reads UALG_CAPS and passes them to
+    every capped call it makes; validate, hom, factor and entail-check make
+    none.
     """
 
     carrier: int = 4096

@@ -5,31 +5,36 @@ transitivity, congruence, and substitution.  Congruence is simultaneous
 over all argument positions (one subproof per position); rewriting a
 single argument takes Refl proofs on the untouched positions.  check_proof
 synthesizes the conclusion of a proof tree bottom-up; search_proof looks
-for a proof by iterative deepening and makes no completeness claim;
-soundness_audit replays conclusions against every model of the axioms in
-a pool and must never find a violation.
+for a proof by iterative deepening and, once no proof of depth 2 exists,
+for a model of the axioms of size 2 that fails the goal: by soundness such
+a countermodel refutes the goal at every depth, and without one the
+search makes no completeness claim; soundness_audit replays conclusions
+against every model of the axioms in a pool and must never find a
+violation.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
-from .core import FiniteAlgebra, Signature, UalgError
+from .core import DEFAULT_CAPS, CapExceededError, Caps, FiniteAlgebra, Signature, UalgError
 from .terms import (
     App as TApp,
+    Environment,
     Equation,
     Substitution,
     Term,
     Var,
     collect_arities,
+    infer_signature,
     subterms,
     substitute,
     term_size,
     term_vars,
 )
-from .eqlogic import mod_check, satisfies
+from .eqlogic import find_models, mod_check, satisfies
 
 
 class ProofCheckError(UalgError):
@@ -165,10 +170,16 @@ class SearchLimits:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """status is "found", "refuted" (exhausted within limits) or "budget"."""
+    """status is "found" (with its proof), "refuted" or "budget".
+
+    "refuted" with a countermodel, an environment in a model of the axioms
+    under which the goal's sides differ, means the goal follows at no
+    depth; without one it means only that no proof lies within the limits.
+    """
 
     status: str
     proof: Proof | None = None
+    countermodel: Environment | None = None
 
 
 class _BudgetExhausted(Exception):
@@ -193,12 +204,15 @@ def search_proof(
     axioms: Sequence[Equation],
     goal: Equation,
     limits: SearchLimits = SearchLimits(),
+    caps: Caps = DEFAULT_CAPS,
 ) -> SearchOutcome:
     """Iterative-deepening search for a proof of the goal.
 
-    Deterministic for fixed limits; sound by construction (every result
-    re-checks); incomplete, so "refuted" means only "no proof within the
-    explored space".
+    Deterministic for fixed limits and caps; sound by construction (every
+    proof and every countermodel re-checks).  After the pass at depth
+    min(2, max_depth) finds no proof, a countermodel of size 2 ends the
+    search as "refuted" at once; else the deeper passes run, and a
+    "refuted" from them means only "no proof within the explored space".
     """
     if limits.max_depth < 1 or limits.node_budget < 1:
         raise ValueError("limits must be positive")
@@ -212,9 +226,35 @@ def search_proof(
                 if check_proof(sig, axioms, proof) != goal:
                     raise UalgError(f"search_proof built a proof that does not conclude {goal}")
                 return SearchOutcome("found", proof)
+            if depth == min(2, limits.max_depth):
+                bounded = replace(caps, cells=min(caps.cells, limits.node_budget))
+                if (countermodel := _countermodel(axioms, goal, bounded)) is not None:
+                    return SearchOutcome("refuted", countermodel=countermodel)
     except _BudgetExhausted:
         return SearchOutcome("budget")
     return SearchOutcome("refuted")
+
+
+def _countermodel(axioms: Sequence[Equation], goal: Equation, caps: Caps) -> Environment | None:
+    """The goal's first counterexample in the first size-2 model of the
+    axioms, in ascending table order, that fails it; None when none does,
+    when a symbol is used at two arities, or when caps stop the search.
+    Size 1 is never tried: the trivial algebra satisfies every equation."""
+    try:
+        sig = infer_signature([*axioms, goal])
+    except UalgError:  # one symbol at two arities: no algebra interprets both
+        return None
+    try:
+        for model in find_models(sig, axioms, 2, caps)[0]:
+            res = satisfies(model, goal, caps)
+            if not res.holds:
+                failing = mod_check(model, axioms, caps).failing_index
+                if failing is not None:
+                    raise UalgError(f"countermodel {model.tables} fails axiom {failing}")
+                return res.counterexample
+    except CapExceededError:
+        pass
+    return None
 
 
 def _prove(search: _Search, g: Equation, depth: int) -> Proof | None:

@@ -20,8 +20,9 @@ hom's image closed as a subalgebra of its target (hom_image), the HSP
 certificate check comparing that image with B by an isomorphism search,
 the trivial certificate closing every generator subset in turn,
 term enumeration keeping every term's depth in a list beside it, the
-byte-lane plan rebuilding its step tables on every call, and a theory's
-text rendered by str one equation at a time.
+byte-lane plan rebuilding its step tables on every call, a theory's
+text rendered by str one equation at a time, and the proof search run
+through every depth with no countermodel step.
 Table indices here come from enumerating itertools.product (_positions),
 never from the package's index codec, so a fault in the codec cannot
 show on both sides of a differential test.
@@ -32,6 +33,7 @@ import itertools
 
 import ualg.birkhoff as birkhoff
 import ualg.closure as closure
+import ualg.entail as entail
 from ualg import (
     App,
     CapExceededError,
@@ -658,3 +660,23 @@ def var_to_eqcl_check_allvars(K, B, cert, theory_depth=2):
 
     stages.append(_models_theory(K, B, theory_depth, Caps()))
     return PipelineReport(tuple(stages))
+
+
+def search_proof_proofonly(sig, axioms, goal, limits=entail.SearchLimits()):
+    """search_proof without its countermodel step: "refuted" only once
+    every depth up to max_depth is exhausted."""
+    if limits.max_depth < 1 or limits.node_budget < 1:
+        raise ValueError("limits must be positive")
+    swapped = [Equation(a.rhs, a.lhs) for a in axioms]
+    search = entail._Search(axioms, swapped, limits.max_term_size, limits.node_budget, {})
+    try:
+        for depth in range(1, limits.max_depth + 1):
+            search.failed.clear()
+            proof = entail._prove(search, goal, depth)
+            if proof is not None:
+                if entail.check_proof(sig, axioms, proof) != goal:
+                    raise UalgError(f"search_proof built a proof that does not conclude {goal}")
+                return entail.SearchOutcome("found", proof)
+    except entail._BudgetExhausted:
+        return entail.SearchOutcome("budget")
+    return entail.SearchOutcome("refuted")

@@ -117,6 +117,11 @@ EASY_LAW_SETS = [
     ("rightproj",),
     ("comm", "idem"),
 ]
+# For each law set, a law that does not follow from it: each fails in a
+# model of the set of size 2.
+EASY_NON_CONSEQUENCES = dict(zip(EASY_LAW_SETS, [
+    "comm", "idem", "rightproj", "idem", "idem", "comm", "leftproj", "leftproj", "leftproj",
+]))
 
 
 def _f_term(shape):

@@ -324,6 +324,16 @@ def test_entail_search(tmp_path):
     assert out == "RESULT refuted\n"
 
 
+def test_entail_search_refutes_by_a_countermodel_under_the_caps(tmp_path, monkeypatch):
+    axioms = tmp_path / "semilattice.eqs"
+    axioms.write_text("f(?x,?x) = ?x\nf(?x,?y) = f(?y,?x)\nf(f(?x,?y),?z) = f(?x,f(?y,?z))\n")
+    argv = ["entail-search", "--axioms", str(axioms), "--goal", "f(?x,?y) = ?x", "--depth", "7", "--budget", "2000"]
+    # the proof search alone runs out of its budget; a size-2 model fails the goal
+    assert run(*argv) == (1, "RESULT refuted\n", "")
+    monkeypatch.setenv("UALG_CAPS", "cells=3")  # too few for f's 4 table cells
+    assert run(*argv) == (1, "RESULT budget-exhausted\n", "")
+
+
 def test_birkhoff_demo(tmp_path):
     path = tmp_path / "sl.alg"
     path.write_text(emit_algebra_file(semilattice2().sig, [("SL", semilattice2())]))

@@ -581,3 +581,7 @@ GC_CASES = {
 @pytest.mark.parametrize("name", GC_CASES)
 def test_leaves_no_cyclic_garbage(name):
     assert _cyclic_garbage(GC_CASES[name]) == 0
+
+
+def test_the_refuted_gc_case_takes_the_countermodel_path():
+    assert GC_CASES["search_proof-refuted"]().countermodel is not None

@@ -2,7 +2,21 @@ import random
 
 import pytest
 
-from ualg import Equation, SearchLimits, Substitution, Var, check_proof, search_proof, soundness_audit
+from ualg import (
+    Caps,
+    Equation,
+    SearchLimits,
+    Substitution,
+    Var,
+    check_proof,
+    evaluate,
+    mod_check,
+    satisfies,
+    search_proof,
+    signature,
+    soundness_audit,
+    substitute,
+)
 from ualg.entail import (
     App as PApp,
     BadHypothesisError,
@@ -18,7 +32,8 @@ from ualg.entail import (
 )
 from ualg.terms import App, enumerate_terms
 
-from samples import SIG_F, all_binary_size2, z2_xor
+from oracles import search_proof_proofonly
+from samples import EASY_LAW_SETS, EASY_NON_CONSEQUENCES, SIG_F, all_binary_size2, easy_laws, z2_xor
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -130,6 +145,109 @@ def test_search_budget_vs_refuted():
         SearchLimits(max_depth=4, node_budget=5),
     )
     assert starved.status == "budget"
+
+
+def _agrees_with_the_proof_only_search(sig, axioms, goal, limits, caps=Caps()):
+    """search_proof against the oracle: the same outcome without a
+    countermodel; with one, a goal the oracle never proves, failing in a
+    model of the axioms under exactly the environment given."""
+    got = search_proof(sig, axioms, goal, limits, caps)
+    want = search_proof_proofonly(sig, axioms, goal, limits)
+    if got.countermodel is None:
+        assert got == want
+    else:
+        assert (got.status, got.proof) == ("refuted", None)
+        assert want.status != "found"
+        env = got.countermodel
+        assert mod_check(env.alg, axioms).holds
+        assert satisfies(env.alg, goal).counterexample == env
+        assert evaluate(env.alg, goal.lhs, env) != evaluate(env.alg, goal.rhs, env)
+    return got
+
+
+def _bench_style_goals(laws, rng):
+    """The easy-direction benchmark's three goals on a law set: the first
+    law under a substitution of pairs, the last law flipped and put in a
+    context, and the law that does not follow."""
+    axioms = easy_laws(laws)
+    names = [Var(name) for name in "abuvw"]
+    first, last = axioms[0], axioms[-1]
+    pairs = Substitution({v: f(rng.choice(names), rng.choice(names)) for v in "xyz"})
+    renamed = Substitution({v: rng.choice(names) for v in "xyz"})
+    context = f(rng.choice(names), rng.choice(names))
+    return axioms, [
+        Equation(substitute(pairs, first.lhs), substitute(pairs, first.rhs)),
+        Equation(f(substitute(renamed, last.rhs), context), f(substitute(renamed, last.lhs), context)),
+        easy_laws([EASY_NON_CONSEQUENCES[laws]])[0],
+    ]
+
+
+@pytest.mark.parametrize("laws", EASY_LAW_SETS, ids="+".join)
+def test_search_matches_the_proof_only_search_on_the_bench_law_sets(laws):
+    axioms, goals = _bench_style_goals(laws, random.Random(7))
+    for depth in range(1, 5):
+        limits = SearchLimits(max_depth=depth, node_budget=20_000)
+        outcomes = [_agrees_with_the_proof_only_search(SIG_F, axioms, goal, limits) for goal in goals]
+        if depth >= 2:
+            assert [o.status for o in outcomes[:2]] == ["found", "found"]
+        # every non-consequence is decided by a checked countermodel
+        assert outcomes[2].countermodel is not None
+
+
+def test_search_matches_the_proof_only_search_on_criterion_6s_random_axioms():
+    rng = random.Random(404)  # criterion 6's axiom sets and goals
+    terms2 = enumerate_terms(SIG_F, ["x", "y"], 2)
+    limits = SearchLimits(max_depth=3, node_budget=4000)
+    statuses = []
+    for _ in range(50):
+        axioms = [Equation(rng.choice(terms2), rng.choice(terms2)) for _ in range(rng.randrange(1, 3))]
+        for _ in range(6):
+            goal = Equation(rng.choice(terms2), rng.choice(terms2))
+            outcome = _agrees_with_the_proof_only_search(SIG_F, axioms, goal, limits)
+            statuses.append((outcome.status, outcome.countermodel is not None))
+    assert ("found", False) in statuses and ("refuted", True) in statuses
+
+
+SEMILATTICE = easy_laws(["idem", "comm", "assoc"])
+
+
+def test_a_countermodel_refutes_where_the_proof_search_runs_out_of_budget():
+    goal = Equation(f(X, Y), X)
+    limits = SearchLimits(max_depth=7)
+    assert search_proof_proofonly(SIG_F, SEMILATTICE, goal, limits).status == "budget"
+    out = search_proof(SIG_F, SEMILATTICE, goal, limits)
+    assert out.status == "refuted"
+    # the meet semilattice on {0, 1}: f(0, 1) = 0 != 1
+    assert out.countermodel.alg.tables == ((0, 0, 0, 1),)
+    assert str(out.countermodel) == "x=1 y=0"
+
+
+def test_caps_bound_the_model_search():
+    goal = Equation(f(X, Y), X)
+    limits = SearchLimits(max_depth=3)
+    # a size-2 table of f has 4 cells: cells=3 stops the model search, not the proof search
+    out = _agrees_with_the_proof_only_search(SIG_F, SEMILATTICE, goal, limits, Caps(cells=3))
+    assert out.countermodel is None and out.status == "refuted"
+    # the node budget lowers cells: x = y has 2^2 environments at size 2
+    for budget, found in [(3, False), (4, True)]:
+        limits = SearchLimits(max_depth=1, node_budget=budget)
+        out = _agrees_with_the_proof_only_search(SIG_F, [], Equation(X, Y), limits)
+        assert (out.countermodel is not None) == found
+
+
+def test_the_model_search_reads_the_symbols_of_the_axioms_and_goal():
+    # sig names only m: the model search interprets f and m from their uses
+    sig = signature(("m", 2))
+    goals = [Equation(f(X, Y), X), Equation(f(X, Y), f(Y, X)), Equation(App("m", (X, Y)), X)]
+    outcomes = [_agrees_with_the_proof_only_search(sig, [COMM], goal, SearchLimits()) for goal in goals]
+    assert [o.status for o in outcomes] == ["refuted", "found", "refuted"]
+    assert outcomes[0].countermodel is not None and outcomes[2].countermodel is not None
+
+
+def test_a_symbol_at_two_arities_skips_the_model_search():
+    goal = Equation(App("f", (X,)), X)
+    out = _agrees_with_the_proof_only_search(SIG_F, [COMM], goal, SearchLimits(max_depth=3))
+    assert out.status == "refuted" and out.countermodel is None
 
 
 def test_search_rejects_bad_limits():

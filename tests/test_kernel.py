@@ -17,6 +17,7 @@ import pytest
 import ualg.birkhoff
 import ualg.cli
 import ualg.closure
+import ualg.entail
 from ualg import (
     App,
     Equation,
@@ -29,12 +30,13 @@ from ualg import (
     infer_signature,
     mod_check,
     nat_epi,
+    search_proof,
     signature,
     theory_upto,
     universal_map,
 )
 from ualg.closure import generate
-from ualg.core import ArityMismatchError, CapExceededError, Caps, OutOfRangeError, UnknownSymbolError, lane_plan
+from ualg.core import ArityMismatchError, CapExceededError, Caps, OutOfRangeError, UalgError, UnknownSymbolError, lane_plan
 from ualg.eqlogic import SatResult, theory_partition
 from ualg.fileio import parse_algebra_file
 from ualg.terms import (
@@ -485,6 +487,15 @@ def test_easy_direction_subalgebra_failure_matches_the_permodel_oracle(laws, mon
     assert got[-1].startswith("STAGE closure FAIL subalgebra from (")
 
 
+def test_search_proof_rechecks_the_countermodel(monkeypatch):
+    """A model search that returns a non-model: Z2 fails idempotence, and
+    also the goal, so only the re-check by mod_check can catch it."""
+    monkeypatch.setattr(ualg.entail, "find_models", lambda sig, E, size, caps: ((z2_xor(),), 1))
+    axioms = easy_laws(["idem"])
+    with pytest.raises(UalgError, match="countermodel"):
+        search_proof(SIG_F, axioms, easy_laws(["leftproj"])[0])
+
+
 CORRUPTED_FREE = """
 import dataclasses
 import sys
@@ -551,6 +562,13 @@ try:
     search_proof(signature(("m", 2)), [], goal, SearchLimits(max_depth=1))
 except UalgError:
     print("raised search_proof")
+# the model search returns Z2, which fails the idempotence axiom
+ualg.entail.find_models = lambda sig, E, size, caps: ((algebra(sig, 2, {"m": [0, 1, 1, 0]}),), 1)
+m = lambda a, b: ualg.App("m", (a, b))
+try:
+    search_proof(signature(("m", 2)), [Equation(m(Var("x"), Var("x")), Var("x"))], Equation(m(Var("x"), Var("y")), Var("x")))
+except UalgError:
+    print("raised countermodel")
 real_init = ualg.homs._Search.__init__
 
 
@@ -584,5 +602,6 @@ def test_soundness_checks_survive_python_O():
         "raised corrupted lane_plan",
         "raised corrupted lane_pointwise",
         "raised search_proof",
+        "raised countermodel",
         "raised hom search",
     ]
