@@ -27,9 +27,9 @@ outcome = search_proof(sig, axioms, goal, SearchLimits(max_depth=3))
 print("search:", outcome.status, "->", proof_to_text(outcome.proof))
 
 # An unprovable goal with a two-element countermodel is refuted outright
-# (the outcome carries the countermodel); any other unprovable goal only
-# within the explored space, and a starved budget is reported as such,
-# never as refutation.
+# (the outcome carries the countermodel); any other goal left unproved
+# within the limits is "exhausted", and a starved budget is "budget":
+# neither is a refutation.
 print("idempotence from commutativity:", search_proof(sig, axioms, parse_equation("f(?x,?x) = ?x")).status)
 
 # Soundness: every derived identity holds in every model of the axioms.

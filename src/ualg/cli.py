@@ -375,7 +375,7 @@ def _cmd_entail_search(args, caps: Caps, out: TextIO) -> int:
     if outcome.status == "found":
         print(f"PROOF {proof_to_text(outcome.proof)}", file=out)
         return 0
-    print(f"RESULT {'budget-exhausted' if outcome.status == 'budget' else 'refuted'}", file=out)
+    print(f"RESULT {'budget-exhausted' if outcome.status == 'budget' else outcome.status}", file=out)
     return 1
 
 

@@ -72,8 +72,8 @@ class Caps:
     model search's work (cells assigned plus relabellings tried; in
     search_proof's countermodel step, cells at most the node budget) and
     one algebra's congruences; search bounds a hom search's work, the
-    target values tried at its branch points (only the hom-search API
-    searches homs).  Every CLI command reads UALG_CAPS and passes them to
+    target values at its branch points, tried or pruned (only the hom-search
+    API searches homs).  Every CLI command reads UALG_CAPS and passes them to
     every capped call it makes; validate, hom, factor and entail-check make
     none.
     """

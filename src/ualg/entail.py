@@ -170,11 +170,11 @@ class SearchLimits:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """status is "found" (with its proof), "refuted" or "budget".
-
-    "refuted" with a countermodel, an environment in a model of the axioms
-    under which the goal's sides differ, means the goal follows at no
-    depth; without one it means only that no proof lies within the limits.
+    """status is "found", with its proof; "refuted", with its countermodel,
+    an environment in a model of the axioms under which the goal's sides
+    differ, so the goal follows at no depth; "exhausted": no proof within
+    the limits and no countermodel, so the goal may still follow by a
+    deeper or larger proof; or "budget": the node budget ran out first.
     """
 
     status: str
@@ -211,8 +211,8 @@ def search_proof(
     Deterministic for fixed limits and caps; sound by construction (every
     proof and every countermodel re-checks).  After the pass at depth
     min(2, max_depth) finds no proof, a countermodel of size 2 ends the
-    search as "refuted" at once; else the deeper passes run, and a
-    "refuted" from them means only "no proof within the explored space".
+    search as "refuted" at once; else the deeper passes run, and when they
+    find no proof either the search is "exhausted", never "refuted".
     """
     if limits.max_depth < 1 or limits.node_budget < 1:
         raise ValueError("limits must be positive")
@@ -232,7 +232,7 @@ def search_proof(
                     return SearchOutcome("refuted", countermodel=countermodel)
     except _BudgetExhausted:
         return SearchOutcome("budget")
-    return SearchOutcome("refuted")
+    return SearchOutcome("exhausted")
 
 
 def _countermodel(axioms: Sequence[Equation], goal: Equation, caps: Caps) -> Environment | None:

@@ -4,9 +4,11 @@ A carrier map is just the image list of a function between carriers; the
 classifier decides whether it commutes with every basic operation and
 whether it is injective/surjective.  find_homs enumerates the homs by
 backtracking over the images of a generating set only: propagation along
-the operation tables forces every other value or finds a conflict.  Each
-complete image is re-checked, on the target's byte lanes when they fit, and
-one that is not a hom raises UalgError.
+the operation tables forces every other value or finds a conflict.  A
+branch point scans its tuples once for all its values, keeping as a bitmask
+the values that pass them (forward checking), and propagates only from
+those.  Each complete image is re-checked, on the target's byte lanes when
+they fit, and one that is not a hom raises UalgError.
 """
 
 from __future__ import annotations
@@ -165,7 +167,8 @@ def iter_homs(
     Homs agreeing on a generating set agree everywhere, so the search only
     branches on each least element outside the subalgebra generated by the
     constants, the fixed elements and the earlier branch points.  caps.search
-    bounds the values tried at them: iterating past it raises SearchCapError.
+    bounds the values at them, each counted whether tried or pruned by the
+    branch point's mask: iterating past it raises SearchCapError.
     A complete image that is not a hom (propagation missed a conflict) raises
     UalgError; only the flags filter complete images.
     """
@@ -183,13 +186,16 @@ def iter_homs(
 class _Search:
     """A partial image src -> dst, -1 marking the undecided elements, with
     trail, the decided elements in the order decided (an undo trail: a node
-    is undone by cutting it back), and uses, each target value's preimage
-    count (for injective and the surjective prune)."""
+    is undone by cutting it back), uses, each target value's preimage count
+    (for injective and the surjective prune), and masks, per operation the
+    _passing masks built so far, one per (d, c, v) a scanned tuple needed,
+    so that their memory grows with the tuples scanned."""
 
     def __init__(self, src, dst, surjective: bool | None, injective: bool | None, caps: Caps):
         self.src, self.dst, self.surjective, self.injective = src, dst, surjective, injective
         self.ops = [(k, s, d) for (_, k), s, d in zip(src.sig.ops, src.tables, dst.tables) if k]
         self.image, self.trail, self.uses = [-1] * src.size, [], [0] * dst.size
+        self.masks = [{} for _ in self.ops]
         self.caps, self.cap = caps, caps.search
 
     def assign(self, todo: list[tuple[int, int]]) -> bool:
@@ -220,40 +226,98 @@ class _Search:
                             todo.append((res, val))
         return True
 
+    def branch(self, a: int) -> tuple[int, list[tuple[int, Sequence[int], int, int]]]:
+        """The scan assign would make on sending the undecided a anywhere,
+        made once for every value: over the tuples of decided elements and
+        a that contain a, whose target index is d + b * c for a's value b.
+        Returns the mask of the values b that pass every tuple whose result
+        is decided or a itself (under injective, b unused too), and a
+        forcing entry (res, dst_table, d, c) per other tuple, in assign's
+        order."""
+        image, trail, n, m = self.image, self.trail, self.src.size, self.dst.size
+        allowed = (1 << m) - 1
+        if self.injective:
+            for x in trail:
+                allowed &= ~(1 << image[x])
+        forced = []
+        image[a] = 0  # a's part of a target index is kept apart, in c
+        trail.append(a)
+        try:
+            for (arity, src_table, dst_table), masks in zip(self.ops, self.masks):
+                size = len(dst_table)
+                for head in itertools.product(trail, repeat=arity - 1):
+                    s = d = c = 0
+                    for x in head:
+                        s, d, c = (s + x) * n, (d + image[x]) * m, (c + (x == a)) * m
+                    for y in trail if c else (a,):
+                        res, dy, cy = src_table[s + y], d + image[y], c + (y == a)
+                        if image[res] < 0:
+                            forced.append((res, dst_table, dy, cy))
+                            continue
+                        v = m if res == a else image[res]
+                        if (mask := masks.get(key := (dy + cy * size) * (m + 1) + v)) is None:
+                            mask = masks[key] = _passing(dst_table, dy, cy, v, m)
+                        allowed &= mask
+                        if not allowed:
+                            return 0, []
+        finally:
+            image[a] = -1
+            trail.pop()
+        return allowed, forced
+
     def homs(self) -> Iterator[CarrierMap]:
         """The homs extending the image, in one depth-first loop: branch on
-        the least undecided element, target values ascending.  stack holds
-        the open branch points: element, len(trail) before it, values left.
-        Each complete image is re-checked by _recheck, built at the first."""
+        the least undecided element a, trying the values that pass branch's
+        scan in ascending order, each by assign on its forcing entries.
+        stack holds the open branch points: a, len(trail) before it, the
+        values left to try, the forcing entries and the least value not yet
+        counted.  Every value at a branch point counts against caps.search,
+        pruned or not: the values up to each one tried, and the rest when
+        none is left.  Each complete image is re-checked by _recheck, built
+        at the first."""
         image, trail, uses, n, m = self.image, self.trail, self.uses, self.src.size, self.dst.size
         sur, inj, assign, recheck, tried = self.surjective, self.injective, self.assign, None, 0
-        stack = [(-1, len(trail), iter((0,)))]  # the root: one try, assigning nothing
+        stack = [[-1, len(trail), 1, [], 0]]  # the root: one try, assigning nothing
         while stack:
-            a, mark, values = stack[-1]
-            for b in values:
-                if len(trail) > mark:  # undo down to the branch point
-                    for x in trail[mark:]:
-                        uses[image[x]] -= 1
-                        image[x] = -1
-                    del trail[mark:]
-                if a >= 0:
-                    tried += 1
-                    if tried > self.cap:
-                        self.caps.check("search", tried, "hom search values tried at branch points")
-                    if not assign([(a, b)]):
-                        continue
-                if sur and uses.count(0) > n - len(trail):
-                    continue  # more values unused than elements undecided
-                if len(trail) < n:
-                    stack.append((image.index(-1), len(trail), iter(range(m))))
-                    break
-                recheck = recheck or _recheck(self.src, self.dst)
-                if (witness := recheck(image)) is not None:
-                    raise UalgError(f"hom search reached {tuple(image)}, not a hom at {witness[0]}{witness[1]}")
-                if sur in (None, not uses.count(0)) and inj in (None, m - uses.count(0) == n):
-                    yield CarrierMap(self.src, self.dst, tuple(image))
-            else:
+            top = stack[-1]
+            a, mark, allowed, forced, start = top
+            b = (allowed & -allowed).bit_length() - 1 if allowed else m - 1
+            if a >= 0:
+                tried += b + 1 - start
+                if tried > self.cap:
+                    self.caps.check("search", self.cap + 1, "hom search values tried at branch points")
+            if not allowed:
                 stack.pop()
+                continue
+            top[2], top[4] = allowed & (allowed - 1), b + 1
+            if len(trail) > mark:  # undo down to the branch point
+                for x in trail[mark:]:
+                    uses[image[x]] -= 1
+                    image[x] = -1
+                del trail[mark:]
+            if a >= 0:
+                image[a] = b
+                uses[b] += 1
+                trail.append(a)
+                if forced and not assign([(res, table[d + b * c]) for res, table, d, c in forced]):
+                    continue
+            if sur and uses.count(0) > n - len(trail):
+                continue  # more values unused than elements undecided
+            if len(trail) < n:
+                a = image.index(-1)
+                stack.append([a, len(trail), *self.branch(a), 0])
+                continue
+            recheck = recheck or _recheck(self.src, self.dst)
+            if (witness := recheck(image)) is not None:
+                raise UalgError(f"hom search reached {tuple(image)}, not a hom at {witness[0]}{witness[1]}")
+            if sur in (None, not uses.count(0)) and inj in (None, m - uses.count(0) == n):
+                yield CarrierMap(self.src, self.dst, tuple(image))
+
+
+def _passing(table: Sequence[int], d: int, c: int, v: int, m: int) -> int:
+    """The values b < m with table[d + b * c] = v, or = b when v = m, as a
+    bitmask."""
+    return sum(1 << b for b in range(m) if table[d + b * c] == (b if v == m else v))
 
 
 def _recheck(src: FiniteAlgebra, dst: FiniteAlgebra) -> Callable[[Sequence[int]], tuple[str, tuple[int, ...]] | None]:
@@ -292,8 +356,11 @@ def find_homs(
 def find_isomorphism(
     a: FiniteAlgebra, b: FiniteAlgebra, caps: Caps = DEFAULT_CAPS
 ) -> tuple[CarrierMap, CarrierMap] | None:
-    """The first bijective hom a -> b and its inverse, or None.  The inverse
-    of a bijective hom is a hom; a re-check raises UalgError if not."""
+    """The first bijective hom a -> b and its inverse, or None; algebras of
+    different signatures raise SignatureMismatchError, whatever their sizes.
+    The inverse of a bijective hom is a hom; a re-check raises UalgError if
+    not."""
+    same_signature(a, b)
     if a.size != b.size:
         return None
     f = next(iter_homs(a, b, surjective=True, injective=True, caps=caps), None)

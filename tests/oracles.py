@@ -10,7 +10,8 @@ operations,
 every product cell by one checked apply_op call per factor, every hom
 check cell by two checked apply_op calls, hom_factor's kernel
 inclusion scanning every kernel pair, the hom search branching on every
-source element in place of the generators, the models of E found by
+source element in place of the generators, the hom search running its
+propagation once per value at a branch point, the models of E found by
 filtering every table and deduplicated by trying every relabelling, the
 congruences of an algebra found by trying every set partition, every
 quotient cell by one apply_op call after a cell-by-cell congruence check,
@@ -30,6 +31,7 @@ show on both sides of a differential test.
 
 import functools
 import itertools
+from typing import Iterator
 
 import ualg.birkhoff as birkhoff
 import ualg.closure as closure
@@ -60,7 +62,7 @@ from ualg.birkhoff import PipelineReport, Stage, _models_theory
 from ualg.closure import CertCheckResult, HspCertificate, ProductAlgebra
 from ualg.core import Caps, UalgError, same_signature
 from ualg.free import FreeAlgebra, UniversalMapFailure, universal_map
-from ualg.homs import KernelInclusionError, NotAHomError, NotSurjectiveError, hom_violation, kernel_pairs
+from ualg.homs import KernelInclusionError, NotAHomError, NotSurjectiveError, _recheck, hom_violation, kernel_pairs
 from ualg.terms import all_environments
 
 
@@ -241,6 +243,98 @@ def _compatible(ops, n, m, image, v):
                 if dst_table[mapped] != image[res]:
                     return False
     return True
+
+
+def iter_homs_pervalue(src, dst, surjective=None, injective=None, fixed=None, caps=Caps()):
+    """iter_homs with assign run on every (branch element, target value)
+    pair: the per-value search that a branch point's one scan and its mask
+    of passing values replaced.  The same branch points, values counted
+    against caps.search, leaf re-check and image order."""
+    same_signature(src, dst)
+    fixed = dict(fixed or {})
+    for a, b in fixed.items():
+        if not 0 <= a < src.size or not 0 <= b < dst.size:
+            raise ValueError(f"fixed assignment {a}->{b} out of range")
+    seeds = [(s[0], d[0]) for (_, k), s, d in zip(src.sig.ops, src.tables, dst.tables) if not k]
+    seeds += fixed.items()
+    search = _PerValueSearch(src, dst, surjective, injective, caps)
+    return search.homs() if search.assign(seeds) else iter(())
+
+
+class _PerValueSearch:
+    """A partial image src -> dst, -1 marking the undecided elements, with
+    trail, the decided elements in the order decided (an undo trail: a node
+    is undone by cutting it back), and uses, each target value's preimage
+    count (for injective and the surjective prune)."""
+
+    def __init__(self, src, dst, surjective: bool | None, injective: bool | None, caps: Caps):
+        self.src, self.dst, self.surjective, self.injective = src, dst, surjective, injective
+        self.ops = [(k, s, d) for (_, k), s, d in zip(src.sig.ops, src.tables, dst.tables) if k]
+        self.image, self.trail, self.uses = [-1] * src.size, [], [0] * dst.size
+        self.caps, self.cap = caps, caps.search
+
+    def assign(self, todo: list[tuple[int, int]]) -> bool:
+        """Send a to b for each (a, b) in todo, checking each newly decided x
+        against the operation tuples over decided elements that contain x and
+        forcing undecided results.  False on a conflict: an element sent to
+        two values, or under injective two elements sent to one."""
+        image, trail, uses, n, m = self.image, self.trail, self.uses, self.src.size, self.dst.size
+        while todo:
+            x, b = todo.pop()
+            if image[x] == b:
+                continue
+            if image[x] >= 0 or (self.injective and uses[b]):
+                return False
+            image[x] = b
+            uses[b] += 1
+            trail.append(x)
+            for arity, src_table, dst_table in self.ops:
+                for head in itertools.product(trail, repeat=arity - 1):
+                    s = d = 0
+                    for a in head:
+                        s, d = (s + a) * n, (d + image[a]) * m
+                    for y in trail if x in head else (x,):
+                        res, val = src_table[s + y], dst_table[d + image[y]]
+                        if image[res] != val:
+                            if image[res] >= 0:
+                                return False
+                            todo.append((res, val))
+        return True
+
+    def homs(self) -> Iterator[CarrierMap]:
+        """The homs extending the image, in one depth-first loop: branch on
+        the least undecided element, target values ascending.  stack holds
+        the open branch points: element, len(trail) before it, values left.
+        Each complete image is re-checked by _recheck, built at the first."""
+        image, trail, uses, n, m = self.image, self.trail, self.uses, self.src.size, self.dst.size
+        sur, inj, assign, recheck, tried = self.surjective, self.injective, self.assign, None, 0
+        stack = [(-1, len(trail), iter((0,)))]  # the root: one try, assigning nothing
+        while stack:
+            a, mark, values = stack[-1]
+            for b in values:
+                if len(trail) > mark:  # undo down to the branch point
+                    for x in trail[mark:]:
+                        uses[image[x]] -= 1
+                        image[x] = -1
+                    del trail[mark:]
+                if a >= 0:
+                    tried += 1
+                    if tried > self.cap:
+                        self.caps.check("search", tried, "hom search values tried at branch points")
+                    if not assign([(a, b)]):
+                        continue
+                if sur and uses.count(0) > n - len(trail):
+                    continue  # more values unused than elements undecided
+                if len(trail) < n:
+                    stack.append((image.index(-1), len(trail), iter(range(m))))
+                    break
+                recheck = recheck or _recheck(self.src, self.dst)
+                if (witness := recheck(image)) is not None:
+                    raise UalgError(f"hom search reached {tuple(image)}, not a hom at {witness[0]}{witness[1]}")
+                if sur in (None, not uses.count(0)) and inj in (None, m - uses.count(0) == n):
+                    yield CarrierMap(self.src, self.dst, tuple(image))
+            else:
+                stack.pop()
 
 
 def lane_plan_uncached(K, sig):
@@ -663,8 +757,8 @@ def var_to_eqcl_check_allvars(K, B, cert, theory_depth=2):
 
 
 def search_proof_proofonly(sig, axioms, goal, limits=entail.SearchLimits()):
-    """search_proof without its countermodel step: "refuted" only once
-    every depth up to max_depth is exhausted."""
+    """search_proof without its countermodel step: "exhausted" once every
+    depth up to max_depth is searched without a proof."""
     if limits.max_depth < 1 or limits.node_budget < 1:
         raise ValueError("limits must be positive")
     swapped = [Equation(a.rhs, a.lhs) for a in axioms]
@@ -679,4 +773,4 @@ def search_proof_proofonly(sig, axioms, goal, limits=entail.SearchLimits()):
                 return entail.SearchOutcome("found", proof)
     except entail._BudgetExhausted:
         return entail.SearchOutcome("budget")
-    return entail.SearchOutcome("refuted")
+    return entail.SearchOutcome("exhausted")

@@ -334,6 +334,15 @@ def test_entail_search_refutes_by_a_countermodel_under_the_caps(tmp_path, monkey
     assert run(*argv) == (1, "RESULT budget-exhausted\n", "")
 
 
+def test_entail_search_reads_exhausted_without_a_certificate(tmp_path):
+    axioms = tmp_path / "comm_assoc.eqs"
+    axioms.write_text("f(?x,?y) = f(?y,?x)\nf(f(?x,?y),?z) = f(?x,f(?y,?z))\n")
+    # the medial law follows from these laws, but by no proof of depth 4, and
+    # no model fails it: "refuted" is kept for goals a countermodel refutes
+    argv = ["entail-search", "--axioms", str(axioms), "--goal", "f(f(?a,?b),f(?c,?d)) = f(f(?a,?c),f(?b,?d))"]
+    assert run(*argv, "--depth", "4") == (1, "RESULT exhausted\n", "")
+
+
 def test_birkhoff_demo(tmp_path):
     path = tmp_path / "sl.alg"
     path.write_text(emit_algebra_file(semilattice2().sig, [("SL", semilattice2())]))

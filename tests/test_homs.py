@@ -29,7 +29,7 @@ from ualg.homs import (
     iter_homs,
 )
 
-from oracles import hom_factor_pairwise, iter_homs_elementwise
+from oracles import hom_factor_pairwise, iter_homs_elementwise, iter_homs_pervalue
 from samples import (
     SIG_CONST,
     SIG_F,
@@ -47,6 +47,7 @@ from samples import (
     z3_malcev,
     z4_add,
     z5_successor,
+    z_add,
 )
 
 
@@ -421,6 +422,12 @@ DIFFERENTIAL_POOLS = {
 }
 
 
+def _pins(src, dst):
+    """Maps pinning one element, and maps pinning the first and last."""
+    pins = [{a: b} for a in range(src.size) for b in range(dst.size)]
+    return pins + [{0: b, src.size - 1: dst.size - 1 - b} for b in range(dst.size)]
+
+
 @pytest.mark.parametrize("pool", DIFFERENTIAL_POOLS.values(), ids=DIFFERENTIAL_POOLS.keys())
 def test_iter_homs_matches_the_elementwise_oracle(pool):
     # same images in the same order, for every flag combination and for
@@ -431,13 +438,24 @@ def test_iter_homs_matches_the_elementwise_oracle(pool):
             got = [m.image for m in iter_homs(src, dst, surjective, injective)]
             assert got == [m.image for m in iter_homs_elementwise(src, dst, surjective, injective)]
             found += len(got)
-        pins = [{a: b} for a in range(src.size) for b in range(dst.size)]
-        pins += [{0: b, src.size - 1: dst.size - 1 - b} for b in range(dst.size)]
-        for fixed in pins:
+        for fixed in _pins(src, dst):
             for flags in ((None, None), (True, True)):
                 got = [m.image for m in iter_homs(src, dst, *flags, fixed=fixed)]
                 assert got == [m.image for m in iter_homs_elementwise(src, dst, *flags, fixed=fixed)]
     assert found > 0
+
+
+@pytest.mark.parametrize("pool", DIFFERENTIAL_POOLS.values(), ids=DIFFERENTIAL_POOLS.keys())
+def test_iter_homs_matches_the_per_value_oracle(pool):
+    # the values passing a branch point's one scan, each propagated from
+    # its forcing entries, reach the same images in the same order as
+    # propagating every value: for every flag combination, unpinned or
+    # pinning one or two elements
+    for src, dst in itertools.product(pool, repeat=2):
+        for fixed in [None, *_pins(src, dst)]:
+            for flags in itertools.product((None, True, False), repeat=2):
+                got = [m.image for m in iter_homs(src, dst, *flags, fixed=fixed)]
+                assert got == [m.image for m in iter_homs_pervalue(src, dst, *flags, fixed=fixed)]
 
 
 def test_z3_squared_endomorphisms_need_one_leaf_each(monkeypatch):
@@ -547,6 +565,65 @@ def test_search_cap_bounds_the_values_tried_not_the_space():
         find_isomorphism(power, twisted, Caps(search=4583))
 
 
+def _binary(n, op):
+    return algebra(SIG_F, n, {"f": [op(a, b) for a, b in itertools.product(range(n), repeat=2)]})
+
+
+def _per_value_trail(src, dst, flags, first):
+    """The per-value oracle run once under a stand-in for Caps whose search
+    cap is -1, so that it reports every value it tries: for each, in order,
+    the count of images yielded before it; and the images (only the first
+    when first)."""
+    images, before = [], []
+
+    class EveryValue:
+        search = -1
+
+        def check(self, key, amount, what):
+            assert (key, amount, what) == ("search", len(before) + 1, "hom search values tried at branch points")
+            before.append(len(images))
+
+    for m in iter_homs_pervalue(src, dst, *flags, caps=EveryValue()):
+        images.append(m.image)
+        if first:
+            break
+    return images, before
+
+
+CHAIN5, BAND4 = _binary(5, min), _binary(4, lambda a, b: a)
+CAP_DIFFERENTIAL = {
+    "C5->C5": (relabelled_product([CHAIN5], 1), relabelled_product([CHAIN5], 2), (None, None), False),
+    "L4->L4": (relabelled_product([BAND4], 3), relabelled_product([BAND4], 4), (None, None), False),
+    "surjective Z6->Z3": (relabelled_product([z_add(6)], 5), z3_add(), (True, None), False),
+    "C2^4 isomorphism": (
+        product([semilattice2(SIG_F)] * 4).alg, relabelled_product([semilattice2(SIG_F)] * 4), (True, True), True,
+    ),
+}
+
+
+@pytest.mark.parametrize("src, dst, flags, first", CAP_DIFFERENTIAL.values(), ids=CAP_DIFFERENTIAL.keys())
+def test_search_cap_trips_where_the_per_value_oracle_does(src, dst, flags, first):
+    # values pruned by a branch point's mask still count: at every cap up to
+    # the oracle's total values tried, the same images are yielded before
+    # the same SearchCapError, and at the total none is raised
+    images, before = _per_value_trail(src, dst, flags, first)
+    assert images
+    for cap in range(len(before) + 1):
+        got, error = [], None
+        try:
+            for m in iter_homs(src, dst, *flags, caps=Caps(search=cap)):
+                got.append(m.image)
+                if first:
+                    break
+        except SearchCapError as e:
+            error = str(e)
+        if cap < len(before):
+            want = f"hom search values tried at branch points: {cap + 1} exceeds cap search={cap}; "
+            assert (got, error) == (images[: before[cap]], want + "raise it with UALG_CAPS=search=N")
+        else:
+            assert (got, error) == (images, None)
+
+
 def test_isomorphism_is_an_equivalence():
     # a pool including relabeled copies
     twisted = algebra(SIG_F, 2, {"f": [1, 0, 0, 1]})  # xor with 0/1 swapped
@@ -562,6 +639,25 @@ def test_isomorphism_is_an_equivalence():
     assert pair is not None
     f, g = pair
     assert compose(f, g).image == identity_map(z2_xor()).image
+
+
+def test_injective_search_prunes_the_used_values(monkeypatch):
+    # every map of a left-zero band is a hom, so only the used-value prune
+    # keeps the non-injective maps from the leaf re-check
+    calls = count_leaves(monkeypatch)
+    assert len(find_homs(BAND4, BAND4, injective=True)) == 24
+    assert len(calls) == 24
+
+
+@pytest.mark.parametrize("size", [2, 3], ids=["equal-sizes", "different-sizes"])
+def test_find_isomorphism_checks_signatures_before_sizes(size):
+    # a mismatch is an error, never None ("not isomorphic"), whatever the sizes
+    other = algebra(SIG_G, size, {"g": [0] * size})
+    for a, b in [(z2_xor(), other), (other, z2_xor())]:
+        with pytest.raises(SignatureMismatchError):
+            find_isomorphism(a, b)
+        with pytest.raises(SignatureMismatchError):
+            is_isomorphic(a, b)
 
 
 def test_find_isomorphism_rechecks_the_inverse(monkeypatch):
