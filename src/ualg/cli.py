@@ -194,7 +194,7 @@ def run_cli(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | 
             args = parser.parse_args(list(argv))
         except SystemExit as e:  # --help and friends
             return 0 if not e.code else 2
-        return args.run(args, caps, out)
+        return args.run(args, caps, out, err)
     except UsageError as e:
         print(f"usage error: {e}", file=err)
         return 2
@@ -214,7 +214,7 @@ def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
 
 
-def _cmd_validate(args, caps: Caps, out: TextIO) -> int:
+def _cmd_validate(args, caps: Caps, out: TextIO, err: TextIO) -> int:
     try:
         _, algebras = parse_algebra_file(_read(args.file), file=args.file)
     except AlgebraValidationError as e:
@@ -230,7 +230,7 @@ def _cmd_validate(args, caps: Caps, out: TextIO) -> int:
     return 0
 
 
-def _cmd_sat(args, caps: Caps, out: TextIO) -> int:
+def _cmd_sat(args, caps: Caps, out: TextIO, err: TextIO) -> int:
     name, alg = _load_one(args.algebra)
     eq = parse_equation(args.equation)
     result = satisfies(alg, eq, caps)
@@ -241,7 +241,7 @@ def _cmd_sat(args, caps: Caps, out: TextIO) -> int:
     return 1
 
 
-def _cmd_class_sat(args, caps: Caps, out: TextIO) -> int:
+def _cmd_class_sat(args, caps: Caps, out: TextIO, err: TextIO) -> int:
     named = _load_class(args.files)
     eq = parse_equation(args.equation)
     result = class_satisfies([alg for _, alg in named], eq, caps)
@@ -253,7 +253,7 @@ def _cmd_class_sat(args, caps: Caps, out: TextIO) -> int:
     return 1
 
 
-def _cmd_theory(args, caps: Caps, out: TextIO) -> int:
+def _cmd_theory(args, caps: Caps, out: TextIO, err: TextIO) -> int:
     variables = _gen_vars(args.vars)
     named = _load_class(args.files)
     theory = theory_partition([alg for _, alg in named], variables, args.depth, caps)
@@ -262,7 +262,7 @@ def _cmd_theory(args, caps: Caps, out: TextIO) -> int:
     return 0
 
 
-def _cmd_hom(args, caps: Caps, out: TextIO) -> int:
+def _cmd_hom(args, caps: Caps, out: TextIO, err: TextIO) -> int:
     _, src = _load_one(args.src)
     _, dst = _load_one(args.dst)
     m = _parse_map(args.map, src, dst, "--map")
@@ -280,7 +280,7 @@ def _cmd_hom(args, caps: Caps, out: TextIO) -> int:
     return 1
 
 
-def _cmd_hom_find(args, caps: Caps, out: TextIO) -> int:
+def _cmd_hom_find(args, caps: Caps, out: TextIO, err: TextIO) -> int:
     _, src = _load_one(args.src)
     _, dst = _load_one(args.dst)
     homs = find_homs(
@@ -299,7 +299,7 @@ def _cmd_hom_find(args, caps: Caps, out: TextIO) -> int:
     return 1
 
 
-def _cmd_factor(args, caps: Caps, out: TextIO) -> int:
+def _cmd_factor(args, caps: Caps, out: TextIO, err: TextIO) -> int:
     _, src = _load_one(args.src)
     _, gdst = _load_one(args.gdst)
     _, hdst = _load_one(args.hdst)
@@ -317,7 +317,7 @@ def _cmd_factor(args, caps: Caps, out: TextIO) -> int:
     return 0
 
 
-def _cmd_free(args, caps: Caps, out: TextIO) -> int:
+def _cmd_free(args, caps: Caps, out: TextIO, err: TextIO) -> int:
     variables = _gen_vars(args.vars)
     named = _load_class(args.files)
     free = build_free([alg for _, alg in named], variables, caps)
@@ -345,7 +345,7 @@ def _infer_proof_signature(axioms, goal, proofs=()) -> Signature:
     return Signature(tuple(sorted(arities.items())))
 
 
-def _cmd_entail_check(args, caps: Caps, out: TextIO) -> int:
+def _cmd_entail_check(args, caps: Caps, out: TextIO, err: TextIO) -> int:
     axioms = parse_equation_file(_read(args.axioms), file=args.axioms)
     goal = parse_equation(args.goal)
     proof = parse_proof(_read(args.proof), file=args.proof)
@@ -362,7 +362,7 @@ def _cmd_entail_check(args, caps: Caps, out: TextIO) -> int:
     return 1
 
 
-def _cmd_entail_search(args, caps: Caps, out: TextIO) -> int:
+def _cmd_entail_search(args, caps: Caps, out: TextIO, err: TextIO) -> int:
     axioms = parse_equation_file(_read(args.axioms), file=args.axioms)
     goal = parse_equation(args.goal)
     sig = _infer_proof_signature(axioms, goal)
@@ -375,11 +375,15 @@ def _cmd_entail_search(args, caps: Caps, out: TextIO) -> int:
     if outcome.status == "found":
         print(f"PROOF {proof_to_text(outcome.proof)}", file=out)
         return 0
+    if outcome.model_step == "capped":
+        cells = min(caps.cells, limits.node_budget)
+        print(f"note: caps stopped the size-2 countermodel search at cells={cells}, the least of "
+              "UALG_CAPS=cells= and --budget; raising both may yet refute the goal", file=err)
     print(f"RESULT {'budget-exhausted' if outcome.status == 'budget' else outcome.status}", file=out)
     return 1
 
 
-def _cmd_birkhoff_demo(args, caps: Caps, out: TextIO) -> int:
+def _cmd_birkhoff_demo(args, caps: Caps, out: TextIO, err: TextIO) -> int:
     variables = _gen_vars(args.vars, 1)
     named = _load_class(args.files)
     K = [alg for _, alg in named]

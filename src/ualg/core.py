@@ -8,6 +8,12 @@ in 0..n-1.  The constructor enforces this, raising InvalidTablesError with
 every violation, so the rest of the package indexes tables raw.
 Everything is immutable and safe to share.
 
+Public constructors (algebra, FiniteAlgebra(...), homs.CarrierMap(...))
+and everything fileio and cli build validate their input.  An output that
+a kernel has already shown well formed may skip that through a private
+trusted constructor of its class; only the hom search's maps use one
+today (CarrierMap._trusted, after the leaf re-check).
+
 The module also holds the one index codec on int tables (mapped_cells and
 _decode_mixed) and the one byte-lane kernel (lane_plan, lane_pointwise),
 which term columns, closure.generate and the hom search's leaf re-check

@@ -175,11 +175,19 @@ class SearchOutcome:
     differ, so the goal follows at no depth; "exhausted": no proof within
     the limits and no countermodel, so the goal may still follow by a
     deeper or larger proof; or "budget": the node budget ran out first.
+
+    model_step says why the size-2 countermodel step, once it has run
+    without refuting, found no countermodel: "complete" (no size-2 model
+    of the axioms fails the goal), "capped" (caps stopped it, so raising
+    them may still refute the goal) or "arities" (a symbol is used at two
+    arities, so no algebra interprets them all).  It is None when the
+    search ended before the step or refuted.
     """
 
     status: str
     proof: Proof | None = None
     countermodel: Environment | None = None
+    model_step: str | None = None
 
 
 class _BudgetExhausted(Exception):
@@ -218,6 +226,7 @@ def search_proof(
         raise ValueError("limits must be positive")
     swapped = [Equation(a.rhs, a.lhs) for a in axioms]
     search = _Search(axioms, swapped, limits.max_term_size, limits.node_budget, {})
+    model_step = None
     try:
         for depth in range(1, limits.max_depth + 1):
             search.failed.clear()
@@ -225,25 +234,26 @@ def search_proof(
             if proof is not None:
                 if check_proof(sig, axioms, proof) != goal:
                     raise UalgError(f"search_proof built a proof that does not conclude {goal}")
-                return SearchOutcome("found", proof)
+                return SearchOutcome("found", proof, model_step=model_step)
             if depth == min(2, limits.max_depth):
                 bounded = replace(caps, cells=min(caps.cells, limits.node_budget))
-                if (countermodel := _countermodel(axioms, goal, bounded)) is not None:
+                countermodel, model_step = _countermodel(axioms, goal, bounded)
+                if countermodel is not None:
                     return SearchOutcome("refuted", countermodel=countermodel)
     except _BudgetExhausted:
-        return SearchOutcome("budget")
-    return SearchOutcome("exhausted")
+        return SearchOutcome("budget", model_step=model_step)
+    return SearchOutcome("exhausted", model_step=model_step)
 
 
-def _countermodel(axioms: Sequence[Equation], goal: Equation, caps: Caps) -> Environment | None:
+def _countermodel(axioms: Sequence[Equation], goal: Equation, caps: Caps) -> tuple[Environment | None, str | None]:
     """The goal's first counterexample in the first size-2 model of the
-    axioms, in ascending table order, that fails it; None when none does,
-    when a symbol is used at two arities, or when caps stop the search.
-    Size 1 is never tried: the trivial algebra satisfies every equation."""
+    axioms, in ascending table order, that fails it, and None; or None and
+    why there is none, as SearchOutcome.model_step reads it.  Size 1 is
+    never tried: the trivial algebra satisfies every equation."""
     try:
         sig = infer_signature([*axioms, goal])
     except UalgError:  # one symbol at two arities: no algebra interprets both
-        return None
+        return None, "arities"
     try:
         for model in find_models(sig, axioms, 2, caps)[0]:
             res = satisfies(model, goal, caps)
@@ -251,10 +261,10 @@ def _countermodel(axioms: Sequence[Equation], goal: Equation, caps: Caps) -> Env
                 failing = mod_check(model, axioms, caps).failing_index
                 if failing is not None:
                     raise UalgError(f"countermodel {model.tables} fails axiom {failing}")
-                return res.counterexample
+                return res.counterexample, None
     except CapExceededError:
-        pass
-    return None
+        return None, "capped"
+    return None, "complete"
 
 
 def _prove(search: _Search, g: Equation, depth: int) -> Proof | None:

@@ -8,11 +8,15 @@ the operation tables forces every other value or finds a conflict.  A
 branch point scans its tuples once for all its values, keeping as a bitmask
 the values that pass them (forward checking), and propagates only from
 those.  Each complete image is re-checked, on the target's byte lanes when
-they fit, and one that is not a hom raises UalgError.
+they fit, and the images that the last undecided element's values
+complete are re-checked together, one application per table.  One that is
+not a hom raises UalgError; the homs are yielded through
+CarrierMap._trusted, without validation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
@@ -65,6 +69,17 @@ class CarrierMap:
         if not 0 <= min(self.image) <= max(self.image) < self.dst.size:  # src.size >= 1
             a, b = next((a, b) for a, b in enumerate(self.image) if not 0 <= b < self.dst.size)
             raise ValueError(f"image[{a}] = {b} outside target carrier")
+
+    @classmethod
+    def _trusted(cls, src: FiniteAlgebra, dst: FiniteAlgebra, image: tuple[int, ...]) -> CarrierMap:
+        """A map built without validation, for kernel outputs already shown
+        to be in range.  The fields are set in field order, as __init__
+        sets them, so the instance keeps the class's shared-key dict."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "src", src)
+        object.__setattr__(m, "dst", dst)
+        object.__setattr__(m, "image", image)
+        return m
 
     def __call__(self, a: int) -> int:
         return self.image[a]
@@ -189,7 +204,9 @@ class _Search:
     is undone by cutting it back), uses, each target value's preimage count
     (for injective and the surjective prune), and masks, per operation the
     _passing masks built so far, one per (d, c, v) a scanned tuple needed,
-    so that their memory grows with the tuples scanned."""
+    so that their memory grows with the tuples scanned.  homs() re-checks
+    the complete images in batches by _recheck, which shares no code with
+    assign or branch."""
 
     def __init__(self, src, dst, surjective: bool | None, injective: bool | None, caps: Caps):
         self.src, self.dst, self.surjective, self.injective = src, dst, surjective, injective
@@ -273,9 +290,17 @@ class _Search:
         values left to try, the forcing entries and the least value not yet
         counted.  Every value at a branch point counts against caps.search,
         pruned or not: the values up to each one tried, and the rest when
-        none is left.  Each complete image is re-checked by _recheck, built
-        at the first."""
+        none is left.
+
+        When a is the last undecided element its branch point has no
+        forcing entries (branch decides a's own tuples), so each passing
+        value is a complete image: they are taken as one batch, in order,
+        up to the first value the cap refuses, which is left for the loop
+        to trip on.  Every complete image, in a batch or alone, is
+        re-checked by _recheck (built at the first), and the maps before
+        the first that fails are yielded before UalgError is raised."""
         image, trail, uses, n, m = self.image, self.trail, self.uses, self.src.size, self.dst.size
+        src, dst, cap, trusted = self.src, self.dst, self.cap, CarrierMap._trusted
         sur, inj, assign, recheck, tried = self.surjective, self.injective, self.assign, None, 0
         stack = [[-1, len(trail), 1, [], 0]]  # the root: one try, assigning nothing
         while stack:
@@ -284,8 +309,8 @@ class _Search:
             b = (allowed & -allowed).bit_length() - 1 if allowed else m - 1
             if a >= 0:
                 tried += b + 1 - start
-                if tried > self.cap:
-                    self.caps.check("search", self.cap + 1, "hom search values tried at branch points")
+                if tried > cap:
+                    self.caps.check("search", cap + 1, "hom search values tried at branch points")
             if not allowed:
                 stack.pop()
                 continue
@@ -295,23 +320,47 @@ class _Search:
                     uses[image[x]] -= 1
                     image[x] = -1
                 del trail[mark:]
-            if a >= 0:
-                image[a] = b
-                uses[b] += 1
-                trail.append(a)
-                if forced and not assign([(res, table[d + b * c]) for res, table, d, c in forced]):
+            if a >= 0 and mark == n - 1:
+                leaves, lefts, unused = [], [], uses.count(0)  # lefts: the values each leaves unused
+                while True:
+                    left = unused - (not uses[b])
+                    if not (sur and left):  # the surjective prune
+                        image[a] = b
+                        leaves.append(tuple(image))
+                        lefts.append(left)
+                    allowed, start = top[2], top[4]
+                    if not allowed:
+                        break
+                    b = (allowed & -allowed).bit_length() - 1
+                    if tried + b + 1 - start > cap:
+                        break
+                    tried += b + 1 - start
+                    top[2], top[4] = allowed & (allowed - 1), b + 1
+                image[a] = -1
+                if not leaves:
                     continue
-            if sur and uses.count(0) > n - len(trail):
-                continue  # more values unused than elements undecided
-            if len(trail) < n:
-                a = image.index(-1)
-                stack.append([a, len(trail), *self.branch(a), 0])
-                continue
-            recheck = recheck or _recheck(self.src, self.dst)
-            if (witness := recheck(image)) is not None:
-                raise UalgError(f"hom search reached {tuple(image)}, not a hom at {witness[0]}{witness[1]}")
-            if sur in (None, not uses.count(0)) and inj in (None, m - uses.count(0) == n):
-                yield CarrierMap(self.src, self.dst, tuple(image))
+            else:
+                if a >= 0:
+                    image[a] = b
+                    uses[b] += 1
+                    trail.append(a)
+                    if forced and not assign([(res, table[d + b * c]) for res, table, d, c in forced]):
+                        continue
+                if sur and uses.count(0) > n - len(trail):
+                    continue  # more values unused than elements undecided
+                if len(trail) < n:
+                    a = image.index(-1)
+                    stack.append([a, len(trail), *self.branch(a), 0])
+                    continue
+                leaves, lefts = [tuple(image)], [uses.count(0)]
+            recheck = recheck or _recheck(src, dst)
+            failure = recheck(leaves)
+            for leaf, left in zip(leaves[: failure[0]] if failure else leaves, lefts):
+                if sur in (None, not left) and inj in (None, m - left == n):
+                    yield trusted(src, dst, leaf)
+            if failure:
+                i, (name, args) = failure
+                raise UalgError(f"hom search reached {leaves[i]}, not a hom at {name}{args}")
 
 
 def _passing(table: Sequence[int], d: int, c: int, v: int, m: int) -> int:
@@ -320,26 +369,77 @@ def _passing(table: Sequence[int], d: int, c: int, v: int, m: int) -> int:
     return sum(1 << b for b in range(m) if table[d + b * c] == (b if v == m else v))
 
 
-def _recheck(src: FiniteAlgebra, dst: FiniteAlgebra) -> Callable[[Sequence[int]], tuple[str, tuple[int, ...]] | None]:
-    """hom_violation as a function of the image src -> dst, sharing no code
-    with _Search.assign: per table, dst's lane_pointwise on src's argument
-    columns mapped through the image against src's table mapped through it;
-    hom_violation itself when dst fails lane_plan's fit rule or |src| > 256."""
+def _recheck(
+    src: FiniteAlgebra, dst: FiniteAlgebra
+) -> Callable[[Sequence[Sequence[int]]], tuple[int, tuple[str, tuple[int, ...]]] | None]:
+    """hom_violation as a function of a batch of images src -> dst, sharing
+    no code with _Search.assign or branch: the index of the first image
+    that is not a hom and hom_violation's witness for it, or None.
+
+    Within lane_plan's fit rule and |src| <= 256, up to k = min(256 // |src|,
+    |dst|) images are checked together: their images, joined, make one
+    translation table, and per table dst's lane_pointwise runs once on src's
+    argument columns, shifted by i * |src| for image i and joined, against
+    src's table shifted and joined alike, both translated through it.  The
+    columns come from _lane_columns; the joined tables are built at the
+    first batch of two or more, and a batch of one reads src's own.  Longer
+    batches are checked k images at a time.  Past the fit rule,
+    hom_violation checks each image in turn."""
     n, plan = src.size, dst._lanes
     if plan is None or n > 256:
-        return lambda image: hom_violation(CarrierMap(src, dst, tuple(image)))
-    apply, ops = lane_pointwise(plan, b"\0"), []
-    for (name, arity), table in zip(src.sig.ops, src.tables):
-        ops.append((name, arity, list(environment_columns(range(arity), n).values()), bytes(table)))
 
-    def violation(image: Sequence[int]) -> tuple[str, tuple[int, ...]] | None:
-        h = bytes(image).ljust(256, b"\0")
-        for name, arity, columns, table in ops:
-            if (target := apply(name, [c.translate(h) for c in columns])) != (mapped := table.translate(h)):
-                return name, _decode_mixed((n,) * arity, next(i for i, x in enumerate(target) if x != mapped[i]))
+        def each(images: Sequence[Sequence[int]]) -> tuple[int, tuple[str, tuple[int, ...]]] | None:
+            for i, image in enumerate(images):
+                if (witness := hom_violation(CarrierMap(src, dst, tuple(image)))) is not None:
+                    return i, witness
+            return None
+
+        return each
+    width = min(256 // n, dst.size)
+    one, wide, joined = lane_pointwise(plan, b"\0"), lane_pointwise(plan, bytes(width)), []
+    single = [(name, arity, n**arity, _lane_columns(n, arity, 1)[0], bytes(table))
+              for (name, arity), table in zip(src.sig.ops, src.tables)]
+
+    def batch(images: Sequence[Sequence[int]]) -> tuple[int, tuple[str, tuple[int, ...]]] | None:
+        for lo in range(0, len(images), width):
+            chunk = images[lo : lo + width]
+            if len(chunk) == 1:
+                apply, ops, h = one, single, bytes(chunk[0])
+            else:  # a short chunk is padded with its first image, which fails first if it fails
+                if not joined:
+                    for name, arity, cells, _, table in single:
+                        columns, shift = _lane_columns(n, arity, width)
+                        table = (int.from_bytes(table * width, "little") + shift).to_bytes(cells * width, "little")
+                        joined.append((name, arity, cells, columns, table))
+                apply, ops = wide, joined
+                h = b"".join(map(bytes, chunk + chunk[:1] * (width - len(chunk))))
+            h, first = h.ljust(256, b"\0"), None  # first: (image, name, arity, cell) of the first failure
+            for name, arity, cells, columns, table in ops:
+                if (target := apply(name, [c.translate(h) for c in columns])) != (mapped := table.translate(h)):
+                    at = next(i for i, x in enumerate(target) if x != mapped[i])
+                    if first is None or at // cells < first[0]:
+                        first = (at // cells, name, arity, at % cells)
+                        if not first[0]:
+                            break
+            if first is not None:
+                i, name, arity, at = first
+                return lo + i, (name, _decode_mixed((n,) * arity, at))
         return None
 
-    return violation
+    return batch
+
+
+@functools.lru_cache(maxsize=16)
+def _lane_columns(n: int, arity: int, copies: int) -> tuple[tuple[bytes, ...], int]:
+    """_recheck's argument columns for an arity-ary table of an n-element
+    source over copies images: environment_columns, image i's shifted by
+    i * n and joined in image order, and that shift as a number to add to a
+    table repeated copies times.  They depend only on the shape, so they are
+    kept per shape."""
+    cells = n**arity
+    shift = int.from_bytes(b"".join([bytes((i * n,)) * cells for i in range(copies)]), "little")
+    columns = environment_columns(range(arity), n).values()
+    return tuple([(int.from_bytes(c * copies, "little") + shift).to_bytes(cells * copies, "little") for c in columns]), shift
 
 
 def find_homs(

@@ -11,7 +11,8 @@ every product cell by one checked apply_op call per factor, every hom
 check cell by two checked apply_op calls, hom_factor's kernel
 inclusion scanning every kernel pair, the hom search branching on every
 source element in place of the generators, the hom search running its
-propagation once per value at a branch point, the models of E found by
+propagation once per value at a branch point, the hom search's leaf
+re-check run on one complete image at a time, the models of E found by
 filtering every table and deduplicated by trying every relabelling, the
 congruences of an algebra found by trying every set partition, every
 quotient cell by one apply_op call after a cell-by-cell congruence check,
@@ -60,10 +61,10 @@ from ualg import (
 )
 from ualg.birkhoff import PipelineReport, Stage, _models_theory
 from ualg.closure import CertCheckResult, HspCertificate, ProductAlgebra
-from ualg.core import Caps, UalgError, same_signature
+from ualg.core import Caps, UalgError, lane_pointwise, same_signature
 from ualg.free import FreeAlgebra, UniversalMapFailure, universal_map
-from ualg.homs import KernelInclusionError, NotAHomError, NotSurjectiveError, _recheck, hom_violation, kernel_pairs
-from ualg.terms import all_environments
+from ualg.homs import KernelInclusionError, NotAHomError, NotSurjectiveError, hom_violation, kernel_pairs
+from ualg.terms import all_environments, environment_columns
 
 
 @functools.lru_cache(maxsize=None)
@@ -305,7 +306,8 @@ class _PerValueSearch:
         """The homs extending the image, in one depth-first loop: branch on
         the least undecided element, target values ascending.  stack holds
         the open branch points: element, len(trail) before it, values left.
-        Each complete image is re-checked by _recheck, built at the first."""
+        Each complete image is re-checked by recheck_single, built at the
+        first."""
         image, trail, uses, n, m = self.image, self.trail, self.uses, self.src.size, self.dst.size
         sur, inj, assign, recheck, tried = self.surjective, self.injective, self.assign, None, 0
         stack = [(-1, len(trail), iter((0,)))]  # the root: one try, assigning nothing
@@ -328,13 +330,37 @@ class _PerValueSearch:
                 if len(trail) < n:
                     stack.append((image.index(-1), len(trail), iter(range(m))))
                     break
-                recheck = recheck or _recheck(self.src, self.dst)
+                recheck = recheck or recheck_single(self.src, self.dst)
                 if (witness := recheck(image)) is not None:
                     raise UalgError(f"hom search reached {tuple(image)}, not a hom at {witness[0]}{witness[1]}")
                 if sur in (None, not uses.count(0)) and inj in (None, m - uses.count(0) == n):
                     yield CarrierMap(self.src, self.dst, tuple(image))
             else:
                 stack.pop()
+
+
+def recheck_single(src, dst):
+    """homs._recheck one image at a time, as it was before complete images
+    were re-checked in batches: per table, dst's lane_pointwise on src's
+    argument columns mapped through the image against src's table mapped
+    through it; hom_violation itself when dst fails lane_plan's fit rule or
+    |src| > 256.  The witness's arguments are found by enumeration."""
+    n, plan = src.size, dst._lanes
+    if plan is None or n > 256:
+        return lambda image: hom_violation(CarrierMap(src, dst, tuple(image)))
+    apply, ops = lane_pointwise(plan, b"\0"), []
+    for (name, arity), table in zip(src.sig.ops, src.tables):
+        ops.append((name, arity, list(environment_columns(range(arity), n).values()), bytes(table)))
+
+    def violation(image):
+        h = bytes(image).ljust(256, b"\0")
+        for name, arity, columns, table in ops:
+            if (target := apply(name, [c.translate(h) for c in columns])) != (mapped := table.translate(h)):
+                at = next(i for i, x in enumerate(target) if x != mapped[i])
+                return name, next(itertools.islice(itertools.product(range(n), repeat=arity), at, None))
+        return None
+
+    return violation
 
 
 def lane_plan_uncached(K, sig):

@@ -331,7 +331,10 @@ def test_entail_search_refutes_by_a_countermodel_under_the_caps(tmp_path, monkey
     # the proof search alone runs out of its budget; a size-2 model fails the goal
     assert run(*argv) == (1, "RESULT refuted\n", "")
     monkeypatch.setenv("UALG_CAPS", "cells=3")  # too few for f's 4 table cells
-    assert run(*argv) == (1, "RESULT budget-exhausted\n", "")
+    note = ("note: caps stopped the size-2 countermodel search at cells=3, the least of "
+            "UALG_CAPS=cells= and --budget; raising both may yet refute the goal\n")
+    assert run(*argv) == (1, "RESULT budget-exhausted\n", note)
+    assert run(*argv[:-4], "--depth", "3") == (1, "RESULT exhausted\n", note)
 
 
 def test_entail_search_reads_exhausted_without_a_certificate(tmp_path):
@@ -340,6 +343,7 @@ def test_entail_search_reads_exhausted_without_a_certificate(tmp_path):
     # the medial law follows from these laws, but by no proof of depth 4, and
     # no model fails it: "refuted" is kept for goals a countermodel refutes
     argv = ["entail-search", "--axioms", str(axioms), "--goal", "f(f(?a,?b),f(?c,?d)) = f(f(?a,?c),f(?b,?d))"]
+    # the model search ran to the end, so no note: raising the caps refutes nothing
     assert run(*argv, "--depth", "4") == (1, "RESULT exhausted\n", "")
 
 

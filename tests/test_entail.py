@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -35,7 +36,7 @@ from ualg.terms import App, enumerate_terms
 from oracles import search_proof_proofonly
 from samples import EASY_LAW_SETS, EASY_NON_CONSEQUENCES, SIG_F, all_binary_size2, easy_laws, z2_xor
 
-X, Y, Z = Var("x"), Var("y"), Var("z")
+X, Y, Z, W = Var("x"), Var("y"), Var("z"), Var("w")
 
 
 def f(*children):
@@ -154,7 +155,7 @@ def _agrees_with_the_proof_only_search(sig, axioms, goal, limits, caps=Caps()):
     got = search_proof(sig, axioms, goal, limits, caps)
     want = search_proof_proofonly(sig, axioms, goal, limits)
     if got.countermodel is None:
-        assert got == want
+        assert replace(got, model_step=None) == want
     else:
         assert (got.status, got.proof) == ("refuted", None)
         assert want.status in ("exhausted", "budget")
@@ -227,7 +228,12 @@ def test_caps_bound_the_model_search():
     limits = SearchLimits(max_depth=3)
     # a size-2 table of f has 4 cells: cells=3 stops the model search, not the proof search
     out = _agrees_with_the_proof_only_search(SIG_F, SEMILATTICE, goal, limits, Caps(cells=3))
-    assert out.countermodel is None and out.status == "exhausted"
+    assert (out.status, out.countermodel, out.model_step) == ("exhausted", None, "capped")
+    # the medial law follows from comm and assoc, so no model fails it, at any cap
+    assoc = Equation(f(f(X, Y), Z), f(X, f(Y, Z)))
+    medial = Equation(f(f(X, Y), f(Z, W)), f(f(X, Z), f(Y, W)))
+    out = _agrees_with_the_proof_only_search(SIG_F, [COMM, assoc], medial, SearchLimits(max_depth=4))
+    assert (out.status, out.countermodel, out.model_step) == ("exhausted", None, "complete")
     # the node budget lowers cells: x = y has 2^2 environments at size 2
     for budget, found in [(3, False), (4, True)]:
         limits = SearchLimits(max_depth=1, node_budget=budget)
@@ -247,7 +253,7 @@ def test_the_model_search_reads_the_symbols_of_the_axioms_and_goal():
 def test_a_symbol_at_two_arities_skips_the_model_search():
     goal = Equation(App("f", (X,)), X)
     out = _agrees_with_the_proof_only_search(SIG_F, [COMM], goal, SearchLimits(max_depth=3))
-    assert out.status == "exhausted" and out.countermodel is None
+    assert (out.status, out.countermodel, out.model_step) == ("exhausted", None, "arities")
 
 
 def test_search_rejects_bad_limits():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import sys
 
 import pytest
 
@@ -29,7 +30,7 @@ from ualg.homs import (
     iter_homs,
 )
 
-from oracles import hom_factor_pairwise, iter_homs_elementwise, iter_homs_pervalue
+from oracles import hom_factor_pairwise, iter_homs_elementwise, iter_homs_pervalue, recheck_single
 from samples import (
     SIG_CONST,
     SIG_F,
@@ -271,14 +272,14 @@ def test_find_homs_matches_brute_force_oracle():
 
 
 def count_leaves(monkeypatch):
-    """The images the hom search's leaf re-check is called on, recorded as
-    the searches run."""
+    """The images the hom search's leaf re-check is called on, each image of
+    a batch in order, recorded as the searches run."""
     calls = []
     real = homs._recheck
 
     def counting(src, dst):
         check = real(src, dst)
-        return lambda image: calls.append(tuple(image)) or check(image)
+        return lambda images: calls.extend(map(tuple, images)) or check(images)
 
     monkeypatch.setattr(homs, "_recheck", counting)
     return calls
@@ -450,12 +451,18 @@ def test_iter_homs_matches_the_per_value_oracle(pool):
     # the values passing a branch point's one scan, each propagated from
     # its forcing entries, reach the same images in the same order as
     # propagating every value: for every flag combination, unpinned or
-    # pinning one or two elements
+    # pinning one or two elements, with complete images re-checked in
+    # batches where the oracle re-checks each alone; each map, yielded
+    # without validation, equals a validated rebuild and keeps the
+    # shared-key instance dict
     for src, dst in itertools.product(pool, repeat=2):
         for fixed in [None, *_pins(src, dst)]:
             for flags in itertools.product((None, True, False), repeat=2):
-                got = [m.image for m in iter_homs(src, dst, *flags, fixed=fixed)]
-                assert got == [m.image for m in iter_homs_pervalue(src, dst, *flags, fixed=fixed)]
+                maps = list(iter_homs(src, dst, *flags, fixed=fixed))
+                assert [m.image for m in maps] == [m.image for m in iter_homs_pervalue(src, dst, *flags, fixed=fixed)]
+                rebuilt = [CarrierMap(src, dst, m.image) for m in maps]
+                assert maps == rebuilt
+                assert [sys.getsizeof(vars(m)) for m in maps] == [sys.getsizeof(vars(m)) for m in rebuilt]
 
 
 def test_z3_squared_endomorphisms_need_one_leaf_each(monkeypatch):
@@ -466,9 +473,17 @@ def test_z3_squared_endomorphisms_need_one_leaf_each(monkeypatch):
     assert len(calls) == 81
 
 
+BAND3 = algebra(SIG_F, 3, {"f": [0, 0, 0, 1, 1, 1, 2, 2, 2]})
+BAND3_BROKEN = algebra(SIG_F, 3, {"f": [0, 0, 1, 1, 1, 1, 2, 2, 2]})  # left-zero but for f(0, 2) = 1
+
+
 def test_a_complete_image_that_is_not_a_hom_raises(monkeypatch):
-    # with propagation switched off every map Z3 -> Z3 is a leaf: (0, 0, 0)
-    # is a hom, and the next, (0, 0, 1), must raise rather than be dropped
+    # with propagation switched off every map is a leaf, and the last
+    # element's values make one batch: a lazy consumer gets each hom before
+    # the first image that is not one, which must raise rather than be
+    # dropped.  Z3 -> Z3: (0, 0, 0) is a hom and (0, 0, 1) is not; L3 into
+    # a band broken at f(0, 2): (0, 0, 0) and (0, 0, 1) are homs, (0, 0, 2)
+    # is not.
     real = homs._Search.__init__
 
     def no_propagation(self, *args):
@@ -476,13 +491,18 @@ def test_a_complete_image_that_is_not_a_hom_raises(monkeypatch):
         self.ops = []
 
     monkeypatch.setattr(homs._Search, "__init__", no_propagation)
-    with pytest.raises(UalgError, match=r"^hom search reached \(0, 0, 1\), not a hom at f\(1, 1\)$"):
-        find_homs(z3_add(), z3_add())
+    for src, dst, first, text in [
+        (z3_add(), z3_add(), [(0, 0, 0)], r"\(0, 0, 1\), not a hom at f\(1, 1\)"),
+        (BAND3, BAND3_BROKEN, [(0, 0, 0), (0, 0, 1)], r"\(0, 0, 2\), not a hom at f\(0, 2\)"),
+    ]:
+        gen = iter_homs(src, dst)
+        assert [next(gen).image for _ in first] == first
+        with pytest.raises(UalgError, match=rf"^hom search reached {text}$"):
+            next(gen)
 
 
-def _random_hom_or_not(rng, sig, n, m):
-    """Random algebras src and dst of sizes n and m with a map src -> dst
-    that is a hom or (about half the time) one image value away from one:
+def _random_hom(rng, sig, n, m):
+    """Random algebras src and dst of sizes n and m with a hom src -> dst:
     dst keeps the image closed, and src's entries are preimages."""
     h = [rng.randrange(m) for _ in range(n)]
     inside = sorted(set(h))
@@ -499,9 +519,12 @@ def _random_hom_or_not(rng, sig, n, m):
             rng.choice(fibers[apply_op(dst, name, [h[a] for a in args])])
             for args in itertools.product(range(n), repeat=arity)
         ]
-    if rng.random() < 0.5:
-        h[rng.randrange(n)] = rng.randrange(m)
     return algebra(sig, n, src_tables), dst, tuple(h)
+
+
+def _first_failure(check, batch):
+    """The first (index, witness) of a single-image check over batch, or None."""
+    return next(((i, w) for i, image in enumerate(batch) if (w := check(image)) is not None), None)
 
 
 @pytest.mark.parametrize("sig, sizes", [
@@ -509,22 +532,35 @@ def _random_hom_or_not(rng, sig, n, m):
     (signature(("g", 1), ("c", 0)), [(9, 200), (12, 257), (257, 3), (300, 1)]),
 ], ids=["all-arities", "unary-and-constant"])
 def test_leaf_recheck_matches_hom_violation(monkeypatch, sig, sizes):
-    # the lane re-check reports hom_violation's witness, or None, on both
-    # sides of lane_plan's fit rule and of |src| = 256; within both it never
-    # calls hom_violation
+    # a batch of images, the hom repeated with one image a value away from
+    # it at a random place and random ones after: the re-check returns the
+    # first image that is not a hom and hom_violation's witness for it, or
+    # None, as the single-image oracle does, on both sides of lane_plan's
+    # fit rule and of |src| = 256, for batches short and longer than
+    # 256 // |src| (split into chunks); within both it never calls
+    # hom_violation
     rng = random.Random(22)
     outcomes = set()
     for n, m in sizes:
         for _ in range(30):
-            src, dst, image = _random_hom_or_not(rng, sig, n, m)
+            src, dst, h = _random_hom(rng, sig, n, m)
             lanes = lane_plan([dst], sig) is not None and n <= 256
-            want = hom_violation(CarrierMap(src, dst, image))
+            nudges = [h[:a] + (rng.randrange(m),) + h[a + 1 :] for a in rng.choices(range(n), k=4)]
+            length = rng.randrange(1, 4) + (256 // n if rng.random() < 0.5 else 0)
+            where = rng.randrange(length + 1)
+            batch = ([h] * where + [nudges[0]] + [rng.choice([h, *nudges]) for _ in range(length)])[:length]
+            want = _first_failure(lambda image: hom_violation(CarrierMap(src, dst, image)), batch)
+            assert want == _first_failure(recheck_single(src, dst), batch)
             with monkeypatch.context() as patch:
                 if lanes:
                     patch.setattr(homs, "hom_violation", lambda m: pytest.fail("hom_violation called"))
-                assert homs._recheck(src, dst)(image) == want
-            outcomes.add((lanes, want is None))
-    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+                assert homs._recheck(src, dst)(batch) == want
+            chunk = min(256 // n, m) if lanes else length
+            outcomes.add((lanes, "hom" if want is None else "first" if not want[0] else
+                          "later" if want[0] < chunk else "later chunk"))
+    assert outcomes == {(True, "later chunk")} | {
+        (lanes, kind) for lanes in (True, False) for kind in ("hom", "first", "later")
+    }
 
 
 def test_relabelled_z2_cube_isomorphism_under_default_caps():
@@ -647,6 +683,15 @@ def test_injective_search_prunes_the_used_values(monkeypatch):
     calls = count_leaves(monkeypatch)
     assert len(find_homs(BAND4, BAND4, injective=True)) == 24
     assert len(calls) == 24
+
+
+def test_surjective_search_prunes_in_the_last_batch(monkeypatch):
+    # every map L4 -> L3 is a hom; at the last element only the values that
+    # leave no target value unused reach the re-check: the 3^4 - 3 * 2^4 + 3
+    # surjections, not the 72 maps whose first three values use two or more
+    calls = count_leaves(monkeypatch)
+    assert len(find_homs(BAND4, BAND3, surjective=True)) == 36
+    assert len(calls) == 36
 
 
 @pytest.mark.parametrize("size", [2, 3], ids=["equal-sizes", "different-sizes"])
