@@ -22,10 +22,10 @@ from .closure import (
     quotient,
     subuniverses,
 )
-from .eqlogic import find_models, satisfies, theory_partition
+from .eqlogic import find_models, mod_failures, satisfies, theory_partition
 from .free import UniversalMapFailure, build_free, universal_map
 from .homs import CarrierMap, hom_violation
-from .terms import Environment, Equation, environment_columns, equation_vars, infer_signature, term_columns
+from .terms import Environment, Equation, infer_signature
 
 # the depth of K's two-variable theory that var_to_eqcl_check's last stage checks in B
 THEORY_DEPTH = 2
@@ -172,6 +172,16 @@ def eqcl_to_var_check(
     isomorphic to A/ker; and A/0_A is A, A/1_A the trivial model, both
     already checked.  A model search, product or congruence lattice past
     caps raises CapExceededError; nothing is skipped.
+
+    Each stage checks its derived algebras in batches (eqlogic.mod_failures):
+    consecutive ones share one lane plan while their sizes' n^top sum to at
+    most 256, top the largest arity (64 of size 2, 16 of size 4 or 3 of
+    size 9 for binary symbols), and each equation's sides are computed once
+    per batch.  The failing algebra is still the first in generator order
+    that fails E, with its first failing equation replayed through
+    satisfies for the witness; a cap error raised by a later derived
+    algebra, or by an environment space, comes only after the algebras
+    before it are checked, as it did one algebra at a time.
     """
     sig = infer_signature(E)
     models: list[FiniteAlgebra] = []
@@ -181,8 +191,6 @@ def eqcl_to_var_check(
         models.extend(reps)
         count += n
     stages = [Stage("enumerate-models", True, f"{count} models of {len(E)} equations")]
-    envs: dict = {}  # (equation index, size) -> environment columns
-
     closures = [
         ("products-closed", ((product([a, b], caps).alg, "product")
                              for a, b in itertools.combinations_with_replacement(models, 2))),
@@ -194,32 +202,11 @@ def eqcl_to_var_check(
                                if 1 < len(set(theta)) < alg.size)),
     ]
     for name, derived in closures:
-        for alg, how in derived:
-            bad = _closure_failure(alg, E, how, envs, caps)
-            if bad is not None:
-                return PipelineReport((*stages, bad))
+        for alg, how, i in mod_failures(derived, E, caps):
+            bad = Stage("closure", False, f"{how} breaks equation {i} at {_replay(alg, E[i], caps)}")
+            return PipelineReport((*stages, bad))
         stages.append(Stage(name, True))
     return PipelineReport(tuple(stages))
-
-
-def _closure_failure(
-    derived: FiniteAlgebra, E: Sequence[Equation], how: str, envs: dict, caps: Caps
-) -> Stage | None:
-    """None when derived models E: each equation's sides have equal value
-    columns over the environment columns cached in envs, each checked
-    against caps when first built.  A failure replays the failing equation
-    through satisfies for its witness."""
-    for i, eq in enumerate(E):
-        columns = envs.get((i, derived.size))
-        if columns is None:
-            names = equation_vars(eq)
-            caps.check_env_space(derived.size, names)
-            columns = envs[i, derived.size] = environment_columns(names, derived.size)
-        lhs, rhs = term_columns(derived, (eq.lhs, eq.rhs), columns)
-        if lhs != rhs:
-            ce = _replay(derived, eq, caps)
-            return Stage("closure", False, f"{how} breaks equation {i} at {ce}")
-    return None
 
 
 def _replay(alg: FiniteAlgebra, eq: Equation, caps: Caps) -> Environment:

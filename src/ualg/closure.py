@@ -66,7 +66,9 @@ class ProductAlgebra:
 def product(factors: Sequence[FiniteAlgebra], caps: Caps = DEFAULT_CAPS) -> ProductAlgebra:
     """Componentwise product of a nonempty list of same-signature algebras:
     A0 x (A1 x (.. x Am)) by two-factor outer sums (_outer_sum), the caps
-    admitted once on the final size."""
+    admitted once on the final size.  The result is built unvalidated
+    (FiniteAlgebra._trusted): outer sums of well-formed tables are well
+    formed, each entry a * q + b with a < p and b < q."""
     if not factors:
         raise ValueError("product requires at least one factor")
     sig = same_signature(*factors)
@@ -76,7 +78,7 @@ def product(factors: Sequence[FiniteAlgebra], caps: Caps = DEFAULT_CAPS) -> Prod
     for f in reversed(factors[:-1]):
         tables = [_outer_sum(a, f.size, b, q, arity) for (_, arity), a, b in zip(sig.ops, f.tables, tables)]
         q *= f.size
-    return ProductAlgebra(FiniteAlgebra(sig, q, tuple(tables)), sizes)
+    return ProductAlgebra(FiniteAlgebra._trusted(sig, q, tuple(tables)), sizes)
 
 
 def _outer_sum(a: Sequence[int], p: int, b: Sequence[int], q: int, arity: int) -> tuple[int, ...]:

@@ -11,13 +11,15 @@ Everything is immutable and safe to share.
 Public constructors (algebra, FiniteAlgebra(...), homs.CarrierMap(...))
 and everything fileio and cli build validate their input.  An output that
 a kernel has already shown well formed may skip that through a private
-trusted constructor of its class; only the hom search's maps use one
-today (CarrierMap._trusted, after the leaf re-check).
+trusted constructor of its class: the hom search's maps use one
+(CarrierMap._trusted, after the leaf re-check), and so do products
+(FiniteAlgebra._trusted: an outer sum of in-range tables is in range).
 
 The module also holds the one index codec on int tables (mapped_cells and
 _decode_mixed) and the one byte-lane kernel (lane_plan, lane_pointwise),
-which term columns, closure.generate and the hom search's leaf re-check
-share; products read no lanes.
+which term columns, the class checks of eqlogic.mod_failures,
+closure.generate and the hom search's leaf re-check share; products read
+no lanes.
 """
 
 from __future__ import annotations
@@ -252,6 +254,18 @@ class FiniteAlgebra:
             index[name] = (arity, table)
         object.__setattr__(self, "_ops", index)
 
+    @classmethod
+    def _trusted(cls, sig: Signature, size: int, tables: tuple[tuple[int, ...], ...]) -> FiniteAlgebra:
+        """An algebra built without validation, for kernel outputs already
+        well formed.  The fields are set in field order, as __init__ sets
+        them, so the instance keeps the class's shared-key dict."""
+        alg = object.__new__(cls)
+        object.__setattr__(alg, "sig", sig)
+        object.__setattr__(alg, "size", size)
+        object.__setattr__(alg, "tables", tables)
+        object.__setattr__(alg, "_ops", {name: (arity, table) for (name, arity), table in zip(sig.ops, tables)})
+        return alg
+
     @cached_property
     def _lanes(self) -> dict[str, tuple[tuple[bytes, ...], bytes]] | None:
         """lane_plan([self]), built on first use and kept: every
@@ -303,26 +317,37 @@ def lane_plan(K: Sequence[FiniteAlgebra], sig: Signature) -> dict[str, tuple[tup
     step tables and shifts depend only on the sizes and the largest arity,
     so _lane_frame keeps them per shape; only the final tables are built
     per call.
+
+    Several members share a plan in closure.generate (the members a
+    generated subalgebra's coordinates read) and in eqlogic.mod_failures
+    (consecutive algebras checked against equations in one batch); every
+    other caller reads one algebra's cached plan, FiniteAlgebra._lanes.
     """
     sizes = tuple([alg.size for alg in K])
     # n^j <= n^top for 1 <= j <= top: the largest arity, at least 1, decides
     top = max([1] + [arity for _, arity in sig.ops])
     if top > 8 or sum([n**top for n in sizes]) > 256:
         return None
-    steps, shifts = _lane_frame(sizes, top)
+    steps, lifts = _lane_frame(sizes, top)
     plan = {}
     for pos, (name, arity) in enumerate(sig.ops):
-        final = b"".join([bytes(alg.tables[pos]).translate(shift) for alg, shift in zip(K, shifts)])
+        final = b"".join([bytes(alg.tables[pos]) for alg in K])
+        if lifts[arity]:  # member k's entries plus off_k, in one carry-free add
+            final = (int.from_bytes(final, "little") + lifts[arity]).to_bytes(len(final), "little")
         plan[name] = (steps[: max(arity - 1, 0)], final.ljust(256, b"\0"))
     return plan
 
 
 @functools.lru_cache(maxsize=32)
-def _lane_frame(sizes: tuple[int, ...], top: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
-    """lane_plan's step tables 1 .. top - 1 and each member's shift v ->
-    off_k + v, kept per shape since they depend only on the sizes: every
-    symbol of every plan of that shape shares them, so they are tuples."""
+def _lane_frame(sizes: tuple[int, ...], top: int) -> tuple[tuple[bytes, ...], tuple[int, ...]]:
+    """lane_plan's step tables 1 .. top - 1 and, per arity r <= top, the
+    members' offsets off_k each repeated over member k's |A_k|^r table
+    entries, read as one little-endian int.  Kept per shape since they
+    depend only on the sizes: every symbol of every plan of that shape
+    shares them, so they are tuples."""
     offsets = list(itertools.accumulate(sizes, initial=0))
+    lifts = tuple([int.from_bytes(b"".join([bytes((off,)) * n**r for n, off in zip(sizes, offsets)]), "little")
+                   for r in range(top + 1)])
     # Member k's block of every table starts at start(k, j), right after
     # member k-1's: each table is the members' blocks joined, padded to 256.
     steps = []
@@ -332,7 +357,7 @@ def _lane_frame(sizes: tuple[int, ...], top: int) -> tuple[tuple[bytes, ...], tu
             blocks.append(_IDENTITY[start - off : start - off + n ** (j + 1) : n])
             start += n ** (j + 1)
         steps.append(b"".join(blocks).ljust(256, b"\0"))
-    return tuple(steps), tuple([_IDENTITY[off:] + _IDENTITY[:off] for off in offsets])
+    return tuple(steps), lifts
 
 
 def lane_pointwise(

@@ -34,7 +34,7 @@ from .terms import (
     term_size,
     term_vars,
 )
-from .eqlogic import find_models, mod_check, satisfies
+from .eqlogic import find_models, mod_check, mod_failures, satisfies
 
 
 class ProofCheckError(UalgError):
@@ -392,15 +392,20 @@ def soundness_audit(
     model_pool: Sequence[FiniteAlgebra],
 ) -> AuditReport:
     """Check every proof, then test each conclusion in every pool algebra
-    that models the axioms.  Any failing entry is an artifact bug."""
+    that models the axioms.  Any failing entry is an artifact bug.
+
+    Both tests are one lane pass (eqlogic.mod_failures): over the pool for
+    the axioms, then over its models for the conclusions, consecutive
+    algebras sharing one lane plan.  A model that fails a conclusion gets
+    the conclusions after it from satisfies, so the entries, and the error
+    raised on an unknown symbol or an environment space past the default
+    caps, are those of mod_check and satisfies run algebra by algebra."""
     conclusions = [check_proof(sig, axioms, p) for p in proofs]
-    model_indices = [
-        i for i, alg in enumerate(model_pool) if mod_check(alg, axioms).holds
-    ]
-    entries = []
-    for i in model_indices:
-        for eq in conclusions:
-            entries.append(
-                AuditEntry(i, eq, satisfies(model_pool[i], eq).holds)
-            )
+    failing = {i for _, i, _ in mod_failures(((alg, i) for i, alg in enumerate(model_pool)), axioms)}
+    model_indices = [i for i in range(len(model_pool)) if i not in failing]
+    holds = {}
+    for alg, i, k in mod_failures(((model_pool[i], i) for i in model_indices), conclusions):
+        holds[i] = [True] * k + [False] + [satisfies(alg, eq).holds for eq in conclusions[k + 1 :]]
+    entries = [AuditEntry(i, eq, h) for i in model_indices
+               for eq, h in zip(conclusions, holds.get(i, itertools.repeat(True)))]
     return AuditReport(tuple(entries), tuple(model_indices))

@@ -11,10 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .core import (
     DEFAULT_CAPS,
+    CapExceededError,
     Caps,
     FiniteAlgebra,
     Signature,
@@ -32,8 +33,11 @@ from .terms import (
     environment_columns,
     equation_vars,
     fingerprints,
+    joined_columns,
     term_columns,
 )
+
+L = TypeVar("L")
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,126 @@ def mod_check(alg: FiniteAlgebra, E: Sequence[Equation], caps: Caps = DEFAULT_CA
         if not res.holds:
             return SatResult(False, res.counterexample, i)
     return SatResult(True)
+
+
+# The most environments a batch of mod_failures joins for one equation:
+# past it, sharing a plan saves no per-node work and only holds more memory.
+_BATCH_WIDTH = 1 << 15
+
+
+def mod_failures(
+    labelled: Iterable[tuple[FiniteAlgebra, L]],
+    E: Sequence[Equation],
+    caps: Caps = DEFAULT_CAPS,
+) -> Iterator[tuple[FiniteAlgebra, L, int]]:
+    """mod_check over a stream of (algebra, label) pairs: each algebra that
+    fails E, in order, with its label and the index of the first equation
+    it fails (satisfies replays it for a witness).
+
+    Consecutive algebras of one signature are checked in batches on one
+    lane plan, while the sizes' n^top (top the largest arity) sum to at
+    most 256, core.lane_plan's fit rule, and while each equation has at
+    most _BATCH_WIDTH environments over the batch.  Each equation's two
+    sides are computed once per batch on the members' environment columns,
+    shifted and joined (terms.joined_columns), and each member's slices
+    compared.  A batch of one is the same routine on the algebra's cached
+    plan, or on lists past the fit rule.
+
+    Errors come as from mod_check on each algebra in turn: an environment
+    space past caps.cells, an unknown symbol or a wrong arity raises at the
+    first algebra to reach that equation, and an error from labelled itself
+    only after the algebras before it are checked.  So a consumer that stops
+    at the first failure sees mod_check's first failure, whatever follows.
+    labelled is read lazily, at most one algebra past each batch.
+    """
+    envs: dict = {}  # (equation index, size) -> environment columns
+    names = [equation_vars(eq) for eq in E]
+    span = max([len(v) for v in names], default=0)
+    for batch in _batches(labelled, span):
+        failures, error = _batch_failures(batch, E, names, caps, envs)
+        yield from failures
+        if error is not None:
+            raise error
+
+
+def _batches(labelled: Iterable[tuple[FiniteAlgebra, L]], span: int) -> Iterator[list[tuple[FiniteAlgebra, L]]]:
+    """labelled cut into runs of one signature that fit one lane plan, with
+    at most _BATCH_WIDTH environments of span variables.  An error that
+    labelled raises comes after the run before it is yielded."""
+    batch: list = []
+    sig = None
+    try:
+        for item in labelled:
+            alg = item[0]
+            if alg.sig is not sig and alg.sig != sig:
+                sig, top = alg.sig, max([1] + [arity for _, arity in alg.sig.ops])
+                if batch:
+                    yield batch
+                    batch = []
+            # past arity 8 no plan fits (see core.lane_plan): runs of one
+            cost, count = alg.size**top if top <= 8 else 257, alg.size**span
+            if batch and weight + cost <= 256 and width + count <= _BATCH_WIDTH:
+                batch.append(item)
+                weight, width = weight + cost, width + count
+                continue
+            if batch:
+                yield batch
+            batch, weight, width = [item], cost, count
+    except UalgError:  # labelled's own, raised once the run before it is checked
+        if batch:
+            yield batch
+        raise
+    if batch:
+        yield batch
+
+
+def _batch_failures(
+    batch: list, E: Sequence[Equation], names: list, caps: Caps, envs: dict
+) -> tuple[list, UalgError | None]:
+    """mod_failures on one batch.  Each equation's sides are computed once
+    for the members with no event yet, and each member keeps its first
+    event, as mod_check meets it: a cap error, an evaluation error or the
+    index of a failing equation.  Returns the failures, in member order,
+    before the first member whose event is an error, and that error or None."""
+    K = [alg for alg, _ in batch]
+    events: list = [None] * len(K)
+    for i, eq in enumerate(E):
+        columns: list = [None] * len(K)
+        for j, alg in enumerate(K):
+            if events[j] is None:
+                cols = envs.get((i, alg.size))
+                if cols is None:
+                    try:
+                        caps.check_env_space(alg.size, names[i])
+                    except CapExceededError as e:
+                        events[j] = e
+                        continue
+                    cols = envs[i, alg.size] = environment_columns(names[i], alg.size)
+                columns[j] = cols
+        if columns.count(None) == len(K):
+            continue
+        try:
+            lhs, rhs = joined_columns(K, (eq.lhs, eq.rhs), columns)
+        except UalgError as e:  # met by every member that reaches eq
+            events = [event if cols is None else e for event, cols in zip(events, columns)]
+            continue
+        if lhs != rhs:
+            at = 0
+            for j, (alg, cols) in enumerate(zip(K, columns)):
+                if cols is not None:
+                    end = at + alg.size ** len(names[i])
+                    if lhs[at:end] != rhs[at:end]:
+                        events[j] = i
+                    at = end
+    failures: list = []
+    if events.count(None) == len(events):  # the common case: every member holds E
+        return failures, None
+    for (alg, label), event in zip(batch, events):
+        if isinstance(event, UalgError):
+            return failures, event
+        if event is not None:
+            failures.append((alg, label, event))
+    return failures, None
 
 
 def find_models(

@@ -20,6 +20,7 @@ from .core import (
     UalgError,
     _bad_application,
     apply_op,
+    lane_plan,
     lane_pointwise,
 )
 
@@ -193,13 +194,45 @@ def term_columns(
     Columns are shared (a variable's is the one passed in, a repeated
     subterm's is computed once): treat them as read-only.
     """
-    plan = alg._lanes
-    if plan is None:
-        return _list_columns(alg, terms, columns)
-    lanes = {name: bytes(col) for name, col in columns.items()}
-    apply = lane_pointwise(plan, bytes(_width(columns)))
+    return joined_columns([alg], terms, [columns])
+
+
+def joined_columns(
+    K: Sequence[FiniteAlgebra],
+    terms: Sequence[Term],
+    columns: Sequence[Mapping[str, Sequence[int]] | None],
+) -> list[Sequence[int]]:
+    """term_columns on members of one signature at once: each term's value
+    columns in K[0], K[1], .. joined, member k's over its environment
+    columns columns[k] (None for none).  The members share one lane plan
+    (core.lane_plan; one member reads its cached plan), so each node is one
+    kernel application for all of them, and member k's lanes hold its
+    values plus |K[0]| + .. + |K[k-1]|: two columns agree on a member's
+    slice exactly when its values do.  One member past the plan's fit rule
+    runs on lists (term_columns' path); several raise ValueError.
+    """
+    if len(K) == 1:  # its cached plan, and no shift
+        plan, (columns,) = K[0]._lanes, columns
+        if plan is None:
+            return _list_columns(K[0], terms, columns)
+        lanes = {name: bytes(col) for name, col in columns.items()}
+        members = bytes(_width(columns))
+    else:
+        plan = lane_plan(K, K[0].sig)
+        if plan is None:
+            raise ValueError("the members do not fit one lane plan")
+        present = [k for k, cols in enumerate(columns) if cols is not None]
+        members = b"".join([bytes((k,)) * _width(columns[k]) for k in present])
+        # one carry-free add shifts each member's lanes by its offset
+        offsets = bytes(itertools.accumulate([alg.size for alg in K[:-1]], initial=0)).ljust(256, b"\0")
+        shift = int.from_bytes(members.translate(offsets), "little")
+        lanes = {}
+        for name in columns[present[0]] if present else ():
+            lane = b"".join([bytes(columns[k][name]) for k in present])
+            lanes[name] = (int.from_bytes(lane, "little") + shift).to_bytes(len(lane), "little")
+    apply = lane_pointwise(plan, members)
     done: dict[int, Sequence[int]] = {}
-    return [_column(t, done, lanes, alg._ops, apply) for t in terms]
+    return [_column(t, done, lanes, K[0]._ops, apply) for t in terms]
 
 
 def _list_columns(

@@ -16,7 +16,9 @@ re-check run on one complete image at a time, the models of E found by
 filtering every table and deduplicated by trying every relabelling, the
 congruences of an algebra found by trying every set partition, every
 quotient cell by one apply_op call after a cell-by-cell congruence check,
-every algebra the easy direction derives by its own mod_check call, the
+every algebra the easy direction derives by its own mod_check call or
+its own term_columns calls, every pool algebra of the soundness audit by
+its own mod_check call, the
 hard direction's free algebra built on one variable per element of B, a
 hom's image closed as a subalgebra of its target (hom_image), the HSP
 certificate check comparing that image with B by an isomorphism search,
@@ -64,7 +66,8 @@ from ualg.closure import CertCheckResult, HspCertificate, ProductAlgebra
 from ualg.core import Caps, UalgError, lane_pointwise, same_signature
 from ualg.free import FreeAlgebra, UniversalMapFailure, universal_map
 from ualg.homs import KernelInclusionError, NotAHomError, NotSurjectiveError, hom_violation, kernel_pairs
-from ualg.terms import all_environments, environment_columns
+from ualg.eqlogic import find_models
+from ualg.terms import all_environments, environment_columns, equation_vars, term_columns
 
 
 @functools.lru_cache(maxsize=None)
@@ -691,6 +694,60 @@ def eqcl_to_var_check_permodel(E, pool_size_bound, product_size_cap=4096, search
                 return PipelineReport((*stages, bad))
     stages.append(Stage("hom-images-closed", True))
     return PipelineReport(tuple(stages))
+
+
+def eqcl_to_var_check_peralgebra(E, pool_size_bound, caps=Caps()):
+    """The easy direction on find_models' representatives with every
+    derived algebra checked on its own: each equation's value columns by
+    one term_columns call, environment columns cached per (equation,
+    size), a failure replayed through satisfies.  Products, subuniverses,
+    quotients and congruences come from the names birkhoff binds, so a test
+    can patch them on both paths at once."""
+    sig = infer_signature(E)
+    models, count = [], 0
+    for size in range(1, pool_size_bound + 1):
+        reps, n = find_models(sig, E, size, caps)
+        models.extend(reps)
+        count += n
+    stages = [Stage("enumerate-models", True, f"{count} models of {len(E)} equations")]
+    envs = {}
+    closures = [
+        ("products-closed", ((birkhoff.product([a, b], caps).alg, "product")
+                             for a, b in itertools.combinations_with_replacement(models, 2))),
+        ("subalgebras-closed", ((sub, f"subalgebra from {gens}")
+                                for alg in models for gens, sub, _ in birkhoff.subuniverses(alg))),
+        ("hom-images-closed", ((birkhoff.quotient(alg, theta)[0], f"quotient by {birkhoff._blocks_text(theta)}")
+                               for alg in models
+                               for theta in birkhoff.congruences(alg, caps)
+                               if 1 < len(set(theta)) < alg.size)),
+    ]
+    for name, derived in closures:
+        for alg, how in derived:
+            for i, eq in enumerate(E):
+                columns = envs.get((i, alg.size))
+                if columns is None:
+                    names = equation_vars(eq)
+                    caps.check_env_space(alg.size, names)
+                    columns = envs[i, alg.size] = environment_columns(names, alg.size)
+                lhs, rhs = term_columns(alg, (eq.lhs, eq.rhs), columns)
+                if lhs != rhs:
+                    res = satisfies(alg, eq, caps)
+                    if res.holds:
+                        raise UalgError(f"value columns fail {eq}, but satisfies finds no counterexample")
+                    bad = Stage("closure", False, f"{how} breaks equation {i} at {res.counterexample}")
+                    return PipelineReport((*stages, bad))
+        stages.append(Stage(name, True))
+    return PipelineReport(tuple(stages))
+
+
+def soundness_audit_peralgebra(sig, axioms, proofs, model_pool):
+    """soundness_audit with one mod_check call per pool algebra and one
+    satisfies call per (model, conclusion)."""
+    conclusions = [entail.check_proof(sig, axioms, p) for p in proofs]
+    model_indices = [i for i, alg in enumerate(model_pool) if mod_check(alg, axioms).holds]
+    entries = [entail.AuditEntry(i, eq, satisfies(model_pool[i], eq).holds)
+               for i in model_indices for eq in conclusions]
+    return entail.AuditReport(tuple(entries), tuple(model_indices))
 
 
 def trivial_certificate_every_subset(k_index, alg, caps=Caps()):

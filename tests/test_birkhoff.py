@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import re
 
 import pytest
 
@@ -37,7 +38,7 @@ from ualg.birkhoff import (
 from ualg.closure import CertCheckResult, HspCertificate, generate, hsp_certificate_check
 from ualg.free import UniversalMapFailure
 
-from oracles import hom_image, hsp_certificate_check_isosearch, var_to_eqcl_check_allvars
+from oracles import eqcl_to_var_check_peralgebra, hom_image, hsp_certificate_check_isosearch, var_to_eqcl_check_allvars
 from samples import EASY_LAW_SETS, SIG_F, SIG_FE, certified_square_images, easy_laws, semilattice2, z2_xor, z3_add
 
 X, Y = Var("x"), Var("y")
@@ -116,14 +117,15 @@ def test_invariance_names_each_malformed_witness(witness, message):
 
 
 def _columns_all_differ(alg, terms, columns):
-    """A term_columns that reports every term's column as different."""
+    """A term_columns, or joined_columns, that reports every term's column
+    as different."""
     return [(i,) for i in range(len(terms))]
 
 
 def test_eqcl_to_var_refuses_a_failure_satisfies_cannot_replay(monkeypatch):
     # the value columns say f is not commutative; satisfies finds no
     # counterexample, so the stage has no witness and the check raises
-    monkeypatch.setattr(ualg.birkhoff, "term_columns", _columns_all_differ)
+    monkeypatch.setattr(ualg.eqlogic, "joined_columns", _columns_all_differ)
     with pytest.raises(
         UalgError, match=r"^value columns fail f\(\?x,\?y\) = f\(\?y,\?x\), but satisfies finds no counterexample$"
     ):
@@ -146,6 +148,41 @@ def test_eqcl_to_var_products_never_skip_past_the_cap():
         match="^product carrier: 4 exceeds cap carrier=3; raise it with UALG_CAPS=carrier=N$",
     ):
         eqcl_to_var_check([COMM], 2, caps=Caps(carrier=3))
+
+
+def _corrupted_products(monkeypatch):
+    """birkhoff.product with f(0, 1) changed in every product of two or more
+    elements, which then fails commutativity and associativity alike."""
+    real = ualg.birkhoff.product
+
+    def corrupted(factors, *caps):
+        prod = real(factors, *caps)
+        if prod.alg.size < 2:
+            return prod
+        table = list(prod.alg.tables[0])
+        table[1] = (table[1] + 1) % prod.alg.size
+        return dataclasses.replace(prod, alg=dataclasses.replace(prod.alg, tables=(tuple(table),)))
+
+    monkeypatch.setattr(ualg.birkhoff, "product", corrupted)
+
+
+@pytest.mark.parametrize("laws, caps, error", [
+    # the first 2 x 2 product passes carrier 3
+    (["comm"], Caps(carrier=3), "product carrier: 4 exceeds cap carrier=3"),
+    # the 2 x 2 products fit cells 40, but [assoc]'s 4^3 environments do not
+    (["assoc"], Caps(cells=40), "environment space 4^3: 64 exceeds cap cells=40"),
+], ids=["product-carrier", "environment-space"])
+def test_eqcl_to_var_reports_an_earlier_failure_before_a_later_cap(laws, caps, error, monkeypatch):
+    """A 1 x 2 product fails E and a later 2 x 2 product in the same batch
+    trips a cap: the failure is reported, as one algebra at a time would.
+    With no failure, the cap error surfaces with its text."""
+    E = easy_laws(laws)
+    with pytest.raises(CapExceededError, match=f"^{re.escape(error)}; raise it with UALG_CAPS="):
+        eqcl_to_var_check(E, 2, caps=caps)
+    _corrupted_products(monkeypatch)
+    lines = eqcl_to_var_check(E, 2, caps=caps).lines()
+    assert lines == eqcl_to_var_check_peralgebra(E, 2, caps).lines()
+    assert lines[-1].startswith("STAGE closure FAIL product breaks equation 0 at ")
 
 
 def test_eqcl_to_var_easy_direction():
@@ -179,20 +216,24 @@ def test_eqcl_to_var_checks_each_subuniverse_once(monkeypatch):
     is skipped when dropping one generator leaves a subset whose subuniverse
     holds it) and checks 439 subalgebras: per model, one per distinct
     subuniverse."""
-    real_generate, real_failure = ualg.closure.subalgebra_generate, ualg.birkhoff._closure_failure
+    real_generate, real_failures = ualg.closure.subalgebra_generate, ualg.birkhoff.mod_failures
     closed = []  # the model of each closure, in order
 
     def generate(alg, gens):
         closed.append(alg)
         return real_generate(alg, gens)
 
-    def failure(derived, E, how, envs, caps):
-        if how.startswith("subalgebra from "):
-            checks[id(closed[-1])] += 1
-        return real_failure(derived, E, how, envs, caps)
+    def failures(derived, *args):
+        def counted():  # read as the check reads each derived algebra, right after its closure
+            for alg, how in derived:
+                if how.startswith("subalgebra from "):
+                    checks[id(closed[-1])] += 1
+                yield alg, how
+
+        return real_failures(counted(), *args)
 
     monkeypatch.setattr(ualg.closure, "subalgebra_generate", generate)
-    monkeypatch.setattr(ualg.birkhoff, "_closure_failure", failure)
+    monkeypatch.setattr(ualg.birkhoff, "mod_failures", failures)
     subsets = closures = checked = 0
     for laws in EASY_LAW_SETS:
         closed, checks = [], collections.Counter()

@@ -4,6 +4,7 @@ against its cell-by-cell form (see oracles.py)."""
 
 import gc
 import itertools
+import sys
 
 import pytest
 
@@ -22,16 +23,19 @@ from ualg import (
     build_free,
     check_leq,
     classify,
+    eqcl_to_var_check,
     find_homs,
     find_isomorphism,
     product,
     search_proof,
+    soundness_audit,
     subalgebra_generate,
     verify_invariance,
 )
 from ualg.birkhoff import HomImageWitness
 from ualg.closure import EmptyCarrierError, close, generate
 from ualg.core import CapExceededError, OutOfRangeError
+from ualg.entail import Hyp
 from ualg.homs import hom_violation
 
 from oracles import (
@@ -314,6 +318,22 @@ def test_product_matches_the_cellwise_oracle_by_shape(factors):
 
 
 @pytest.mark.parametrize("factors", [c[1] for c in PRODUCT_CASES], ids=[c[0] for c in PRODUCT_CASES])
+def test_product_is_built_unvalidated_and_equals_a_validated_rebuild(factors, monkeypatch):
+    """product builds its algebra through FiniteAlgebra._trusted, with no
+    validation; it equals the algebra validating its tables builds, down to
+    the operation index and the size of the instance dict."""
+    validated = []
+    real = FiniteAlgebra.__post_init__
+    monkeypatch.setattr(FiniteAlgebra, "__post_init__", lambda self: validated.append(self) or real(self))
+    got = product(factors).alg
+    assert validated == []
+    want = FiniteAlgebra(got.sig, got.size, got.tables)
+    assert validated == [want]
+    assert got == want and got._ops == want._ops
+    assert sys.getsizeof(vars(got)) == sys.getsizeof(vars(want))
+
+
+@pytest.mark.parametrize("factors", [c[1] for c in PRODUCT_CASES], ids=[c[0] for c in PRODUCT_CASES])
 def test_product_reads_no_lane_plan(factors):
     fresh = [FiniteAlgebra(f.sig, f.size, f.tables) for f in factors]
     product(fresh)
@@ -575,6 +595,9 @@ GC_CASES = {
     "hom_image": lambda: verify_invariance(z4_add(), COMM, HomImageWitness(find_homs(z4_add(), z2_xor())[1])),
     "search_proof-found": lambda: search_proof(SIG_F, [COMM], Equation(f(f(X, Y), X), f(X, f(Y, X)))),
     "search_proof-refuted": lambda: search_proof(SIG_F, [COMM], Equation(f(X, Y), X), SearchLimits(max_depth=3)),
+    # the class checks read their derived algebras and pools in batches
+    "eqcl_to_var_check": lambda: eqcl_to_var_check([COMM], 2),
+    "soundness_audit": lambda: soundness_audit(SIG_F, [COMM], [Hyp(0)], [z2_xor(), semilattice2(SIG_F), z3_add()]),
 }
 
 

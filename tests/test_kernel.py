@@ -17,7 +17,10 @@ import pytest
 import ualg.birkhoff
 import ualg.cli
 import ualg.closure
+import ualg.core
 import ualg.entail
+import ualg.eqlogic
+import ualg.terms
 from ualg import (
     App,
     Equation,
@@ -32,10 +35,12 @@ from ualg import (
     nat_epi,
     search_proof,
     signature,
+    soundness_audit,
     theory_upto,
     universal_map,
 )
 from ualg.closure import generate
+from ualg.entail import Hyp, Refl
 from ualg.core import ArityMismatchError, CapExceededError, Caps, OutOfRangeError, UalgError, UnknownSymbolError, lane_plan
 from ualg.eqlogic import SatResult, theory_partition
 from ualg.fileio import parse_algebra_file
@@ -47,12 +52,14 @@ from ualg.terms import (
 )
 
 from oracles import (
+    eqcl_to_var_check_peralgebra,
     eqcl_to_var_check_permodel,
     lane_plan_uncached,
     models_bruteforce,
     models_theory_pairwise,
     nat_epi_pointwise,
     product_cellwise,
+    soundness_audit_peralgebra,
     subalgebra_generate_passes,
     term_columns_lists,
     theory_upto_pairwise,
@@ -60,13 +67,16 @@ from oracles import (
 )
 from samples import (
     EASY_LAW_SETS,
+    EASY_NON_CONSEQUENCES,
     SIG_F,
     SIG_FE,
+    all_binary_size2,
     chain_median,
     constants_only,
     easy_laws,
     mixed_arities,
     semilattice2,
+    semilattice2_with_top,
     z2_xor,
     z3_add,
     z3_malcev,
@@ -414,7 +424,14 @@ def test_cli_birkhoff_demo_matches_old_path(name, monkeypatch):
 @pytest.mark.parametrize("laws, pool", [(laws, 2) for laws in EASY_LAW_SETS] + [(("assoc",), 3), (("lq",), 3)])
 def test_easy_direction_matches_the_permodel_oracle(laws, pool):
     E = easy_laws(laws)
-    assert eqcl_to_var_check(E, pool).lines() == eqcl_to_var_check_permodel(E, pool).lines()
+    got = eqcl_to_var_check(E, pool).lines()
+    assert got == eqcl_to_var_check_permodel(E, pool).lines() == eqcl_to_var_check_peralgebra(E, pool).lines()
+
+
+@pytest.mark.parametrize("laws", EASY_LAW_SETS)
+def test_easy_direction_at_pool_3_matches_the_peralgebra_oracle(laws):
+    E = easy_laws(laws)
+    assert eqcl_to_var_check(E, 3).lines() == eqcl_to_var_check_peralgebra(E, 3).lines()
 
 
 @pytest.mark.parametrize("laws", [("comm",), ("idem", "comm"), ("assoc",), ("leftproj",)])
@@ -435,8 +452,208 @@ def test_easy_direction_failure_witness_matches_the_permodel_oracle(laws, monkey
     monkeypatch.setattr(ualg.birkhoff, "product", corrupted)
     E = easy_laws(laws)
     got = eqcl_to_var_check(E, 2).lines()
-    assert got == eqcl_to_var_check_permodel(E, 2).lines()
+    assert got == eqcl_to_var_check_permodel(E, 2).lines() == eqcl_to_var_check_peralgebra(E, 2).lines()
     assert got[-1].startswith("STAGE closure FAIL product breaks equation ")
+
+
+@pytest.mark.parametrize("laws", EASY_LAW_SETS)
+def test_easy_direction_quotient_failure_matches_the_peralgebra_oracle(laws, monkeypatch):
+    """Each quotient from the third on has one corrupted cell: the first
+    failing quotient, in a batch after two that pass, is the
+    one-at-a-time path's."""
+    real = ualg.birkhoff.quotient
+    E = easy_laws(laws)
+    got = []
+    for check in (eqcl_to_var_check, eqcl_to_var_check_peralgebra):
+        built = itertools.count()
+
+        def corrupted(alg, theta):
+            quo, nat = real(alg, theta)
+            if next(built) < 2:
+                return quo, nat
+            table = list(quo.tables[0])
+            table[1] = (table[1] + 1) % quo.size
+            return dataclasses.replace(quo, tables=(tuple(table),)), nat
+
+        monkeypatch.setattr(ualg.birkhoff, "quotient", corrupted)
+        got.append(check(E, 3).lines())
+    assert got[0] == got[1]
+    assert got[0][-1].startswith("STAGE closure FAIL quotient by ")
+
+
+def _outcome(failures):
+    """What a consumer reading failures to the end sees: the (label,
+    equation index) pairs yielded, then the error raised, if any."""
+    got = []
+    try:
+        for _, label, i in failures:
+            got.append((label, i))
+    except UalgError as e:
+        return got, (type(e), str(e))
+    return got, None
+
+
+def _mod_check_each(labelled, E, caps):
+    """mod_failures' oracle: one mod_check call per algebra."""
+    for alg, label in labelled:
+        res = mod_check(alg, E, caps)
+        if not res.holds:
+            yield alg, label, res.failing_index
+
+
+SIG_CFGT = signature(("c", 0), ("g", 1), ("f", 2), ("t", 3))
+
+
+@pytest.mark.parametrize("sig, sizes", [
+    (SIG_F, (1, 2, 3, 4, 9, 16, 17)),
+    (SIG_CFGT, (1, 2, 3, 6, 7)),
+    (signature(("g", 1), ("c", 0)), (1, 2, 5, 30, 200)),
+], ids=["binary", "arities-0-3", "unary"])
+def test_mod_failures_matches_mod_check_one_algebra_at_a_time(sig, sizes):
+    """Random streams of mixed sizes, either side of the lane fit rule, under
+    caps that trip some environment spaces and not others: the failing
+    algebras, their first failing equations and the first error are
+    mod_check's, algebra by algebra."""
+    rng = random.Random(len(sizes))
+    variables = ["x", "y", "z"]
+    terms = enumerate_terms(sig, variables, 1 if sig.ops[-1][1] == 3 else 2)
+    pool = [random_algebra(rng, sig, n) for n in sizes for _ in range(3)]
+    for trial in range(40):
+        E = [Equation(X, X)] + [Equation(rng.choice(terms), rng.choice(terms)) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(E)
+        stream = [(rng.choice(pool), k) for k in range(rng.randint(1, 40))]
+        for caps in (Caps(), Caps(cells=rng.choice([8, 30, 300]))):
+            want = _outcome(_mod_check_each(stream, E, caps))
+            assert _outcome(ualg.eqlogic.mod_failures(stream, E, caps)) == want, (trial, caps)
+            assert _outcome(ualg.eqlogic.mod_failures(iter(stream), E, caps)) == want
+
+
+def test_mod_failures_raises_a_symbol_error_only_where_mod_check_reaches_it():
+    """Equation 1 names a symbol z2's signature lacks: only an algebra that
+    holds equation 0 reaches it, so a stream whose algebras all fail
+    equation 0 raises nothing.  Algebras of another signature start a batch
+    of their own.  Past cells 4, equation 1's 2^3 environments trip the cap
+    before its symbol is read."""
+    idem = Equation(App("f", (X, X)), X)
+    stray = Equation(App("h", (X,)), App("f", (Y, Var("z"))))
+    E = [idem, stray]
+    failing = [(z2_xor(), 0), (z3_add(), 1), (z2_xor(), 2)]
+    assert _outcome(ualg.eqlogic.mod_failures(failing, E)) == ([(0, 0), (1, 0), (2, 0)], None)
+    for caps, error in ((Caps(), UnknownSymbolError), (Caps(cells=4), CapExceededError)):
+        # the one-element algebra's 1^3 environments pass the cap: the batch reads equation 1
+        for stream in (failing + [(semilattice2(SIG_F), 3), (z2_xor(), 4), (z_add(1), 5)],
+                       failing + [(semilattice2_with_top(), 3)],
+                       [(z_successor(3), 0)] + failing):
+            want = _outcome(_mod_check_each(stream, E, caps))
+            # Z3's successor has no f at all: idempotence alone raises
+            assert want[1][0] is (error if stream[0][0].sig == SIG_F else UnknownSymbolError)
+            assert _outcome(ualg.eqlogic.mod_failures(stream, E, caps)) == want
+
+
+def test_mod_failures_raises_an_error_of_the_stream_after_the_algebras_before_it():
+    """An error the stream raises at algebra j comes after the failures of
+    the algebras before j, which share j's batch: a consumer that stops at
+    the first failure never sees it."""
+    idem = Equation(App("f", (X, X)), X)
+
+    def stream(fail_first):
+        yield semilattice2(SIG_F), 0
+        yield (z2_xor() if fail_first else semilattice2(SIG_F)), 1
+        raise CapExceededError("the stream's own cap")
+
+    first = next(ualg.eqlogic.mod_failures(stream(True), [idem]))
+    assert first[1:] == (1, 0)
+    assert _outcome(ualg.eqlogic.mod_failures(stream(True), [idem])) == (
+        [(1, 0)], (CapExceededError, "the stream's own cap"))
+    assert _outcome(ualg.eqlogic.mod_failures(stream(False), [idem])) == (
+        [], (CapExceededError, "the stream's own cap"))
+
+
+def test_mod_failures_batches_within_the_fit_rule(monkeypatch):
+    """The sum of n^top, at most 256, decides the batches: 64 binary
+    algebras of size 2 share one plan, and a 65th starts the next."""
+    plans = []
+    real = ualg.core.lane_plan
+
+    def recorded(K, sig):
+        plans.append([alg.size for alg in K])
+        return real(K, sig)
+
+    monkeypatch.setattr(ualg.terms, "lane_plan", recorded)
+    idem = Equation(App("f", (X, X)), X)
+    stream = [(semilattice2(SIG_F), 0)] * 65 + [(z4_add(), 1)] * 17 + [(z_add(9), 2)] * 4 + [(z_add(16), 3)]
+    got = _outcome(ualg.eqlogic.mod_failures(stream, [idem]))
+    assert got == ([(1, 0)] * 17 + [(2, 0)] * 4 + [(3, 0)], None)
+    # Z16 (16^2 = 256) is a batch of one, on its cached plan
+    assert plans == [[2] * 64, [2] + [4] * 15, [4, 4, 9, 9], [9, 9]]
+    # 12 variables, 2^12 environments each: 8 members fill the 2^15 lanes a batch joins
+    wide = App("f", (Var("v0"), Var("v1")))
+    for k in range(2, 12):
+        wide = App("f", (wide, Var(f"v{k}")))
+    plans.clear()
+    assert _outcome(ualg.eqlogic.mod_failures(stream[:64], [Equation(wide, wide)])) == ([], None)
+    assert plans == [[2] * 8] * 8
+
+
+@pytest.mark.parametrize("sizes", [(1, 2, 3), (2, 2, 2, 2), (5, 3, 1, 9)])
+def test_joined_columns_are_each_members_columns_shifted(sizes):
+    rng = random.Random(sum(sizes))
+    K = [random_algebra(rng, SIG_F, n) for n in sizes]
+    terms = enumerate_terms(SIG_F, ["x", "y"], 2)
+    columns = [environment_columns(["x", "y"], n) for n in sizes]
+    columns[1] = None  # a member with no environments takes no lanes
+    joined = ualg.terms.joined_columns(K, terms, columns)
+    want = [b"" for _ in terms]
+    for k, (alg, cols) in enumerate(zip(K, columns)):
+        if cols is not None:
+            off = sum(sizes[:k])
+            want = [w + bytes([v + off for v in col]) for w, col in zip(want, term_columns_lists(alg, terms, cols))]
+    assert joined == want
+    with pytest.raises(ValueError, match="^the members do not fit one lane plan$"):
+        ualg.terms.joined_columns([z_add(16), z2_xor()], terms, [environment_columns(["x", "y"], n) for n in (16, 2)])
+
+
+# The easy-direction bench's audit pool, every binary algebra of sizes 1
+# and 2, and the same pool with its one-element algebra last.
+AUDIT_POOLS = {
+    "bench": [algebra(SIG_F, 1, {"f": [0]})] + all_binary_size2(),
+    "trivial-last": all_binary_size2() + [algebra(SIG_F, 1, {"f": [0]})],
+}
+
+
+@pytest.mark.parametrize("pool", AUDIT_POOLS, ids=list(AUDIT_POOLS))
+@pytest.mark.parametrize("laws", EASY_LAW_SETS)
+def test_soundness_audit_matches_the_peralgebra_oracle(laws, pool, monkeypatch):
+    E = easy_laws(laws)
+    proofs = [Hyp(i) for i in range(len(E))] + [Refl(App("f", (X, Y)))]
+    got = soundness_audit(SIG_F, E, proofs, AUDIT_POOLS[pool])
+    assert got == soundness_audit_peralgebra(SIG_F, E, proofs, AUDIT_POOLS[pool])
+    assert got.clean and got.model_indices
+    # conclusions that do not follow, as from a faulty proof checker: each
+    # model's entries after its first failing conclusion are still recorded
+    wrong = easy_laws([EASY_NON_CONSEQUENCES[laws], "idem", "leftproj", "comm"])
+    monkeypatch.setattr(ualg.entail, "check_proof", lambda sig, axioms, proof: wrong[proof.index])
+    proofs = [Hyp(i) for i in range(len(wrong))]
+    got = soundness_audit(SIG_F, E, proofs, AUDIT_POOLS[pool])
+    assert got == soundness_audit_peralgebra(SIG_F, E, proofs, AUDIT_POOLS[pool])
+    assert not got.clean
+
+
+def test_soundness_audit_raises_the_peralgebra_errors():
+    """An unknown symbol and an environment space past the default caps
+    raise at the algebra that reaches them first, with the same text."""
+    comm = easy_laws(["comm"])
+    pool = all_binary_size2() + [z_successor(3)] + all_binary_size2()
+    deep = Var("v0")
+    for k in range(1, 21):  # 21 variables: 2^21 environments on two elements
+        deep = App("f", (deep, Var(f"v{k}")))
+    for axioms, proofs, pool in ((comm, [Hyp(0)], pool), (comm, [Hyp(0), Refl(deep)], all_binary_size2())):
+        with pytest.raises(UalgError) as want:
+            soundness_audit_peralgebra(SIG_F, axioms, proofs, pool)
+        with pytest.raises(UalgError) as got:
+            soundness_audit(SIG_F, axioms, proofs, pool)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    assert str(got.value).startswith("environment space 2^21: ")
 
 
 def _corrupt_one_subuniverse(E, pool):
@@ -483,7 +700,7 @@ def test_easy_direction_subalgebra_failure_matches_the_permodel_oracle(laws, mon
     E = easy_laws(laws)
     monkeypatch.setattr(ualg.closure, "subalgebra_generate", _corrupt_one_subuniverse(E, 3))
     got = eqcl_to_var_check(E, 3).lines()
-    assert got == eqcl_to_var_check_permodel(E, 3).lines()
+    assert got == eqcl_to_var_check_permodel(E, 3).lines() == eqcl_to_var_check_peralgebra(E, 3).lines()
     assert got[-1].startswith("STAGE closure FAIL subalgebra from (")
 
 
