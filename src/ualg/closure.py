@@ -248,14 +248,15 @@ def subalgebra_generate(
     alg: FiniteAlgebra, gens: Sequence[int]
 ) -> tuple[FiniteAlgebra, CarrierMap]:
     """Subalgebra generated by gens, relabeled by discovery order, plus the
-    inclusion map back into alg (an injective hom)."""
+    inclusion map back into alg (an injective hom), both unvalidated:
+    close labels every cell with an element it found."""
     seeds = sorted(set(gens))
     for g in seeds:
         if not 0 <= g < alg.size:
             raise ValueError(f"generator {g} outside carrier")
     elements, _, tables = generate([alg], [0], [(g,) for g in seeds], alg.sig)
-    sub = FiniteAlgebra(alg.sig, len(elements), tables)
-    return sub, CarrierMap(sub, alg, tuple([e for (e,) in elements]))
+    sub = FiniteAlgebra._trusted(alg.sig, len(elements), tables)
+    return sub, CarrierMap._trusted(sub, alg, tuple([e for (e,) in elements]))
 
 
 def subuniverses(alg: FiniteAlgebra, start: int = 1) -> Iterator[tuple[tuple[int, ...], FiniteAlgebra, CarrierMap]]:
@@ -352,18 +353,19 @@ def quotient(alg: FiniteAlgebra, theta: Sequence[int]) -> tuple[FiniteAlgebra, C
     its block); each block is labelled by its rank among the least elements.
     The quotient reads alg's tables at the least elements; theta is a
     congruence exactly when the natural map is then a hom, which is checked:
-    a labelling that is ill formed or not a congruence raises UalgError."""
+    a labelling that is ill formed or not a congruence raises UalgError.
+    Both are built unvalidated: every entry is a block's rank."""
     n = alg.size
     theta = tuple(theta)
     if len(theta) != n or any(not 0 <= r <= x or theta[r] != r for x, r in enumerate(theta)):
         raise UalgError(f"{theta} does not map each element to the least of its block")
     reps = sorted(set(theta))
     nat = tuple(map(reps.index, theta))
-    quo = FiniteAlgebra(alg.sig, len(reps), tuple(
+    quo = FiniteAlgebra._trusted(alg.sig, len(reps), tuple(
         tuple([nat[table[j]] for j in mapped_cells(reps, n, arity)])
         for (_, arity), table in zip(alg.sig.ops, alg.tables)
     ))
-    natural = CarrierMap(alg, quo, nat)
+    natural = CarrierMap._trusted(alg, quo, nat)
     witness = hom_violation(natural)
     if witness is not None:
         name, args = witness

@@ -11,9 +11,10 @@ Everything is immutable and safe to share.
 Public constructors (algebra, FiniteAlgebra(...), homs.CarrierMap(...))
 and everything fileio and cli build validate their input.  An output that
 a kernel has already shown well formed may skip that through a private
-trusted constructor of its class: the hom search's maps use one
-(CarrierMap._trusted, after the leaf re-check), and so do products
-(FiniteAlgebra._trusted: an outer sum of in-range tables is in range).
+trusted constructor of its class (FiniteAlgebra._trusted,
+CarrierMap._trusted): the hom search's maps (after the leaf re-check),
+products, generated subalgebras, quotients, their inclusions and natural
+maps, and find_isomorphism's inverse (a permutation).
 
 The module also holds the one index codec on int tables (mapped_cells and
 _decode_mixed) and the one byte-lane kernel (lane_plan, lane_pointwise),

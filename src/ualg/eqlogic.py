@@ -34,6 +34,7 @@ from .terms import (
     equation_vars,
     fingerprints,
     joined_columns,
+    members_plan,
     term_columns,
 )
 
@@ -107,7 +108,8 @@ def mod_failures(
     sides are computed once per batch on the members' environment columns,
     shifted and joined (terms.joined_columns), and each member's slices
     compared.  A batch of one is the same routine on the algebra's cached
-    plan, or on lists past the fit rule.
+    plan, or on lists past the fit rule.  The plan is built once per batch
+    (terms.members_plan).
 
     Errors come as from mod_check on each algebra in turn: an environment
     space past caps.cells, an unknown symbol or a wrong arity raises at the
@@ -167,6 +169,7 @@ def _batch_failures(
     before the first member whose event is an error, and that error or None."""
     K = [alg for alg, _ in batch]
     events: list = [None] * len(K)
+    plan = members_plan(K)
     for i, eq in enumerate(E):
         columns: list = [None] * len(K)
         for j, alg in enumerate(K):
@@ -183,7 +186,7 @@ def _batch_failures(
         if columns.count(None) == len(K):
             continue
         try:
-            lhs, rhs = joined_columns(K, (eq.lhs, eq.rhs), columns)
+            lhs, rhs = joined_columns(K, (eq.lhs, eq.rhs), columns, plan)
         except UalgError as e:  # met by every member that reaches eq
             events = [event if cols is None else e for event, cols in zip(events, columns)]
             continue

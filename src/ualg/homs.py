@@ -8,10 +8,9 @@ the operation tables forces every other value or finds a conflict.  A
 branch point scans its tuples once for all its values, keeping as a bitmask
 the values that pass them (forward checking), and propagates only from
 those.  Each complete image is re-checked, on the target's byte lanes when
-they fit, and the images that the last undecided element's values
-complete are re-checked together, one application per table.  One that is
-not a hom raises UalgError; the homs are yielded through
-CarrierMap._trusted, without validation.
+they fit, the images of one buffer up to 256 // |src| at a time, one
+application per table.  One that is not a hom raises UalgError; the homs
+are yielded through CarrierMap._trusted, without validation.
 """
 
 from __future__ import annotations
@@ -205,8 +204,8 @@ class _Search:
     (for injective and the surjective prune), and masks, per operation the
     _passing masks built so far, one per (d, c, v) a scanned tuple needed,
     so that their memory grows with the tuples scanned.  homs() re-checks
-    the complete images in batches by _recheck, which shares no code with
-    assign or branch."""
+    the complete images by _recheck, which shares no code with assign or
+    branch."""
 
     def __init__(self, src, dst, surjective: bool | None, injective: bool | None, caps: Caps):
         self.src, self.dst, self.surjective, self.injective = src, dst, surjective, injective
@@ -283,25 +282,43 @@ class _Search:
         return allowed, forced
 
     def homs(self) -> Iterator[CarrierMap]:
-        """The homs extending the image, in one depth-first loop: branch on
-        the least undecided element a, trying the values that pass branch's
-        scan in ascending order, each by assign on its forcing entries.
-        stack holds the open branch points: a, len(trail) before it, the
-        values left to try, the forcing entries and the least value not yet
-        counted.  Every value at a branch point counts against caps.search,
-        pruned or not: the values up to each one tried, and the rest when
-        none is left.
+        """The homs extending the image: each buffer leaves() hands over is
+        re-checked by _recheck, and the maps the flags keep are yielded; an
+        image that is not a hom raises UalgError after the maps before it."""
+        src, dst, sur, inj, n, m = self.src, self.dst, self.surjective, self.injective, self.src.size, self.dst.size
+        trusted, recheck = CarrierMap._trusted, None
+        for leaves, lefts in self.leaves():
+            recheck = recheck or _recheck(src, dst)
+            failure = recheck(leaves)
+            for leaf, left in zip(leaves[: failure[0]] if failure else leaves, lefts):
+                if sur in (None, not left) and inj in (None, m - left == n):
+                    yield trusted(src, dst, leaf)
+            if failure:
+                i, (name, args) = failure
+                raise UalgError(f"hom search reached {leaves[i]}, not a hom at {name}{args}")
+
+    def leaves(self) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
+        """The complete images extending the image, in one depth-first
+        loop, handed over in buffers with the count of target values each
+        leaves unused.  The loop branches on the least undecided element a,
+        trying the values that pass branch's scan in ascending order, each
+        by assign on its forcing entries.  stack holds the open branch
+        points: a, len(trail) before it, the values left to try, the forcing
+        entries and the least value not yet counted.  Every value at a
+        branch point counts against caps.search, pruned or not: the values
+        up to each one tried, and the rest when none is left.
 
         When a is the last undecided element its branch point has no
         forcing entries (branch decides a's own tuples), so each passing
-        value is a complete image: they are taken as one batch, in order,
-        up to the first value the cap refuses, which is left for the loop
-        to trip on.  Every complete image, in a batch or alone, is
-        re-checked by _recheck (built at the first), and the maps before
-        the first that fails are yielded before UalgError is raised."""
+        value is a complete image: they are taken in order until the buffer
+        is full or the cap refuses one, left for the loop to trip on.  The
+        buffer is handed over at each complete image up to the first such
+        branch point's images (all a first-map caller needs), then when it
+        holds 256 // |src| (one lane pass), at the end and before the cap
+        trips."""
         image, trail, uses, n, m = self.image, self.trail, self.uses, self.src.size, self.dst.size
-        src, dst, cap, trusted = self.src, self.dst, self.cap, CarrierMap._trusted
-        sur, inj, assign, recheck, tried = self.surjective, self.injective, self.assign, None, 0
+        sur, cap, assign, tried = self.surjective, self.cap, self.assign, 0
+        leaves, lefts, natural, full = [], [], True, max(256 // n, 1)  # lefts: the values each leaves unused
         stack = [[-1, len(trail), 1, [], 0]]  # the root: one try, assigning nothing
         while stack:
             top = stack[-1]
@@ -310,7 +327,7 @@ class _Search:
             if a >= 0:
                 tried += b + 1 - start
                 if tried > cap:
-                    self.caps.check("search", cap + 1, "hom search values tried at branch points")
+                    break  # the buffer is handed over first
             if not allowed:
                 stack.pop()
                 continue
@@ -321,7 +338,7 @@ class _Search:
                     image[x] = -1
                 del trail[mark:]
             if a >= 0 and mark == n - 1:
-                leaves, lefts, unused = [], [], uses.count(0)  # lefts: the values each leaves unused
+                size, unused = len(leaves), uses.count(0)
                 while True:
                     left = unused - (not uses[b])
                     if not (sur and left):  # the surjective prune
@@ -329,7 +346,7 @@ class _Search:
                         leaves.append(tuple(image))
                         lefts.append(left)
                     allowed, start = top[2], top[4]
-                    if not allowed:
+                    if not allowed or len(leaves) == full:
                         break
                     b = (allowed & -allowed).bit_length() - 1
                     if tried + b + 1 - start > cap:
@@ -337,8 +354,9 @@ class _Search:
                     tried += b + 1 - start
                     top[2], top[4] = allowed & (allowed - 1), b + 1
                 image[a] = -1
-                if not leaves:
+                if len(leaves) == size or not natural and len(leaves) < full:
                     continue
+                natural = False
             else:
                 if a >= 0:
                     image[a] = b
@@ -352,15 +370,16 @@ class _Search:
                     a = image.index(-1)
                     stack.append([a, len(trail), *self.branch(a), 0])
                     continue
-                leaves, lefts = [tuple(image)], [uses.count(0)]
-            recheck = recheck or _recheck(src, dst)
-            failure = recheck(leaves)
-            for leaf, left in zip(leaves[: failure[0]] if failure else leaves, lefts):
-                if sur in (None, not left) and inj in (None, m - left == n):
-                    yield trusted(src, dst, leaf)
-            if failure:
-                i, (name, args) = failure
-                raise UalgError(f"hom search reached {leaves[i]}, not a hom at {name}{args}")
+                leaves.append(tuple(image))
+                lefts.append(uses.count(0))
+                if not natural and len(leaves) < full:
+                    continue
+            yield leaves, lefts
+            leaves, lefts = [], []
+        if leaves:
+            yield leaves, lefts
+        if tried > cap:
+            self.caps.check("search", cap + 1, "hom search values tried at branch points")
 
 
 def _passing(table: Sequence[int], d: int, c: int, v: int, m: int) -> int:
@@ -376,14 +395,14 @@ def _recheck(
     no code with _Search.assign or branch: the index of the first image
     that is not a hom and hom_violation's witness for it, or None.
 
-    Within lane_plan's fit rule and |src| <= 256, up to k = min(256 // |src|,
-    |dst|) images are checked together: their images, joined, make one
-    translation table, and per table dst's lane_pointwise runs once on src's
-    argument columns, shifted by i * |src| for image i and joined, against
-    src's table shifted and joined alike, both translated through it.  The
-    columns come from _lane_columns; the joined tables are built at the
-    first batch of two or more, and a batch of one reads src's own.  Longer
-    batches are checked k images at a time.  Past the fit rule,
+    Within lane_plan's fit rule and |src| <= 256, chunks of up to
+    k = 256 // |src| images, each padded with its first (which fails first
+    if it fails) to a power of two at most k, are checked together: their
+    images, joined, make one translation table, and per table dst's
+    lane_pointwise runs once on src's argument columns, shifted by i * |src|
+    for image i and joined, against src's table shifted and joined alike,
+    both translated through it.  The columns come from _lane_columns; the
+    joined tables are built once per width.  Past the fit rule,
     hom_violation checks each image in turn."""
     n, plan = src.size, dst._lanes
     if plan is None or n > 256:
@@ -395,24 +414,25 @@ def _recheck(
             return None
 
         return each
-    width = min(256 // n, dst.size)
-    one, wide, joined = lane_pointwise(plan, b"\0"), lane_pointwise(plan, bytes(width)), []
     single = [(name, arity, n**arity, _lane_columns(n, arity, 1)[0], bytes(table))
               for (name, arity), table in zip(src.sig.ops, src.tables)]
+    full, kernels = 256 // n, {1: (lane_pointwise(plan, b"\0"), single)}
+
+    def kernel(width: int) -> tuple[Callable[[str, Sequence[bytes]], bytes], list]:
+        """lane_pointwise over width images, and src's tables joined alike."""
+        ops = []
+        for name, arity, cells, _, table in single:
+            columns, shift = _lane_columns(n, arity, width)
+            ops.append((name, arity, cells, columns, (int.from_bytes(table * width, "little") + shift).to_bytes(cells * width, "little")))
+        kernels[width] = lane_pointwise(plan, bytes(width)), ops
+        return kernels[width]
 
     def batch(images: Sequence[Sequence[int]]) -> tuple[int, tuple[str, tuple[int, ...]]] | None:
-        for lo in range(0, len(images), width):
-            chunk = images[lo : lo + width]
-            if len(chunk) == 1:
-                apply, ops, h = one, single, bytes(chunk[0])
-            else:  # a short chunk is padded with its first image, which fails first if it fails
-                if not joined:
-                    for name, arity, cells, _, table in single:
-                        columns, shift = _lane_columns(n, arity, width)
-                        table = (int.from_bytes(table * width, "little") + shift).to_bytes(cells * width, "little")
-                        joined.append((name, arity, cells, columns, table))
-                apply, ops = wide, joined
-                h = b"".join(map(bytes, chunk + chunk[:1] * (width - len(chunk))))
+        for lo in range(0, len(images), full):
+            chunk = images[lo : lo + full]
+            width = 1 if len(chunk) == 1 else min(1 << (len(chunk) - 1).bit_length(), full)
+            apply, ops = kernels.get(width) or kernel(width)
+            h = b"".join(map(bytes, chunk + chunk[:1] * (width - len(chunk)))) if width > 1 else bytes(chunk[0])
             h, first = h.ljust(256, b"\0"), None  # first: (image, name, arity, cell) of the first failure
             for name, arity, cells, columns, table in ops:
                 if (target := apply(name, [c.translate(h) for c in columns])) != (mapped := table.translate(h)):
@@ -429,7 +449,7 @@ def _recheck(
     return batch
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=64)
 def _lane_columns(n: int, arity: int, copies: int) -> tuple[tuple[bytes, ...], int]:
     """_recheck's argument columns for an arity-ary table of an n-element
     source over copies images: environment_columns, image i's shifted by
@@ -458,15 +478,15 @@ def find_isomorphism(
 ) -> tuple[CarrierMap, CarrierMap] | None:
     """The first bijective hom a -> b and its inverse, or None; algebras of
     different signatures raise SignatureMismatchError, whatever their sizes.
-    The inverse of a bijective hom is a hom; a re-check raises UalgError if
-    not."""
+    The inverse of a bijective hom is a hom (built unvalidated, as a
+    permutation); a re-check raises UalgError if not."""
     same_signature(a, b)
     if a.size != b.size:
         return None
     f = next(iter_homs(a, b, surjective=True, injective=True, caps=caps), None)
     if f is None:
         return None
-    g = CarrierMap(b, a, tuple(sorted(range(b.size), key=f.image.__getitem__)))
+    g = CarrierMap._trusted(b, a, tuple(sorted(range(b.size), key=f.image.__getitem__)))
     witness = hom_violation(g)
     if witness is not None:
         raise UalgError(f"inverse of {f.image} is not a hom at {witness[0]}{witness[1]}")

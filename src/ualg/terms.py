@@ -194,33 +194,39 @@ def term_columns(
     Columns are shared (a variable's is the one passed in, a repeated
     subterm's is computed once): treat them as read-only.
     """
-    return joined_columns([alg], terms, [columns])
+    return joined_columns([alg], terms, [columns], alg._lanes)
+
+
+def members_plan(K: Sequence[FiniteAlgebra]) -> dict[str, tuple[tuple[bytes, ...], bytes]] | None:
+    """joined_columns' plan for the members K: one member's cached plan,
+    else core.lane_plan over them all (None past its fit rule)."""
+    return K[0]._lanes if len(K) == 1 else lane_plan(K, K[0].sig)
 
 
 def joined_columns(
     K: Sequence[FiniteAlgebra],
     terms: Sequence[Term],
     columns: Sequence[Mapping[str, Sequence[int]] | None],
+    plan: dict[str, tuple[tuple[bytes, ...], bytes]] | None,
 ) -> list[Sequence[int]]:
     """term_columns on members of one signature at once: each term's value
     columns in K[0], K[1], .. joined, member k's over its environment
-    columns columns[k] (None for none).  The members share one lane plan
-    (core.lane_plan; one member reads its cached plan), so each node is one
-    kernel application for all of them, and member k's lanes hold its
-    values plus |K[0]| + .. + |K[k-1]|: two columns agree on a member's
-    slice exactly when its values do.  One member past the plan's fit rule
-    runs on lists (term_columns' path); several raise ValueError.
+    columns columns[k] (None for none).  The members share one lane plan,
+    members_plan(K), so each node is one kernel application for all of
+    them, and member k's lanes hold its values plus |K[0]| + .. +
+    |K[k-1]|: two columns agree on a member's slice exactly when its values
+    do.  One member past the plan's fit rule runs on lists (term_columns'
+    path); several raise ValueError.
     """
-    if len(K) == 1:  # its cached plan, and no shift
-        plan, (columns,) = K[0]._lanes, columns
-        if plan is None:
-            return _list_columns(K[0], terms, columns)
+    if plan is None:
+        if len(K) > 1:
+            raise ValueError("the members do not fit one lane plan")
+        return _list_columns(K[0], terms, columns[0])
+    if len(K) == 1:  # no shift
+        (columns,) = columns
         lanes = {name: bytes(col) for name, col in columns.items()}
         members = bytes(_width(columns))
     else:
-        plan = lane_plan(K, K[0].sig)
-        if plan is None:
-            raise ValueError("the members do not fit one lane plan")
         present = [k for k, cols in enumerate(columns) if cols is not None]
         members = b"".join([bytes((k,)) * _width(columns[k]) for k in present])
         # one carry-free add shifts each member's lanes by its offset

@@ -116,7 +116,7 @@ def test_invariance_names_each_malformed_witness(witness, message):
         verify_invariance(z2_xor(), COMM, witness)
 
 
-def _columns_all_differ(alg, terms, columns):
+def _columns_all_differ(alg, terms, columns, plan=None):
     """A term_columns, or joined_columns, that reports every term's column
     as different."""
     return [(i,) for i in range(len(terms))]

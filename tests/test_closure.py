@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -15,6 +16,7 @@ from ualg import (
     congruences,
     enumerate_terms,
     evaluate,
+    find_isomorphism,
     find_models,
     hsp_certificate_check,
     signature,
@@ -26,7 +28,7 @@ from ualg import (
 )
 from ualg import closure
 from ualg.closure import CertCheckResult, EmptyCarrierError, HspCertificate, subuniverses
-from ualg.core import CapExceededError, Caps, SignatureMismatchError, UalgError
+from ualg.core import CapExceededError, Caps, FiniteAlgebra, SignatureMismatchError, UalgError
 from ualg.homs import NotAHomError
 from ualg.terms import all_environments
 
@@ -250,6 +252,49 @@ def test_quotient_matches_the_apply_op_oracle_on_every_partition(alg):
             assert quotient(alg, theta) == expected
             compatible.append(theta)
     assert sorted(compatible) == congruences(alg)
+
+
+def _relabelled(alg, seed):
+    """alg with its elements renamed by a random permutation."""
+    perm = list(range(alg.size))
+    random.Random(seed).shuffle(perm)
+    tables = {}
+    for (name, arity), table in zip(alg.sig.ops, alg.tables):
+        renamed = [0] * len(table)
+        for at, args in enumerate(itertools.product(range(alg.size), repeat=arity)):
+            renamed[sum(perm[a] * alg.size ** (arity - 1 - i) for i, a in enumerate(args))] = perm[table[at]]
+        tables[name] = renamed
+    return algebra(alg.sig, alg.size, tables)
+
+
+@pytest.mark.parametrize("alg", QUOTIENT_SAMPLES)
+def test_trusted_kernel_outputs_equal_validated_rebuilds(alg, monkeypatch):
+    """subalgebra_generate (the subalgebra and the inclusion), quotient (the
+    quotient and the natural map) and find_isomorphism's inverse build
+    their outputs with no validation; each equals the object validating
+    its fields builds, down to the operation index and the size of the
+    instance dict."""
+    twisted = _relabelled(alg, alg.size)
+    validated = []
+    for cls in (FiniteAlgebra, CarrierMap):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, real=cls.__post_init__: validated.append(self) or real(self))
+    outputs = []
+    for r in range(1, alg.size + 1):
+        for gens in itertools.combinations(range(alg.size), r):
+            outputs += subalgebra_generate(alg, gens)
+    for theta in congruences(alg):
+        outputs += quotient(alg, theta)
+    outputs.append(find_isomorphism(alg, twisted)[1])
+    assert validated == []
+    for got in outputs:
+        if isinstance(got, FiniteAlgebra):
+            want = FiniteAlgebra(got.sig, got.size, got.tables)
+            assert got._ops == want._ops
+        else:
+            want = CarrierMap(got.src, got.dst, got.image)
+        assert got == want
+        assert sys.getsizeof(vars(got)) == sys.getsizeof(vars(want))
+    assert len(validated) == len(outputs)
 
 
 def test_check_leq():

@@ -465,6 +465,30 @@ def test_iter_homs_matches_the_per_value_oracle(pool):
                 assert [sys.getsizeof(vars(m)) for m in maps] == [sys.getsizeof(vars(m)) for m in rebuilt]
 
 
+BUFFER_PAIRS = {
+    "C5->C5": ("C", 5, 5, (None, None)),
+    "C6->C6": ("C", 6, 6, (None, None)),
+    "L4->L4": ("L", 4, 4, (None, None)),
+    "L5->L5": ("L", 5, 5, (None, None)),
+    "injective L5->L5": ("L", 5, 5, (None, True)),
+    "injective L6->L6": ("L", 6, 6, (None, True)),
+    "surjective L5->L3": ("L", 5, 3, (True, None)),
+}
+
+
+@pytest.mark.parametrize("kind, n, m, flags", BUFFER_PAIRS.values(), ids=BUFFER_PAIRS.keys())
+def test_iter_homs_buffer_matches_the_per_value_oracle(monkeypatch, kind, n, m, flags):
+    # complete images from many last branch points share one buffer, re-checked
+    # 256 // n at a time: the same images in the same order as re-checking
+    # each alone, on relabelled chains and left-zero bands
+    op = min if kind == "C" else lambda a, b: a
+    src, dst = (relabelled_product([_binary(k, op)], seed) for k, seed in ((n, n), (m, m + 1)))
+    calls = count_leaves(monkeypatch)
+    got = [m.image for m in iter_homs(src, dst, *flags)]
+    assert got == [m.image for m in iter_homs_pervalue(src, dst, *flags)]
+    assert len(got) > 256 // n and sorted(calls) == sorted(set(calls))
+
+
 def test_z3_squared_endomorphisms_need_one_leaf_each(monkeypatch):
     # Z3^2 is generated by two elements: 9^2 candidate maps, not 9^9
     calls = count_leaves(monkeypatch)
@@ -475,15 +499,19 @@ def test_z3_squared_endomorphisms_need_one_leaf_each(monkeypatch):
 
 BAND3 = algebra(SIG_F, 3, {"f": [0, 0, 0, 1, 1, 1, 2, 2, 2]})
 BAND3_BROKEN = algebra(SIG_F, 3, {"f": [0, 0, 1, 1, 1, 1, 2, 2, 2]})  # left-zero but for f(0, 2) = 1
+BAND4_BROKEN = algebra(SIG_F, 4, {"f": [a if (a, b) != (2, 3) else 0 for a in range(4) for b in range(4)]})
 
 
 def test_a_complete_image_that_is_not_a_hom_raises(monkeypatch):
-    # with propagation switched off every map is a leaf, and the last
-    # element's values make one batch: a lazy consumer gets each hom before
-    # the first image that is not one, which must raise rather than be
-    # dropped.  Z3 -> Z3: (0, 0, 0) is a hom and (0, 0, 1) is not; L3 into
-    # a band broken at f(0, 2): (0, 0, 0) and (0, 0, 1) are homs, (0, 0, 2)
-    # is not.
+    # with propagation switched off every map is a leaf, the first last
+    # branch point's values make the first batch and the later ones share a
+    # buffer: a lazy consumer gets each hom before the first image that is
+    # not one, which must raise rather than be dropped.  Z3 -> Z3: (0, 0, 0)
+    # is a hom and (0, 0, 1) is not; L3 into a band broken at f(0, 2):
+    # (0, 0, 0) and (0, 0, 1) are homs, (0, 0, 2) is not; L3 into L4 broken
+    # at f(2, 3): the first image sending one element to 2 and one to 3 is
+    # (0, 2, 3), in the buffer after the images (0, 1, *) of the branch
+    # point before it.
     real = homs._Search.__init__
 
     def no_propagation(self, *args):
@@ -494,6 +522,7 @@ def test_a_complete_image_that_is_not_a_hom_raises(monkeypatch):
     for src, dst, first, text in [
         (z3_add(), z3_add(), [(0, 0, 0)], r"\(0, 0, 1\), not a hom at f\(1, 1\)"),
         (BAND3, BAND3_BROKEN, [(0, 0, 0), (0, 0, 1)], r"\(0, 0, 2\), not a hom at f\(0, 2\)"),
+        (BAND3, BAND4_BROKEN, [(0, a, b) for a in range(3) for b in range(4)][:-1], r"\(0, 2, 3\), not a hom at f\(1, 2\)"),
     ]:
         gen = iter_homs(src, dst)
         assert [next(gen).image for _ in first] == first
@@ -537,8 +566,8 @@ def test_leaf_recheck_matches_hom_violation(monkeypatch, sig, sizes):
     # first image that is not a hom and hom_violation's witness for it, or
     # None, as the single-image oracle does, on both sides of lane_plan's
     # fit rule and of |src| = 256, for batches short and longer than
-    # 256 // |src| (split into chunks); within both it never calls
-    # hom_violation
+    # 256 // |src| (split into chunks of that many, each padded to a power
+    # of two); within both it never calls hom_violation
     rng = random.Random(22)
     outcomes = set()
     for n, m in sizes:
@@ -547,7 +576,8 @@ def test_leaf_recheck_matches_hom_violation(monkeypatch, sig, sizes):
             lanes = lane_plan([dst], sig) is not None and n <= 256
             nudges = [h[:a] + (rng.randrange(m),) + h[a + 1 :] for a in rng.choices(range(n), k=4)]
             length = rng.randrange(1, 4) + (256 // n if rng.random() < 0.5 else 0)
-            where = rng.randrange(length + 1)
+            # in a batch past one chunk, the first nudge sits at the end of the first chunk or after it
+            where = rng.randrange(max(256 // n - 1, 0) if length > 256 // n else 0, length + 1)
             batch = ([h] * where + [nudges[0]] + [rng.choice([h, *nudges]) for _ in range(length)])[:length]
             want = _first_failure(lambda image: hom_violation(CarrierMap(src, dst, image)), batch)
             assert want == _first_failure(recheck_single(src, dst), batch)
@@ -555,7 +585,7 @@ def test_leaf_recheck_matches_hom_violation(monkeypatch, sig, sizes):
                 if lanes:
                     patch.setattr(homs, "hom_violation", lambda m: pytest.fail("hom_violation called"))
                 assert homs._recheck(src, dst)(batch) == want
-            chunk = min(256 // n, m) if lanes else length
+            chunk = 256 // n if lanes else length
             outcomes.add((lanes, "hom" if want is None else "first" if not want[0] else
                           "later" if want[0] < chunk else "later chunk"))
     assert outcomes == {(True, "later chunk")} | {
@@ -626,7 +656,7 @@ def _per_value_trail(src, dst, flags, first):
     return images, before
 
 
-CHAIN5, BAND4 = _binary(5, min), _binary(4, lambda a, b: a)
+CHAIN5, BAND4, BAND5 = _binary(5, min), _binary(4, lambda a, b: a), _binary(5, lambda a, b: a)
 CAP_DIFFERENTIAL = {
     "C5->C5": (relabelled_product([CHAIN5], 1), relabelled_product([CHAIN5], 2), (None, None), False),
     "L4->L4": (relabelled_product([BAND4], 3), relabelled_product([BAND4], 4), (None, None), False),
@@ -634,6 +664,9 @@ CAP_DIFFERENTIAL = {
     "C2^4 isomorphism": (
         product([semilattice2(SIG_F)] * 4).alg, relabelled_product([semilattice2(SIG_F)] * 4), (True, True), True,
     ),
+    # one image per last branch point: the cap trips with the images of
+    # several branch points in the buffer
+    "injective L5->L5": (relabelled_product([BAND5], 6), relabelled_product([BAND5], 7), (None, True), False),
 }
 
 
