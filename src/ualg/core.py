@@ -13,8 +13,10 @@ and everything fileio and cli build validate their input.  An output that
 a kernel has already shown well formed may skip that through a private
 trusted constructor of its class (FiniteAlgebra._trusted,
 CarrierMap._trusted): the hom search's maps (after the leaf re-check),
-products, generated subalgebras, quotients, their inclusions and natural
-maps, and find_isomorphism's inverse (a permutation).
+products, generated subalgebras (subalgebra_generate's and
+hsp_certificate_check's), free algebras, find_models' models (re-checked
+by mod_check), quotients, inclusions, natural maps, and
+find_isomorphism's inverse (a permutation).
 
 The module also holds the one index codec on int tables (mapped_cells and
 _decode_mixed) and the one byte-lane kernel (lane_plan, lane_pointwise),

@@ -3,7 +3,10 @@
 An algebra satisfies lhs = rhs when both sides evaluate equally under
 every environment over the equation's variables; the search order is
 lexicographic with variables in first-occurrence order, so the reported
-counterexample is reproducible.
+counterexample is reproducible.  mod_failures checks a stream of
+algebras in batches on shared byte lanes; a batch decides only which
+members fail, and a batch that raises is answered by mod_check, one
+algebra at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .core import (
     DEFAULT_CAPS,
-    CapExceededError,
     Caps,
     FiniteAlgebra,
     Signature,
@@ -111,21 +113,25 @@ def mod_failures(
     plan, or on lists past the fit rule.  The plan is built once per batch
     (terms.members_plan).
 
-    Errors come as from mod_check on each algebra in turn: an environment
-    space past caps.cells, an unknown symbol or a wrong arity raises at the
-    first algebra to reach that equation, and an error from labelled itself
-    only after the algebras before it are checked.  So a consumer that stops
-    at the first failure sees mod_check's first failure, whatever follows.
-    labelled is read lazily, at most one algebra past each batch.
+    A batch that raises any UalgError is checked again by mod_check, one
+    algebra at a time: its failures before the error are yielded, then
+    mod_check's own error is raised.  An error from labelled itself comes
+    only after the algebras before it are checked.  So a consumer that
+    stops at the first failure sees mod_check's first failure, whatever
+    follows.  labelled is read lazily, at most one algebra past each batch.
     """
     envs: dict = {}  # (equation index, size) -> environment columns
     names = [equation_vars(eq) for eq in E]
     span = max([len(v) for v in names], default=0)
     for batch in _batches(labelled, span):
-        failures, error = _batch_failures(batch, E, names, caps, envs)
-        yield from failures
-        if error is not None:
-            raise error
+        try:
+            first = _first_failures([alg for alg, _ in batch], E, names, caps, envs)
+        except UalgError:  # replayed below by mod_check, which raises its own error
+            first = None
+        for j, (alg, label) in enumerate(batch):
+            i = mod_check(alg, E, caps).failing_index if first is None else first[j]
+            if i is not None:
+                yield alg, label, i
 
 
 def _batches(labelled: Iterable[tuple[FiniteAlgebra, L]], span: int) -> Iterator[list[tuple[FiniteAlgebra, L]]]:
@@ -159,54 +165,30 @@ def _batches(labelled: Iterable[tuple[FiniteAlgebra, L]], span: int) -> Iterator
         yield batch
 
 
-def _batch_failures(
-    batch: list, E: Sequence[Equation], names: list, caps: Caps, envs: dict
-) -> tuple[list, UalgError | None]:
-    """mod_failures on one batch.  Each equation's sides are computed once
-    for the members with no event yet, and each member keeps its first
-    event, as mod_check meets it: a cap error, an evaluation error or the
-    index of a failing equation.  Returns the failures, in member order,
-    before the first member whose event is an error, and that error or None."""
-    K = [alg for alg, _ in batch]
-    events: list = [None] * len(K)
+def _first_failures(
+    K: list[FiniteAlgebra], E: Sequence[Equation], names: list, caps: Caps, envs: dict
+) -> list[int | None]:
+    """Each member's first failing equation of E, or None, read from the
+    joined columns; raises the first UalgError any member meets."""
+    first: list = [None] * len(K)
     plan = members_plan(K)
     for i, eq in enumerate(E):
-        columns: list = [None] * len(K)
-        for j, alg in enumerate(K):
-            if events[j] is None:
-                cols = envs.get((i, alg.size))
-                if cols is None:
-                    try:
-                        caps.check_env_space(alg.size, names[i])
-                    except CapExceededError as e:
-                        events[j] = e
-                        continue
-                    cols = envs[i, alg.size] = environment_columns(names[i], alg.size)
-                columns[j] = cols
-        if columns.count(None) == len(K):
-            continue
-        try:
-            lhs, rhs = joined_columns(K, (eq.lhs, eq.rhs), columns, plan)
-        except UalgError as e:  # met by every member that reaches eq
-            events = [event if cols is None else e for event, cols in zip(events, columns)]
-            continue
+        columns = []
+        for alg in K:
+            cols = envs.get((i, alg.size))
+            if cols is None:
+                caps.check_env_space(alg.size, names[i])
+                cols = envs[i, alg.size] = environment_columns(names[i], alg.size)
+            columns.append(cols)
+        lhs, rhs = joined_columns(K, (eq.lhs, eq.rhs), columns, plan)
         if lhs != rhs:
             at = 0
-            for j, (alg, cols) in enumerate(zip(K, columns)):
-                if cols is not None:
-                    end = at + alg.size ** len(names[i])
-                    if lhs[at:end] != rhs[at:end]:
-                        events[j] = i
-                    at = end
-    failures: list = []
-    if events.count(None) == len(events):  # the common case: every member holds E
-        return failures, None
-    for (alg, label), event in zip(batch, events):
-        if isinstance(event, UalgError):
-            return failures, event
-        if event is not None:
-            failures.append((alg, label, event))
-    return failures, None
+            for j, alg in enumerate(K):
+                end = at + alg.size ** len(names[i])
+                if first[j] is None and lhs[at:end] != rhs[at:end]:
+                    first[j] = i
+                at = end
+    return first
 
 
 def find_models(
@@ -366,7 +348,7 @@ def _model(sig: Signature, widths: list[int], cells: list[int], n: int) -> Finit
     for width in widths:
         tables.append(tuple(cells[start : start + width]))
         start += width
-    return FiniteAlgebra(sig, n, tuple(tables))
+    return FiniteAlgebra._trusted(sig, n, tuple(tables))
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,7 @@ def build_free(
         else:
             reprs.append(App(origin[0], tuple([reprs[a] for a in origin[1]])))
     free = FreeAlgebra(
-        alg=FiniteAlgebra(sig, len(elements), tables),
+        alg=FiniteAlgebra._trusted(sig, len(elements), tables),
         k_algebras=tuple(K),
         variables=tuple(variables),
         index=tuple(index),

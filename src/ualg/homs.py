@@ -9,8 +9,9 @@ branch point scans its tuples once for all its values, keeping as a bitmask
 the values that pass them (forward checking), and propagates only from
 those.  Each complete image is re-checked, on the target's byte lanes when
 they fit, the images of one buffer up to 256 // |src| at a time, one
-application per table.  One that is not a hom raises UalgError; the homs
-are yielded through CarrierMap._trusted, without validation.
+application per table, and by hom_violation past them or where they fail.
+One that is not a hom raises UalgError; the homs are yielded through
+CarrierMap._trusted, without validation.
 """
 
 from __future__ import annotations
@@ -312,13 +313,12 @@ class _Search:
         forcing entries (branch decides a's own tuples), so each passing
         value is a complete image: they are taken in order until the buffer
         is full or the cap refuses one, left for the loop to trip on.  The
-        buffer is handed over at each complete image up to the first such
-        branch point's images (all a first-map caller needs), then when it
-        holds 256 // |src| (one lane pass), at the end and before the cap
-        trips."""
+        first complete image is handed over alone (all a first-map caller
+        needs); after it the buffer is handed over when it holds 256 // |src|
+        (one lane pass), at the end and before the cap trips."""
         image, trail, uses, n, m = self.image, self.trail, self.uses, self.src.size, self.dst.size
         sur, cap, assign, tried = self.surjective, self.cap, self.assign, 0
-        leaves, lefts, natural, full = [], [], True, max(256 // n, 1)  # lefts: the values each leaves unused
+        leaves, lefts, full = [], [], 1  # lefts: the values each leaves unused
         stack = [[-1, len(trail), 1, [], 0]]  # the root: one try, assigning nothing
         while stack:
             top = stack[-1]
@@ -338,7 +338,7 @@ class _Search:
                     image[x] = -1
                 del trail[mark:]
             if a >= 0 and mark == n - 1:
-                size, unused = len(leaves), uses.count(0)
+                unused = uses.count(0)
                 while True:
                     left = unused - (not uses[b])
                     if not (sur and left):  # the surjective prune
@@ -354,9 +354,6 @@ class _Search:
                     tried += b + 1 - start
                     top[2], top[4] = allowed & (allowed - 1), b + 1
                 image[a] = -1
-                if len(leaves) == size or not natural and len(leaves) < full:
-                    continue
-                natural = False
             else:
                 if a >= 0:
                     image[a] = b
@@ -372,10 +369,10 @@ class _Search:
                     continue
                 leaves.append(tuple(image))
                 lefts.append(uses.count(0))
-                if not natural and len(leaves) < full:
-                    continue
+            if len(leaves) < full:
+                continue
             yield leaves, lefts
-            leaves, lefts = [], []
+            leaves, lefts, full = [], [], max(256 // n, 1)
         if leaves:
             yield leaves, lefts
         if tried > cap:
@@ -396,54 +393,47 @@ def _recheck(
     that is not a hom and hom_violation's witness for it, or None.
 
     Within lane_plan's fit rule and |src| <= 256, chunks of up to
-    k = 256 // |src| images, each padded with its first (which fails first
-    if it fails) to a power of two at most k, are checked together: their
-    images, joined, make one translation table, and per table dst's
-    lane_pointwise runs once on src's argument columns, shifted by i * |src|
-    for image i and joined, against src's table shifted and joined alike,
-    both translated through it.  The columns come from _lane_columns; the
-    joined tables are built once per width.  Past the fit rule,
-    hom_violation checks each image in turn."""
+    k = 256 // |src| images, each padded with its first to a power of two
+    at most k, are checked together: their images, joined, make one
+    translation table, and per table dst's lane_pointwise runs once on
+    src's argument columns, shifted by i * |src| for image i and joined,
+    against src's table shifted and joined alike, both translated through
+    it.  The lanes only decide whether a chunk passes: a chunk that fails
+    them, and every image past the fit rule, is checked by hom_violation
+    in turn, which gives the index and the witness.  Lanes that fail a
+    chunk hom_violation passes raise UalgError.  The columns come from
+    _lane_columns; the joined tables are built once per width."""
     n, plan = src.size, dst._lanes
+
+    def each(images: Sequence[Sequence[int]]) -> tuple[int, tuple[str, tuple[int, ...]]] | None:
+        for i, image in enumerate(images):
+            if (witness := hom_violation(CarrierMap(src, dst, tuple(image)))) is not None:
+                return i, witness
+        return None
+
     if plan is None or n > 256:
-
-        def each(images: Sequence[Sequence[int]]) -> tuple[int, tuple[str, tuple[int, ...]]] | None:
-            for i, image in enumerate(images):
-                if (witness := hom_violation(CarrierMap(src, dst, tuple(image)))) is not None:
-                    return i, witness
-            return None
-
         return each
-    single = [(name, arity, n**arity, _lane_columns(n, arity, 1)[0], bytes(table))
-              for (name, arity), table in zip(src.sig.ops, src.tables)]
-    full, kernels = 256 // n, {1: (lane_pointwise(plan, b"\0"), single)}
+    full, kernels = 256 // n, {}
 
     def kernel(width: int) -> tuple[Callable[[str, Sequence[bytes]], bytes], list]:
         """lane_pointwise over width images, and src's tables joined alike."""
         ops = []
-        for name, arity, cells, _, table in single:
+        for (name, arity), table in zip(src.sig.ops, src.tables):
             columns, shift = _lane_columns(n, arity, width)
-            ops.append((name, arity, cells, columns, (int.from_bytes(table * width, "little") + shift).to_bytes(cells * width, "little")))
+            ops.append((name, columns, (int.from_bytes(bytes(table) * width, "little") + shift).to_bytes(len(table) * width, "little")))
         kernels[width] = lane_pointwise(plan, bytes(width)), ops
         return kernels[width]
 
     def batch(images: Sequence[Sequence[int]]) -> tuple[int, tuple[str, tuple[int, ...]]] | None:
         for lo in range(0, len(images), full):
             chunk = images[lo : lo + full]
-            width = 1 if len(chunk) == 1 else min(1 << (len(chunk) - 1).bit_length(), full)
+            width = min(1 << (len(chunk) - 1).bit_length(), full)
             apply, ops = kernels.get(width) or kernel(width)
-            h = b"".join(map(bytes, chunk + chunk[:1] * (width - len(chunk)))) if width > 1 else bytes(chunk[0])
-            h, first = h.ljust(256, b"\0"), None  # first: (image, name, arity, cell) of the first failure
-            for name, arity, cells, columns, table in ops:
-                if (target := apply(name, [c.translate(h) for c in columns])) != (mapped := table.translate(h)):
-                    at = next(i for i, x in enumerate(target) if x != mapped[i])
-                    if first is None or at // cells < first[0]:
-                        first = (at // cells, name, arity, at % cells)
-                        if not first[0]:
-                            break
-            if first is not None:
-                i, name, arity, at = first
-                return lo + i, (name, _decode_mixed((n,) * arity, at))
+            h = b"".join(map(bytes, chunk + chunk[:1] * (width - len(chunk)))).ljust(256, b"\0")
+            if any(apply(name, [c.translate(h) for c in columns]) != table.translate(h) for name, columns, table in ops):
+                if (failure := each(chunk)) is None:
+                    raise UalgError("hom re-check: the lanes fail a chunk that hom_violation passes")
+                return lo + failure[0], failure[1]
         return None
 
     return batch

@@ -206,17 +206,17 @@ def members_plan(K: Sequence[FiniteAlgebra]) -> dict[str, tuple[tuple[bytes, ...
 def joined_columns(
     K: Sequence[FiniteAlgebra],
     terms: Sequence[Term],
-    columns: Sequence[Mapping[str, Sequence[int]] | None],
+    columns: Sequence[Mapping[str, Sequence[int]]],
     plan: dict[str, tuple[tuple[bytes, ...], bytes]] | None,
 ) -> list[Sequence[int]]:
     """term_columns on members of one signature at once: each term's value
     columns in K[0], K[1], .. joined, member k's over its environment
-    columns columns[k] (None for none).  The members share one lane plan,
-    members_plan(K), so each node is one kernel application for all of
-    them, and member k's lanes hold its values plus |K[0]| + .. +
-    |K[k-1]|: two columns agree on a member's slice exactly when its values
-    do.  One member past the plan's fit rule runs on lists (term_columns'
-    path); several raise ValueError.
+    columns columns[k].  The members share one lane plan, members_plan(K),
+    so each node is one kernel application for all of them, and member k's
+    lanes hold its values plus |K[0]| + .. + |K[k-1]|: two columns agree on
+    a member's slice exactly when its values do.  One member past the
+    plan's fit rule runs on lists (term_columns' path); several raise
+    ValueError.
     """
     if plan is None:
         if len(K) > 1:
@@ -227,14 +227,13 @@ def joined_columns(
         lanes = {name: bytes(col) for name, col in columns.items()}
         members = bytes(_width(columns))
     else:
-        present = [k for k, cols in enumerate(columns) if cols is not None]
-        members = b"".join([bytes((k,)) * _width(columns[k]) for k in present])
+        members = b"".join([bytes((k,)) * _width(cols) for k, cols in enumerate(columns)])
         # one carry-free add shifts each member's lanes by its offset
         offsets = bytes(itertools.accumulate([alg.size for alg in K[:-1]], initial=0)).ljust(256, b"\0")
         shift = int.from_bytes(members.translate(offsets), "little")
         lanes = {}
-        for name in columns[present[0]] if present else ():
-            lane = b"".join([bytes(columns[k][name]) for k in present])
+        for name in columns[0]:
+            lane = b"".join([bytes(cols[name]) for cols in columns])
             lanes[name] = (int.from_bytes(lane, "little") + shift).to_bytes(len(lane), "little")
     apply = lane_pointwise(plan, members)
     done: dict[int, Sequence[int]] = {}

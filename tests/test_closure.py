@@ -43,6 +43,7 @@ from samples import (
     SIG_F,
     SIG_FE,
     all_binary_size2,
+    certified_square_images,
     chain3_median,
     constants_only,
     easy_laws,
@@ -54,6 +55,7 @@ from samples import (
     z3_malcev,
     z4_add,
     z5_successor,
+    z_add,
     z_successor,
 )
 
@@ -295,6 +297,52 @@ def test_trusted_kernel_outputs_equal_validated_rebuilds(alg, monkeypatch):
         assert got == want
         assert sys.getsizeof(vars(got)) == sys.getsizeof(vars(want))
     assert len(validated) == len(outputs)
+
+
+def _models(monkeypatch):
+    laws = [easy_laws(names) for names in (["assoc"], ["comm", "idem"], ["idem", "rectband"])]
+    return lambda: [rep for E in laws for size in (1, 2, 3) for rep in find_models(SIG_F, E, size)[0]]
+
+
+def _free_algebras(monkeypatch):
+    # one class past the byte lanes (Z17), one with constants and no variables
+    jobs = [(K, names) for K in ([z2_xor()], [semilattice2(SIG_F)], [z3_add(), semilattice2(SIG_F)])
+            for names in (["x"], ["x", "y"], ["x", "y", "z"])]
+    jobs += [([z_add(17)], ["x"]), ([constants_only()], [])]
+    return lambda: [build_free(K, names).alg for K, names in jobs]
+
+
+def _certificate_subalgebras(monkeypatch):
+    """The generated subalgebra of each certificate check: the source of its
+    one hom_violation call."""
+    checks = [([base], B, cert) for base in (z2_xor(), semilattice2(SIG_F)) for B, cert in certified_square_images(base)]
+    checks += [([alg], alg, trivial_certificate(0, alg)) for alg in QUOTIENT_SAMPLES]
+    subs = []
+    monkeypatch.setattr(closure, "hom_violation", lambda m, real=closure.hom_violation: subs.append(m.src) or real(m))
+
+    def run():
+        assert all(hsp_certificate_check(*check).ok for check in checks)
+        return subs
+
+    return run
+
+
+@pytest.mark.parametrize("case", [_models, _free_algebras, _certificate_subalgebras],
+                         ids=["find_models", "build_free", "hsp_certificate_check"])
+def test_models_free_algebras_and_certificate_subalgebras_equal_validated_rebuilds(case, monkeypatch):
+    """find_models' models, build_free's algebra and the subalgebra that
+    hsp_certificate_check generates are built with no validation; each
+    equals the algebra validating its fields builds, down to the operation
+    index and the size of the instance dict."""
+    run, validated = case(monkeypatch), []
+    monkeypatch.setattr(FiniteAlgebra, "__post_init__", lambda self, real=FiniteAlgebra.__post_init__: validated.append(self) or real(self))
+    got = run()
+    assert got and validated == []
+    for alg in got:
+        want = FiniteAlgebra(alg.sig, alg.size, alg.tables)
+        assert alg == want and alg._ops == want._ops
+        assert sys.getsizeof(vars(alg)) == sys.getsizeof(vars(want))
+    assert len(validated) == len(got)
 
 
 def test_check_leq():

@@ -29,6 +29,7 @@ from ualg.homs import (
     hom_violation,
     iter_homs,
 )
+from ualg.closure import check_leq
 
 from oracles import hom_factor_pairwise, iter_homs_elementwise, iter_homs_pervalue, recheck_single
 from samples import (
@@ -271,17 +272,30 @@ def test_find_homs_matches_brute_force_oracle():
             assert got == brute_force_homs(src, dst, surjective, injective)
 
 
+def _on_recheck(monkeypatch, record):
+    """Call record on each batch of images the hom search's leaf re-check
+    is called on, as the searches run."""
+    real = homs._recheck
+
+    def recording(src, dst):
+        check = real(src, dst)
+        return lambda images: record(images) or check(images)
+
+    monkeypatch.setattr(homs, "_recheck", recording)
+
+
+def record_batches(monkeypatch):
+    """The length of each batch the leaf re-check is called on."""
+    batches = []
+    _on_recheck(monkeypatch, lambda images: batches.append(len(images)))
+    return batches
+
+
 def count_leaves(monkeypatch):
     """The images the hom search's leaf re-check is called on, each image of
     a batch in order, recorded as the searches run."""
     calls = []
-    real = homs._recheck
-
-    def counting(src, dst):
-        check = real(src, dst)
-        return lambda images: calls.extend(map(tuple, images)) or check(images)
-
-    monkeypatch.setattr(homs, "_recheck", counting)
+    _on_recheck(monkeypatch, lambda images: calls.extend(map(tuple, images)))
     return calls
 
 
@@ -567,7 +581,7 @@ def test_leaf_recheck_matches_hom_violation(monkeypatch, sig, sizes):
     # None, as the single-image oracle does, on both sides of lane_plan's
     # fit rule and of |src| = 256, for batches short and longer than
     # 256 // |src| (split into chunks of that many, each padded to a power
-    # of two); within both it never calls hom_violation
+    # of two); within both, on a batch of homs, it never calls hom_violation
     rng = random.Random(22)
     outcomes = set()
     for n, m in sizes:
@@ -582,7 +596,7 @@ def test_leaf_recheck_matches_hom_violation(monkeypatch, sig, sizes):
             want = _first_failure(lambda image: hom_violation(CarrierMap(src, dst, image)), batch)
             assert want == _first_failure(recheck_single(src, dst), batch)
             with monkeypatch.context() as patch:
-                if lanes:
+                if lanes and want is None:
                     patch.setattr(homs, "hom_violation", lambda m: pytest.fail("hom_violation called"))
                 assert homs._recheck(src, dst)(batch) == want
             chunk = 256 // n if lanes else length
@@ -591,6 +605,46 @@ def test_leaf_recheck_matches_hom_violation(monkeypatch, sig, sizes):
     assert outcomes == {(True, "later chunk")} | {
         (lanes, kind) for lanes in (True, False) for kind in ("hom", "first", "later")
     }
+
+
+def test_recheck_raises_where_the_lanes_fail_what_hom_violation_passes(monkeypatch):
+    # the lanes only decide whether a chunk passes: a lane kernel corrupted
+    # to fail every chunk sends each to hom_violation, which passes these
+    # homs, so the disagreement raises, from _recheck and from the search
+    real = homs.lane_pointwise
+    monkeypatch.setattr(homs, "lane_pointwise", lambda plan, members: (
+        lambda name, args, apply=real(plan, members): apply(name, args) + b"\0"))
+    message = "^hom re-check: the lanes fail a chunk that hom_violation passes$"
+    for images in ([(0, 1, 2)], [(0, 1, 2), (0, 0, 0), (0, 2, 1)]):
+        with pytest.raises(UalgError, match=message):
+            homs._recheck(z3_add(), z3_add())(images)
+    with pytest.raises(UalgError, match=message):
+        find_homs(z3_add(), z3_add())
+    # past the fit rule there are no lanes to corrupt
+    assert len(find_homs(MALCEV7, MALCEV7, injective=True)) == 42
+
+
+@pytest.mark.parametrize("first", [
+    lambda: check_leq(relabelled_product([BAND4], 1), relabelled_product([BAND5], 2)),
+    lambda: find_isomorphism(relabelled_product([_binary(6, min)], 5), relabelled_product([_binary(6, min)], 6)),
+], ids=["check_leq L4 <= L5", "find_isomorphism C6"])
+def test_first_map_callers_recheck_one_image(monkeypatch, first):
+    # the first complete image is handed over alone: a caller that takes
+    # only the first map re-checks that map and no more
+    batches = record_batches(monkeypatch)
+    assert first() is not None
+    assert batches == [1]
+
+
+def test_the_buffer_goes_at_one_lane_pass_after_the_first_image(monkeypatch):
+    # then at 256 // |src| images and at the end of the search, whether the
+    # images come from last branch points (L5) or from propagation (Z7)
+    batches = record_batches(monkeypatch)
+    assert len(find_homs(BAND5, BAND5)) == 5**5
+    assert batches == [1] + [256 // 5] * 61 + [5**5 - 1 - 51 * 61]
+    batches.clear()
+    assert len(find_homs(z_add(7), z_add(7))) == 7
+    assert batches == [1, 6]
 
 
 def test_relabelled_z2_cube_isomorphism_under_default_caps():
