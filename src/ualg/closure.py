@@ -6,7 +6,8 @@ subalgebras, free algebras and certificates close tuples by one routine,
 `generate`, which never builds the product; it runs `close`, the one
 deterministic pass closure, which also yields the operation tables and
 applies a whole table row per call: one kernel call per row, not per
-argument tuple.
+argument tuple (on the lanes: its prefix folded once, its pass's lasts
+joined and read once, the result cut apart in C).
 Homomorphic images are built only as quotients A/theta, by congruences
 each a union-find closed under translations.  An HSP certificate, a
 product -> subalgebra -> image pipeline witnessing membership in V of a
@@ -19,6 +20,7 @@ import functools
 import itertools
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -125,10 +127,12 @@ def close(
     passes are semi-naive: each applies, in row-major order, only the label
     tuples with an argument found by the previous pass (constants only in the
     first), one row (a head of all arguments but the last, and the lasts not
-    yet applied) per call.  No other tuple can find anything, so the
-    discovery order is the naive one and every tuple is applied once,
-    filling the tables.  admit(n) runs before the n-th element is added and
-    may raise.
+    yet applied) per call.  A pass's rows share two lists of lasts, one
+    object each: all elements found before it, for a head new in it, and
+    those the previous pass found, for an earlier head.  No other tuple can
+    find anything, so the discovery order is the naive one and every tuple
+    is applied once, filling the tables.  admit(n) runs before the n-th
+    element is added and may raise.
     """
     elements: list = []
     origins: list = []
@@ -147,8 +151,10 @@ def close(
             add(value, None)
     # per symbol: head (argument labels but the last) -> its row, in row-major order
     rows: list[dict] = [{} for _ in sig.ops]
-    while True:
-        base = len(elements)
+    base = 0
+    while True:  # an earlier head's row holds all lasts found before the previous pass
+        older, base = base, len(elements)
+        fresh, newer = elements[:base], elements[older:base]
         for pos, (name, arity) in enumerate(sig.ops):
             if arity == 0:  # a constant: first pass only
                 if not rows[pos]:
@@ -157,10 +163,9 @@ def close(
                 continue
             old_rows, rows[pos] = rows[pos], {}
             heads = itertools.product(range(base), repeat=arity - 1)
-            for head, prefix in zip(heads, itertools.product(elements[:base], repeat=arity - 1)):
-                # a row from an earlier pass holds all lasts found before it
+            for head, prefix in zip(heads, itertools.product(fresh, repeat=arity - 1)):
                 row = rows[pos][head] = old_rows.get(head) or []
-                lasts = elements[len(row):base]
+                lasts = newer if row else fresh
                 if not lasts:  # a unary symbol's first pass over no seeds
                     continue
                 values = apply(name, prefix, lasts)
@@ -208,20 +213,32 @@ def generate(
 
 
 def _lane_rows(apply, width: int):
-    """close's row contract on the lane kernel: one application per row,
-    the prefix lanes each repeated once per last and the lasts joined, the
-    result cut back into width-byte lanes."""
+    """close's row contract on the lane kernel: one application per row, on
+    its prefix lanes and its lasts, joined and read as an int once per list."""
+    joined: dict[int, tuple] = {}  # id(lasts) -> _joined(lasts), for the two lists of the latest pass
 
-    def row(name: str, prefix: tuple[bytes, ...], lasts: Sequence[bytes]) -> list[bytes]:
+    def row(name: str, prefix: tuple[bytes, ...], lasts: Sequence[bytes]) -> Sequence[bytes]:
         m = len(lasts)
-        if m <= 1:  # a constant or a one-last row: a direct call costs less than repeat, join and cut
+        if m <= 1:  # a constant or a one-last row: a direct call costs less than join and cut
             return [apply(name, (*prefix, *lasts))]
-        z = apply(name, [x * m for x in prefix] + [b"".join(lasts)])
-        if not width:  # the empty class's one element, the empty tuple
-            return [z] * m
-        return [z[i : i + width] for i in range(0, m * width, width)]
+        if (lane := joined.get(id(lasts))) is None:
+            if len(joined) == 2:  # the oldest list is from an earlier pass
+                del joined[next(iter(joined))]
+            lane = joined[id(lasts)] = _joined(lasts)
+        return _cut(width, m)(apply(name, (*prefix, lane[1]), m, lane[2]))
 
     return row
+
+
+def _joined(lasts: Sequence[bytes]) -> tuple[Sequence[bytes], bytes, int]:
+    """The lasts (kept, so their id stays theirs), joined, and read as an int."""
+    return lasts, (lane := b"".join(lasts)), int.from_bytes(lane, "little")
+
+
+@functools.lru_cache(maxsize=4)
+def _cut(width: int, m: int) -> Callable[[bytes], tuple[bytes, ...]]:
+    """The unpack cutting m width-byte lanes apart; few are kept, each holding about 32 bytes a lane."""
+    return struct.Struct(f"{width}s" * m).unpack
 
 
 def _tuple_pointwise(K, sig, members):

@@ -365,27 +365,29 @@ def _lane_frame(sizes: tuple[int, ...], top: int) -> tuple[tuple[bytes, ...], tu
 
 def lane_pointwise(
     plan: dict[str, tuple[tuple[bytes, ...], bytes]], members: bytes
-) -> Callable[[str, Sequence[bytes]], bytes]:
+) -> Callable[..., bytes]:
     """The byte-lane kernel: apply(symbol, argument lanes) under a lane_plan.
 
     A value column is a bytes string, one lane per coordinate; an r-ary
     application is r - 1 translates through the step tables, carry-free
     big-int adds and one translate through the final table, whatever the
     width.  A constant reads members, each coordinate's member index, so its
-    column is as wide as members.
+    column is as wide as members.  apply(symbol, args, m, last) applies a
+    row: the last argument is m columns joined and last is it read as an
+    int; the prefix is folded once, then repeated m times before last is added.
     """
     from_bytes = int.from_bytes
 
-    def apply(name: str, args: Sequence[bytes]) -> bytes:
+    def apply(name: str, args: Sequence[bytes], m: int = 1, last: int | None = None) -> bytes:
         steps, final = plan[name]
-        if len(args) == 2:  # the common case, unrolled
-            x, y = args
-            z = from_bytes(x.translate(steps[0]), "little") + from_bytes(y, "little")
-            return z.to_bytes(len(y), "little").translate(final)
-        z = args[0] if args else members
-        for step, x in zip(steps, args[1:]):
-            z = (from_bytes(z.translate(step), "little") + from_bytes(x, "little")).to_bytes(len(x), "little")
-        return z.translate(final)
+        if not steps:  # a constant or a unary symbol: one translate
+            return (args[0] if args else members).translate(final)
+        z, y = args[0], args[-1]
+        if len(args) > 2:  # the prefix's other lanes, each through its step
+            for step, x in zip(steps, args[1:-1]):
+                z = (from_bytes(z.translate(step), "little") + from_bytes(x, "little")).to_bytes(len(x), "little")
+        z = from_bytes(z.translate(steps[-1]) * m, "little") + (from_bytes(y, "little") if last is None else last)
+        return z.to_bytes(len(y), "little").translate(final)
 
     return apply
 

@@ -430,10 +430,11 @@ def _recheck(
             width = min(1 << (len(chunk) - 1).bit_length(), full)
             apply, ops = kernels.get(width) or kernel(width)
             h = b"".join(map(bytes, chunk + chunk[:1] * (width - len(chunk)))).ljust(256, b"\0")
-            if any(apply(name, [c.translate(h) for c in columns]) != table.translate(h) for name, columns, table in ops):
-                if (failure := each(chunk)) is None:
-                    raise UalgError("hom re-check: the lanes fail a chunk that hom_violation passes")
-                return lo + failure[0], failure[1]
+            for name, columns, table in ops:  # a loop, not any(): no generator per chunk
+                if apply(name, [c.translate(h) for c in columns]) != table.translate(h):
+                    if (failure := each(chunk)) is None:
+                        raise UalgError("hom re-check: the lanes fail a chunk that hom_violation passes")
+                    return lo + failure[0], failure[1]
         return None
 
     return batch

@@ -4,6 +4,7 @@ against its cell-by-cell form (see oracles.py)."""
 
 import gc
 import itertools
+import random
 import sys
 
 import pytest
@@ -465,6 +466,78 @@ def test_close_applies_each_tuple_once(alg, gens):
         for name, arity in alg.sig.ops
         for args in itertools.product(elements, repeat=arity)
     )
+
+
+# The lane row against the kernel's column form: plans over one member and
+# over several shifted apart, arities 0-3, one-byte and wide lanes.
+ROW_PLANS = {
+    "constants": ([constants_only()], [0] * 7),
+    "unary": ([z5_successor()], [0] * 30),
+    "binary-width-1": ([z3_add()], [0]),
+    "binary-wide": ([z3_add()], [0] * 45),
+    "binary-shifted-width-1": ([z2_xor(), z3_add(), z4_add()], [2]),
+    "binary-shifted-wide": ([z2_xor(), z3_add(), z4_add()], [0, 1, 2] * 15 + [2, 1]),
+    "ternary": ([z3_malcev()], [0] * 27),
+    "ternary-shifted": ([z3_malcev(), chain3_median()], [1, 0] * 13),
+    "mixed-arities": ([mixed_arities()], [0] * 16),
+    "mixed-arities-shifted": ([mixed_arities(3), mixed_arities(4)], [1, 0, 1] * 6),
+}
+
+
+@pytest.mark.parametrize("K, members", ROW_PLANS.values(), ids=ROW_PLANS.keys())
+def test_lane_rows_match_the_kernel_on_the_repeated_prefix(K, members):
+    rng = random.Random(len(members))
+    plan = ualg.core.lane_plan(K, K[0].sig)
+    apply = ualg.core.lane_pointwise(plan, bytes(members))
+    offsets = list(itertools.accumulate([alg.size for alg in K], initial=0))
+    width = len(members)
+
+    def lane():  # one element: each coordinate a value of its member, shifted by its offset
+        return bytes([offsets[k] + rng.randrange(K[k].size) for k in members])
+
+    row = ualg.closure._lane_rows(apply, width)
+    full = list(dict.fromkeys(lane() for _ in range(60)))  # a pass's lasts: every element found so far
+    passes = [[lane()], [lane(), lane()], full[:2], full]  # m = 1, 2, 2 again (another list) and a full pass
+    for name, arity in K[0].sig.ops:
+        if arity == 0:  # m = 0: a constant's one cell
+            assert row(name, (), ()) == [apply(name, ())] == [bytes(members).translate(plan[name][1])]
+            continue
+        for _ in range(3):  # the rows of a pass share their lasts: the same list again
+            for lasts in passes:
+                prefix = tuple([lane() for _ in range(arity - 1)])
+                m = len(lasts)
+                whole = apply(name, [x * m for x in prefix] + [b"".join(lasts)])
+                assert list(row(name, prefix, lasts)) == [whole[i : i + width] for i in range(0, m * width, width)]
+                assert list(row(name, prefix, lasts)) == [apply(name, (*prefix, last)) for last in lasts]
+
+
+@pytest.mark.parametrize("K, variables", [
+    ([semilattice2(SIG_F)], "abcd"),
+    ([z2_xor(), z3_add(), semilattice2(SIG_F)], "xy"),
+    ([z3_malcev()], "xyz"),  # ternary heads interleave old rows and new ones
+    ([mixed_arities()], "xy"),
+    ([mixed_arities(3), mixed_arities(4)], "xy"),
+], ids=["SL-4", "Z2+Z3+SL-2", "malcev-3", "mixed-arities-2", "mixed-arities-shifted-2"])
+def test_each_pass_joins_each_lasts_list_once(K, variables, monkeypatch):
+    seen, joined = {}, []  # id -> each lasts list a row reads, kept alive so ids stay unique
+    real_rows, real_joined = ualg.closure._lane_rows, ualg.closure._joined
+
+    def rows(apply, width):
+        row = real_rows(apply, width)
+
+        def recorded(name, prefix, lasts):
+            if len(lasts) > 1:
+                seen[id(lasts)] = lasts
+            return row(name, prefix, lasts)
+
+        return recorded
+
+    monkeypatch.setattr(ualg.closure, "_lane_rows", rows)
+    monkeypatch.setattr(ualg.closure, "_joined", lambda lasts: joined.append(lasts) or real_joined(lasts))
+    assert_same_free(build_free(K, list(variables)), build_free_passes(K, list(variables)))
+    assert sorted(map(id, joined)) == sorted(seen)  # each list joined once, and only lists rows read
+    # one list per (start, base): no two read lists hold the same lasts
+    assert len({tuple(lasts) for lasts in seen.values()}) == len(seen) > 1
 
 
 HOM_PAIRS = {

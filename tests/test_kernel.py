@@ -745,11 +745,15 @@ def corrupted_plan(K, sig):
     return plan
 
 
+rows = []  # m per kernel application: close's rows reach it with 2 or more lasts
+
+
 def corrupted_pointwise(plan, members):
     apply = real["lane_pointwise"](plan, members)
 
-    def corrupted(name, args):  # the last lane reads the first: one lane is wrong
-        lanes = apply(name, args)
+    def corrupted(name, args, m=1, last=None):  # the last lane reads the first: one lane is wrong
+        rows.append(m)
+        lanes = apply(name, args, m, last)
         return lanes[:-1] + lanes[:1]
 
     return corrupted
@@ -763,15 +767,18 @@ def patch(name, value):  # in every module that binds the name
 
 # The lanes are corrupted everywhere, term columns included, on an algebra
 # whose plan is not cached yet: a re-check on the lanes would agree with the
-# corrupted closure, so only one on the list kernel raises.
+# corrupted closure, so only one on the list kernel raises.  On 3 variables
+# the closure's rows reach the corrupted kernel with several lasts each.
 for name, fault in [("lane_plan", corrupted_plan), ("lane_pointwise", corrupted_pointwise)]:
     patch(name, fault)
     try:
-        build_free([algebra(signature(("m", 2)), 2, {"m": [0, 0, 0, 1]})], ["x", "y"])
+        build_free([algebra(signature(("m", 2)), 2, {"m": [0, 0, 0, 1]})], ["x", "y", "z"])
     except UalgError as e:
         if "does not evaluate to its tuple" in str(e):
             print("raised corrupted", name)
     patch(name, real[name])
+if max(rows) >= 2:
+    print("corrupted rows of 2 or more lasts")
 ualg.entail.check_proof = lambda sig, axioms, proof: Equation(Var("x"), Var("x"))
 goal = Equation(Var("y"), Var("y"))
 try:
@@ -817,6 +824,7 @@ def test_soundness_checks_survive_python_O():
         "raised wrong generator",
         "raised corrupted lane_plan",
         "raised corrupted lane_pointwise",
+        "corrupted rows of 2 or more lasts",
         "raised search_proof",
         "raised countermodel",
         "raised hom search",
