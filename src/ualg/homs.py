@@ -3,15 +3,15 @@
 A carrier map is just the image list of a function between carriers; the
 classifier decides whether it commutes with every basic operation and
 whether it is injective/surjective.  find_homs enumerates the homs by
-backtracking over the images of a generating set only: propagation along
-the operation tables forces every other value or finds a conflict.  A
-branch point scans its tuples once for all its values, keeping as a bitmask
-the values that pass them (forward checking), and propagates only from
-those.  Each complete image is re-checked, on the target's byte lanes when
-they fit, the images of one buffer up to 256 // |src| at a time, one
-application per table, and by hom_violation past them or where they fail.
-One that is not a hom raises UalgError; the homs are yielded through
-CarrierMap._trusted, without validation.
+backtracking, in one depth-first loop, over the images of a generating set
+only: propagation along the operation tables forces every other value or
+finds a conflict.  A branch point scans its tuples once for all its values,
+keeping as a bitmask the values that pass them (forward checking), and
+propagates only from those.  Each complete image is re-checked, on the
+target's byte lanes when they fit, the images of one buffer up to
+256 // |src| at a time, one application per table, and by hom_violation
+past them or where they fail.  One that is not a hom raises UalgError; the
+homs are yielded through CarrierMap._trusted, without validation.
 """
 
 from __future__ import annotations
@@ -204,9 +204,9 @@ class _Search:
     is undone by cutting it back), uses, each target value's preimage count
     (for injective and the surjective prune), and masks, per operation the
     _passing masks built so far, one per (d, c, v) a scanned tuple needed,
-    so that their memory grows with the tuples scanned.  homs() re-checks
-    the complete images by _recheck, which shares no code with assign or
-    branch."""
+    so that their memory grows with the tuples scanned.  leaves() walks
+    the complete images in one loop, and homs() re-checks them by
+    _recheck, which shares no code with assign or branch."""
 
     def __init__(self, src, dst, surjective: bool | None, injective: bool | None, caps: Caps):
         self.src, self.dst, self.surjective, self.injective = src, dst, surjective, injective
@@ -284,41 +284,36 @@ class _Search:
 
     def homs(self) -> Iterator[CarrierMap]:
         """The homs extending the image: each buffer leaves() hands over is
-        re-checked by _recheck, and the maps the flags keep are yielded; an
-        image that is not a hom raises UalgError after the maps before it."""
+        re-checked by _recheck, and the maps the flags keep, read off their
+        distinct values, are yielded; an image that is not a hom raises
+        UalgError after the maps before it."""
         src, dst, sur, inj, n, m = self.src, self.dst, self.surjective, self.injective, self.src.size, self.dst.size
-        trusted, recheck = CarrierMap._trusted, None
-        for leaves, lefts in self.leaves():
+        trusted, recheck, every = CarrierMap._trusted, None, sur is None and inj is None
+        for leaves in self.leaves():
             recheck = recheck or _recheck(src, dst)
             failure = recheck(leaves)
-            for leaf, left in zip(leaves[: failure[0]] if failure else leaves, lefts):
-                if sur in (None, not left) and inj in (None, m - left == n):
+            for leaf in leaves[: failure[0]] if failure else leaves:
+                if every or (sur in (None, (k := len(set(leaf))) == m) and inj in (None, k == n)):
                     yield trusted(src, dst, leaf)
             if failure:
                 i, (name, args) = failure
                 raise UalgError(f"hom search reached {leaves[i]}, not a hom at {name}{args}")
 
-    def leaves(self) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
+    def leaves(self) -> Iterator[list[tuple[int, ...]]]:
         """The complete images extending the image, in one depth-first
-        loop, handed over in buffers with the count of target values each
-        leaves unused.  The loop branches on the least undecided element a,
-        trying the values that pass branch's scan in ascending order, each
-        by assign on its forcing entries.  stack holds the open branch
-        points: a, len(trail) before it, the values left to try, the forcing
-        entries and the least value not yet counted.  Every value at a
-        branch point counts against caps.search, pruned or not: the values
-        up to each one tried, and the rest when none is left.
-
-        When a is the last undecided element its branch point has no
-        forcing entries (branch decides a's own tuples), so each passing
-        value is a complete image: they are taken in order until the buffer
-        is full or the cap refuses one, left for the loop to trip on.  The
-        first complete image is handed over alone (all a first-map caller
-        needs); after it the buffer is handed over when it holds 256 // |src|
-        (one lane pass), at the end and before the cap trips."""
+        loop, handed over in buffers.  The loop branches on the least
+        undecided element a, trying the values that pass branch's scan in
+        ascending order, each by assign on its forcing entries.  stack holds
+        the open branch points: a, len(trail) before it, the values left to
+        try, the forcing entries and the least value not yet counted.  Every
+        value at a branch point counts against caps.search, pruned or not:
+        the values up to each one tried, and the rest when none is left.
+        The first complete image is handed over alone (all a first-map
+        caller needs); after it the buffer is handed over when it holds
+        256 // |src| (one lane pass), at the end and before the cap trips."""
         image, trail, uses, n, m = self.image, self.trail, self.uses, self.src.size, self.dst.size
         sur, cap, assign, tried = self.surjective, self.cap, self.assign, 0
-        leaves, lefts, full = [], [], 1  # lefts: the values each leaves unused
+        leaves, full = [], 1
         stack = [[-1, len(trail), 1, [], 0]]  # the root: one try, assigning nothing
         while stack:
             top = stack[-1]
@@ -332,49 +327,29 @@ class _Search:
                 stack.pop()
                 continue
             top[2], top[4] = allowed & (allowed - 1), b + 1
-            if len(trail) > mark:  # undo down to the branch point
-                for x in trail[mark:]:
-                    uses[image[x]] -= 1
-                    image[x] = -1
-                del trail[mark:]
-            if a >= 0 and mark == n - 1:
-                unused = uses.count(0)
-                while True:
-                    left = unused - (not uses[b])
-                    if not (sur and left):  # the surjective prune
-                        image[a] = b
-                        leaves.append(tuple(image))
-                        lefts.append(left)
-                    allowed, start = top[2], top[4]
-                    if not allowed or len(leaves) == full:
-                        break
-                    b = (allowed & -allowed).bit_length() - 1
-                    if tried + b + 1 - start > cap:
-                        break
-                    tried += b + 1 - start
-                    top[2], top[4] = allowed & (allowed - 1), b + 1
-                image[a] = -1
-            else:
-                if a >= 0:
-                    image[a] = b
-                    uses[b] += 1
-                    trail.append(a)
-                    if forced and not assign([(res, table[d + b * c]) for res, table, d, c in forced]):
-                        continue
-                if sur and uses.count(0) > n - len(trail):
-                    continue  # more values unused than elements undecided
-                if len(trail) < n:
-                    a = image.index(-1)
-                    stack.append([a, len(trail), *self.branch(a), 0])
+            while len(trail) > mark:  # undo down to the branch point
+                x = trail.pop()
+                uses[image[x]] -= 1
+                image[x] = -1
+            if a >= 0:
+                image[a] = b
+                uses[b] += 1
+                trail.append(a)
+                if forced and not assign([(res, table[d + b * c]) for res, table, d, c in forced]):
                     continue
-                leaves.append(tuple(image))
-                lefts.append(uses.count(0))
+            if sur and uses.count(0) > n - len(trail):
+                continue  # more values unused than elements undecided
+            if len(trail) < n:
+                a = image.index(-1)
+                stack.append([a, len(trail), *self.branch(a), 0])
+                continue
+            leaves.append(tuple(image))
             if len(leaves) < full:
                 continue
-            yield leaves, lefts
-            leaves, lefts, full = [], [], max(256 // n, 1)
+            yield leaves
+            leaves, full = [], max(256 // n, 1)
         if leaves:
-            yield leaves, lefts
+            yield leaves
         if tried > cap:
             self.caps.check("search", cap + 1, "hom search values tried at branch points")
 

@@ -487,6 +487,9 @@ BUFFER_PAIRS = {
     "injective L5->L5": ("L", 5, 5, (None, True)),
     "injective L6->L6": ("L", 6, 6, (None, True)),
     "surjective L5->L3": ("L", 5, 3, (True, None)),
+    # False flags are decided by the filter alone, on each image of each buffer
+    "non-surjective L5->L3": ("L", 5, 3, (False, None)),
+    "non-injective L4->L4": ("L", 4, 4, (None, False)),
 }
 
 
@@ -517,10 +520,10 @@ BAND4_BROKEN = algebra(SIG_F, 4, {"f": [a if (a, b) != (2, 3) else 0 for a in ra
 
 
 def test_a_complete_image_that_is_not_a_hom_raises(monkeypatch):
-    # with propagation switched off every map is a leaf, the first last
-    # branch point's values make the first batch and the later ones share a
-    # buffer: a lazy consumer gets each hom before the first image that is
-    # not one, which must raise rather than be dropped.  Z3 -> Z3: (0, 0, 0)
+    # with propagation switched off every map is a leaf, the first image is
+    # re-checked alone and the later ones share a buffer: a lazy consumer
+    # gets each hom before the first image that is not one, which must
+    # raise rather than be dropped.  Z3 -> Z3: (0, 0, 0)
     # is a hom and (0, 0, 1) is not; L3 into a band broken at f(0, 2):
     # (0, 0, 0) and (0, 0, 1) are homs, (0, 0, 2) is not; L3 into L4 broken
     # at f(2, 3): the first image sending one element to 2 and one to 3 is
@@ -721,6 +724,8 @@ CAP_DIFFERENTIAL = {
     # one image per last branch point: the cap trips with the images of
     # several branch points in the buffer
     "injective L5->L5": (relabelled_product([BAND5], 6), relabelled_product([BAND5], 7), (None, True), False),
+    # the filter drops the surjections, so some buffers yield fewer images than they hold
+    "non-surjective L4->L3": (relabelled_product([BAND4], 8), relabelled_product([BAND3], 9), (False, None), False),
 }
 
 
