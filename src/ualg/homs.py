@@ -8,8 +8,8 @@ only: propagation along the operation tables forces every other value or
 finds a conflict.  A branch point scans its tuples once for all its values,
 keeping as a bitmask the values that pass them (forward checking), and
 propagates only from those.  Each complete image is re-checked, on the
-target's byte lanes when they fit, the images of one buffer up to
-256 // |src| at a time, one application per table, and by hom_violation
+target's byte lanes when they fit, each buffer of at most 256 // |src|
+images in one lane pass, one application per table, and by hom_violation
 past them or where they fail.  One that is not a hom raises UalgError; the
 homs are yielded through CarrierMap._trusted, without validation.
 """
@@ -363,21 +363,22 @@ def _passing(table: Sequence[int], d: int, c: int, v: int, m: int) -> int:
 def _recheck(
     src: FiniteAlgebra, dst: FiniteAlgebra
 ) -> Callable[[Sequence[Sequence[int]]], tuple[int, tuple[str, tuple[int, ...]]] | None]:
-    """hom_violation as a function of a batch of images src -> dst, sharing
-    no code with _Search.assign or branch: the index of the first image
-    that is not a hom and hom_violation's witness for it, or None.
+    """hom_violation as a function of one hand-over of images src -> dst,
+    sharing no code with _Search.assign or branch: the index of the first
+    image that is not a hom and hom_violation's witness for it, or None.
 
-    Within lane_plan's fit rule and |src| <= 256, chunks of up to
-    k = 256 // |src| images, each padded with its first to a power of two
-    at most k, are checked together: their images, joined, make one
-    translation table, and per table dst's lane_pointwise runs once on
-    src's argument columns, shifted by i * |src| for image i and joined,
-    against src's table shifted and joined alike, both translated through
-    it.  The lanes only decide whether a chunk passes: a chunk that fails
-    them, and every image past the fit rule, is checked by hom_violation
-    in turn, which gives the index and the witness.  Lanes that fail a
-    chunk hom_violation passes raise UalgError.  The columns come from
-    _lane_columns; the joined tables are built once per width."""
+    Within lane_plan's fit rule and |src| <= 256, a hand-over of at most
+    256 // |src| images is checked in one lane pass (a longer one raises
+    ValueError or OverflowError: its shifts pass a byte).  The images,
+    joined, make one translation table, and per table dst's lane_pointwise
+    runs once on src's argument columns, shifted by i * |src| for image i
+    and joined, against src's table shifted and joined alike, both
+    translated through it.  The lanes only decide whether the hand-over
+    passes: one that fails them, and every image past the fit rule, is
+    checked by hom_violation in turn, which gives the index and the
+    witness.  Lanes that fail what hom_violation passes raise UalgError.
+    The columns come from _lane_columns; the joined tables are built once
+    per length."""
     n, plan = src.size, dst._lanes
 
     def each(images: Sequence[Sequence[int]]) -> tuple[int, tuple[str, tuple[int, ...]]] | None:
@@ -388,7 +389,7 @@ def _recheck(
 
     if plan is None or n > 256:
         return each
-    full, kernels = 256 // n, {}
+    kernels = {}
 
     def kernel(width: int) -> tuple[Callable[[str, Sequence[bytes]], bytes], list]:
         """lane_pointwise over width images, and src's tables joined alike."""
@@ -400,16 +401,13 @@ def _recheck(
         return kernels[width]
 
     def batch(images: Sequence[Sequence[int]]) -> tuple[int, tuple[str, tuple[int, ...]]] | None:
-        for lo in range(0, len(images), full):
-            chunk = images[lo : lo + full]
-            width = min(1 << (len(chunk) - 1).bit_length(), full)
-            apply, ops = kernels.get(width) or kernel(width)
-            h = b"".join(map(bytes, chunk + chunk[:1] * (width - len(chunk)))).ljust(256, b"\0")
-            for name, columns, table in ops:  # a loop, not any(): no generator per chunk
-                if apply(name, [c.translate(h) for c in columns]) != table.translate(h):
-                    if (failure := each(chunk)) is None:
-                        raise UalgError("hom re-check: the lanes fail a chunk that hom_violation passes")
-                    return lo + failure[0], failure[1]
+        apply, ops = kernels.get(len(images)) or kernel(len(images))
+        h = b"".join(map(bytes, images)).ljust(256, b"\0")
+        for name, columns, table in ops:  # a loop, not any(): no generator per hand-over
+            if apply(name, [c.translate(h) for c in columns]) != table.translate(h):
+                if (failure := each(images)) is None:
+                    raise UalgError("hom re-check: the lanes fail a chunk that hom_violation passes")
+                return failure
         return None
 
     return batch

@@ -578,23 +578,22 @@ def _first_failure(check, batch):
     (signature(("g", 1), ("c", 0)), [(9, 200), (12, 257), (257, 3), (300, 1)]),
 ], ids=["all-arities", "unary-and-constant"])
 def test_leaf_recheck_matches_hom_violation(monkeypatch, sig, sizes):
-    # a batch of images, the hom repeated with one image a value away from
-    # it at a random place and random ones after: the re-check returns the
-    # first image that is not a hom and hom_violation's witness for it, or
-    # None, as the single-image oracle does, on both sides of lane_plan's
-    # fit rule and of |src| = 256, for batches short and longer than
-    # 256 // |src| (split into chunks of that many, each padded to a power
-    # of two); within both, on a batch of homs, it never calls hom_violation
+    # a hand-over of images, the hom repeated with one image a value away
+    # from it at a random place and random ones after: the re-check returns
+    # the first image that is not a hom and hom_violation's witness for it,
+    # or None, as the single-image oracle does, on both sides of lane_plan's
+    # fit rule and of |src| = 256, at every length from 1 to 256 // |src|
+    # within the fit rule (1 to 3 past it); within it, on a batch of homs,
+    # it never calls hom_violation
     rng = random.Random(22)
     outcomes = set()
     for n, m in sizes:
-        for _ in range(30):
+        # the fit rule reads only the shape: any dst of size m decides it
+        lanes = lane_plan([_random_hom(rng, sig, n, m)[1]], sig) is not None and n <= 256
+        for length in range(1, 256 // n + 1) if lanes else [1, 2, 3] * 10:
             src, dst, h = _random_hom(rng, sig, n, m)
-            lanes = lane_plan([dst], sig) is not None and n <= 256
             nudges = [h[:a] + (rng.randrange(m),) + h[a + 1 :] for a in rng.choices(range(n), k=4)]
-            length = rng.randrange(1, 4) + (256 // n if rng.random() < 0.5 else 0)
-            # in a batch past one chunk, the first nudge sits at the end of the first chunk or after it
-            where = rng.randrange(max(256 // n - 1, 0) if length > 256 // n else 0, length + 1)
+            where = rng.randrange(length + 1)
             batch = ([h] * where + [nudges[0]] + [rng.choice([h, *nudges]) for _ in range(length)])[:length]
             want = _first_failure(lambda image: hom_violation(CarrierMap(src, dst, image)), batch)
             assert want == _first_failure(recheck_single(src, dst), batch)
@@ -602,12 +601,8 @@ def test_leaf_recheck_matches_hom_violation(monkeypatch, sig, sizes):
                 if lanes and want is None:
                     patch.setattr(homs, "hom_violation", lambda m: pytest.fail("hom_violation called"))
                 assert homs._recheck(src, dst)(batch) == want
-            chunk = 256 // n if lanes else length
-            outcomes.add((lanes, "hom" if want is None else "first" if not want[0] else
-                          "later" if want[0] < chunk else "later chunk"))
-    assert outcomes == {(True, "later chunk")} | {
-        (lanes, kind) for lanes in (True, False) for kind in ("hom", "first", "later")
-    }
+            outcomes.add((lanes, "hom" if want is None else "first" if not want[0] else "later"))
+    assert outcomes == {(lanes, kind) for lanes in (True, False) for kind in ("hom", "first", "later")}
 
 
 def test_recheck_raises_where_the_lanes_fail_what_hom_violation_passes(monkeypatch):
@@ -777,7 +772,7 @@ def test_injective_search_prunes_the_used_values(monkeypatch):
     assert len(calls) == 24
 
 
-def test_surjective_search_prunes_in_the_last_batch(monkeypatch):
+def test_surjective_search_prunes_before_the_leaves(monkeypatch):
     # every map L4 -> L3 is a hom; at the last element only the values that
     # leave no target value unused reach the re-check: the 3^4 - 3 * 2^4 + 3
     # surjections, not the 72 maps whose first three values use two or more
