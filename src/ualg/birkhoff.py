@@ -173,12 +173,10 @@ def eqcl_to_var_check(
     already checked.  A model search, product or congruence lattice past
     caps raises CapExceededError; nothing is skipped.
 
-    Each stage checks its derived algebras in batches (eqlogic.mod_failures):
-    consecutive ones share one lane plan while their sizes' n^top sum to at
-    most 256, top the largest arity (64 of size 2, 16 of size 4 or 3 of
-    size 9 for binary symbols), and each equation's sides are computed once
-    per batch.  The failing algebra is still the first in generator order
-    that fails E, with its first failing equation replayed through
+    Each stage checks its derived algebras in batches, cut as
+    eqlogic.mod_failures states, and each equation's sides are computed
+    once per batch.  The failing algebra is still the first in generator
+    order that fails E, with its first failing equation replayed through
     satisfies for the witness; a cap error raised by a later derived
     algebra, or by an environment space, comes only after the algebras
     before it are checked, as it did one algebra at a time.

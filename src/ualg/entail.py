@@ -394,12 +394,12 @@ def soundness_audit(
     """Check every proof, then test each conclusion in every pool algebra
     that models the axioms.  Any failing entry is an artifact bug.
 
-    Both tests are one lane pass (eqlogic.mod_failures): over the pool for
-    the axioms, then over its models for the conclusions, consecutive
-    algebras sharing one lane plan.  A model that fails a conclusion gets
-    the conclusions after it from satisfies, so the entries, and the error
-    raised on an unknown symbol or an environment space past the default
-    caps, are those of mod_check and satisfies run algebra by algebra."""
+    Both tests run in batches, cut as eqlogic.mod_failures states: over
+    the pool for the axioms, then over its models for the conclusions.  A
+    model that fails a conclusion gets the conclusions after it from
+    satisfies, so the entries, and the error raised on an unknown symbol or
+    an environment space past the default caps, are those of mod_check and
+    satisfies run algebra by algebra."""
     conclusions = [check_proof(sig, axioms, p) for p in proofs]
     failing = {i for _, i, _ in mod_failures(((alg, i) for i, alg in enumerate(model_pool)), axioms)}
     model_indices = [i for i in range(len(model_pool)) if i not in failing]

@@ -72,17 +72,19 @@ def class_satisfies(
     K: Sequence[FiniteAlgebra], eq: Equation, caps: Caps = DEFAULT_CAPS
 ) -> SatResult:
     """Conjunction of satisfies over K; empty classes hold vacuously."""
-    for i, alg in enumerate(K):
-        res = satisfies(alg, eq, caps)
-        if not res.holds:
-            return SatResult(False, res.counterexample, i)
-    return SatResult(True)
+    return _conjunction(zip(K, itertools.repeat(eq)), caps)
 
 
 def mod_check(alg: FiniteAlgebra, E: Sequence[Equation], caps: Caps = DEFAULT_CAPS) -> SatResult:
     """Membership of alg in the model class of the finite equation list E;
     failing_index names the first equation of E that alg fails."""
-    for i, eq in enumerate(E):
+    return _conjunction(zip(itertools.repeat(alg), E), caps)
+
+
+def _conjunction(checks: Iterable[tuple[FiniteAlgebra, Equation]], caps: Caps) -> SatResult:
+    """satisfies on each (algebra, equation) check in turn, stopping at the
+    first that fails; its index is the failing_index."""
+    for i, (alg, eq) in enumerate(checks):
         res = satisfies(alg, eq, caps)
         if not res.holds:
             return SatResult(False, res.counterexample, i)
@@ -103,15 +105,16 @@ def mod_failures(
     fails E, in order, with its label and the index of the first equation
     it fails (satisfies replays it for a witness).
 
-    Consecutive algebras of one signature are checked in batches on one
-    lane plan, while the sizes' n^top (top the largest arity) sum to at
-    most 256, core.lane_plan's fit rule, and while each equation has at
-    most _BATCH_WIDTH environments over the batch.  Each equation's two
-    sides are computed once per batch on the members' environment columns,
-    shifted and joined (terms.joined_columns), and each member's slices
-    compared.  A batch of one is the same routine on the algebra's cached
-    plan, or on lists past the fit rule.  The plan is built once per batch
-    (terms.members_plan).
+    The algebras are checked in batches on one lane plan.  An algebra joins
+    the batch before it while it has the batch's signature, the sizes'
+    n^top (top the largest arity, at most 8) sum to at most 256,
+    core.lane_plan's fit rule, and each equation has at most _BATCH_WIDTH
+    environments over the batch; else it starts a new batch.  Each
+    equation's two sides are computed once per batch on the members'
+    environment columns, shifted and joined (terms.joined_columns), and
+    each member's slices compared.  A batch of one is the same routine on
+    the algebra's cached plan, or on lists past the fit rule.  The plan is
+    built once per batch (terms.members_plan).
 
     A batch that raises any UalgError is checked again by mod_check, one
     algebra at a time: its failures before the error are yielded, then
@@ -135,29 +138,26 @@ def mod_failures(
 
 
 def _batches(labelled: Iterable[tuple[FiniteAlgebra, L]], span: int) -> Iterator[list[tuple[FiniteAlgebra, L]]]:
-    """labelled cut into runs of one signature that fit one lane plan, with
-    at most _BATCH_WIDTH environments of span variables.  An error that
-    labelled raises comes after the run before it is yielded."""
+    """labelled cut into batches by mod_failures' rule, for equations of at
+    most span variables.  An error that labelled raises comes after the
+    batch before it is yielded."""
     batch: list = []
     sig = None
     try:
         for item in labelled:
             alg = item[0]
-            if alg.sig is not sig and alg.sig != sig:
+            same = alg.sig is sig or alg.sig == sig
+            if not same:
                 sig, top = alg.sig, max([1] + [arity for _, arity in alg.sig.ops])
+            # past arity 8 no plan fits (see core.lane_plan): batches of one
+            cost, count = alg.size**top if top <= 8 else 257, alg.size**span
+            if not same or weight + cost > 256 or width + count > _BATCH_WIDTH:
                 if batch:
                     yield batch
-                    batch = []
-            # past arity 8 no plan fits (see core.lane_plan): runs of one
-            cost, count = alg.size**top if top <= 8 else 257, alg.size**span
-            if batch and weight + cost <= 256 and width + count <= _BATCH_WIDTH:
-                batch.append(item)
-                weight, width = weight + cost, width + count
-                continue
-            if batch:
-                yield batch
-            batch, weight, width = [item], cost, count
-    except UalgError:  # labelled's own, raised once the run before it is checked
+                batch, weight, width = [], 0, 0
+            batch.append(item)
+            weight, width = weight + cost, width + count
+    except UalgError:  # labelled's own, raised once the batch before it is checked
         if batch:
             yield batch
         raise
@@ -198,26 +198,27 @@ def find_models(
     least table of each class, in ascending table order, and the number of
     all models, the sum of size!/|Aut| over the classes.
 
-    The table cells are filled op by op, row-major, values ascending, so
-    the leaves come in ascending table order.  An equation instance (one
-    equation under one environment) waits on the first undecided cell it
-    reads and is re-evaluated only when that cell is assigned; a branch
-    stops at the first instance whose sides disagree.  A leaf is kept when
-    no relabelling of the carrier gives a smaller table: the least table of
-    its class.  Every kept table is re-checked by mod_check.  Raises
-    CapExceededError when the tables have more than caps.cells cells, when
-    an equation has more than caps.cells environments, and when cells
-    assigned plus relabellings tried pass caps.cells.
+    The table cells, laid out once op by op, row-major, are filled in that
+    order, values ascending, so the leaves come in ascending table order.
+    An equation instance (one equation under one environment) waits on the
+    first undecided cell it reads and is re-evaluated only when that cell
+    is assigned; a branch stops at the first instance whose sides disagree.
+    What a cell's value appended to the waiting lists is popped before its
+    next value and on backtrack, whether or not the value held.  A leaf is
+    kept when no relabelling of the carrier gives a smaller table: the
+    least table of its class.  Every kept table is re-checked by mod_check.
+    Raises CapExceededError when the tables have more than caps.cells
+    cells, when an equation has more than caps.cells environments, and when
+    cells assigned plus relabellings tried pass caps.cells.
     """
     if size < 1:
         raise ValueError("carrier must be nonempty")
-    offsets, widths = {}, []
-    for name, arity in sig.ops:
-        offsets[name] = sum(widths)
-        widths.append(size**arity)
-    n_cells = sum(widths)
+    # op by op, row-major: op k's cells are starts[k] .. starts[k+1] - 1
+    starts = list(itertools.accumulate([size**arity for _, arity in sig.ops], initial=0))
+    n_cells = starts[-1]
     # checked before the per-cell lists are built
     caps.check("cells", n_cells, f"model search table cells at size {size}")
+    offsets = {name: start for (name, _), start in zip(sig.ops, starts)}
     instances = []
     for eq in E:
         names = equation_vars(eq)
@@ -233,12 +234,12 @@ def find_models(
 
     cells = [-1] * n_cells  # -1: undecided
     waiting: list[list] = [[] for _ in range(n_cells)]
-    if _propagate(instances, cells, size, waiting) is None:
+    if not _propagate(instances, cells, size, waiting)[1]:
         return (), 0
     args_of = {
         arity: list(itertools.product(range(size), repeat=arity)) for _, arity in sig.ops
     }
-    spans = [(offsets[name], args_of[arity]) for name, arity in sig.ops]
+    spans = [(start, args_of[arity]) for (_, arity), start in zip(sig.ops, starts)]
     reps, count, work, cap = [], 0, 0, caps.cells
     what = f"model search work at size {size} (cells assigned plus relabellings tried)"
     tried = [0] * n_cells  # next value to try at each cell
@@ -256,7 +257,8 @@ def find_models(
                     break
                 aut += order == 0
             else:
-                rep = _model(sig, widths, cells, size)
+                tables = tuple([tuple(cells[a:b]) for a, b in itertools.pairwise(starts)])
+                rep = FiniteAlgebra._trusted(sig, size, tables)
                 res = mod_check(rep, E, caps)
                 if not res.holds:
                     raise UalgError(
@@ -277,8 +279,8 @@ def find_models(
         if work > cap:
             caps.check("cells", work, what)
         cells[d], tried[d] = value, value + 1
-        added[d] = _propagate(waiting[d], cells, size, waiting)
-        if added[d] is not None:
+        added[d], held = _propagate(waiting[d], cells, size, waiting)
+        if held:
             d += 1
     return tuple(reps), count
 
@@ -306,9 +308,10 @@ def _partial_value(node, env: tuple[int, ...], cells: list[int], n: int) -> int:
     return v if v >= 0 else -1 - offset - idx
 
 
-def _propagate(instances, cells: list[int], n: int, waiting: list[list]) -> list[int] | None:
-    """Evaluate the instances: None at the first whose sides disagree, else
-    the cells whose waiting lists got the instances still pending."""
+def _propagate(instances, cells: list[int], n: int, waiting: list[list]) -> tuple[list[int], bool]:
+    """Evaluate the instances up to the first whose sides disagree: the
+    cells whose waiting lists got the instances still pending, and whether
+    every instance held or waits.  The caller pops what was appended."""
     added = []
     for inst in instances:
         lhs = _partial_value(inst[0], inst[2], cells, n)
@@ -316,14 +319,12 @@ def _propagate(instances, cells: list[int], n: int, waiting: list[list]) -> list
             rhs = _partial_value(inst[1], inst[2], cells, n)
             if rhs >= 0:
                 if lhs != rhs:
-                    for c in reversed(added):
-                        waiting[c].pop()
-                    return None
+                    return added, False
                 continue
             lhs = rhs
         waiting[-1 - lhs].append(inst)
         added.append(-1 - lhs)
-    return added
+    return added, True
 
 
 def _relabel_order(cells: list[int], spans, perm: tuple[int, ...], n: int) -> int:
@@ -341,14 +342,6 @@ def _relabel_order(cells: list[int], spans, perm: tuple[int, ...], n: int) -> in
             if v != w:
                 return -1 if v < w else 1
     return 0
-
-
-def _model(sig: Signature, widths: list[int], cells: list[int], n: int) -> FiniteAlgebra:
-    tables, start = [], 0
-    for width in widths:
-        tables.append(tuple(cells[start : start + width]))
-        start += width
-    return FiniteAlgebra._trusted(sig, n, tuple(tables))
 
 
 @dataclass(frozen=True)

@@ -406,7 +406,7 @@ def _recheck(
         for name, columns, table in ops:  # a loop, not any(): no generator per hand-over
             if apply(name, [c.translate(h) for c in columns]) != table.translate(h):
                 if (failure := each(images)) is None:
-                    raise UalgError("hom re-check: the lanes fail a chunk that hom_violation passes")
+                    raise UalgError("hom re-check: the lanes fail a hand-over that hom_violation passes")
                 return failure
         return None
 

@@ -511,14 +511,27 @@ def test_lane_rows_match_the_kernel_on_the_repeated_prefix(K, members):
                 assert list(row(name, prefix, lasts)) == [apply(name, (*prefix, last)) for last in lasts]
 
 
-@pytest.mark.parametrize("K, variables", [
-    ([semilattice2(SIG_F)], "abcd"),
-    ([z2_xor(), z3_add(), semilattice2(SIG_F)], "xy"),
-    ([z3_malcev()], "xyz"),  # ternary heads interleave old rows and new ones
-    ([mixed_arities()], "xy"),
-    ([mixed_arities(3), mixed_arities(4)], "xy"),
+def build_free_tuples(K, variables):
+    """build_free with no lane plan, for one member or several: on int tuples."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FiniteAlgebra, "_lanes", property(lambda alg: None))
+        patch.setattr(ualg.closure, "lane_plan", lambda K, sig: None)
+        patch.setattr(ualg.closure, "_lane_rows", lambda *args: pytest.fail("lane rows on the tuple path"))
+        return build_free(K, list(variables))
+
+
+# The 84-element mixed-arity free algebras take build_free_passes half a
+# minute each; there the lane build is compared with the int-tuple build,
+# itself checked against the oracles by the tuples- cases of FREE_CASES
+# and GENERATE_CASES.
+@pytest.mark.parametrize("K, variables, oracle", [
+    ([semilattice2(SIG_F)], "abcd", build_free_passes),
+    ([z2_xor(), z3_add(), semilattice2(SIG_F)], "xy", build_free_passes),
+    ([z3_malcev()], "xyz", build_free_passes),  # ternary heads interleave old rows and new ones
+    ([mixed_arities()], "xy", build_free_tuples),
+    ([mixed_arities(3), mixed_arities(4)], "xy", build_free_tuples),
 ], ids=["SL-4", "Z2+Z3+SL-2", "malcev-3", "mixed-arities-2", "mixed-arities-shifted-2"])
-def test_each_pass_joins_each_lasts_list_once(K, variables, monkeypatch):
+def test_each_pass_joins_each_lasts_list_once(K, variables, oracle, monkeypatch):
     seen, joined = {}, []  # id -> each lasts list a row reads, kept alive so ids stay unique
     real_rows, real_joined = ualg.closure._lane_rows, ualg.closure._joined
 
@@ -534,7 +547,7 @@ def test_each_pass_joins_each_lasts_list_once(K, variables, monkeypatch):
 
     monkeypatch.setattr(ualg.closure, "_lane_rows", rows)
     monkeypatch.setattr(ualg.closure, "_joined", lambda lasts: joined.append(lasts) or real_joined(lasts))
-    assert_same_free(build_free(K, list(variables)), build_free_passes(K, list(variables)))
+    assert_same_free(build_free(K, list(variables)), oracle(K, list(variables)))
     assert sorted(map(id, joined)) == sorted(seen)  # each list joined once, and only lists rows read
     # one list per (start, base): no two read lists hold the same lasts
     assert len({tuple(lasts) for lasts in seen.values()}) == len(seen) > 1

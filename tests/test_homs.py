@@ -606,13 +606,13 @@ def test_leaf_recheck_matches_hom_violation(monkeypatch, sig, sizes):
 
 
 def test_recheck_raises_where_the_lanes_fail_what_hom_violation_passes(monkeypatch):
-    # the lanes only decide whether a chunk passes: a lane kernel corrupted
-    # to fail every chunk sends each to hom_violation, which passes these
+    # the lanes only decide whether a hand-over passes: a lane kernel corrupted
+    # to fail every hand-over sends each to hom_violation, which passes these
     # homs, so the disagreement raises, from _recheck and from the search
     real = homs.lane_pointwise
     monkeypatch.setattr(homs, "lane_pointwise", lambda plan, members: (
         lambda name, args, apply=real(plan, members): apply(name, args) + b"\0"))
-    message = "^hom re-check: the lanes fail a chunk that hom_violation passes$"
+    message = "^hom re-check: the lanes fail a hand-over that hom_violation passes$"
     for images in ([(0, 1, 2)], [(0, 1, 2), (0, 0, 0), (0, 2, 1)]):
         with pytest.raises(UalgError, match=message):
             homs._recheck(z3_add(), z3_add())(images)

@@ -595,6 +595,37 @@ def test_mod_failures_batches_within_the_fit_rule(monkeypatch):
     assert plans == [[2] * 8] * 8
 
 
+def test_every_batch_fits_its_plan_and_holds_one_signature():
+    """Streams of sizes 1-17 in runs under two signatures, one of arities
+    0-1 given as two equal objects and one of arities 0-9: every batch has
+    one signature and at most _BATCH_WIDTH environments, a batch of two or
+    more has a lane plan, and a batch is cut only where the next algebra
+    has another signature or would leave the plan or the width."""
+    rng = random.Random(7)
+    for trial in range(60):
+        ops = [[(f"{p}{k}", rng.randint(0, top)) for k in range(rng.randint(1, 3))] for p, top in (("a", 1), ("b", 9))]
+        sigs = [signature(*ops[0]), signature(*ops[0]), signature(*ops[1])]
+        span = trial % 4  # 17^3 environments fit _BATCH_WIDTH
+        stream = []
+        for sig in rng.choices(sigs, k=8):
+            top = max([1] + [arity for _, arity in sig.ops])
+            for n in rng.choices(range(1, 18), k=rng.randint(1, 12)):
+                # past the fit rule by its size alone, no plan reads its tables
+                alg = random_algebra(rng, sig, n) if n**top <= 4096 else types.SimpleNamespace(sig=sig, size=n)
+                stream += [(alg, len(stream))] * rng.randint(1, 4)
+        batches = list(ualg.eqlogic._batches(stream, span))
+        assert [item for batch in batches for item in batch] == stream
+        for batch, after in zip(batches, batches[1:] + [None]):
+            K = [alg for alg, _ in batch]
+            assert all(alg.sig == K[0].sig for alg in K), trial
+            assert sum([alg.size**span for alg in K]) <= ualg.eqlogic._BATCH_WIDTH, trial
+            assert len(K) == 1 or lane_plan(K, K[0].sig) is not None, trial
+            if after is not None and after[0][0].sig == K[0].sig:  # cut by the plan or the width
+                K.append(after[0][0])
+                wide = sum([alg.size**span for alg in K]) > ualg.eqlogic._BATCH_WIDTH
+                assert wide or lane_plan(K, K[0].sig) is None, trial
+
+
 @pytest.mark.parametrize("sizes", [(1, 2, 3), (2, 2, 2, 2), (5, 3, 1, 9)])
 def test_joined_columns_are_each_members_columns_shifted(sizes):
     rng = random.Random(sum(sizes))
